@@ -4,6 +4,11 @@ Enumerates SL_n over a finite ring by closure under elementary generators
 (cross-checked against the closed-form order where known), runs exhaustive
 BFS for conjugacy-width minima, studies sum sets of subgroup elements modulo
 m, and checks the explicit five-term sum decomposition.
+
+Group elements are addressed by their enumeration index.  Products come
+from one int32 table, built with numpy on first use, and every search over
+the group is a closure_bfs whose step maps a frontier of indices to its
+neighbours.
 """
 
 from __future__ import annotations
@@ -13,17 +18,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, CentralInput, UnsupportedRing
+from .errors import BadIndices, BudgetExceeded, CentralInput, UnsupportedRing
 from .matrices import (
     SqMatrix,
     determinant,
     elementary,
     identity,
-    in_congruence_subgroup,
     is_central,
     mat_inv,
 )
 from .rings import KIND_ZMOD, Ideal, RingSpec
+
+# A product table past this many int32 entries (256 MB) is refused.
+_TABLE_ENTRY_CAP = 1 << 26
+# Frontier nodes times group order handed to one closure_bfs step.
+_BFS_SLICE = 1 << 16
 
 
 def sl_order(n: int, ring: RingSpec) -> int:
@@ -51,87 +60,94 @@ def sl_order(n: int, ring: RingSpec) -> int:
     return total
 
 
-class _LazyMulRow:
-    """Row of the multiplication table computed on demand (large groups)."""
+def closure_bfs(step, starts, size: int, budget: int | None = None) -> np.ndarray:
+    """Breadth-first closure over the nodes 0..size-1, one layer at a time.
 
-    __slots__ = ("table", "a", "cache")
+    step maps a 1-D array of frontier nodes to an array, of any shape, of
+    their neighbours.  Returns the int32 distance of every node from the
+    nearest start, -1 for nodes never reached.  Reaching more than budget
+    nodes raises BudgetExceeded.
 
-    def __init__(self, table: "FiniteGroupTable", a: int):
-        self.table = table
-        self.a = a
-        self.cache: dict[int, int] = {}
+    step sees at most _BFS_SLICE // size nodes at a time, so a step that
+    yields a few neighbours per node and group element keeps its
+    temporaries to a few MB whatever the group.
+    """
+    dist = np.full(size, -1, dtype=np.int32)
+    fresh = np.zeros(size, dtype=bool)
+    fresh[np.asarray(starts, dtype=np.int64)] = True
+    width = max(1, _BFS_SLICE // size)
+    reached = depth = 0
+    while (frontier := np.flatnonzero(fresh)).size:
+        dist[frontier] = depth
+        reached += frontier.size
+        if budget is not None and reached > budget:
+            raise BudgetExceeded(f"closure BFS exceeded {budget} nodes")
+        fresh[:] = False
+        for lo in range(0, frontier.size, width):
+            cand = step(frontier[lo:lo + width]).ravel()
+            fresh[cand[dist[cand] < 0]] = True
+        depth += 1
+    return dist
 
-    def __getitem__(self, b: int) -> int:
-        hit = self.cache.get(b)
-        if hit is None:
-            t = self.table
-            hit = t.index[(t.elements[self.a] * t.elements[b]).key()]
-            self.cache[b] = hit
-        return hit
 
+def _product_table(elements: list[SqMatrix], m: int) -> np.ndarray:
+    """mul[a, b] = index of elements[a] * elements[b], over Z/m.
 
-class _LazyMul:
-    __slots__ = ("rows",)
-
-    def __init__(self, table: "FiniteGroupTable"):
-        self.rows = [_LazyMulRow(table, a) for a in range(len(table.elements))]
-
-    def __getitem__(self, a: int) -> _LazyMulRow:
-        return self.rows[a]
+    Each element is encoded by its entries read as base-m digits, and a
+    row of products is mapped back to indices through a code -> index
+    array.  That array has m^(n^2) entries, at most a few times m * |G|.
+    """
+    size = len(elements)
+    if size * size > _TABLE_ENTRY_CAP:
+        raise BudgetExceeded(
+            f"product table of {size}^2 entries over the cap of {_TABLE_ENTRY_CAP}"
+        )
+    mats = np.array([g.key() for g in elements], dtype=np.int64)
+    n = mats.shape[1]
+    weights = m ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    index_of = np.empty(m ** (n * n), dtype=np.int32)
+    index_of[mats.reshape(size, n * n) @ weights] = np.arange(size)
+    mul = np.empty((size, size), dtype=np.int32)
+    for a in range(size):
+        mul[a] = index_of[(mats[a] @ mats % m).reshape(size, n * n) @ weights]
+    return mul
 
 
 @dataclass
 class FiniteGroupTable:
     """All of SL_n over a finite ring, with index-based multiplication.
 
-    Small groups carry a dense product table; past _DENSE_TABLE_LIMIT
-    entries, multiplication falls back to hash-based lookups with caching.
+    mul[a, b] is the index of elements[a] * elements[b], an int32 array of
+    |G|^2 entries built on first access; a group too large for it raises
+    BudgetExceeded there, while its elements, inverses and center stay usable.
     """
 
     ring: RingSpec
     n: int
     elements: list[SqMatrix]
     index: dict = field(repr=False)
-    mul: object = field(repr=False)  # dense list-of-lists or _LazyMul
-    inv: list[int] = field(repr=False)
+    inv: np.ndarray = field(repr=False)  # int32 index of each inverse
     center: list[int] = field(repr=False)
+    _mul: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    @property
+    def mul(self) -> np.ndarray:
+        if self._mul is None:
+            self._mul = _product_table(self.elements, self.ring.modulus)
+        return self._mul
+
     def idx(self, g: SqMatrix) -> int:
         return self.index[g.key()]
 
-    def subset_congruent(self, ideal: Ideal) -> list[int]:
-        """Indices of elements congruent to I modulo the ideal."""
-        return [
-            k
-            for k, g in enumerate(self.elements)
-            if in_congruence_subgroup(g, ideal)
-        ]
-
-    def elementary_subgroup(self, ideal: Ideal) -> list[int]:
-        """Closure of the elementary matrices with entries in the ideal."""
-        gens = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if i == j:
-                    continue
-                for a in self.ring.residues():
-                    if a.is_zero or not ideal.contains(a):
-                        continue
-                    gens.append(self.idx(elementary(self.ring, self.n, i, j, a)))
-        e = self.idx(identity(self.ring, self.n))
-        seen = {e}
-        frontier = deque([e])
-        while frontier:
-            g = frontier.popleft()
-            for s in gens:
-                h = self.mul[g][s]
-                if h not in seen:
-                    seen.add(h)
-                    frontier.append(h)
-        return sorted(seen)
+    def word_distances(self, letters, budget: int | None = None) -> np.ndarray:
+        """Word length of every element over the letters (-1: not generated)."""
+        mul = self.mul
+        letters = np.asarray(letters, dtype=np.int32)
+        one = self.idx(identity(self.ring, self.n))
+        return closure_bfs(lambda f: mul[f[:, None], letters], [one], len(self), budget)
 
     def target_elementaries(self, i: int, j: int, ideal: Ideal) -> list[int]:
         """Indices of nontrivial I + a*e_ij with a in the ideal."""
@@ -144,7 +160,6 @@ class FiniteGroupTable:
 
 
 _TABLE_CACHE: dict = {}
-_DENSE_TABLE_LIMIT = 4 * 10**6  # entries; larger groups multiply lazily
 
 
 def enumerate_sl(n: int, ring: RingSpec, budget: int = 10**6) -> FiniteGroupTable:
@@ -190,19 +205,9 @@ def enumerate_sl(n: int, ring: RingSpec, budget: int = 10**6) -> FiniteGroupTabl
     assert len(elements) == expected, (
         f"closure found {len(elements)} elements, formula gives {expected}"
     )
-    size = len(elements)
-    inv = [index[mat_inv(g).key()] for g in elements]
+    inv = np.array([index[mat_inv(g).key()] for g in elements], dtype=np.int32)
     center = [k for k, g in enumerate(elements) if is_central(g)]
-    table = FiniteGroupTable(ring, n, elements, index, None, inv, center)
-    if size * size <= _DENSE_TABLE_LIMIT:
-        mul = [[0] * size for _ in range(size)]
-        for a in range(size):
-            ga = elements[a]
-            for b in range(size):
-                mul[a][b] = index[(ga * elements[b]).key()]
-        table.mul = mul
-    else:
-        table.mul = _LazyMul(table)
+    table = FiniteGroupTable(ring, n, elements, index, inv, center)
     _TABLE_CACHE[(n, ring)] = table
     return table
 
@@ -235,59 +240,40 @@ def width_bfs(
     if sidx in table.center:
         raise CentralInput("width census needs a non-central element")
     n = table.n
+    positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     if targets is None:
-        targets = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        targets = positions
+    elif not set(targets) <= set(positions):
+        raise BadIndices(f"bad target positions {targets} for n={n}")
 
-    esub = table.elementary_subgroup(ideal)
-    mul = table.mul
-    inv = table.inv
+    mul, inv = table.mul, table.inv
+    # E(q): the closure of every nontrivial elementary matrix with entries in q
+    elems = {p: table.target_elementaries(*p, ideal) for p in positions}
+    esub = np.flatnonzero(table.word_distances(sum(elems.values(), [])) >= 0)
+    s, si = esub[None, :], inv[esub][None, :]
 
-    # BFS 1: operation count from sigma over the q-operation graph.
-    dist_ops = {sidx: 0}
-    frontier = deque([sidx])
-    while frontier:
-        g = frontier.popleft()
-        d = dist_ops[g] + 1
-        gi = inv[g]
-        for s in esub:
-            si = inv[s]
-            conj = mul[mul[s][g]][si]
-            commr = mul[mul[mul[g][s]][gi]][si]
-            comml = mul[mul[mul[s][g]][si]][gi]
-            for h in (conj, commr, comml):
-                if h not in dist_ops:
-                    dist_ops[h] = d
-                    frontier.append(h)
+    def operations(f):
+        g, gi = f[:, None], inv[f][:, None]
+        conj = mul[mul[s, g], si]
+        return np.stack((conj, mul[mul[mul[g, s], gi], si], mul[conj, gi]))
 
-    # BFS 2: word length over conjugates of sigma^{±1}.
-    letters = set()
-    for s in esub:
-        si = inv[s]
-        letters.add(mul[mul[s][sidx]][si])
-        letters.add(mul[mul[s][inv[sidx]]][si])
-    letters = sorted(letters)
-    eidx = table.idx(identity(table.ring, n))
-    dist_word = {eidx: 0}
-    frontier = deque([eidx])
-    while frontier:
-        g = frontier.popleft()
-        d = dist_word[g] + 1
-        for let in letters:
-            h = mul[g][let]
-            if h not in dist_word:
-                dist_word[h] = d
-                frontier.append(h)
+    # operation count from sigma over the q-operation graph
+    dist_ops = closure_bfs(operations, [sidx], len(table))
+    # word length over the conjugates of sigma^{±1}
+    letters = np.zeros(len(table), dtype=bool)
+    letters[mul[mul[s, [[sidx], [inv[sidx]]]], si]] = True
+    dist_word = table.word_distances(letters.nonzero()[0])
 
     results = {}
     for (i, j) in targets:
-        tset = table.target_elementaries(i, j, ideal)
-        ops = min((dist_ops[t] for t in tset if t in dist_ops), default=None)
-        word = min(
-            (dist_word[t] for t in tset if t in dist_word and dist_word[t] > 0),
-            default=None,
-        )
-        results[(i, j)] = WidthResult((i, j), ops, word)
+        ops = dist_ops[elems[(i, j)]]
+        word = dist_word[elems[(i, j)]]
+        results[(i, j)] = WidthResult((i, j), _least(ops[ops >= 0]), _least(word[word > 0]))
     return results
+
+
+def _least(dist: np.ndarray) -> int | None:
+    return int(dist.min()) if dist.size else None
 
 
 def width_census_csv(table: FiniteGroupTable, ideal: Ideal) -> str:
@@ -459,16 +445,8 @@ def verify_sum_identity(m: int, a: int, b: int, c: int, d: int):
     Returns (equal, lhs, rhs) with both sides as 2x2 integer tuples.
     """
     lhs = _mat2(1 + m * m * a, m * b, m * c, 1 + m * m * d)
-    k = 2 * m * m - 3
-    terms = [
-        _mat2(k, 0, 0, k),
-        _mat2(1, m * (b - 2), 0, 1),
-        _mat2(1, 0, m * (c - a - d + 4), 1),
-        _mat2(1 + m * m * (a - 2), m, m * (a - 2), 1),
-        _mat2(1, m, m * (d - 2), 1 + m * m * (d - 2)),
-    ]
-    rhs = terms[0]
-    for t in terms[1:]:
+    rhs = _mat2(0, 0, 0, 0)
+    for t in sum_identity_terms(m, a, b, c, d):
         rhs = _add2(rhs, t)
     return rhs == lhs, lhs, rhs
 

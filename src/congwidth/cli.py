@@ -69,6 +69,9 @@ def _positive_int(text: str) -> int:
     return v
 
 
+_HEADER_SEED = "echoed in the output header only; this command draws no random numbers"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="congwidth")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -88,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decompose", help="factor an SL matrix into elementary matrices")
     pd.add_argument("--in", dest="infile", required=True)
-    pd.add_argument("--seed", type=int, default=0)
+    pd.add_argument("--seed", type=int, default=0, help=_HEADER_SEED)
     pd.add_argument("--out", default=None)
 
     pn = sub.add_parser("norm", help="build a norm from a config file and run the axiom harness")
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--budget", type=_positive_int, default=10**6)
     pc.add_argument("--factors", action="store_true",
                     help="histogram elementary-factorization counts instead of widths")
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=int, default=0, help=_HEADER_SEED)
     pc.add_argument("--out", default=None)
 
     ps = sub.add_parser("sumid", help="check the five-term sum decomposition")
@@ -115,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--max-terms", type=_positive_int, required=True)
     pt.add_argument("--target-level", type=_positive_int, required=True)
     pt.add_argument("--budget", type=_positive_int, default=10**6)
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=int, default=0, help=_HEADER_SEED)
     pt.add_argument("--out", default=None)
 
     return p

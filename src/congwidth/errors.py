@@ -91,7 +91,3 @@ class ReplayMismatch(CongwidthError):
 
 class TraceFormatError(CongwidthError):
     """A serialized trace does not follow the trace grammar."""
-
-
-class UsageError(CongwidthError):
-    """Invalid command-line usage."""

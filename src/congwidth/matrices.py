@@ -20,7 +20,6 @@ from .rings import (
     RingSpec,
     exact_div,
     format_element,
-    is_unit,
     parse_element,
     unit_check,
 )
@@ -233,10 +232,6 @@ def mat_inv(m: SqMatrix) -> SqMatrix:
     return SqMatrix(ring, n, tuple(rows))
 
 
-def mat_mul(a: SqMatrix, b: SqMatrix) -> SqMatrix:
-    return a * b
-
-
 def commutator(g: SqMatrix, h: SqMatrix) -> SqMatrix:
     """[g, h] = g h g^-1 h^-1."""
     return g * h * mat_inv(g) * mat_inv(h)
@@ -362,11 +357,3 @@ def parse_matrix(text: str) -> SqMatrix:
             raise ValueError(f"row has {len(items)} entries, expected {n}")
         rows.append(tuple(parse_element(ring, t) for t in items))
     return SqMatrix(ring, n, tuple(rows))
-
-
-def sl_check(g: SqMatrix) -> bool:
-    return determinant(g) == g.ring.one
-
-
-def unit_det(g: SqMatrix) -> bool:
-    return is_unit(determinant(g))

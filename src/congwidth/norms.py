@@ -17,10 +17,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import FiniteGroupTable
+from .census import FiniteGroupTable, closure_bfs
 from .errors import (
     BadTransversal,
-    BudgetExceeded,
     CapAmbiguous,
     InnerUnbounded,
     NoSmallVector,
@@ -495,70 +494,34 @@ class Unreached:
 
 def conjugation_closure(table: FiniteGroupTable, seeds: list[int]) -> list[int]:
     """Close a set of element indices under conjugation and inversion."""
-    out = set()
-    for s in seeds:
-        out.add(s)
-        out.add(table.inv[s])
-    grown = True
-    while grown:
-        grown = False
-        for g in range(len(table.elements)):
-            for s in list(out):
-                c = table.mul[table.mul[g][s]][table.inv[g]]
-                if c not in out:
-                    out.add(c)
-                    grown = True
-    return sorted(out)
+    mul, inv = table.mul, table.inv
+    starts = list(seeds) + [inv[s] for s in seeds]
+    # conjugates g f g^-1 of the frontier f by every g
+    dist = closure_bfs(lambda f: mul[mul[:, f], inv[:, None]], starts, len(table))
+    return (dist >= 0).nonzero()[0].tolist()
 
 
 def word_norm(table: FiniteGroupTable, generators: list[int], g: SqMatrix | int, budget: int = 10**6):
     """Minimal generator count expressing g over the given set, by BFS.
 
     Returns the exact integer, or Unreached when the closure of the set is
-    exhausted without meeting g.  Exceeding the node budget raises
-    BudgetExceeded (distinct from Unreached).
+    exhausted without meeting g.  A closure of more than budget elements
+    raises BudgetExceeded (distinct from Unreached).
     """
     gidx = g if isinstance(g, int) else table.idx(g)
-    eidx = table.idx(identity(table.ring, table.n))
-    dist = {eidx: 0}
-    frontier = [eidx]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            d = dist[cur] + 1
-            for s in generators:
-                h = table.mul[cur][s]
-                if h not in dist:
-                    if len(dist) >= budget:
-                        raise BudgetExceeded(f"word BFS exceeded {budget} nodes")
-                    dist[h] = d
-                    if h == gidx:
-                        return d
-                    nxt.append(h)
-        frontier = nxt
-    if gidx in dist:
-        return dist[gidx]
-    return Unreached(explored=len(dist))
+    dist = table.word_distances(generators, budget)
+    if dist[gidx] < 0:
+        return Unreached(explored=int((dist >= 0).sum()))
+    return int(dist[gidx])
 
 
 def word_norm_eval(table: FiniteGroupTable, generators: list[int]) -> NormEval:
     """Word-length norm as an evaluator; needs the set to be symmetric,
     conjugation-closed, and to generate the whole table."""
-    eidx = table.idx(identity(table.ring, table.n))
-    dist = {eidx: 0}
-    frontier = [eidx]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            d = dist[cur] + 1
-            for s in generators:
-                h = table.mul[cur][s]
-                if h not in dist:
-                    dist[h] = d
-                    nxt.append(h)
-        frontier = nxt
-    if len(dist) != len(table.elements):
+    dist = table.word_distances(generators)
+    if (dist < 0).any():
         raise ValueError("generator set does not generate the whole group")
+    dist = dist.tolist()
     dom = FiniteGroupDomain(table)
 
     def fn(g):

@@ -1,8 +1,15 @@
+import dataclasses
 import random
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import congwidth.census as census
 from congwidth.census import (
+    closure_bfs,
     enumerate_sl,
     sl_order,
     sum_identity_terms,
@@ -11,7 +18,7 @@ from congwidth.census import (
     width_bfs,
     width_census_csv,
 )
-from congwidth.errors import BudgetExceeded, CentralInput, UnsupportedRing
+from congwidth.errors import BadIndices, BudgetExceeded, CentralInput, UnsupportedRing
 from congwidth.matrices import SqMatrix, elementary, identity, mat_inv
 from congwidth.rings import Ideal, RingSpec
 
@@ -62,6 +69,13 @@ def test_width_bfs_rejects_central(sl2_f3, ring_f3):
     q = Ideal.of(ring_f3, 1)
     with pytest.raises(CentralInput):
         width_bfs(sl2_f3, identity(ring_f3, 2), q)
+
+
+def test_width_bfs_rejects_bad_target(sl2_f3, ring_f3):
+    q = Ideal.of(ring_f3, 1)
+    k = next(k for k in range(len(sl2_f3)) if k not in sl2_f3.center)
+    with pytest.raises(BadIndices):
+        width_bfs(sl2_f3, k, q, targets=[(1, 1)])
 
 
 def test_width_bfs_minima_are_minimal(sl2_f5, ring_f5):
@@ -201,21 +215,138 @@ def test_sum_set_render():
     assert "modulus=8" in text and "covered_at=" in text
 
 
-def test_lazy_multiplication_mode():
-    # SL_2(Z/16) has 3072 elements (9.4M pairs), past the dense-table limit
+def test_large_product_table():
+    # SL_2(Z/16) has 3072 elements: a 9.4M-entry table
     ring = RingSpec.integers_mod(16)
     table = enumerate_sl(2, ring)
     assert len(table.elements) == sl_order(2, ring) == 3072
-    from congwidth.census import _LazyMul
-
-    assert isinstance(table.mul, _LazyMul)
     e = table.idx(identity(ring, 2))
     a = table.idx(elementary(ring, 2, 1, 2, 3))
     assert table.mul[a][table.inv[a]] == e
-    # BFS still works against the lazy table
+    # BFS still works against the large table
     q = Ideal.of(ring, 2)
     res = width_bfs(table, elementary(ring, 2, 1, 2, 2), q, targets=[(1, 2)])
     assert res[(1, 2)].min_ops == 0 and res[(1, 2)].min_word == 1
+
+
+def test_product_table_entry_cap(sl2_f3, monkeypatch):
+    # past the entry cap the table is refused, not allocated; the elements
+    # and inverses stay usable
+    table = dataclasses.replace(sl2_f3, _mul=None)
+    monkeypatch.setattr(census, "_TABLE_ENTRY_CAP", len(table) ** 2 - 1)
+    with pytest.raises(BudgetExceeded):
+        table.mul
+    assert table.inv[table.inv[5]] == 5
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+def test_product_table_matches_matrix_products(n, m):
+    table = enumerate_sl(n, RingSpec.integers_mod(m))
+    mul = table.mul
+    assert mul.dtype == np.int32 and mul.shape == (len(table), len(table))
+    for a, ga in enumerate(table.elements):
+        assert mul[a].tolist() == [table.idx(ga * gb) for gb in table.elements]
+
+
+def _reference_width_bfs(table, sidx, ideal, targets):
+    """The plain-Python loops width_bfs replaced, over the same table."""
+    mul = table.mul.tolist()
+    inv = table.inv.tolist()
+    eidx = table.idx(identity(table.ring, table.n))
+    gens = [
+        g
+        for i in range(1, table.n + 1)
+        for j in range(1, table.n + 1)
+        if i != j
+        for g in table.target_elementaries(i, j, ideal)
+    ]
+    esub = {eidx}
+    frontier = deque([eidx])
+    while frontier:
+        g = frontier.popleft()
+        for s in gens:
+            h = mul[g][s]
+            if h not in esub:
+                esub.add(h)
+                frontier.append(h)
+    esub = sorted(esub)
+
+    dist_ops = {sidx: 0}
+    frontier = deque([sidx])
+    while frontier:
+        g = frontier.popleft()
+        d = dist_ops[g] + 1
+        gi = inv[g]
+        for s in esub:
+            si = inv[s]
+            conj = mul[mul[s][g]][si]
+            commr = mul[mul[mul[g][s]][gi]][si]
+            comml = mul[mul[mul[s][g]][si]][gi]
+            for h in (conj, commr, comml):
+                if h not in dist_ops:
+                    dist_ops[h] = d
+                    frontier.append(h)
+
+    letters = set()
+    for s in esub:
+        si = inv[s]
+        letters.add(mul[mul[s][sidx]][si])
+        letters.add(mul[mul[s][inv[sidx]]][si])
+    dist_word = {eidx: 0}
+    frontier = deque([eidx])
+    while frontier:
+        g = frontier.popleft()
+        d = dist_word[g] + 1
+        for let in sorted(letters):
+            h = mul[g][let]
+            if h not in dist_word:
+                dist_word[h] = d
+                frontier.append(h)
+
+    out = {}
+    for (i, j) in targets:
+        tset = table.target_elementaries(i, j, ideal)
+        ops = min((dist_ops[t] for t in tset if t in dist_ops), default=None)
+        word = min(
+            (dist_word[t] for t in tset if t in dist_word and dist_word[t] > 0),
+            default=None,
+        )
+        out[(i, j)] = (ops, word)
+    return out
+
+
+@pytest.mark.parametrize("n, m, q", [(2, 3, 1), (2, 4, 2), (3, 2, 1)])
+def test_width_bfs_matches_reference(n, m, q):
+    ring = RingSpec.integers_mod(m)
+    table = enumerate_sl(n, ring)
+    ideal = Ideal.of(ring, q)
+    targets = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for k in range(len(table)):
+        if k in table.center:
+            continue
+        got = width_bfs(table, k, ideal)
+        assert {t: (r.min_ops, r.min_word) for t, r in got.items()} == (
+            _reference_width_bfs(table, k, ideal, targets)
+        ), k
+        assert all(type(r.min_ops) is int for r in got.values() if not r.unreachable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 47), max_size=5), st.sets(st.integers(0, 47), min_size=1, max_size=3))
+def test_closure_bfs_matches_set_bfs(sl2_z4, letters, starts):
+    # right multiplication by random letters of SL_2(Z/4), against a BFS
+    # over matrix products
+    els = sl2_z4.elements
+    mul = sl2_z4.mul
+    let = np.array(sorted(letters), dtype=np.int32)
+    dist = closure_bfs(lambda f: mul[f[:, None], let], sorted(starts), len(els))
+    want = dict.fromkeys(starts, 0)
+    layer, depth = set(starts), 0
+    while layer:
+        depth += 1
+        layer = {sl2_z4.idx(els[g] * els[s]) for g in layer for s in letters} - want.keys()
+        want.update(dict.fromkeys(layer, depth))
+    assert {k: int(d) for k, d in enumerate(dist) if d >= 0} == want
 
 
 def test_width_bfs_ops_minimum_is_minimal(sl2_f3, ring_f3):
