@@ -50,15 +50,6 @@ class ElemFactorization:
         return tuple(ElemFactor(f.i, f.j, -f.a) for f in reversed(self.factors))
 
 
-def factorization_from_factors(ring: RingSpec, n: int, factors) -> ElemFactorization:
-    """Build an ElemFactorization whose target is the product of the factors."""
-    fs = tuple(ElemFactor(i, j, ring.el(a)) for (i, j, a) in factors)
-    out = identity(ring, n)
-    for f in fs:
-        out = out * elementary(ring, n, f.i, f.j, f.a)
-    return ElemFactorization(fs, out)
-
-
 def _euclid_norm(e: RingElement) -> int:
     k = e.ring.kind
     if k == KIND_Z:

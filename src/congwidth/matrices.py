@@ -256,15 +256,15 @@ def is_scalar(g: SqMatrix) -> bool:
 
 
 def is_central(g: SqMatrix) -> bool:
-    """True iff g commutes with every elementary(i, j, 1)."""
-    for i in range(1, g.n + 1):
-        for j in range(1, g.n + 1):
-            if i == j:
-                continue
-            s = elementary(g.ring, g.n, i, j, 1)
-            if g * s != s * g:
-                return False
-    return True
+    """True iff g commutes with every elementary(i, j, 1), i.e. iff g is scalar.
+
+    Over any commutative ring, g (I + e_ij) = (I + e_ij) g reduces to
+    g e_ij = e_ij g.  The left side is column i of g placed in column j; the
+    right side is row j of g placed in row i.  Comparing them gives
+    g[r][i] = 0 for r != i and g[i][i] = g[j][j].  Over all i != j, g is
+    therefore scalar, and scalar matrices commute with everything.
+    """
+    return is_scalar(g)
 
 
 def in_congruence_subgroup(g: SqMatrix, ideal: Ideal) -> bool:

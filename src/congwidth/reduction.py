@@ -12,11 +12,20 @@ length at most 2**9 = 512.
 Dimension 2 is served separately by a unit-conjugation shortcut whose
 conjugators live in the full congruence subgroup; its traces additionally
 use an "append" step (g -> g * s sigma^e s^-1) that adds one letter.
+
+The invariants are written once, in the trace builder, under a per-kind
+policy: "reduce" (elementary witnesses, 9 steps, 512 letters, stage bounds),
+"sl2" (witnesses in the congruence subgroup of SL_2, 4 letters) and "partial"
+(the stage entry points: witnesses only).  The builder checks the input's
+preconditions when it starts, each witness as it records a step, and the
+budgets and single-entry output when the trace is taken.  Replay is a fresh
+builder fed the parsed steps.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -31,7 +40,7 @@ from .errors import (
     UnsupportedRing,
     ZeroIdeal,
 )
-from .factorization import ElemFactor, ElemFactorization, factorization_from_factors
+from .factorization import ElemFactor, ElemFactorization
 from .matrices import (
     SqMatrix,
     determinant,
@@ -118,7 +127,8 @@ class ReductionTrace:
         return counts
 
 
-def apply_qop(op: QOperation, g: SqMatrix, sigma: SqMatrix | None = None) -> SqMatrix:
+def apply_qop(op: QOperation, g: SqMatrix, sigma: SqMatrix) -> SqMatrix:
+    """The step's image of g; sigma is the trace input, used by Append."""
     if op.kind == CONJUGATE:
         return op.s * g * mat_inv(op.s)
     if op.kind == COMM_RIGHT:
@@ -126,10 +136,7 @@ def apply_qop(op: QOperation, g: SqMatrix, sigma: SqMatrix | None = None) -> SqM
     if op.kind == COMM_LEFT:
         return op.s * g * mat_inv(op.s) * mat_inv(g)
     if op.kind == APPEND:
-        if sigma is None:
-            raise ValueError("append step needs the trace input")
-        letter = op.s * (sigma ** op.exp) * mat_inv(op.s)
-        return g * letter
+        return g * op.s * (sigma ** op.exp) * mat_inv(op.s)
     raise ValueError(f"unknown op kind {op.kind!r}")
 
 
@@ -168,80 +175,65 @@ def word_product(trace: ReductionTrace) -> SqMatrix:
     return out
 
 
-# -- trace validation ----------------------------------------------------------
+# -- preconditions, per-kind policy and the checking builder ----------------------
 
 
-def validate_trace(trace: ReductionTrace):
-    """Replay a trace and check every certified invariant; raise on failure."""
-    q = trace.ideal
-    g = trace.input
-    wl = 1
-    for k, st in enumerate(trace.steps, start=1):
-        op = st.op
-        if op.s_member == "elem":
-            if op.s_factors is None:
-                raise ReplayMismatch(f"step {k}: missing elementary witness")
-            if op.s_factors.product() != op.s:
-                raise ReplayMismatch(f"step {k}: witness does not multiply to s")
-            for f in op.s_factors.factors:
-                if not q.contains(f.a) or f.a.is_zero:
-                    raise ReplayMismatch(
-                        f"step {k}: witness factor entry {format_element(f.a)} not a nonzero ideal element"
-                    )
-        elif op.s_member == "congruence":
-            if not in_congruence_subgroup(op.s, q):
-                raise ReplayMismatch(f"step {k}: s is not congruent to I mod the ideal")
-        else:
-            raise ReplayMismatch(f"step {k}: unknown membership tag {op.s_member!r}")
-        g = apply_qop(op, g, trace.input)
-        if g != st.result:
-            raise ReplayMismatch(f"replay mismatch at step {k}")
-        wl = _next_word_length(op.kind, wl)
-        if wl != st.word_length:
-            raise ReplayMismatch(f"step {k}: word-length ledger expected {wl}, recorded {st.word_length}")
-
-    out = trace.output
-    one = identity(out.ring, out.n)
-    if trace.kind == "reduce":
-        if len(trace.steps) > MAX_STEPS:
-            raise ReplayMismatch(f"{len(trace.steps)} steps exceed the budget {MAX_STEPS}")
-        if trace.word_length > MAX_WORD:
-            raise ReplayMismatch(f"word length {trace.word_length} exceeds {MAX_WORD}")
-        for stage, count in trace.stage_counts().items():
-            if count > STAGE_BOUNDS.get(stage, 0):
-                raise ReplayMismatch(f"stage {stage} used {count} operations")
-        i, j = trace.target
-        diff = out - one
-        for r in range(1, out.n + 1):
-            for c in range(1, out.n + 1):
-                e = diff.e(r, c)
-                if (r, c) == (i, j):
-                    if e.is_zero or not q.contains(e):
-                        raise ReplayMismatch("output entry is zero or outside the ideal")
-                elif not e.is_zero:
-                    raise ReplayMismatch(f"output has support off the target at ({r}, {c})")
-    elif trace.kind == "sl2":
-        if trace.word_length > 4:
-            raise ReplayMismatch(f"word length {trace.word_length} exceeds 4")
-        i, j = (1, 2) if trace.target == "E12" else (2, 1)
-        diff = out - one
-        for r in range(1, 3):
-            for c in range(1, 3):
-                e = diff.e(r, c)
-                if (r, c) == (i, j):
-                    if e.is_zero or not q.contains(e):
-                        raise ReplayMismatch("output entry is zero or outside the ideal")
-                elif not e.is_zero:
-                    raise ReplayMismatch(f"output has support off {trace.target}")
-    elif trace.kind != "partial":
-        raise ReplayMismatch(f"unknown trace kind {trace.kind!r}")
+def _check_reduce_preconditions(sigma: SqMatrix, q: Ideal):
+    if sigma.n < 3:
+        raise UnsupportedRing("the full reduction needs dimension >= 3")
+    if not sigma.ring.is_domain:
+        raise UnsupportedRing("the full reduction needs an integral domain")
+    _check_congruence_input(sigma, q)
 
 
-# -- builder -------------------------------------------------------------------
+def _check_sl2_preconditions(sigma: SqMatrix, q: Ideal):
+    if sigma.n != 2:
+        raise UnsupportedRing("the unit shortcut is a dimension-2 tool")
+    _check_congruence_input(sigma, q)
+
+
+def _check_congruence_input(sigma: SqMatrix, q: Ideal):
+    if q.is_zero:
+        raise ZeroIdeal("reduction ideal must be nonzero")
+    if determinant(sigma) != sigma.ring.one:
+        raise NotSL("input must have determinant 1")
+    if not in_congruence_subgroup(sigma, q):
+        raise NotCongruent("input is not congruent to I modulo the ideal")
+    if is_central(sigma):
+        raise CentralInput("input is central")
+
+
+@dataclass(frozen=True)
+class _Policy:
+    """What a trace kind certifies; None leaves that invariant unchecked."""
+
+    member: str | None  # the one witness tag allowed (None: each op's own)
+    max_steps: int | None
+    max_word: int | None
+    stage_bounds: dict[str, int] | None
+    position: Callable[[object], tuple[int, int] | None] | None  # target -> output entry
+    preconditions: Callable[[SqMatrix, Ideal], None] | None
+
+
+_SL2_TARGETS = {"E12": (1, 2), "E21": (2, 1)}
+_POLICIES = {
+    "reduce": _Policy("elem", MAX_STEPS, MAX_WORD, STAGE_BOUNDS, tuple, _check_reduce_preconditions),
+    "sl2": _Policy("congruence", None, 4, None, _SL2_TARGETS.get, _check_sl2_preconditions),
+    "partial": _Policy(None, None, None, None, None, None),
+}
 
 
 class _Builder:
-    def __init__(self, sigma: SqMatrix, q: Ideal, kind: str = "reduce", seed: int = 0):
+    """Records a trace and checks every invariant of its kind on the way:
+    the input preconditions on construction, each step's witness as it is
+    recorded, and the budgets and output support when the trace is taken."""
+
+    def __init__(self, sigma: SqMatrix, q: Ideal, kind: str, seed: int):
+        if kind not in _POLICIES:
+            raise ReplayMismatch(f"unknown trace kind {kind!r}")
+        self.policy = _POLICIES[kind]
+        if self.policy.preconditions:
+            self.policy.preconditions(sigma, q)
         self.sigma = sigma
         self.q = q
         self.kind = kind
@@ -253,15 +245,64 @@ class _Builder:
     def apply(self, kind: str, s: SqMatrix, factors, case: str, member: str = "elem", exp: int = 1):
         fac = None
         if member == "elem":
-            fac = factorization_from_factors(s.ring, s.n, factors)
-            assert fac.product() == s, "witness must multiply back to s"
-        op = QOperation(kind, s, fac, member, exp)
+            fac = ElemFactorization(tuple(ElemFactor(i, j, s.ring.el(a)) for (i, j, a) in factors), s)
+        self.record(QOperation(kind, s, fac, member, exp), case)
+
+    def record(self, op: QOperation, case: str):
+        k = len(self.steps) + 1
+        member = self.policy.member or op.s_member
+        if op.s_member != member:
+            raise ReplayMismatch(f"step {k}: {self.kind} steps need {member!r} witnesses, got {op.s_member!r}")
+        if member == "elem":
+            if op.s_factors is None:
+                raise ReplayMismatch(f"step {k}: missing elementary witness")
+            if op.s_factors.product() != op.s:
+                raise ReplayMismatch(f"step {k}: witness does not multiply to s")
+            for f in op.s_factors.factors:
+                if f.a.is_zero or not self.q.contains(f.a):
+                    raise ReplayMismatch(
+                        f"step {k}: witness factor entry {format_element(f.a)} not a nonzero ideal element"
+                    )
+        elif member == "congruence":
+            if not in_congruence_subgroup(op.s, self.q) or determinant(op.s) != op.s.ring.one:
+                raise ReplayMismatch(f"step {k}: s is not a determinant-1 matrix congruent to I mod the ideal")
+        else:
+            raise ReplayMismatch(f"step {k}: unknown membership tag {op.s_member!r}")
         self.g = apply_qop(op, self.g, self.sigma)
-        self.wl = _next_word_length(kind, self.wl)
+        self.wl = _next_word_length(op.kind, self.wl)
         self.steps.append(TraceStep(op, self.g, self.wl, case))
 
     def trace(self, target) -> ReductionTrace:
-        return ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
+        trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
+        p = self.policy
+        if p.max_steps is not None and len(trace.steps) > p.max_steps:
+            raise ReplayMismatch(f"{len(trace.steps)} steps exceed the budget {p.max_steps}")
+        if p.max_word is not None and trace.word_length > p.max_word:
+            raise ReplayMismatch(f"word length {trace.word_length} exceeds {p.max_word}")
+        if p.stage_bounds is not None:
+            for stage, count in trace.stage_counts().items():
+                if count > p.stage_bounds.get(stage, 0):
+                    raise ReplayMismatch(f"stage {stage} used {count} operations")
+        if p.position is not None:
+            pos = p.position(target)
+            if _support(trace.output) != [pos]:
+                raise ReplayMismatch(f"output is not supported exactly at {target}")
+            if not self.q.contains(trace.output.e(*pos)):
+                raise ReplayMismatch("output entry is outside the ideal")
+        return trace
+
+
+def validate_trace(trace: ReductionTrace):
+    """Replay a trace through a fresh builder, which re-checks the input, every
+    step and the finished trace; raise on the first broken invariant."""
+    b = _Builder(trace.input, trace.ideal, trace.kind, trace.seed)
+    for k, st in enumerate(trace.steps, start=1):
+        b.record(st.op, st.case)
+        if b.g != st.result:
+            raise ReplayMismatch(f"replay mismatch at step {k}")
+        if b.wl != st.word_length:
+            raise ReplayMismatch(f"step {k}: word-length ledger expected {b.wl}, recorded {st.word_length}")
+    b.trace(trace.target)
 
 
 # -- stable-range shift ----------------------------------------------------------
@@ -639,21 +680,6 @@ def relocate_elementary(g: SqMatrix, q: Ideal, target: tuple[int, int], seed: in
     return b.trace(("relocate", target))
 
 
-def _check_reduce_preconditions(sigma: SqMatrix, q: Ideal):
-    if sigma.n < 3:
-        raise UnsupportedRing("the full reduction needs dimension >= 3")
-    if not sigma.ring.is_domain:
-        raise UnsupportedRing("the full reduction needs an integral domain")
-    if q.is_zero:
-        raise ZeroIdeal("reduction ideal must be nonzero")
-    if determinant(sigma) != sigma.ring.one:
-        raise NotSL("input must have determinant 1")
-    if not in_congruence_subgroup(sigma, q):
-        raise NotCongruent("input is not congruent to I modulo the ideal")
-    if is_central(sigma):
-        raise CentralInput("input is central")
-
-
 def reduce_full(sigma: SqMatrix, q: Ideal, target: tuple[int, int], seed: int = 0) -> ReductionTrace:
     """Full pipeline: affine copy, translation form, single entry, relocation.
 
@@ -661,11 +687,10 @@ def reduce_full(sigma: SqMatrix, q: Ideal, target: tuple[int, int], seed: int = 
     length at most 512 whose output is a nontrivial element supported exactly
     at the target position with entry in the ideal.
     """
-    _check_reduce_preconditions(sigma, q)
+    b = _Builder(sigma, q, "reduce", seed)
     i, j = target
     if not (1 <= i <= sigma.n and 1 <= j <= sigma.n and i != j):
         raise ValueError(f"bad target {target}")
-    b = _Builder(sigma, q, "reduce", seed)
     if len(_support(sigma)) == 1:
         _relocate_stage(b, target)
     else:
@@ -673,9 +698,7 @@ def reduce_full(sigma: SqMatrix, q: Ideal, target: tuple[int, int], seed: int = 
         _translate_stage(b, loc)
         _single_stage(b)
         _relocate_stage(b, target)
-    trace = b.trace(target)
-    validate_trace(trace)
-    return trace
+    return b.trace(target)
 
 
 # -- dimension-2 unit shortcut ----------------------------------------------------
@@ -805,6 +828,14 @@ def _is_e12_nontrivial(m: SqMatrix) -> bool:
         and m.rows[1][1] == ring.one
         and not m.rows[0][1].is_zero
     )
+
+
+def _try_square(b: _Builder) -> bool:
+    """sigma^2 can be a nontrivial E12 element (e.g. -I times a unipotent)."""
+    if not _is_e12_nontrivial(b.sigma * b.sigma):
+        return False
+    b.apply(APPEND, identity(b.sigma.ring, 2), None, "sl2.square", member="congruence", exp=1)
+    return True
 
 
 def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
@@ -947,81 +978,33 @@ def sl2_unit_reduction(
     Z[1/p]: ±p^k for |k| <= unit_bound; F_p[x]: nonzero constants), with
     bounded auxiliary searches.  Exhaustion raises NoUnitFound.
     """
-    if sigma.n != 2:
-        raise UnsupportedRing("the unit shortcut is a dimension-2 tool")
-    if side not in ("E12", "E21"):
+    b = _Builder(sigma, q, "sl2", seed)
+    if side not in _SL2_TARGETS:
         raise ValueError("side must be 'E12' or 'E21'")
-    if q.is_zero:
-        raise ZeroIdeal("ideal must be nonzero")
-    if not in_congruence_subgroup(sigma, q):
-        raise NotCongruent("input is not congruent to I modulo the ideal")
-    if is_central(sigma):
-        raise CentralInput("input is central")
-
     if side == "E21":
         inner = sl2_unit_reduction(
             _theta(sigma), q, "E12",
             unit_bound=unit_bound, tries=tries, pair_budget=pair_budget, seed=seed,
         )
-        steps = []
-        g = sigma
-        wl = 1
         for st in inner.steps:
-            op = replace(st.op, s=_theta(st.op.s))
-            g = apply_qop(op, g, sigma)
-            wl = _next_word_length(op.kind, wl)
-            steps.append(TraceStep(op, g, wl, "sl2.mirror|" + st.case))
-        trace = ReductionTrace("sl2", sigma, q, "E21", tuple(steps), seed)
-        validate_trace(trace)
-        return trace
+            b.record(replace(st.op, s=_theta(st.op.s)), "sl2.mirror|" + st.case)
+        return b.trace("E21")
 
-    ring = sigma.ring
-    one = ring.one
-    b = _Builder(sigma, q, "sl2", seed)
-
-    # Already a nontrivial element of E12(q): a one-letter word.
-    if (
-        sigma.e(2, 1).is_zero
-        and sigma.e(1, 1) == one
-        and sigma.e(2, 2) == one
-        and not sigma.e(1, 2).is_zero
-    ):
-        trace = b.trace("E12")
-        validate_trace(trace)
-        return trace
-
-    if sigma.e(2, 1).is_zero:
-        if _try_upper_commutator(b, q, unit_bound, tries):
-            trace = b.trace("E12")
-            validate_trace(trace)
-            return trace
-    else:
-        if _try_unit_conjugates(b, q, unit_bound, tries):
-            trace = b.trace("E12")
-            validate_trace(trace)
-            return trace
-
-    # sigma^2 can be a nontrivial E12 element (e.g. -I times a unipotent).
-    sq = sigma * sigma
-    if (
-        sq.e(2, 1).is_zero
-        and sq.e(1, 1) == one
-        and sq.e(2, 2) == one
-        and not sq.e(1, 2).is_zero
-    ):
-        b.apply(APPEND, identity(ring, 2), None, "sl2.square", member="congruence", exp=1)
-        trace = b.trace("E12")
-        validate_trace(trace)
-        return trace
-
-    if _try_pair_search(b, q, pair_budget, tries):
-        trace = b.trace("E12")
-        validate_trace(trace)
-        return trace
-
-    raise NoUnitFound(
-        "no unit in the configured search space produces a nontrivial E12 element"
+    found = (
+        _is_e12_nontrivial(sigma)  # already a nontrivial element of E12(q): a one-letter word
+        or (
+            _try_upper_commutator(b, q, unit_bound, tries)
+            if sigma.e(2, 1).is_zero
+            else _try_unit_conjugates(b, q, unit_bound, tries)
+        )
+        or _try_square(b)
+        or _try_pair_search(b, q, pair_budget, tries)
     )
+    if not found:
+        raise NoUnitFound(
+            "no unit in the configured search space produces a nontrivial E12 element"
+        )
+    return b.trace("E12")
 
 
 # -- serialization -----------------------------------------------------------------
@@ -1069,7 +1052,15 @@ def serialize_trace(trace: ReductionTrace) -> str:
 
 
 def parse_trace(text: str) -> ReductionTrace:
-    lines = text.splitlines()
+    """Parse a serialized reduce or sl2 trace; any malformed text raises
+    TraceFormatError."""
+    try:
+        return _parse_lines(text.splitlines())
+    except ValueError as exc:  # bad integers, ring elements or matrices
+        raise TraceFormatError(f"malformed trace: {exc}") from exc
+
+
+def _parse_lines(lines: list[str]) -> ReductionTrace:
     pos = 0
 
     def take() -> str:
@@ -1086,12 +1077,22 @@ def parse_trace(text: str) -> ReductionTrace:
             raise TraceFormatError(f"expected {prefix!r}, got {ln!r}")
         return ln[len(prefix):]
 
+    def ref(label: str) -> SqMatrix:
+        k = int(label[1:]) if label.startswith("M") else -1
+        if not 0 <= k < len(mats):
+            raise TraceFormatError(f"matrix reference {label!r} out of range")
+        return mats[k]
+
     if take() != "congwidth-trace v1":
         raise TraceFormatError("bad magic line")
     kind = expect_prefix("kind ")
+    if kind not in ("reduce", "sl2"):
+        raise TraceFormatError(f"unknown trace kind {kind!r}")
     seed = int(expect_prefix("seed "))
     ring = RingSpec.parse(expect_prefix("ring "))
     n = int(expect_prefix("n "))
+    if n < 1:
+        raise TraceFormatError(f"bad dimension {n}")
     gens = tuple(parse_element(ring, t) for t in expect_prefix("ideal ").split())
     ideal = Ideal(ring, gens)
     target_raw = expect_prefix("target ")
@@ -1100,34 +1101,40 @@ def parse_trace(text: str) -> ReductionTrace:
         target: object = (int(i), int(j))
     else:
         target = target_raw
-    expect_prefix("input ")
+    input_label = expect_prefix("input ")
 
     step_lines = []
-    while lines[pos].startswith("step "):
+    while pos < len(lines) and lines[pos].startswith("step "):
         step_lines.append(take()[len("step "):])
-    expect_prefix("output ")
+    if expect_prefix("output ") != f"M{2 * len(step_lines)}":
+        raise TraceFormatError("output is not the last step's result")
     count = int(expect_prefix("matrices "))
     mats: list[SqMatrix] = []
     for k in range(count):
         label = take()
         if label != f"M{k}":
             raise TraceFormatError(f"expected matrix label M{k}, got {label!r}")
-        block = [take() for _ in range(n + 1)]
-        mats.append(parse_matrix("\n".join(block)))
+        m = parse_matrix("\n".join(take() for _ in range(n + 1)))
+        if m.ring != ring or m.n != n:
+            raise TraceFormatError(f"M{k} is not a {n}x{n} matrix over {ring.descriptor()}")
+        mats.append(m)
     if take() != "end":
         raise TraceFormatError("missing end marker")
 
     steps = []
-    for raw in step_lines:
-        attrs = {}
-        for tok in raw.split():
-            key, _, val = tok.partition("=")
-            attrs[key] = val
-        s = mats[int(attrs["s"][1:])]
-        result = mats[int(attrs["result"][1:])]
-        member = attrs["smem"]
+    for k, raw in enumerate(step_lines, start=1):
+        attrs = dict(tok.partition("=")[::2] for tok in raw.split())
+        required = ["kind", "s", "result", "len", "case", "smem"]
+        required += ["sfac"] if attrs.get("smem") == "elem" else []
+        required += ["exp"] if attrs.get("kind") == APPEND else []
+        missing = [key for key in required if key not in attrs]
+        if missing:
+            raise TraceFormatError(f"step {k} is missing {', '.join(missing)}")
+        if attrs["kind"] not in (CONJUGATE, COMM_RIGHT, COMM_LEFT, APPEND):
+            raise TraceFormatError(f"step {k}: unknown op kind {attrs['kind']!r}")
+        s = ref(attrs["s"])
         fac = None
-        if member == "elem":
+        if attrs["smem"] == "elem":
             factors = []
             if attrs["sfac"] != "-":
                 for part in attrs["sfac"].split("|"):
@@ -1135,9 +1142,9 @@ def parse_trace(text: str) -> ReductionTrace:
                     fi, fj = ij.split(",")
                     factors.append(ElemFactor(int(fi), int(fj), parse_element(ring, a)))
             fac = ElemFactorization(tuple(factors), s)
-        op = QOperation(attrs["kind"], s, fac, member, int(attrs.get("exp", 1)))
-        steps.append(TraceStep(op, result, int(attrs["len"]), attrs["case"]))
-    return ReductionTrace(kind, mats[0], ideal, target, tuple(steps), seed)
+        op = QOperation(attrs["kind"], s, fac, attrs["smem"], int(attrs.get("exp", 1)))
+        steps.append(TraceStep(op, ref(attrs["result"]), int(attrs["len"]), attrs["case"]))
+    return ReductionTrace(kind, ref(input_label), ideal, target, tuple(steps), seed)
 
 
 def replay_trace(text: str) -> ReductionTrace:

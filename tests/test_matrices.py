@@ -251,3 +251,41 @@ def test_inverse_over_composite_modulus(ring_z4):
     m = SqMatrix.from_raw(ring_z4, [[3, 2], [2, 3]])  # det = 5 = 1 mod 4
     assert determinant(m) == ring_z4.one
     assert (m * mat_inv(m)).is_identity
+
+
+def _reference_is_central(g):
+    """The defining test: g commutes with every elementary(i, j, 1)."""
+    for i in range(1, g.n + 1):
+        for j in range(1, g.n + 1):
+            if i != j:
+                s = elementary(g.ring, g.n, i, j, 1)
+                if g * s != s * g:
+                    return False
+    return True
+
+
+def test_is_central_matches_commutation_definition():
+    rings = {
+        RingSpec.integers(): lambda rng: rng.randint(-2, 2),
+        RingSpec.integers_mod(4): lambda rng: rng.randint(0, 3),
+        RingSpec.poly_over_fp(2): lambda rng: [rng.randint(0, 1) for _ in range(rng.randint(1, 3))],
+        RingSpec.localized_integers(5): lambda rng: (rng.randint(-2, 2), rng.randint(-1, 1)),
+    }
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    for ring, raw in rings.items():
+        for _ in range(150):
+            n = rng.choice((2, 3))
+            c = raw(rng)
+            rows = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+            # scalar, one entry perturbed, or fully random
+            mode = rng.randrange(3)
+            if mode == 1:
+                rows[rng.randrange(n)][rng.randrange(n)] = raw(rng)
+            elif mode == 2:
+                rows = [[raw(rng) for _ in range(n)] for _ in range(n)]
+            g = SqMatrix.from_raw(ring, rows)
+            expected = _reference_is_central(g)
+            assert is_central(g) == expected
+            seen[expected] += 1
+    assert min(seen.values()) > 100

@@ -1,0 +1,189 @@
+"""Replay as a trust boundary: inputs, witnesses and malformed files.
+
+Each repro below was accepted (or crashed with a traceback) before the
+trace invariants moved into the builder.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congwidth.cli import main
+from congwidth.errors import (
+    CongwidthError,
+    NotCongruent,
+    NotSL,
+    ReplayMismatch,
+    TraceFormatError,
+)
+from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
+from congwidth.reduction import (
+    CONJUGATE,
+    QOperation,
+    ReductionTrace,
+    TraceStep,
+    reduce_full,
+    relocate_elementary,
+    replay_trace,
+    serialize_trace,
+    sl2_unit_reduction,
+)
+from congwidth.rings import Ideal, RingSpec
+
+Z = RingSpec.integers()
+L5 = RingSpec.localized_integers(5)
+
+PARTIAL_TRACE = """congwidth-trace v1
+kind partial
+seed 0
+ring Z
+n 3
+ideal 2
+target 1 2
+input M0
+output M0
+matrices 1
+M0
+3 Z
+5 0 0
+0 1 0
+0 0 1
+end
+"""
+
+
+def _golden_text() -> str:
+    return serialize_trace(reduce_full(elementary(Z, 3, 1, 3, 2), Ideal.of(Z, 2), (1, 2)))
+
+
+def _replay_cli(tmp_path, text, capsys):
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    rc = main(["replay", "--in", str(path)])
+    return rc, capsys.readouterr().err
+
+
+# -- inputs are re-checked -------------------------------------------------------------
+
+
+def test_replay_rejects_noncongruent_input():
+    # E13(1) is not = I mod 2, yet [E13(1), E32(2)] = E12(2) sits in the ideal
+    q = Ideal.of(Z, 2)
+    part = relocate_elementary(elementary(Z, 3, 1, 3, 1), q, (1, 2))
+    assert [s.case for s in part.steps] == ["relocate.same-row"]
+    text = serialize_trace(ReductionTrace("reduce", part.input, q, (1, 2), part.steps, 0))
+    with pytest.raises(NotCongruent):
+        replay_trace(text)
+
+
+def test_sl2_rejects_determinant_five():
+    # over Z[1/5] the matrix is = I mod 2 but has det 5
+    sigma = SqMatrix.from_raw(L5, [[5, 0], [2, 1]])
+    with pytest.raises(NotSL):
+        sl2_unit_reduction(sigma, Ideal.of(L5, 2), "E12")
+
+
+# -- witness policy per trace kind -------------------------------------------------------
+
+
+def test_reduce_steps_need_elementary_witnesses():
+    text = _golden_text()
+    stripped = text.replace("smem=elem sfac=3,2:2", "smem=congruence sfac=-")
+    assert stripped != text
+    with pytest.raises(ReplayMismatch, match="witnesses"):
+        replay_trace(stripped)
+
+
+def test_sl2_conjugator_must_have_determinant_one():
+    q = Ideal.of(L5, 2)
+    trace = sl2_unit_reduction(SqMatrix.from_raw(L5, [[1, 0], [2, 1]]), q, "E12")
+    flip = SqMatrix.from_raw(L5, [[-1, 0], [0, 1]])  # = I mod 2, det -1
+    out = flip * trace.output * mat_inv(flip)
+    extra = TraceStep(QOperation(CONJUGATE, flip, None, "congruence"), out, trace.word_length, "sl2.unit.conj")
+    bad = ReductionTrace("sl2", trace.input, q, "E12", trace.steps + (extra,), 0)
+    replay_trace(serialize_trace(trace))
+    with pytest.raises(ReplayMismatch, match="step 4"):
+        replay_trace(serialize_trace(bad))
+
+
+# -- malformed files ------------------------------------------------------------------
+
+
+def test_partial_kind_does_not_replay(tmp_path, capsys):
+    with pytest.raises(TraceFormatError, match="kind"):
+        replay_trace(PARTIAL_TRACE)
+    rc, err = _replay_cli(tmp_path, PARTIAL_TRACE, capsys)
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda t: "\n".join(t.splitlines()[:9]) + "\n", id="truncated"),
+        pytest.param(lambda t: t.replace(" len=2", ""), id="missing-len"),
+        pytest.param(lambda t: t.replace("s=M1", "s=M9"), id="reference-out-of-range"),
+        pytest.param(lambda t: t.replace("\nn 3\n", "\nn -1\n"), id="negative-dimension"),
+    ],
+)
+def test_malformed_trace_is_a_format_error(mutate, tmp_path, capsys):
+    bad = mutate(_golden_text())
+    with pytest.raises(TraceFormatError):
+        replay_trace(bad)
+    rc, err = _replay_cli(tmp_path, bad, capsys)
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+def _fuzz_corpus() -> list[str]:
+    rng = random.Random(5)
+    q = Ideal.of(Z, 2)
+    sigma = identity(Z, 3)
+    while is_central(sigma):
+        for _ in range(6):
+            i, j = rng.sample(range(1, 4), 2)
+            sigma = sigma * elementary(Z, 3, i, j, 2 * rng.choice((-2, -1, 1, 2)))
+    F5 = RingSpec.integers_mod(5)
+    pair = SqMatrix.from_raw(F5, [[3, 1], [2, 1]])  # the pair search: Append steps
+    return [
+        serialize_trace(reduce_full(sigma, q, (2, 3))),
+        serialize_trace(sl2_unit_reduction(SqMatrix.from_raw(L5, [[1, 2], [0, 1]]), Ideal.of(L5, 2), "E21")),
+        serialize_trace(sl2_unit_reduction(pair, Ideal.of(F5, 1), "E12")),
+    ]
+
+
+CORPUS = _fuzz_corpus()
+
+
+def _mutants(text: str):
+    lines = text.splitlines(keepends=True)
+    return st.one_of(
+        st.integers(0, len(text)).map(lambda k: text[:k]),
+        st.integers(0, len(lines) - 1).map(lambda k: "".join(lines[:k] + lines[k + 1:])),
+        st.sampled_from(
+            [
+                (k, t)
+                for k, ln in enumerate(lines)
+                if ln.startswith("step ")
+                for t in range(1, len(ln.split()))
+            ]
+        ).map(
+            lambda kt: "".join(
+                lines[: kt[0]]
+                + [" ".join(w for m, w in enumerate(lines[kt[0]].split()) if m != kt[1]) + "\n"]
+                + lines[kt[0] + 1:]
+            )
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_trace_is_rejected_or_unchanged(data):
+    text = data.draw(st.sampled_from(CORPUS))
+    mutant = data.draw(_mutants(text))
+    try:
+        again = replay_trace(mutant)
+    except CongwidthError:
+        return
+    assert serialize_trace(again) == text

@@ -1,0 +1,76 @@
+"""Golden digests of serialized traces from fixed seeds.
+
+The digests were recorded before the trace checks moved into the builder;
+any change to the trace bytes (steps, witnesses, case tags, matrix table)
+shows up here.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from congwidth.matrices import elementary, identity, is_central
+from congwidth.reduction import reduce_full, serialize_trace, sl2_unit_reduction
+from congwidth.rings import Ideal, RingSpec
+
+Z = RingSpec.integers()
+P2 = RingSpec.poly_over_fp(2)
+L5 = RingSpec.localized_integers(5)
+
+# name -> (ring, n, ideal generator, entry sampler)
+CLASSES = {
+    "z3": (Z, 3, Z.el(2), lambda rng: Z.el(2 * rng.choice((-3, -2, -1, 1, 2, 3)))),
+    "z4": (Z, 4, Z.el(2), lambda rng: Z.el(2 * rng.choice((-3, -2, -1, 1, 2, 3)))),
+    "p2": (P2, 3, P2.x(), lambda rng: P2.x() * P2.el([1, rng.randint(0, 1)])),
+    "l5": (
+        L5, 3, L5.el(2),
+        lambda rng: L5.el((2 * rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-1, 0, 1)))),
+    ),
+}
+
+REDUCE_DIGESTS = {
+    "z3": "6a6ad3e2a40d2edbec50b73610f9f9b53061855bd590f3e875dbc91d0eb6b24c",
+    "z4": "d8658d1f596dc2d9a2732e19a64630d42b9380bf3129be1fa0533e63d0c7c900",
+    "p2": "d31497e86940614e6ab80d9d3e6c68b84e4c6ea8778c4e54b543e58659fecabd",
+    "l5": "fe02df0c0262ffee909124404efeeff3452a44a2ad0153154d0cb9108cf9852e",
+}
+SL2_F5_DIGEST = "2d1d1767dd5f73ea1b5b6734a4d1b522a40423c36179dc48b4bacc7d748310d1"
+
+
+def _sigma(ring, n, entry, rng, factors=8):
+    while True:
+        g = identity(ring, n)
+        for _ in range(factors):
+            i, j = rng.sample(range(1, n + 1), 2)
+            g = g * elementary(ring, n, i, j, entry(rng))
+        if not is_central(g):
+            return g
+
+
+def _digest(texts) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_reduce_full_digest(name):
+    ring, n, q0, entry = CLASSES[name]
+    q = Ideal(ring, (q0,))
+    rng = random.Random(4099)
+    targets = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    texts = [
+        serialize_trace(reduce_full(_sigma(ring, n, entry, rng), q, targets[k % len(targets)]))
+        for k in range(8)
+    ]
+    assert _digest(texts) == REDUCE_DIGESTS[name]
+
+
+def test_sl2_f5_digest(sl2_f5, ring_f5):
+    q = Ideal.of(ring_f5, 1)
+    texts = [
+        serialize_trace(sl2_unit_reduction(g, q, side))
+        for k, g in enumerate(sl2_f5.elements)
+        if k not in sl2_f5.center
+        for side in ("E12", "E21")
+    ]
+    assert _digest(texts) == SL2_F5_DIGEST
