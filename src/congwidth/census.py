@@ -27,7 +27,7 @@ from .matrices import (
     is_central,
     mat_inv,
 )
-from .rings import KIND_ZMOD, Ideal, RingSpec
+from .rings import Ideal, RingSpec
 
 # A product table past this many int32 entries (256 MB) is refused.
 _TABLE_ENTRY_CAP = 1 << 26
@@ -37,7 +37,7 @@ _BFS_SLICE = 1 << 16
 
 def sl_order(n: int, ring: RingSpec) -> int:
     """Closed-form |SL_n(Z/m)| (multiplicative over prime powers)."""
-    if ring.kind != KIND_ZMOD:
+    if not ring.is_finite:
         raise UnsupportedRing("order formula only implemented for Z/m")
     m = ring.modulus
     total = 1

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotSL, UnsupportedRing
 from .matrices import SqMatrix, determinant, elementary, identity
-from .rings import (
-    KIND_POLY,
-    KIND_Z,
-    KIND_ZMOD,
-    RingElement,
-    RingSpec,
-    unit_check,
-)
+from .rings import RingElement, RingSpec, unit_check
 
 
 @dataclass(frozen=True)
@@ -48,29 +41,6 @@ class ElemFactorization:
     def inverse_factors(self) -> tuple[ElemFactor, ...]:
         """Reversed, negated factor list; a factorization of target^-1."""
         return tuple(ElemFactor(f.i, f.j, -f.a) for f in reversed(self.factors))
-
-
-def _euclid_norm(e: RingElement) -> int:
-    k = e.ring.kind
-    if k == KIND_Z:
-        return abs(e.payload)
-    if k == KIND_ZMOD:
-        return e.payload  # lift in [0, m)
-    return len(e.payload)  # degree + 1, F_p[x]
-
-
-def _euclid_quotient(e: RingElement, piv: RingElement) -> RingElement:
-    """Quotient q with |e - q*piv| < |piv| in the ring's Euclidean norm."""
-    ring = e.ring
-    k = ring.kind
-    if k == KIND_Z:
-        return ring.el(e.payload // piv.payload)
-    if k == KIND_ZMOD:
-        return ring.el(e.payload // piv.payload)
-    from .rings import _poly_divmod  # noqa: PLC0415
-
-    q, _ = _poly_divmod(e.payload, piv.payload, ring.prime)
-    return RingElement(ring, q)
 
 
 class _RowReducer:
@@ -103,7 +73,8 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
     lowest row index.
     """
     ring = g.ring
-    if ring.kind not in (KIND_Z, KIND_ZMOD, KIND_POLY):
+    kernel = ring.kernel
+    if not kernel.euclidean:
         raise UnsupportedRing(f"decomposition not supported over {ring.descriptor()}")
     if determinant(g) != ring.one:
         raise NotSL("decomposition requires determinant 1")
@@ -116,12 +87,13 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
             live = [r for r in range(c, n) if not st.entry(r, c).is_zero]
             if len(live) == 1:
                 break
-            piv = min(live, key=lambda r: (_euclid_norm(st.entry(r, c)), r))
+            piv = min(live, key=lambda r: (kernel.norm(st.entry(r, c).payload), r))
             for r in live:
                 if r == piv:
                     continue
-                q = _euclid_quotient(st.entry(r, c), st.entry(piv, c))
-                st.add_row(r, piv, -q)
+                # |entry - q * pivot| < |pivot| in the ring's Euclidean norm
+                q = kernel.quotient(st.entry(r, c).payload, st.entry(piv, c).payload)
+                st.add_row(r, piv, -RingElement(ring, q))
         r = live[0]
         if r != c:
             st.add_row(c, r, ring.one)

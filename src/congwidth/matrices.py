@@ -38,9 +38,10 @@ class SqMatrix:
             raise DimensionMismatch("dimension must be >= 2")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise DimensionMismatch("ragged matrix")
+        ring = self.ring
         for r in self.rows:
             for e in r:
-                if e.ring != self.ring:
+                if e.ring is not ring and e.ring != ring:
                     raise MismatchedRings("entry outside the matrix ring")
 
     # -- constructors -------------------------------------------------------
@@ -68,7 +69,7 @@ class SqMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "SqMatrix"):
-        if self.ring != other.ring or self.n != other.n:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.n != other.n:
             raise MismatchedRings("matrix shape or ring mismatch")
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
@@ -88,6 +89,7 @@ class SqMatrix:
         return SqMatrix(self.ring, self.n, rows)
 
     def __sub__(self, other: "SqMatrix") -> "SqMatrix":
+        self._check(other)
         rows = tuple(
             tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
         )

@@ -54,9 +54,6 @@ from .matrices import (
     parse_matrix,
 )
 from .rings import (
-    KIND_POLY,
-    KIND_Z,
-    KIND_ZMOD,
     Ideal,
     RingElement,
     RingSpec,
@@ -317,29 +314,6 @@ class SRWitness:
     bezout: tuple[RingElement, ...]
 
 
-def _shell_elements(ring: RingSpec, shell: int) -> list[RingElement]:
-    """Elements newly available at a given search shell, deterministic order."""
-    k = ring.kind
-    if shell == 0:
-        return [ring.zero]
-    if k == KIND_Z:
-        return [ring.el(shell), ring.el(-shell)]
-    if k == KIND_ZMOD:
-        return [ring.el(shell)] if shell < ring.modulus else []
-    if k == KIND_POLY:
-        digits = []
-        s = shell
-        while s:
-            digits.append(s % ring.prime)
-            s //= ring.prime
-        return [ring.el(digits)]
-    out = []
-    for kk in range(-2, 3):
-        out.append(ring.el((shell, kk)))
-        out.append(ring.el((-shell, kk)))
-    return out
-
-
 def unimodular_square_shift(alpha: list[RingElement], bound: int = 10**4) -> SRWitness:
     """Find t with the first n-1 coordinates of alpha, each shifted by
     t_i * a_n^2, unimodular; certified by an extended-gcd Bezout witness."""
@@ -356,8 +330,10 @@ def unimodular_square_shift(alpha: list[RingElement], bound: int = 10**4) -> SRW
     pool: list[RingElement] = []
     shell = 0
     while tried < bound:
-        new = _shell_elements(ring, shell)
-        if not new and shell > 0 and ring.kind == KIND_ZMOD and shell >= ring.modulus:
+        # elements newly available at this shell, in a fixed order; only a
+        # finite ring runs out of them
+        new = [RingElement(ring, a) for a in ring.kernel.shell(shell)] if shell else [ring.zero]
+        if not new:
             break
         pool.extend(new)
         # tuples whose maximal shell is the current one
@@ -712,19 +688,7 @@ def _theta(m: SqMatrix) -> SqMatrix:
 
 
 def _unit_candidates(ring: RingSpec, bound: int) -> list[RingElement]:
-    k = ring.kind
-    if k == KIND_Z:
-        return [ring.one, ring.el(-1)]
-    if k == KIND_ZMOD:
-        return [r for r in ring.residues() if is_unit(r)]
-    if k == KIND_POLY:
-        return [ring.el([c]) for c in range(1, ring.prime)]
-    out = [ring.one, ring.el((-1, 0))]
-    for kk in range(1, bound + 1):
-        out.extend(
-            [ring.el((1, kk)), ring.el((-1, kk)), ring.el((1, -kk)), ring.el((-1, -kk))]
-        )
-    return out
+    return [RingElement(ring, u) for u in ring.kernel.units(bound)]
 
 
 def _z_candidates(q: Ideal, tries: int) -> list[RingElement]:
@@ -849,7 +813,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
     """
     sigma = b.sigma
     ring = sigma.ring
-    if ring.kind != KIND_ZMOD:
+    if not ring.is_finite:
         return False
     from .census import enumerate_sl  # noqa: PLC0415
 
@@ -1123,13 +1087,18 @@ def _parse_lines(lines: list[str]) -> ReductionTrace:
 
     steps = []
     for k, raw in enumerate(step_lines, start=1):
-        attrs = dict(tok.partition("=")[::2] for tok in raw.split())
-        required = ["kind", "s", "result", "len", "case", "smem"]
-        required += ["sfac"] if attrs.get("smem") == "elem" else []
-        required += ["exp"] if attrs.get("kind") == APPEND else []
-        missing = [key for key in required if key not in attrs]
+        # exactly the keys serialize_trace writes, each once
+        tokens = [tok.partition("=")[::2] for tok in raw.split()]
+        attrs = dict(tokens)
+        keys = ["kind", "s", "result", "len", "case", "smem", "sfac"]
+        keys += ["exp"] if attrs.get("kind") == APPEND else []
+        missing = [key for key in keys if key not in attrs]
         if missing:
             raise TraceFormatError(f"step {k} is missing {', '.join(missing)}")
+        if len(tokens) != len(keys):
+            raise TraceFormatError(f"step {k} has an unknown or repeated key")
+        if attrs["smem"] != "elem" and attrs["sfac"] != "-":
+            raise TraceFormatError(f"step {k}: {attrs['smem']} steps carry sfac=-")
         if attrs["kind"] not in (CONJUGATE, COMM_RIGHT, COMM_LEFT, APPEND):
             raise TraceFormatError(f"step {k}: unknown op kind {attrs['kind']!r}")
         s = ref(attrs["s"])

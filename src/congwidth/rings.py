@@ -1,13 +1,21 @@
 """Exact arithmetic in the supported commutative rings and their ideals.
 
 Supported rings: Z, Z/m, F_p[x] for prime p, and Z[1/p].  Every element is
-kept in a unique canonical form, so equality is structural and values hash
-safely:
+kept in a unique canonical form, its payload, so equality is structural and
+values hash safely:
 
   Z       arbitrary-precision int
   Z/m     residue int in [0, m)
   F_p[x]  tuple of coefficients in [0, p), ascending degree, no trailing zeros
   Z[1/p]  pair (n, k) meaning n * p**k with p not dividing n; zero is (0, 0)
+
+Each ring kind has one kernel class, which holds all of the kind's
+payload-level code: arithmetic, coercion, the text format, units, division,
+gcd, and the per-kind helpers of factorization and reduction.  A RingSpec
+binds its kernel once, when it is made, and nothing dispatches on the kind
+after that.  RingElement arithmetic is the ring check plus one kernel call.
+The check compares ring identity first and falls back to equality only for
+two distinct but equal RingSpecs.
 
 All four rings are principal ideal rings, so an ideal carries a cached
 canonical generator and membership is a divisibility test.
@@ -15,6 +23,7 @@ canonical generator and membership is a divisibility test.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from math import gcd
@@ -25,12 +34,6 @@ KIND_Z = "Z"
 KIND_ZMOD = "Zmod"
 KIND_POLY = "PolyFp"
 KIND_ZINV = "ZinvP"
-
-_DESCRIPTOR_RE = {
-    "zmod": re.compile(r"^Z/(\d+)$"),
-    "poly": re.compile(r"^F(\d+)\[x\]$"),
-    "zinv": re.compile(r"^Z\[1/(\d+)\]$"),
-}
 
 
 def is_prime(n: int) -> bool:
@@ -63,28 +66,343 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _int_xgcd(ints) -> tuple[int, list[int]]:
+    """Return (g, coeffs) with g = gcd(ints) >= 0 and g = sum coeffs[i]*ints[i]."""
+    g, coeffs = 0, []
+    for e in ints:
+        g, s, t = _xgcd(g, e)
+        coeffs = [c * s for c in coeffs] + [t]
+    return g, coeffs
+
+
+def _trim(coeffs: list[int]) -> tuple:
+    """Drop trailing zeros from coeffs, in place; return them as a tuple."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+# -- one kernel per ring kind ------------------------------------------------------
+
+
+class _Kernel:
+    """Payload-level code of one ring kind.
+
+    Every method takes and returns canonical payloads, except el, which
+    coerces raw input.  div and inverse return None when no answer exists.
+    norm and quotient (Euclidean division) exist only when euclidean is set;
+    shell(s) lists the elements a shift search adds at shell s >= 1, and
+    units(bound) the units a unit search tries.
+    """
+
+    finite = False
+    domain = True
+    euclidean = True
+    is_zero = operator.not_  # builtins do not bind: self.is_zero(a) is not_(a)
+
+    def __init__(self, spec: "RingSpec"):
+        self.m, self.p = spec.modulus, spec.prime
+        self.zero, self.one = self.el(0), self.el(1)
+
+    def x(self):
+        raise UnsupportedRing("x only exists in polynomial rings")
+
+    def canonical(self, gens: list) -> object:
+        """The canonical generator of the ideal generated by gens."""
+        return self.xgcd(gens)[0]
+
+
+class _ZKernel(_Kernel):
+    add, neg, mul = operator.add, operator.neg, operator.mul
+
+    def el(self, raw):
+        return int(raw)
+
+    def descriptor(self) -> str:
+        return "Z"
+
+    def format(self, a) -> str:
+        return str(a)
+
+    def parse(self, text: str):
+        return int(text)
+
+    def inverse(self, a):
+        return a if a in (1, -1) else None
+
+    def div(self, a, b):
+        q, r = divmod(a, b)
+        return None if r else q
+
+    def xgcd(self, elems):
+        g, coeffs = _int_xgcd(elems)
+        return self.el(g), [self.el(c) for c in coeffs]
+
+    def norm(self, a) -> int:
+        return abs(a)
+
+    def quotient(self, a, b):
+        return self.el(a // b)
+
+    def shell(self, s: int) -> list:
+        return [s, -s]
+
+    def units(self, bound: int) -> list:
+        return [1, -1]
+
+
+class _ZmodKernel(_ZKernel):
+    """Z/m; the Euclidean norm is the lift to [0, m)."""
+
+    finite = True
+
+    def __init__(self, spec: "RingSpec"):
+        if spec.modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        super().__init__(spec)
+        self.domain = is_prime(self.m)
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def neg(self, a):
+        return -a % self.m
+
+    def mul(self, a, b):
+        return a * b % self.m
+
+    def el(self, raw):
+        return int(raw) % self.m
+
+    def descriptor(self) -> str:
+        return f"Z/{self.m}"
+
+    def parse(self, text: str):
+        v = int(text)
+        if not 0 <= v < self.m:
+            raise ValueError(f"residue {v} out of range for {self.descriptor()}")
+        return v
+
+    def inverse(self, a):
+        return pow(a, -1, self.m) if gcd(a, self.m) == 1 else None
+
+    def div(self, a, b):
+        # solve q*b = a in Z/m; a solution exists iff gcd(b, m) | a
+        g, s, _ = _xgcd(b, self.m)
+        return None if a % g else a // g * s % self.m
+
+    def canonical(self, gens):
+        g = self.m
+        for e in gens:
+            g = gcd(g, e)
+        return g % self.m
+
+    def shell(self, s):
+        return [s] if s < self.m else []
+
+    def units(self, bound):
+        return [a for a in range(self.m) if gcd(a, self.m) == 1]
+
+
+class _PolyKernel(_Kernel):
+    """F_p[x]; the Euclidean norm is degree + 1, and gcds are monic."""
+
+    def __init__(self, spec: "RingSpec"):
+        if not is_prime(spec.prime):
+            raise ValueError("coefficient characteristic must be prime")
+        super().__init__(spec)
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % self.p
+        return _trim(out)
+
+    def neg(self, a):
+        return tuple(-c % self.p for c in a)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        p = self.p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] = (out[i + j] + ca * cb) % p
+        return _trim(out)
+
+    def el(self, raw):
+        return _trim([int(c) % self.p for c in ([raw] if isinstance(raw, int) else raw)])
+
+    def x(self):
+        return (0, 1)
+
+    def descriptor(self) -> str:
+        return f"F{self.p}[x]"
+
+    def format(self, a) -> str:
+        return ",".join(str(c) for c in a) if a else "0"
+
+    def parse(self, text: str):
+        return self.el([int(c) for c in text.split(",")])
+
+    def inverse(self, a):
+        return (pow(a[0], -1, self.p),) if len(a) == 1 else None
+
+    def divmod(self, a, b):
+        p = self.p
+        a = list(a)
+        inv_lead = pow(b[-1], -1, p)
+        q = [0] * max(0, len(a) - len(b) + 1)
+        while len(a) >= len(b) and a:
+            shift = len(a) - len(b)
+            c = (a[-1] * inv_lead) % p
+            q[shift] = c
+            for i, cb in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * cb) % p
+            _trim(a)
+        return _trim(q), tuple(a)
+
+    def div(self, a, b):
+        q, r = self.divmod(a, b)
+        return None if r else q
+
+    def xgcd(self, elems):
+        g, coeffs = (), []
+        for e in elems:
+            g, s, t = self._xgcd(g, e)
+            coeffs = [self.mul(c, s) for c in coeffs] + [t]
+        return g, coeffs
+
+    def _xgcd(self, a, b):
+        """Extended gcd of two polynomials, with monic g."""
+        r0, r1 = a, b
+        s0, s1 = (1,), ()
+        t0, t1 = (), (1,)
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.add(s0, self.neg(self.mul(q, s1)))
+            t0, t1 = t1, self.add(t0, self.neg(self.mul(q, t1)))
+        if r0:
+            inv_lead = (pow(r0[-1], -1, self.p),)
+            r0, s0, t0 = (self.mul(v, inv_lead) for v in (r0, s0, t0))
+        return r0, s0, t0
+
+    def norm(self, a) -> int:
+        return len(a)
+
+    def quotient(self, a, b):
+        return self.divmod(a, b)[0]
+
+    def shell(self, s):
+        digits = []
+        while s:
+            digits.append(s % self.p)
+            s //= self.p
+        return [self.el(digits)]
+
+    def units(self, bound):
+        return [(c,) for c in range(1, self.p)]
+
+
+class _ZinvKernel(_Kernel):
+    """Z[1/p]; no Euclidean row reduction is offered."""
+
+    euclidean = False
+
+    def __init__(self, spec: "RingSpec"):
+        if not is_prime(spec.prime):
+            raise ValueError("inverted integer must be prime")
+        super().__init__(spec)
+
+    def add(self, a, b):
+        (n1, k1), (n2, k2) = a, b
+        if n1 == 0:
+            return b
+        if n2 == 0:
+            return a
+        p, k0 = self.p, min(k1, k2)
+        return self.el((n1 * p ** (k1 - k0) + n2 * p ** (k2 - k0), k0))
+
+    def neg(self, a):
+        return (-a[0], a[1])
+
+    def mul(self, a, b):
+        if a[0] == 0 or b[0] == 0:
+            return (0, 0)
+        return (a[0] * b[0], a[1] + b[1])
+
+    def is_zero(self, a) -> bool:
+        return a[0] == 0
+
+    def el(self, raw):
+        n, k = raw if isinstance(raw, tuple) else (int(raw), 0)
+        if n == 0:
+            return (0, 0)
+        while n % self.p == 0:
+            n //= self.p
+            k += 1
+        return (n, k)
+
+    def descriptor(self) -> str:
+        return f"Z[1/{self.p}]"
+
+    def format(self, a) -> str:
+        return f"{a[0]}*{self.p}^{a[1]}"
+
+    def parse(self, text: str):
+        if re.match(r"^-?\d+$", text):  # plain integers are accepted on input
+            return self.el(int(text))
+        m = re.match(r"^(-?\d+)\*(\d+)\^(-?\d+)$", text)
+        if not m:
+            raise ValueError(f"bad Z[1/p] literal {text!r}")
+        n, p, k = (int(g) for g in m.groups())
+        if p != self.p:
+            raise ValueError(f"literal base {p} does not match ring prime {self.p}")
+        return self.el((n, k))
+
+    def inverse(self, a):
+        return (a[0], -a[1]) if a[0] in (1, -1) else None
+
+    def div(self, a, b):
+        if a[0] == 0:
+            return (0, 0)
+        q, r = divmod(a[0], b[0])
+        return None if r else self.el((q, a[1] - b[1]))
+
+    def xgcd(self, elems):
+        g, coeffs = _int_xgcd(n for n, _ in elems)
+        return self.el(g), [self.el((c, -k)) for c, (_, k) in zip(coeffs, elems)]
+
+    def shell(self, s):
+        return [self.el((sign * s, k)) for k in range(-2, 3) for sign in (1, -1)]
+
+    def units(self, bound):
+        return [(1, 0), (-1, 0)] + [
+            (u, sign * k) for k in range(1, bound + 1) for sign in (1, -1) for u in (1, -1)
+        ]
+
+
+_KERNELS = {KIND_Z: _ZKernel, KIND_ZMOD: _ZmodKernel, KIND_POLY: _PolyKernel, KIND_ZINV: _ZinvKernel}
+
+
 @dataclass(frozen=True, slots=True)
 class RingSpec:
-    """A concrete commutative ring with unit."""
+    """A concrete commutative ring with unit; its kernel is bound when it is made."""
 
     kind: str
     modulus: int = 0  # Z/m only
     prime: int = 0  # F_p[x] and Z[1/p]
+    kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == KIND_Z:
-            pass
-        elif self.kind == KIND_ZMOD:
-            if self.modulus < 2:
-                raise ValueError("modulus must be >= 2")
-        elif self.kind == KIND_POLY:
-            if not is_prime(self.prime):
-                raise ValueError("coefficient characteristic must be prime")
-        elif self.kind == KIND_ZINV:
-            if not is_prime(self.prime):
-                raise ValueError("inverted integer must be prime")
-        else:
+        if self.kind not in _KERNELS:
             raise ValueError(f"unknown ring kind {self.kind!r}")
+        object.__setattr__(self, "kernel", _KERNELS[self.kind](self))
 
     # -- construction ------------------------------------------------------
 
@@ -109,41 +427,32 @@ class RingSpec:
         """Parse a ring descriptor: "Z" | "Z/<m>" | "F<p>[x]" | "Z[1/<p>]"."""
         if text == "Z":
             return RingSpec.integers()
-        m = _DESCRIPTOR_RE["zmod"].match(text)
-        if m:
-            return RingSpec.integers_mod(int(m.group(1)))
-        m = _DESCRIPTOR_RE["poly"].match(text)
-        if m:
-            return RingSpec.poly_over_fp(int(m.group(1)))
-        m = _DESCRIPTOR_RE["zinv"].match(text)
-        if m:
-            return RingSpec.localized_integers(int(m.group(1)))
+        for pattern, make in (
+            (r"^Z/(\d+)$", RingSpec.integers_mod),
+            (r"^F(\d+)\[x\]$", RingSpec.poly_over_fp),
+            (r"^Z\[1/(\d+)\]$", RingSpec.localized_integers),
+        ):
+            m = re.match(pattern, text)
+            if m:
+                return make(int(m.group(1)))
         raise ValueError(f"bad ring descriptor {text!r}")
 
     def descriptor(self) -> str:
-        if self.kind == KIND_Z:
-            return "Z"
-        if self.kind == KIND_ZMOD:
-            return f"Z/{self.modulus}"
-        if self.kind == KIND_POLY:
-            return f"F{self.prime}[x]"
-        return f"Z[1/{self.prime}]"
+        return self.kernel.descriptor()
 
     # -- structure predicates ---------------------------------------------
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == KIND_ZMOD
+        return self.kernel.finite
 
     @property
     def is_domain(self) -> bool:
-        if self.kind == KIND_ZMOD:
-            return is_prime(self.modulus)
-        return True
+        return self.kernel.domain
 
     def residues(self):
         """All elements of a finite ring."""
-        if self.kind != KIND_ZMOD:
+        if not self.is_finite:
             raise UnsupportedRing(f"{self.descriptor()} is not finite")
         return [RingElement(self, r) for r in range(self.modulus)]
 
@@ -151,11 +460,11 @@ class RingSpec:
 
     @property
     def zero(self) -> "RingElement":
-        return self.el(0)
+        return RingElement(self, self.kernel.zero)
 
     @property
     def one(self) -> "RingElement":
-        return self.el(1)
+        return RingElement(self, self.kernel.one)
 
     def el(self, raw) -> "RingElement":
         """Coerce an int, coefficient list, or (n, k) pair into this ring."""
@@ -163,86 +472,11 @@ class RingSpec:
             if raw.ring != self:
                 raise MismatchedRings(f"{raw} not in {self.descriptor()}")
             return raw
-        if self.kind == KIND_Z:
-            return RingElement(self, int(raw))
-        if self.kind == KIND_ZMOD:
-            return RingElement(self, int(raw) % self.modulus)
-        if self.kind == KIND_POLY:
-            if isinstance(raw, int):
-                raw = [raw]
-            coeffs = [int(c) % self.prime for c in raw]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            return RingElement(self, tuple(coeffs))
-        # Z[1/p]
-        if isinstance(raw, tuple):
-            n, k = raw
-        else:
-            n, k = int(raw), 0
-        return RingElement(self, _zinv_normal(n, k, self.prime))
+        return RingElement(self, self.kernel.el(raw))
 
     def x(self) -> "RingElement":
         """The indeterminate of F_p[x]."""
-        if self.kind != KIND_POLY:
-            raise UnsupportedRing("x only exists in polynomial rings")
-        return RingElement(self, (0, 1))
-
-
-def _zinv_normal(n: int, k: int, p: int) -> tuple[int, int]:
-    if n == 0:
-        return (0, 0)
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (n, k)
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_neg(a, p):
-    return tuple((-c) % p for c in a)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        c = (a[-1] * inv_lead) % p
-        q[shift] = c
-        for i, cb in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * cb) % p
-        while a and a[-1] == 0:
-            a.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return tuple(q), tuple(a)
+        return RingElement(self, self.kernel.x())
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,66 +489,27 @@ class RingElement:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "RingElement"):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
+        ring = self.ring
+        if not isinstance(other, RingElement) or (other.ring is not ring and other.ring != ring):
             raise MismatchedRings(f"cannot combine {self!r} with {other!r}")
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        k = self.ring.kind
-        if k == KIND_Z:
-            return RingElement(self.ring, self.payload + other.payload)
-        if k == KIND_ZMOD:
-            return RingElement(self.ring, (self.payload + other.payload) % self.ring.modulus)
-        if k == KIND_POLY:
-            return RingElement(self.ring, _poly_add(self.payload, other.payload, self.ring.prime))
-        n1, k1 = self.payload
-        n2, k2 = other.payload
-        if n1 == 0:
-            return other
-        if n2 == 0:
-            return self
-        p = self.ring.prime
-        k0 = min(k1, k2)
-        s = n1 * p ** (k1 - k0) + n2 * p ** (k2 - k0)
-        return RingElement(self.ring, _zinv_normal(s, k0, p))
+        return RingElement(self.ring, self.ring.kernel.add(self.payload, other.payload))
 
     def __neg__(self) -> "RingElement":
-        k = self.ring.kind
-        if k == KIND_Z:
-            return RingElement(self.ring, -self.payload)
-        if k == KIND_ZMOD:
-            return RingElement(self.ring, (-self.payload) % self.ring.modulus)
-        if k == KIND_POLY:
-            return RingElement(self.ring, _poly_neg(self.payload, self.ring.prime))
-        n, kk = self.payload
-        return RingElement(self.ring, (-n, kk) if n else (0, 0))
+        return RingElement(self.ring, self.ring.kernel.neg(self.payload))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        k = self.ring.kind
-        if k == KIND_Z:
-            return RingElement(self.ring, self.payload * other.payload)
-        if k == KIND_ZMOD:
-            return RingElement(self.ring, (self.payload * other.payload) % self.ring.modulus)
-        if k == KIND_POLY:
-            return RingElement(self.ring, _poly_mul(self.payload, other.payload, self.ring.prime))
-        n1, k1 = self.payload
-        n2, k2 = other.payload
-        if n1 == 0 or n2 == 0:
-            return self.ring.zero
-        return RingElement(self.ring, (n1 * n2, k1 + k2))
+        return RingElement(self.ring, self.ring.kernel.mul(self.payload, other.payload))
 
     @property
     def is_zero(self) -> bool:
-        k = self.ring.kind
-        if k == KIND_POLY:
-            return self.payload == ()
-        if k == KIND_ZINV:
-            return self.payload[0] == 0
-        return self.payload == 0
+        return self.ring.kernel.is_zero(self.payload)
 
     @property
     def is_one(self) -> bool:
@@ -324,52 +519,15 @@ class RingElement:
         return f"<{format_element(self)} in {self.ring.descriptor()}>"
 
 
-def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
-    """Apply one of {add, sub, mul} to two elements of the same ring."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # -- serialization -----------------------------------------------------------
 
 
 def format_element(e: RingElement) -> str:
-    k = e.ring.kind
-    if k in (KIND_Z, KIND_ZMOD):
-        return str(e.payload)
-    if k == KIND_POLY:
-        if not e.payload:
-            return "0"
-        return ",".join(str(c) for c in e.payload)
-    n, kk = e.payload
-    return f"{n}*{e.ring.prime}^{kk}"
+    return e.ring.kernel.format(e.payload)
 
 
 def parse_element(ring: RingSpec, text: str) -> RingElement:
-    k = ring.kind
-    if k == KIND_Z:
-        return ring.el(int(text))
-    if k == KIND_ZMOD:
-        v = int(text)
-        if not 0 <= v < ring.modulus:
-            raise ValueError(f"residue {v} out of range for {ring.descriptor()}")
-        return ring.el(v)
-    if k == KIND_POLY:
-        return ring.el([int(c) for c in text.split(",")])
-    if re.match(r"^-?\d+$", text):  # plain integers are accepted on input
-        return ring.el(int(text))
-    m = re.match(r"^(-?\d+)\*(\d+)\^(-?\d+)$", text)
-    if not m:
-        raise ValueError(f"bad Z[1/p] literal {text!r}")
-    n, p, kk = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    if p != ring.prime:
-        raise ValueError(f"literal base {p} does not match ring prime {ring.prime}")
-    return ring.el((n, kk))
+    return RingElement(ring, ring.kernel.parse(text))
 
 
 # -- units, division, gcd ----------------------------------------------------
@@ -377,22 +535,8 @@ def parse_element(ring: RingSpec, text: str) -> RingElement:
 
 def unit_check(e: RingElement):
     """Return the inverse of e if e is a unit, else None."""
-    ring = e.ring
-    k = ring.kind
-    if k == KIND_Z:
-        return e if e.payload in (1, -1) else None
-    if k == KIND_ZMOD:
-        if gcd(e.payload, ring.modulus) != 1:
-            return None
-        return ring.el(pow(e.payload, -1, ring.modulus))
-    if k == KIND_POLY:
-        if len(e.payload) != 1:
-            return None
-        return ring.el([pow(e.payload[0], -1, ring.prime)])
-    n, kk = e.payload
-    if n in (1, -1):
-        return RingElement(ring, (n, -kk))
-    return None
+    inv = e.ring.kernel.inverse(e.payload)
+    return None if inv is None else RingElement(e.ring, inv)
 
 
 def is_unit(e: RingElement) -> bool:
@@ -402,35 +546,12 @@ def is_unit(e: RingElement) -> bool:
 def exact_div(a: RingElement, b: RingElement) -> RingElement:
     """Return a / b when b exactly divides a; raise ValueError otherwise."""
     a._check(b)
-    ring = a.ring
-    k = ring.kind
     if b.is_zero:
         raise ZeroDivisionError("division by ring zero")
-    if k == KIND_Z:
-        q, r = divmod(a.payload, b.payload)
-        if r != 0:
-            raise ValueError(f"{a!r} not divisible by {b!r}")
-        return ring.el(q)
-    if k == KIND_ZMOD:
-        # solve q*b = a in Z/m; a solution exists iff gcd(b, m) | a
-        m = ring.modulus
-        g, s, _ = _xgcd(b.payload, m)
-        if a.payload % g != 0:
-            raise ValueError(f"{a!r} not divisible by {b!r}")
-        return ring.el((a.payload // g) * s)
-    if k == KIND_POLY:
-        q, r = _poly_divmod(a.payload, b.payload, ring.prime)
-        if r != ():
-            raise ValueError(f"{a!r} not divisible by {b!r}")
-        return RingElement(ring, q)
-    na, ka = a.payload
-    nb, kb = b.payload
-    if na == 0:
-        return ring.zero
-    q, r = divmod(na, nb)
-    if r != 0:
+    q = a.ring.kernel.div(a.payload, b.payload)
+    if q is None:
         raise ValueError(f"{a!r} not divisible by {b!r}")
-    return ring.el((q, ka - kb))
+    return RingElement(a.ring, q)
 
 
 def divides(b: RingElement, a: RingElement) -> bool:
@@ -439,78 +560,19 @@ def divides(b: RingElement, a: RingElement) -> bool:
         return True
     if b.is_zero:
         return False
-    try:
-        exact_div(a, b)
-        return True
-    except ValueError:
-        return False
+    a._check(b)
+    return a.ring.kernel.div(a.payload, b.payload) is not None
 
 
 def extended_gcd(elems: list[RingElement]) -> tuple[RingElement, list[RingElement]]:
-    """Return (g, coeffs) with g = sum coeffs[i]*elems[i] generating (elems).
-
-    Supported for Z, Z/m, F_p[x] and Z[1/p]; raises UnsupportedRing otherwise.
-    """
+    """Return (g, coeffs) with g = sum coeffs[i]*elems[i] generating (elems)."""
     if not elems:
         raise ValueError("extended_gcd needs a nonempty list")
     ring = elems[0].ring
     for e in elems:
         e._check(elems[0])
-    k = ring.kind
-    if k == KIND_Z:
-        g, coeffs = 0, []
-        for e in elems:
-            gg, s, t = _xgcd(g, e.payload)
-            coeffs = [c * s for c in coeffs] + [t]
-            g = gg
-        return ring.el(g), [ring.el(c) for c in coeffs]
-    if k == KIND_ZMOD:
-        g, coeffs = 0, []
-        for e in elems:
-            gg, s, t = _xgcd(g, e.payload)
-            coeffs = [c * s for c in coeffs] + [t]
-            g = gg
-        return ring.el(g), [ring.el(c) for c in coeffs]
-    if k == KIND_POLY:
-        p = ring.prime
-        g: tuple = ()
-        coeffs: list[tuple] = []
-        for e in elems:
-            gg, s, t = _poly_xgcd(g, e.payload, p)
-            coeffs = [_poly_mul(c, s, p) for c in coeffs] + [t]
-            g = gg
-        return RingElement(ring, g), [RingElement(ring, c) for c in coeffs]
-    if k == KIND_ZINV:
-        g, int_coeffs = 0, []
-        for e in elems:
-            n = e.payload[0]
-            gg, s, t = _xgcd(g, n)
-            int_coeffs = [c * s for c in int_coeffs] + [t]
-            g = gg
-        out = []
-        for c, e in zip(int_coeffs, elems):
-            kk = e.payload[1] if e.payload[0] != 0 else 0
-            out.append(ring.el((c, -kk)))
-        return ring.el(g), out
-    raise UnsupportedRing(f"no gcd registered for {ring.descriptor()}")
-
-
-def _poly_xgcd(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple, tuple]:
-    """Extended gcd in F_p[x] with monic g."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, _poly_neg(_poly_mul(q, s1, p), p), p)
-        t0, t1 = t1, _poly_add(t0, _poly_neg(_poly_mul(q, t1, p), p), p)
-    if r0:
-        inv_lead = ((pow(r0[-1], -1, p)),)
-        r0 = _poly_mul(r0, inv_lead, p)
-        s0 = _poly_mul(s0, inv_lead, p)
-        t0 = _poly_mul(t0, inv_lead, p)
-    return r0, s0, t0
+    g, coeffs = ring.kernel.xgcd([e.payload for e in elems])
+    return RingElement(ring, g), [RingElement(ring, c) for c in coeffs]
 
 
 def is_unimodular(elems: list[RingElement]) -> tuple[bool, list[RingElement] | None]:
@@ -544,23 +606,8 @@ class Ideal:
         for g in self.generators:
             if g.ring != self.ring:
                 raise MismatchedRings("generator outside the parent ring")
-        object.__setattr__(self, "canonical", self._canonical_generator())
-
-    def _canonical_generator(self) -> RingElement:
-        ring = self.ring
-        k = ring.kind
-        if k == KIND_ZMOD:
-            g = ring.modulus
-            for e in self.generators:
-                g = gcd(g, e.payload)
-            return ring.el(g)
-        g, _ = extended_gcd(list(self.generators))
-        if k == KIND_Z:
-            return ring.el(abs(g.payload))
-        if k == KIND_ZINV:
-            n, _ = g.payload
-            return ring.el((abs(n), 0))
-        return g  # F_p[x]: already monic
+        gens = [g.payload for g in self.generators]
+        object.__setattr__(self, "canonical", RingElement(self.ring, self.ring.kernel.canonical(gens)))
 
     @staticmethod
     def of(ring: RingSpec, *raw) -> "Ideal":
@@ -576,7 +623,7 @@ class Ideal:
 
     def contains(self, e: RingElement) -> bool:
         """Ideal membership, decided via canonical-generator divisibility."""
-        if e.ring != self.ring:
+        if e.ring is not self.ring and e.ring != self.ring:
             raise MismatchedRings("element outside the ideal's ring")
         if self.is_zero:
             return e.is_zero
@@ -588,22 +635,10 @@ class Ideal:
             return True
         if self.is_zero:
             return e.is_zero
-        ring = self.ring
-        if ring.kind == KIND_ZMOD:
-            m = ring.modulus
-            di = gcd(pow(self.canonical.payload, i, m), m) % m
-            if di == 0:
-                return e.payload == 0
-            return e.payload % di == 0
-        d = self.canonical
-        di = ring.one
+        di = self.ring.one
         for _ in range(i):
-            di = di * d
+            di = di * self.canonical
         return divides(di, e)
 
     def describe(self) -> str:
         return "(" + ", ".join(format_element(g) for g in self.generators) + ")"
-
-
-def ideal_membership(e: RingElement, ideal: Ideal) -> bool:
-    return ideal.contains(e)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from congwidth.errors import NotInvertible, ZeroIdeal
+from congwidth.errors import MismatchedRings, NotInvertible, ZeroIdeal
 from congwidth.matrices import (
     SqMatrix,
     basis_matrix,
@@ -46,6 +46,18 @@ def test_elementary_examples(ring_z, ring_p2):
     x = ring_p2.x()
     e = elementary(ring_p2, 3, 3, 1, x)
     assert e.e(3, 1) == x and e.e(1, 1) == ring_p2.one
+
+
+def test_sub_rejects_mismatched_operands(ring_z):
+    # + already raised here; - used to return the truncated [[0, 5], [0, 0]]
+    m = elementary(ring_z, 2, 1, 2, 5)
+    with pytest.raises(MismatchedRings):
+        m + identity(ring_z, 3)
+    with pytest.raises(MismatchedRings):
+        m - identity(ring_z, 3)
+    with pytest.raises(MismatchedRings):
+        m - identity(RingSpec.integers_mod(4), 2)
+    assert m - identity(ring_z, 2) == SqMatrix.from_raw(ring_z, [[0, 5], [0, 0]])
 
 
 def test_unipotent_inverse(ring_z):

@@ -135,6 +135,30 @@ def test_malformed_trace_is_a_format_error(mutate, tmp_path, capsys):
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
+def _sl2_text() -> str:
+    trace = sl2_unit_reduction(SqMatrix.from_raw(L5, [[1, 0], [2, 1]]), Ideal.of(L5, 2), "E12")
+    return serialize_trace(trace)
+
+
+@pytest.mark.parametrize(
+    "kind, old, new",
+    [
+        pytest.param("reduce", " sfac=3,2:2", " sfac=3,2:2 foo=1", id="unknown-key"),
+        pytest.param("reduce", " sfac=3,2:2", " sfac=3,2:2 exp=3", id="exp-on-commright"),
+        pytest.param("sl2", "smem=congruence sfac=-", "smem=congruence sfac=1,2:2", id="sfac-on-congruence"),
+        pytest.param("reduce", " case=", " case=bogus case=", id="repeated-key"),
+    ],
+)
+def test_step_line_carries_exactly_the_serialized_keys(kind, old, new, tmp_path, capsys):
+    text = _golden_text() if kind == "reduce" else _sl2_text()
+    assert old in text
+    bad = text.replace(old, new, 1)
+    with pytest.raises(TraceFormatError):
+        replay_trace(bad)
+    rc, err = _replay_cli(tmp_path, bad, capsys)
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
 def _fuzz_corpus() -> list[str]:
     rng = random.Random(5)
     q = Ideal.of(Z, 2)
