@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotSL, UnsupportedRing
-from .matrices import SqMatrix, determinant, elementary, identity
+from .matrices import SqMatrix, _add_row, _box, _check_position, _unbox, determinant
 from .rings import RingElement, RingSpec, unit_check
 
 
@@ -32,11 +32,18 @@ class ElemFactorization:
     def count(self) -> int:
         return len(self.factors)
 
+    @staticmethod
+    def of(ring: RingSpec, n: int, factors: tuple[ElemFactor, ...]) -> "ElemFactorization":
+        """The factorization of E_1 (E_2 (... E_k)), built by row operations on the identity."""
+        k = ring.kernel
+        rows = [[k.one if i == j else k.zero for j in range(n)] for i in range(n)]
+        for f in reversed(factors):
+            _check_position(n, f.i, f.j)
+            _add_row(k, rows, f.i - 1, f.j - 1, ring.el(f.a).payload)
+        return ElemFactorization(factors, _box(ring, rows))
+
     def product(self) -> SqMatrix:
-        out = identity(self.target.ring, self.target.n)
-        for f in self.factors:
-            out = out * elementary(self.target.ring, self.target.n, f.i, f.j, f.a)
-        return out
+        return ElemFactorization.of(self.target.ring, self.target.n, self.factors).target
 
     def inverse_factors(self) -> tuple[ElemFactor, ...]:
         """Reversed, negated factor list; a factorization of target^-1."""
@@ -48,20 +55,17 @@ class _RowReducer:
 
     def __init__(self, g: SqMatrix):
         self.ring = g.ring
-        self.n = g.n
-        self.rows = [list(r) for r in g.rows]
+        self.rows = _unbox(g)
         self.ops: list[tuple[int, int, RingElement]] = []  # row_i += a * row_j
 
     def add_row(self, i: int, j: int, a: RingElement):
         if a.is_zero:
             return
         self.ops.append((i, j, a))
-        ri, rj = self.rows[i], self.rows[j]
-        for c in range(self.n):
-            ri[c] = ri[c] + a * rj[c]
+        _add_row(self.ring.kernel, self.rows, i, j, a.payload)
 
     def entry(self, i: int, j: int) -> RingElement:
-        return self.rows[i][j]
+        return RingElement(self.ring, self.rows[i][j])
 
 
 def decompose_elementary(g: SqMatrix) -> ElemFactorization:

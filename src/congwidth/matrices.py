@@ -6,6 +6,7 @@ Indices are 1-based throughout the public API and the text formats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     BadIndices,
@@ -18,10 +19,8 @@ from .rings import (
     Ideal,
     RingElement,
     RingSpec,
-    exact_div,
     format_element,
     parse_element,
-    unit_check,
 )
 
 
@@ -74,12 +73,7 @@ class SqMatrix:
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
         self._check(other)
-        n = self.n
-        cols = tuple(zip(*other.rows))
-        rows = tuple(
-            tuple(_dot(self.rows[i], cols[j]) for j in range(n)) for i in range(n)
-        )
-        return SqMatrix(self.ring, n, rows)
+        return _box(self.ring, _mul_rows(self.ring.kernel, _unbox(self), _unbox(other)))
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
         self._check(other)
@@ -124,13 +118,6 @@ class SqMatrix:
         ) + f" over {self.ring.descriptor()}]"
 
 
-def _dot(row, col) -> RingElement:
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
-
-
 def identity(ring: RingSpec, n: int) -> SqMatrix:
     one, zero = ring.one, ring.zero
     rows = tuple(
@@ -139,10 +126,14 @@ def identity(ring: RingSpec, n: int) -> SqMatrix:
     return SqMatrix(ring, n, rows)
 
 
-def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
-    """I + a*e_ij with i != j (1-based indices)."""
+def _check_position(n: int, i: int, j: int):
     if i == j or not (1 <= i <= n) or not (1 <= j <= n):
         raise BadIndices(f"bad elementary position ({i}, {j}) for n={n}")
+
+
+def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
+    """I + a*e_ij with i != j (1-based indices)."""
+    _check_position(n, i, j)
     a = ring.el(a)
     rows = [list(r) for r in identity(ring, n).rows]
     rows[i - 1][j - 1] = a
@@ -156,82 +147,106 @@ def basis_matrix(ring: RingSpec, n: int, i: int, j: int) -> SqMatrix:
     return SqMatrix(ring, n, tuple(tuple(r) for r in rows))
 
 
+# -- the payload core ------------------------------------------------------------
+#
+# Products, determinants, inverses and elementary row and column operations
+# run on payload rows: lists of rows of canonical payloads, combined by the
+# ring's kernel.  A caller unboxes a matrix once (_unbox) and boxes each
+# entry of a result once (_box).  Indices here are 0-based.
+
+
+def _unbox(m: SqMatrix) -> list[list]:
+    return [[e.payload for e in r] for r in m.rows]
+
+
+def _box(ring: RingSpec, rows) -> SqMatrix:
+    return SqMatrix(ring, len(rows), tuple(tuple([RingElement(ring, x) for x in r]) for r in rows))
+
+
+def _mul_rows(k, a, b) -> list[list]:
+    add, mul = k.add, k.mul
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, r, c)) for c in cols] for r in a]
+
+
+def _add_row(k, rows, i: int, j: int, a):
+    """row_i += a * row_j, in place."""
+    add, mul = k.add, k.mul
+    rows[i] = [add(x, mul(a, y)) for x, y in zip(rows[i], rows[j])]
+
+
+def _add_col(k, rows, i: int, j: int, a):
+    """col_j += col_i * a, in place."""
+    add, mul = k.add, k.mul
+    for r in rows:
+        r[j] = add(r[j], mul(r[i], a))
+
+
+def _det_cofactor(k, rows):
+    """Cofactor expansion along the first row, skipping zero entries."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return k.add(k.mul(rows[0][0], rows[1][1]), k.neg(k.mul(rows[0][1], rows[1][0])))
+    acc = k.zero
+    for j, piv in enumerate(rows[0]):
+        if not k.is_zero(piv):
+            term = k.mul(piv, _det_cofactor(k, [r[:j] + r[j + 1:] for r in rows[1:]]))
+            acc = k.add(acc, term if j % 2 == 0 else k.neg(term))
+    return acc
+
+
+def _det_bareiss(k, rows):
+    """Fraction-free elimination; every division is exact over a domain."""
+    add, mul, neg = k.add, k.mul, k.neg
+    a = [list(r) for r in rows]
+    n = len(a)
+    prev = k.one
+    sign = 1
+    for c in range(n - 1):
+        if k.is_zero(a[c][c]):
+            swap = next((r for r in range(c + 1, n) if not k.is_zero(a[r][c])), None)
+            if swap is None:
+                return k.zero
+            a[c], a[swap] = a[swap], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = k.div(add(mul(a[i][j], a[c][c]), neg(mul(a[i][c], a[c][j]))), prev)
+        prev = a[c][c]
+    d = a[n - 1][n - 1]
+    return d if sign > 0 else neg(d)
+
+
 # -- determinant and inverse ---------------------------------------------------
 
 
 def determinant(m: SqMatrix) -> RingElement:
     """Exact determinant: cofactor expansion for n <= 4, Bareiss over domains
     otherwise (Bareiss division is invalid over non-domains)."""
-    if m.n <= 4 or not m.ring.is_domain:
-        return _det_cofactor(m.rows, m.ring)
-    return _det_bareiss(m)
-
-
-def _det_cofactor(rows, ring: RingSpec) -> RingElement:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = ring.zero
-    sign = 1
-    for j in range(n):
-        piv = rows[0][j]
-        if not piv.is_zero:
-            minor = tuple(
-                tuple(r[jj] for jj in range(n) if jj != j) for r in rows[1:]
-            )
-            term = piv * _det_cofactor(minor, ring)
-            acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
-
-
-def _det_bareiss(m: SqMatrix) -> RingElement:
-    ring = m.ring
-    n = m.n
-    a = [list(r) for r in m.rows]
-    prev = ring.one
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            swap = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
-            if swap is None:
-                return ring.zero
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d
+    det = _det_cofactor if m.n <= 4 or not m.ring.is_domain else _det_bareiss
+    return RingElement(m.ring, det(m.ring.kernel, _unbox(m)))
 
 
 def mat_inv(m: SqMatrix) -> SqMatrix:
-    """Exact inverse via the adjugate; requires the determinant to be a unit."""
-    d = determinant(m)
-    dinv = unit_check(d)
-    if dinv is None:
-        raise NotInvertible(f"determinant {format_element(d)} is not a unit")
+    """Exact inverse via the adjugate; requires the determinant to be a unit.
+
+    The determinant is the first-row expansion over the same cofactors."""
+    k = m.ring.kernel
+    rows = _unbox(m)
     n = m.n
-    ring = m.ring
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(m.rows[r][c] for c in range(n) if c != i)
-                for r in range(n)
-                if r != j
-            )
-            cof = _det_cofactor(minor, ring) if n > 1 else ring.one
-            if (i + j) % 2 == 1:
-                cof = -cof
-            row.append(dinv * cof)
-        rows.append(tuple(row))
-    return SqMatrix(ring, n, tuple(rows))
+
+    def cofactor(i, j):
+        c = _det_cofactor(k, [r[:j] + r[j + 1:] for rr, r in enumerate(rows) if rr != i])
+        return k.neg(c) if (i + j) % 2 else c
+
+    cof = [[cofactor(i, j) for j in range(n)] for i in range(n)]
+    d = reduce(k.add, map(k.mul, rows[0], cof[0]))
+    dinv = k.inverse(d)
+    if dinv is None:
+        raise NotInvertible(f"determinant {k.format(d)} is not a unit")
+    return _box(m.ring, [[k.mul(dinv, cof[j][i]) for j in range(n)] for i in range(n)])
 
 
 def commutator(g: SqMatrix, h: SqMatrix) -> SqMatrix:

@@ -43,9 +43,13 @@ from .errors import (
 from .factorization import ElemFactor, ElemFactorization
 from .matrices import (
     SqMatrix,
+    _add_col,
+    _add_row,
+    _box,
+    _mul_rows,
+    _unbox,
     determinant,
     elementary,
-    embed_affine,
     format_matrix,
     identity,
     in_congruence_subgroup,
@@ -122,19 +126,6 @@ class ReductionTrace:
             stage = st.case.split(".", 1)[0]
             counts[stage] = counts.get(stage, 0) + 1
         return counts
-
-
-def apply_qop(op: QOperation, g: SqMatrix, sigma: SqMatrix) -> SqMatrix:
-    """The step's image of g; sigma is the trace input, used by Append."""
-    if op.kind == CONJUGATE:
-        return op.s * g * mat_inv(op.s)
-    if op.kind == COMM_RIGHT:
-        return g * op.s * mat_inv(g) * mat_inv(op.s)
-    if op.kind == COMM_LEFT:
-        return op.s * g * mat_inv(op.s) * mat_inv(g)
-    if op.kind == APPEND:
-        return g * op.s * (sigma ** op.exp) * mat_inv(op.s)
-    raise ValueError(f"unknown op kind {op.kind!r}")
 
 
 def _next_word_length(kind: str, wl: int) -> int:
@@ -223,7 +214,10 @@ _POLICIES = {
 class _Builder:
     """Records a trace and checks every invariant of its kind on the way:
     the input preconditions on construction, each step's witness as it is
-    recorded, and the budgets and output support when the trace is taken."""
+    recorded, and the budgets and output support when the trace is taken.
+
+    The input is inverted once; after that each step maps the pair
+    (g, g^-1) to its image without a further inverse, on payload rows."""
 
     def __init__(self, sigma: SqMatrix, q: Ideal, kind: str, seed: int):
         if kind not in _POLICIES:
@@ -232,18 +226,28 @@ class _Builder:
         if self.policy.preconditions:
             self.policy.preconditions(sigma, q)
         self.sigma = sigma
+        self.sigma_inv = mat_inv(sigma)
         self.q = q
         self.kind = kind
         self.seed = seed
         self.g = sigma
+        self._g, self._ginv = _unbox(sigma), _unbox(self.sigma_inv)
         self.wl = 1
         self.steps: list[TraceStep] = []
 
-    def apply(self, kind: str, s: SqMatrix, factors, case: str, member: str = "elem", exp: int = 1):
-        fac = None
-        if member == "elem":
-            fac = ElemFactorization(tuple(ElemFactor(i, j, s.ring.el(a)) for (i, j, a) in factors), s)
-        self.record(QOperation(kind, s, fac, member, exp), case)
+    @property
+    def ginv(self) -> SqMatrix:
+        return _box(self.sigma.ring, self._ginv)
+
+    def apply(self, kind: str, s: SqMatrix, case: str, exp: int = 1):
+        """Record a step by s, certified to lie in the congruence subgroup."""
+        self.record(QOperation(kind, s, None, "congruence", exp), case)
+
+    def apply_elem(self, kind: str, factors, case: str):
+        """Record a step by the product s of the elementary factors (i, j, a)."""
+        ring = self.sigma.ring
+        fac = ElemFactorization.of(ring, self.sigma.n, tuple(ElemFactor(i, j, ring.el(a)) for i, j, a in factors))
+        self.record(QOperation(kind, fac.target, fac), case)
 
     def record(self, op: QOperation, case: str):
         k = len(self.steps) + 1
@@ -265,9 +269,48 @@ class _Builder:
                 raise ReplayMismatch(f"step {k}: s is not a determinant-1 matrix congruent to I mod the ideal")
         else:
             raise ReplayMismatch(f"step {k}: unknown membership tag {op.s_member!r}")
-        self.g = apply_qop(op, self.g, self.sigma)
+        if op.kind == APPEND and op.exp not in (1, -1):
+            raise ReplayMismatch(f"step {k}: an appended letter conjugates sigma^1 or sigma^-1, not sigma^{op.exp}")
+        self._step(op, self._conjugation(op))
         self.wl = _next_word_length(op.kind, self.wl)
         self.steps.append(TraceStep(op, self.g, self.wl, case))
+
+    def _conjugation(self, op: QOperation):
+        """X -> s X s^-1 on payload rows, for a witness record has checked."""
+        k = self.sigma.ring.kernel
+        if op.s_member == "elem":
+            # s = E_1 ... E_r: s X is row operations by E_r, ..., E_1, and X s^-1
+            # column operations by the factors of s^-1 (inverse_factors) in order
+            ops = [(_add_row, f) for f in reversed(op.s_factors.factors)]
+            ops += [(_add_col, f) for f in op.s_factors.inverse_factors()]
+
+            def conj(x):
+                x = [list(r) for r in x]
+                for add, f in ops:
+                    add(k, x, f.i - 1, f.j - 1, f.a.payload)
+                return x
+
+            return conj
+        s, sinv = _unbox(op.s), _unbox(mat_inv(op.s))
+        return lambda x: _mul_rows(k, _mul_rows(k, s, x), sinv)
+
+    def _step(self, op: QOperation, conj):
+        """Map (g, g^-1) to the step's image and its inverse."""
+        k = self.sigma.ring.kernel
+        g, ginv = self._g, self._ginv
+        if op.kind == CONJUGATE:
+            g, ginv = conj(g), conj(ginv)
+        elif op.kind == COMM_RIGHT:  # [g, s] = g (s g^-1 s^-1), inverse (s g s^-1) g^-1
+            g, ginv = _mul_rows(k, g, conj(ginv)), _mul_rows(k, conj(g), ginv)
+        elif op.kind == COMM_LEFT:  # [s, g] = (s g s^-1) g^-1, inverse g (s g^-1 s^-1)
+            g, ginv = _mul_rows(k, conj(g), ginv), _mul_rows(k, g, conj(ginv))
+        elif op.kind == APPEND:  # g (s sigma^e s^-1), inverse (s sigma^-e s^-1) g^-1
+            pos, neg = (self.sigma, self.sigma_inv) if op.exp == 1 else (self.sigma_inv, self.sigma)
+            g, ginv = _mul_rows(k, g, conj(_unbox(pos))), _mul_rows(k, conj(_unbox(neg)), ginv)
+        else:
+            raise ValueError(f"unknown op kind {op.kind!r}")
+        self._g, self._ginv = g, ginv
+        self.g = _box(self.sigma.ring, g)
 
     def trace(self, target) -> ReductionTrace:
         trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
@@ -364,44 +407,16 @@ def _tuples_with_max_shell(pool, new, width):
 
 def in_upper_affine(g: SqMatrix) -> bool:
     """Bottom row equals (0, ..., 0, 1)."""
-    n = g.n
-    ring = g.ring
-    last = g.row(n)
-    return all(
-        last[c] == (ring.one if c == n - 1 else ring.zero) for c in range(n)
-    )
+    return g.row(g.n) == identity(g.ring, g.n).row(g.n)
 
 
 def in_lower_affine(g: SqMatrix) -> bool:
     """First column equals (1, 0, ..., 0)."""
-    n = g.n
-    ring = g.ring
-    col = g.column(1)
-    return all(col[r] == (ring.one if r == 0 else ring.zero) for r in range(n))
-
-
-def _upper_blocks(g: SqMatrix) -> tuple[SqMatrix, list[RingElement]]:
-    n = g.n
-    gamma = SqMatrix(g.ring, n - 1, tuple(tuple(g.rows[i][:n - 1]) for i in range(n - 1)))
-    v = [g.rows[i][n - 1] for i in range(n - 1)]
-    return gamma, v
-
-
-def _lower_blocks(g: SqMatrix) -> tuple[SqMatrix, list[RingElement]]:
-    n = g.n
-    gamma = SqMatrix(g.ring, n - 1, tuple(tuple(g.rows[i][1:]) for i in range(1, n)))
-    u = [g.rows[0][j] for j in range(1, n)]
-    return gamma, u
+    return g.column(1) == identity(g.ring, g.n).column(1)
 
 
 def _commutes(a: SqMatrix, b: SqMatrix) -> bool:
     return a * b == b * a
-
-
-def _embed_block(eps: SqMatrix) -> SqMatrix:
-    """diag(1, eps) for an (n-1)-dimensional eps."""
-    zeros = [eps.ring.zero] * eps.n
-    return embed_affine(eps, zeros, "row", eps.n + 1)
 
 
 # -- the four reduction stages -----------------------------------------------------
@@ -424,10 +439,8 @@ def _case1_finish(b: _Builder, tag: str) -> str:
         for j in range(1, n):
             if i == j:
                 continue
-            eps = elementary(ring, n - 1, i, j, q0)
-            if not _commutes(sub, eps):
-                s = _embed_block(eps)
-                b.apply(COMM_RIGHT, s, [(i + 1, j + 1, q0)], tag + ".block")
+            if not _commutes(sub, elementary(ring, n - 1, i, j, q0)):
+                b.apply_elem(COMM_RIGHT, [(i + 1, j + 1, q0)], tag + ".block")
                 assert in_lower_affine(b.g) and not is_central(b.g)
                 return "lower"
     # sub is scalar t*I and the commuting relation forces t = u
@@ -443,9 +456,7 @@ def _case1_finish(b: _Builder, tag: str) -> str:
     if j0 is None:
         raise CentralInput("scalar matrix slipped through the central filter")
     k = 1 if j0 != 0 else 2
-    eps = elementary(ring, n - 1, j0 + 1, k, q0)
-    s = _embed_block(eps)
-    b.apply(COMM_RIGHT, s, [(j0 + 2, k + 1, q0)], tag + ".scalar")
+    b.apply_elem(COMM_RIGHT, [(j0 + 2, k + 1, q0)], tag + ".scalar")
     assert in_lower_affine(b.g) and not is_central(b.g)
     return "lower"
 
@@ -471,83 +482,55 @@ def _affine_stage(b: _Builder) -> str:
     if not ok:
         wit = unimodular_square_shift(alpha)
         an = alpha[n - 1]
-        coeffs = [an * ti for ti in wit.t]
-        mu = identity(ring, n)
-        fac = []
-        for i, c in enumerate(coeffs):
-            if not c.is_zero:
-                mu = mu * elementary(ring, n, i + 1, n, c)
-                fac.append((i + 1, n, c))
-        b.apply(CONJUGATE, mu, fac, "affine.split.shift")
+        b.apply_elem(CONJUGATE, [(i + 1, n, an * t) for i, t in enumerate(wit.t) if not (an * t).is_zero],
+                     "affine.split.shift")
         alpha = list(b.g.column(1))
         ok, _ = is_unimodular(alpha[: n - 1])
         assert ok, "shift witness must leave a unimodular prefix"
 
     _, coeffs = is_unimodular(alpha[: n - 1])
     an = alpha[n - 1]
-    lam_coeffs = [an * dk for dk in coeffs]
-    b.apply(COMM_RIGHT, tau, tau_fac, "affine.split.comm")
-    if any(not c.is_zero for c in lam_coeffs):
-        lam_inv = identity(ring, n)
-        fac = []
-        for k, c in enumerate(lam_coeffs):
-            if not c.is_zero:
-                lam_inv = lam_inv * elementary(ring, n, n, k + 1, -c)
-                fac.append((n, k + 1, -c))
-        b.apply(CONJUGATE, lam_inv, fac, "affine.split.conj")
+    lam_fac = [(n, k + 1, -(an * dk)) for k, dk in enumerate(coeffs) if not (an * dk).is_zero]
+    b.apply_elem(COMM_RIGHT, tau_fac, "affine.split.comm")
+    if lam_fac:
+        b.apply_elem(CONJUGATE, lam_fac, "affine.split.conj")
     rho = b.g
     assert not is_central(rho), "conjugated commutator must stay non-central"
     if _commutes(rho, tau):
         return _case1_finish(b, "affine.split.recommuting")
-    b.apply(COMM_RIGHT, tau, tau_fac, "affine.split.comm2")
+    b.apply_elem(COMM_RIGHT, tau_fac, "affine.split.comm2")
     assert in_upper_affine(b.g) and not is_central(b.g)
     return "upper"
 
 
 def _translate_stage(b: _Builder, loc: str):
-    """Stage 2: at most one commutator into pure translation block form."""
-    g = b.g
-    n = g.n
-    ring = g.ring
-    q0 = b.q.canonical
-    one = identity(ring, n - 1)
+    """Stage 2: at most one commutator into pure translation block form.
+
+    For g = [[gamma, v], [0, 1]] it scans the columns of gamma; for
+    g = [[1, u], [0, gamma]] the rows of gamma^-1, a block of the carried g^-1."""
+    n = b.g.n
+    k = b.g.ring.kernel
     if loc == "upper":
-        gamma, _ = _upper_blocks(g)
-        if gamma == one:
-            return
-        k0 = next(
-            idx
-            for idx in range(n - 1)
-            if any(gamma.rows[r][idx] != (ring.one if r == idx else ring.zero) for r in range(n - 1))
-        )
-        lam = elementary(ring, n, k0 + 1, n, q0)
-        b.apply(COMM_RIGHT, lam, [(k0 + 1, n, q0)], "translate.col")
+        lines, shift, case = list(zip(*b._g)), 0, "translate.col"
     elif loc == "lower":
-        gamma, _ = _lower_blocks(g)
-        if gamma == one:
-            return
-        ginv = mat_inv(gamma)
-        k0 = next(
-            idx
-            for idx in range(n - 1)
-            if any(ginv.rows[idx][c] != (ring.one if c == idx else ring.zero) for c in range(n - 1))
-        )
-        lam = elementary(ring, n, 1, k0 + 2, q0)
-        b.apply(COMM_RIGHT, lam, [(1, k0 + 2, q0)], "translate.row")
+        lines, shift, case = b._ginv, 1, "translate.row"
     else:
         raise ValueError(f"unknown affine location {loc!r}")
+    k0 = next(
+        (idx for idx in range(n - 1)
+         if any(x != (k.one if c == idx + shift else k.zero) for c, x in enumerate(lines[idx + shift]))),
+        None,
+    )
+    if k0 is None:  # gamma = I
+        return
+    i, j = (k0 + 1, n) if loc == "upper" else (1, k0 + 2)
+    b.apply_elem(COMM_RIGHT, [(i, j, b.q.canonical)], case)
     assert not is_central(b.g), "translation part must be nonzero"
 
 
 def _support(g: SqMatrix) -> list[tuple[int, int]]:
     one = identity(g.ring, g.n)
-    diff = g - one
-    return [
-        (i, j)
-        for i in range(1, g.n + 1)
-        for j in range(1, g.n + 1)
-        if not diff.e(i, j).is_zero
-    ]
+    return [(i + 1, j + 1) for i in range(g.n) for j in range(g.n) if g.rows[i][j] != one.rows[i][j]]
 
 
 def _single_stage(b: _Builder):
@@ -556,7 +539,6 @@ def _single_stage(b: _Builder):
     column and row translations, (n, 1) for bottom translations)."""
     g = b.g
     n = g.n
-    ring = g.ring
     q0 = b.q.canonical
     sup = _support(g)
     if not sup:
@@ -565,20 +547,17 @@ def _single_stage(b: _Builder):
         if sup == [(1, n)]:
             return
         b0 = min(i for (i, _) in sup if i != 1)
-        lam = elementary(ring, n, 1, b0, q0)
-        b.apply(COMM_RIGHT, lam, [(1, b0, q0)], "single.col")
+        b.apply_elem(COMM_RIGHT, [(1, b0, q0)], "single.col")
     elif all(i == 1 and j > 1 for (i, j) in sup):
         if sup == [(1, n)]:
             return
         j0 = min(j for (_, j) in sup if j != n)
-        lam = elementary(ring, n, j0, n, q0)
-        b.apply(COMM_RIGHT, lam, [(j0, n, q0)], "single.row")
+        b.apply_elem(COMM_RIGHT, [(j0, n, q0)], "single.row")
     elif all(i == n and j < n for (i, j) in sup):
         if sup == [(n, 1)]:
             return
         a0 = min(j for (_, j) in sup if j != 1)
-        lam = elementary(ring, n, a0, 1, q0)
-        b.apply(COMM_RIGHT, lam, [(a0, 1, q0)], "single.bottom")
+        b.apply_elem(COMM_RIGHT, [(a0, 1, q0)], "single.bottom")
     else:
         raise ValueError("matrix is not in a translation block form")
     assert len(_support(b.g)) == 1, "single-entry stage must isolate one entry"
@@ -587,7 +566,6 @@ def _single_stage(b: _Builder):
 def _relocate_stage(b: _Builder, target: tuple[int, int]):
     """Stage 4: at most 3 commutators moving a single entry to the target."""
     n = b.g.n
-    ring = b.g.ring
     q0 = b.q.canonical
     i, j = target
     guard = 0
@@ -601,21 +579,16 @@ def _relocate_stage(b: _Builder, target: tuple[int, int]):
         guard += 1
         assert guard <= 3, "relocation exceeded three moves"
         if j == l:
-            s = elementary(ring, n, i, k, q0)
-            b.apply(COMM_LEFT, s, [(i, k, q0)], "relocate.same-col")
+            b.apply_elem(COMM_LEFT, [(i, k, q0)], "relocate.same-col")
         elif i == k:
-            s = elementary(ring, n, l, j, q0)
-            b.apply(COMM_RIGHT, s, [(l, j, q0)], "relocate.same-row")
+            b.apply_elem(COMM_RIGHT, [(l, j, q0)], "relocate.same-row")
         elif k != j:
-            s = elementary(ring, n, l, j, q0)
-            b.apply(COMM_RIGHT, s, [(l, j, q0)], "relocate.pivot")
+            b.apply_elem(COMM_RIGHT, [(l, j, q0)], "relocate.pivot")
         elif i != l:
-            s = elementary(ring, n, i, k, q0)
-            b.apply(COMM_LEFT, s, [(i, k, q0)], "relocate.corner.direct")
+            b.apply_elem(COMM_LEFT, [(i, k, q0)], "relocate.corner.direct")
         else:
             h = next(x for x in range(1, n + 1) if x not in (k, l))
-            s = elementary(ring, n, h, k, q0)
-            b.apply(COMM_LEFT, s, [(h, k, q0)], "relocate.corner.detour")
+            b.apply_elem(COMM_LEFT, [(h, k, q0)], "relocate.corner.detour")
 
 
 # Public per-stage entry points: each returns a partial trace (kind
@@ -713,9 +686,9 @@ def _try_upper_commutator(b: _Builder, q: Ideal, unit_bound: int, tries: int) ->
         uinv = unit_check(u)
         for z in _z_candidates(q, tries):
             eta = SqMatrix(ring, 2, ((u, z), (ring.zero, uinv)))
-            cand = b.g * eta * mat_inv(b.g) * mat_inv(eta)
+            cand = b.g * eta * b.ginv * mat_inv(eta)
             if cand.rows[1][0].is_zero and cand.rows[0][0] == ring.one and not cand.rows[0][1].is_zero:
-                b.apply(COMM_RIGHT, eta, None, "sl2.comm-upper", member="congruence")
+                b.apply(COMM_RIGHT, eta, "sl2.comm-upper")
                 return True
     return False
 
@@ -741,8 +714,8 @@ def _try_unit_conjugates(b: _Builder, q: Ideal, unit_bound: int, tries: int) -> 
             xs = [q0 * ring.el(k) for k in range(1, tries + 1)]
             xs += [-(x) for x in xs]
         else:
-            c2_ideal = Ideal(ring, (c2,))
-            if not c2_ideal.contains(u - one):
+            # c^2 = 0 (c nonzero, over Z/m) leaves no w with u - 1 = w c^2 to divide out
+            if c2.is_zero or not Ideal(ring, (c2,)).contains(u - one):
                 continue
             w = exact_div(u - one, c2)
             u2 = u * u
@@ -757,16 +730,16 @@ def _try_unit_conjugates(b: _Builder, q: Ideal, unit_bound: int, tries: int) -> 
             u2inv = unit_check(u2)
             dmat = SqMatrix(ring, 2, ((u2, ring.zero), (ring.zero, u2inv)))
             emat = mat_inv(wmat) * dmat
-            conj_s = wmat * mat_inv(sigma)
-            y = conj_s * (emat * sigma * mat_inv(emat) * mat_inv(sigma)) * mat_inv(conj_s)
+            conj_s = wmat * b.sigma_inv
+            y = conj_s * (emat * sigma * mat_inv(emat) * b.sigma_inv) * mat_inv(conj_s)
             if not y.rows[1][0].is_zero:
                 continue  # the chosen x does not cancel the corner
             if y.is_identity:
                 continue
             v = y.e(1, 1)
             if v == one:
-                b.apply(COMM_LEFT, emat, None, "sl2.unit", member="congruence")
-                b.apply(CONJUGATE, conj_s, None, "sl2.unit.conj", member="congruence")
+                b.apply(COMM_LEFT, emat, "sl2.unit")
+                b.apply(CONJUGATE, conj_s, "sl2.unit.conj")
                 return True
             vinv = unit_check(v)
             if vinv is None or v * v == one:
@@ -776,10 +749,10 @@ def _try_unit_conjugates(b: _Builder, q: Ideal, unit_bound: int, tries: int) -> 
                 w_out = (z + qprime) * (v - vinv)
                 if w_out.is_zero:
                     continue
-                b.apply(COMM_LEFT, emat, None, "sl2.unit", member="congruence")
-                b.apply(CONJUGATE, conj_s, None, "sl2.unit.conj", member="congruence")
+                b.apply(COMM_LEFT, emat, "sl2.unit")
+                b.apply(CONJUGATE, conj_s, "sl2.unit.conj")
                 zmat = SqMatrix(ring, 2, ((vinv, z), (ring.zero, v)))
-                b.apply(COMM_RIGHT, zmat, None, "sl2.unit.comm", member="congruence")
+                b.apply(COMM_RIGHT, zmat, "sl2.unit.comm")
                 return True
     return False
 
@@ -798,7 +771,7 @@ def _try_square(b: _Builder) -> bool:
     """sigma^2 can be a nontrivial E12 element (e.g. -I times a unipotent)."""
     if not _is_e12_nontrivial(b.sigma * b.sigma):
         return False
-    b.apply(APPEND, identity(b.sigma.ring, 2), None, "sl2.square", member="congruence", exp=1)
+    b.apply(APPEND, identity(b.sigma.ring, 2), "sl2.square", exp=1)
     return True
 
 
@@ -829,7 +802,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
                 seen[v.key()] = (v, s)
         return list(seen.values())
 
-    sig_inv = mat_inv(sigma)
+    sig_inv = b.sigma_inv
     cls_pos = class_of(sigma)
     cls_neg = class_of(sig_inv)
 
@@ -838,16 +811,16 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
         eta = mat_inv(gx) * gy
         if ex == 1:
             if ey == -1:
-                b.apply(COMM_RIGHT, eta, None, "sl2.pair", member="congruence")
+                b.apply(COMM_RIGHT, eta, "sl2.pair")
             else:
-                b.apply(APPEND, eta, None, "sl2.pair", member="congruence", exp=1)
+                b.apply(APPEND, eta, "sl2.pair", exp=1)
         else:
             assert ey == 1, "(-1, -1) pairs are found through their inverses"
-            b.apply(COMM_LEFT, eta, None, "sl2.pair", member="congruence")
-            b.apply(CONJUGATE, gx * sig_inv, None, "sl2.pair.conj", member="congruence")
+            b.apply(COMM_LEFT, eta, "sl2.pair")
+            b.apply(CONJUGATE, gx * sig_inv, "sl2.pair.conj")
             return
         if not gx.is_identity:
-            b.apply(CONJUGATE, gx, None, "sl2.pair.conj", member="congruence")
+            b.apply(CONJUGATE, gx, "sl2.pair.conj")
 
     # Phase A: two letters.  (-1,-1) products are inverses of (+1,+1) ones
     # and E12 is inversion-closed, so three sign patterns suffice.
@@ -889,10 +862,10 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
             s = into_e12.get(w.key())
             if s is None:
                 continue
-            b.apply(APPEND, g2, None, "sl2.pair.append", member="congruence", exp=e2)
-            b.apply(APPEND, g3, None, "sl2.pair.append", member="congruence", exp=e3)
+            b.apply(APPEND, g2, "sl2.pair.append", exp=e2)
+            b.apply(APPEND, g3, "sl2.pair.append", exp=e3)
             if not s.is_identity:
-                b.apply(CONJUGATE, s, None, "sl2.pair.conj", member="congruence")
+                b.apply(CONJUGATE, s, "sl2.pair.conj")
             assert _is_e12_nontrivial(b.g)
             return True
 
@@ -919,7 +892,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
                 if not in_congruence_subgroup(zmat, q):
                     continue
                 emit_two(gx, 1, gy, -1)
-                b.apply(COMM_RIGHT, zmat, None, "sl2.pair.comm", member="congruence")
+                b.apply(COMM_RIGHT, zmat, "sl2.pair.comm")
                 assert _is_e12_nontrivial(b.g)
                 return True
     return False

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from congwidth.census import enumerate_sl
 from congwidth.errors import (
     CentralInput,
+    CongwidthError,
     NoUnitFound,
     NotCongruent,
     ReplayMismatch,
@@ -485,6 +487,27 @@ def test_sl2_exhaustive_z5(sl2_f5, ring_f5):
             trace = sl2_unit_reduction(g, q, side)
             assert trace.word_length <= 4
             assert word_product(trace) == trace.output
+
+
+@pytest.mark.parametrize("m, q0", [(4, 2), (9, 3)])
+def test_sl2_square_zero_corner_is_a_domain_outcome(m, q0):
+    # the corner c of [[1, 3], [0, 1]]^theta over Z/9 is nonzero with c^2 = 0;
+    # the unit search divided by c^2 and raised a bare ZeroDivisionError
+    ring = RingSpec.integers_mod(m)
+    q = Ideal.of(ring, q0)
+    outcomes = {}
+    for g in enumerate_sl(2, ring).elements:
+        if is_central(g) or not in_congruence_subgroup(g, q):
+            continue
+        for side in ("E12", "E21"):
+            try:
+                validate_trace(sl2_unit_reduction(g, q, side))
+                outcome = "trace"
+            except CongwidthError as exc:
+                outcome = type(exc).__name__
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes["trace"] > 0
+    assert set(outcomes) <= {"trace", "NoUnitFound"}
 
 
 def test_sl2_no_unit_over_z(ring_z):

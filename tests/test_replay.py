@@ -20,10 +20,12 @@ from congwidth.errors import (
 )
 from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
 from congwidth.reduction import (
+    APPEND,
     CONJUGATE,
     QOperation,
     ReductionTrace,
     TraceStep,
+    parse_trace,
     reduce_full,
     relocate_elementary,
     replay_trace,
@@ -106,6 +108,21 @@ def test_sl2_conjugator_must_have_determinant_one():
     replay_trace(serialize_trace(trace))
     with pytest.raises(ReplayMismatch, match="step 4"):
         replay_trace(serialize_trace(bad))
+
+
+def test_sl2_appended_letter_is_sigma_to_plus_or_minus_one():
+    # sigma * sigma^2 = sigma^3 was accepted as a two-letter word
+    q = Ideal.of(Z, 2)
+    sigma = SqMatrix.from_raw(Z, [[1, 2], [0, 1]])
+
+    def append(exp):
+        op = QOperation(APPEND, identity(Z, 2), None, "congruence", exp)
+        step = TraceStep(op, sigma ** (1 + exp), 2, "sl2.square")
+        return serialize_trace(ReductionTrace("sl2", sigma, q, "E12", (step,), 0))
+
+    assert replay_trace(append(1)).output == sigma * sigma
+    with pytest.raises(ReplayMismatch, match="step 1"):
+        replay_trace(append(2))
 
 
 # -- malformed files ------------------------------------------------------------------
@@ -211,3 +228,57 @@ def test_mutated_trace_is_rejected_or_unchanged(data):
     except CongwidthError:
         return
     assert serialize_trace(again) == text
+
+
+def _byte_flips(text: str):
+    """One bit of one byte flipped; the file is read back as latin-1."""
+    data = text.encode("latin-1")
+    return st.tuples(st.integers(0, len(data) - 1), st.integers(0, 7)).map(
+        lambda kb: (data[: kb[0]] + bytes([data[kb[0]] ^ (1 << kb[1])]) + data[kb[0] + 1:]).decode("latin-1")
+    )
+
+
+def _value_swaps(text: str):
+    """The values of one key swapped between two step lines."""
+    lines = text.splitlines(keepends=True)
+    steps = {k: dict(tok.split("=", 1) for tok in ln.split()[1:]) for k, ln in enumerate(lines) if ln.startswith("step ")}
+
+    def swap(choice):
+        a, b, key = choice
+        out = list(lines)
+        for k, other in ((a, b), (b, a)):
+            attrs = dict(steps[k], **{key: steps[other][key]})
+            out[k] = "step " + " ".join(f"{kk}={v}" for kk, v in attrs.items()) + "\n"
+        return "".join(out)
+
+    return st.sampled_from(
+        [(a, b, key) for a in steps for b in steps if a < b for key in steps[a] if key in steps[b]]
+    ).map(swap)
+
+
+def _certified(trace: ReductionTrace):
+    """What a trace certifies.  Its labels are left out: the seed, the
+    ideal's generators (the ideal is kept) and the case tags (a reduce trace
+    keeps its stage counts)."""
+    steps = tuple((s.op, s.result, s.word_length) for s in trace.steps)
+    stages = trace.stage_counts() if trace.kind == "reduce" else None
+    return trace.kind, trace.input, trace.ideal.canonical, trace.target, steps, stages
+
+
+CERTIFIED = [_certified(parse_trace(text)) for text in CORPUS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flipped_or_swapped_trace_is_rejected_or_certifies_the_same(data):
+    k = data.draw(st.integers(0, len(CORPUS) - 1))
+    mutant = data.draw(st.one_of(_byte_flips(CORPUS[k]), _value_swaps(CORPUS[k])))
+    try:
+        again = replay_trace(mutant)
+    except CongwidthError:
+        return
+    if serialize_trace(again) == CORPUS[k]:
+        return  # the same trace, e.g. from a non-canonical literal of the same element
+    # a changed label: the same certificate, and nothing in the file was dropped
+    assert _certified(again) == CERTIFIED[k]
+    assert serialize_trace(again).split() == mutant.split()

@@ -2,7 +2,8 @@
 
 The digests were recorded before the trace checks moved into the builder;
 any change to the trace bytes (steps, witnesses, case tags, matrix table)
-shows up here.
+shows up here.  The same traces also check the builder's carried inverse
+against the defining formula of each step, and gate its inverse count.
 """
 
 import hashlib
@@ -10,8 +11,19 @@ import random
 
 import pytest
 
-from congwidth.matrices import elementary, identity, is_central
-from congwidth.reduction import reduce_full, serialize_trace, sl2_unit_reduction
+import congwidth.reduction as reduction
+from congwidth.matrices import elementary, identity, is_central, mat_inv
+from congwidth.reduction import (
+    APPEND,
+    COMM_LEFT,
+    COMM_RIGHT,
+    CONJUGATE,
+    _Builder,
+    reduce_full,
+    replay_trace,
+    serialize_trace,
+    sl2_unit_reduction,
+)
 from congwidth.rings import Ideal, RingSpec
 
 Z = RingSpec.integers()
@@ -52,25 +64,76 @@ def _digest(texts) -> str:
     return hashlib.sha256("".join(texts).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CLASSES))
-def test_reduce_full_digest(name):
+def _reduce_inputs(name):
     ring, n, q0, entry = CLASSES[name]
     q = Ideal(ring, (q0,))
     rng = random.Random(4099)
     targets = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    texts = [
-        serialize_trace(reduce_full(_sigma(ring, n, entry, rng), q, targets[k % len(targets)]))
-        for k in range(8)
-    ]
-    assert _digest(texts) == REDUCE_DIGESTS[name]
+    return [(_sigma(ring, n, entry, rng), q, targets[k % len(targets)]) for k in range(8)]
 
 
-def test_sl2_f5_digest(sl2_f5, ring_f5):
+@pytest.fixture(scope="module")
+def reduce_traces():
+    return {name: [reduce_full(*args) for args in _reduce_inputs(name)] for name in CLASSES}
+
+
+@pytest.fixture(scope="module")
+def sl2_f5_traces(sl2_f5, ring_f5):
     q = Ideal.of(ring_f5, 1)
-    texts = [
-        serialize_trace(sl2_unit_reduction(g, q, side))
+    return [
+        sl2_unit_reduction(g, q, side)
         for k, g in enumerate(sl2_f5.elements)
         if k not in sl2_f5.center
         for side in ("E12", "E21")
     ]
-    assert _digest(texts) == SL2_F5_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_reduce_full_digest(name, reduce_traces):
+    assert _digest(serialize_trace(t) for t in reduce_traces[name]) == REDUCE_DIGESTS[name]
+
+
+def test_sl2_f5_digest(sl2_f5_traces):
+    assert _digest(serialize_trace(t) for t in sl2_f5_traces) == SL2_F5_DIGEST
+
+
+def _reference_apply_qop(op, g, sigma):
+    """The step's image of g by its defining formula; sigma is the trace input."""
+    if op.kind == CONJUGATE:
+        return op.s * g * mat_inv(op.s)
+    if op.kind == COMM_RIGHT:
+        return g * op.s * mat_inv(g) * mat_inv(op.s)
+    if op.kind == COMM_LEFT:
+        return op.s * g * mat_inv(op.s) * mat_inv(g)
+    if op.kind == APPEND:
+        return g * op.s * (sigma ** op.exp) * mat_inv(op.s)
+    raise ValueError(f"unknown op kind {op.kind!r}")
+
+
+def test_builder_steps_match_reference_and_carry_the_inverse(reduce_traces, sl2_f5_traces):
+    traces = [t for ts in reduce_traces.values() for t in ts] + sl2_f5_traces
+    steps = 0
+    for trace in traces:
+        b = _Builder(trace.input, trace.ideal, trace.kind, trace.seed)
+        prev = trace.input
+        for st in trace.steps:
+            b.record(st.op, st.case)
+            assert b.g == st.result == _reference_apply_qop(st.op, prev, trace.input)
+            assert (b.g * b.ginv).is_identity
+            prev = st.result
+            steps += 1
+    assert steps > 500
+
+
+def test_reduce_and_replay_invert_once(monkeypatch):
+    calls = []
+    real = reduction.mat_inv
+    monkeypatch.setattr(reduction, "mat_inv", lambda m: calls.append(m) or real(m))
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            calls.clear()
+            text = serialize_trace(reduce_full(*args))
+            assert len(calls) <= 1, f"reduce_full on {name} inverted {len(calls)} matrices"
+            calls.clear()
+            replay_trace(text)
+            assert len(calls) <= 1, f"replay_trace on {name} inverted {len(calls)} matrices"
