@@ -8,17 +8,21 @@ m, and checks the explicit five-term sum decomposition.
 Group elements are addressed by their enumeration index.  Products come
 from one int32 table, built with numpy on first use, and every search over
 the group is a closure_bfs whose step maps a frontier of indices to its
-neighbours.
+neighbours.  Each table also keeps, once per ideal q, the targets E_ij(q),
+the elementary subgroup E(q) and a table of conjugation by E(q), so a width
+census does no per-sigma set-up.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
-from .errors import BadIndices, BudgetExceeded, CentralInput, UnsupportedRing
+from .errors import BadIndices, BudgetExceeded, CentralInput, NotInGroup, UnsupportedRing
 from .matrices import (
     SqMatrix,
     determinant,
@@ -113,6 +117,15 @@ def _product_table(elements: list[SqMatrix], m: int) -> np.ndarray:
     return mul
 
 
+@dataclass(frozen=True)
+class CongruenceContext:
+    """The sigma-independent data of a width census over one ideal q."""
+
+    targets: dict  # (i, j) -> indices of the nontrivial elements of E_ij(q)
+    esub: np.ndarray  # indices of E(q), the group the targets generate
+    conj: np.ndarray  # conj[e, g]: int32 index of s g s^-1, for s = esub[e]
+
+
 @dataclass
 class FiniteGroupTable:
     """All of SL_n over a finite ring, with index-based multiplication.
@@ -129,6 +142,7 @@ class FiniteGroupTable:
     inv: np.ndarray = field(repr=False)  # int32 index of each inverse
     center: list[int] = field(repr=False)
     _mul: np.ndarray | None = field(default=None, repr=False)
+    _congruence: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -139,8 +153,15 @@ class FiniteGroupTable:
             self._mul = _product_table(self.elements, self.ring.modulus)
         return self._mul
 
-    def idx(self, g: SqMatrix) -> int:
-        return self.index[g.key()]
+    def idx(self, g: SqMatrix | int) -> int:
+        """Index of g, an element of the table or already an index into it."""
+        if isinstance(g, (int, np.integer)):
+            if 0 <= g < len(self):
+                return int(g)
+        elif isinstance(g, SqMatrix) and g.n == self.n and (g.ring is self.ring or g.ring == self.ring):
+            if (k := self.index.get(g.key())) is not None:
+                return k
+        raise NotInGroup(f"{g!r} is not an element of SL_{self.n}({self.ring.descriptor()})")
 
     def word_distances(self, letters, budget: int | None = None) -> np.ndarray:
         """Word length of every element over the letters (-1: not generated)."""
@@ -158,33 +179,41 @@ class FiniteGroupTable:
             out.append(self.idx(elementary(self.ring, self.n, i, j, a)))
         return out
 
-
-_TABLE_CACHE: dict = {}
+    def congruence(self, ideal: Ideal) -> CongruenceContext:
+        """Targets, E(q) and conjugation by E(q), built once per ideal q."""
+        ctx = self._congruence.get(ideal.canonical)
+        if ctx is None:
+            targets = {p: np.array(self.target_elementaries(*p, ideal), dtype=np.int64)
+                       for p in permutations(range(1, self.n + 1), 2)}
+            # E(q): the closure of every nontrivial elementary matrix in q
+            esub = np.flatnonzero(self.word_distances(np.concatenate(list(targets.values()))) >= 0)
+            conj = self.mul[self.mul[esub], self.inv[esub][:, None]]
+            ctx = self._congruence[ideal.canonical] = CongruenceContext(targets, esub, conj)
+        return ctx
 
 
 def enumerate_sl(n: int, ring: RingSpec, budget: int = 10**6) -> FiniteGroupTable:
     """Enumerate SL_n(ring) for finite rings by generator closure.
 
     Verifies closure and, for Z/m, cross-checks the classical order formula.
-    Tables are cached per (n, ring); callers must not mutate them.
+    The most recently used tables are cached per (n, ring), each with its
+    congruence contexts; callers must not mutate them.
     """
     if not ring.is_finite:
         raise UnsupportedRing(f"{ring.descriptor()} is not finite")
     expected = sl_order(n, ring)
     if expected > budget:
         raise BudgetExceeded(f"|SL_{n}({ring.descriptor()})| = {expected} over budget {budget}")
-    cached = _TABLE_CACHE.get((n, ring))
-    if cached is not None:
-        return cached
+    return _enumerate_sl(n, ring, expected)
 
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for a in ring.residues():
-                if not a.is_zero:
-                    gens.append(elementary(ring, n, i, j, a))
+
+@lru_cache(maxsize=8)
+def _enumerate_sl(n: int, ring: RingSpec, expected: int) -> FiniteGroupTable:
+    gens = [
+        elementary(ring, n, i, j, a)
+        for i, j in permutations(range(1, n + 1), 2)
+        for a in ring.residues() if not a.is_zero
+    ]
 
     one = identity(ring, n)
     elements = [one]
@@ -199,17 +228,13 @@ def enumerate_sl(n: int, ring: RingSpec, budget: int = 10**6) -> FiniteGroupTabl
                 index[key] = len(elements)
                 elements.append(h)
                 frontier.append(h)
-                if len(elements) > budget:
-                    raise BudgetExceeded(f"enumeration exceeded budget {budget}")
 
     assert len(elements) == expected, (
         f"closure found {len(elements)} elements, formula gives {expected}"
     )
     inv = np.array([index[mat_inv(g).key()] for g in elements], dtype=np.int32)
     center = [k for k, g in enumerate(elements) if is_central(g)]
-    table = FiniteGroupTable(ring, n, elements, index, inv, center)
-    _TABLE_CACHE[(n, ring)] = table
-    return table
+    return FiniteGroupTable(ring, n, elements, index, inv, center)
 
 
 @dataclass(frozen=True)
@@ -235,39 +260,38 @@ def width_bfs(
       over the whole elementary subgroup of the ideal) taking sigma to a
       nontrivial element of E_ij(ideal);
     - minimum word length over conjugates of sigma^{±1} reaching the same set.
+
+    The targets, E(q) and its conjugation table come from the table's
+    congruence context, built once per ideal; per sigma, only the two
+    searches run.  A sigma outside the table raises NotInGroup.
     """
-    sidx = sigma if isinstance(sigma, int) else table.idx(sigma)
+    sidx = table.idx(sigma)
     if sidx in table.center:
         raise CentralInput("width census needs a non-central element")
-    n = table.n
-    positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cong = table.congruence(ideal)
     if targets is None:
-        targets = positions
-    elif not set(targets) <= set(positions):
-        raise BadIndices(f"bad target positions {targets} for n={n}")
+        targets = list(cong.targets)
+    elif not set(targets) <= cong.targets.keys():
+        raise BadIndices(f"bad target positions {targets} for n={table.n}")
 
-    mul, inv = table.mul, table.inv
-    # E(q): the closure of every nontrivial elementary matrix with entries in q
-    elems = {p: table.target_elementaries(*p, ideal) for p in positions}
-    esub = np.flatnonzero(table.word_distances(sum(elems.values(), [])) >= 0)
-    s, si = esub[None, :], inv[esub][None, :]
+    mul, inv, conj = table.mul, table.inv, cong.conj
 
     def operations(f):
-        g, gi = f[:, None], inv[f][:, None]
-        conj = mul[mul[s, g], si]
-        return np.stack((conj, mul[mul[mul[g, s], gi], si], mul[conj, gi]))
+        # s g s^-1, [g, s] = g (s g^-1 s^-1) and [s, g] = (s g s^-1) g^-1
+        gi, c = inv[f], conj[:, f]
+        return np.stack((c, mul[f, conj[:, gi]], mul[c, gi]))
 
     # operation count from sigma over the q-operation graph
     dist_ops = closure_bfs(operations, [sidx], len(table))
     # word length over the conjugates of sigma^{±1}
     letters = np.zeros(len(table), dtype=bool)
-    letters[mul[mul[s, [[sidx], [inv[sidx]]]], si]] = True
+    letters[conj[:, [sidx, inv[sidx]]]] = True
     dist_word = table.word_distances(letters.nonzero()[0])
 
     results = {}
     for (i, j) in targets:
-        ops = dist_ops[elems[(i, j)]]
-        word = dist_word[elems[(i, j)]]
+        ops = dist_ops[cong.targets[(i, j)]]
+        word = dist_word[cong.targets[(i, j)]]
         results[(i, j)] = WidthResult((i, j), _least(ops[ops >= 0]), _least(word[word > 0]))
     return results
 

@@ -33,6 +33,10 @@ class NotSL(CongwidthError):
     """Matrix determinant is not 1."""
 
 
+class NotInGroup(CongwidthError):
+    """A matrix or index is not an element of the finite group table."""
+
+
 class CentralInput(CongwidthError):
     """A central matrix was supplied where a non-central one is required."""
 

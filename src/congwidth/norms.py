@@ -506,9 +506,10 @@ def word_norm(table: FiniteGroupTable, generators: list[int], g: SqMatrix | int,
 
     Returns the exact integer, or Unreached when the closure of the set is
     exhausted without meeting g.  A closure of more than budget elements
-    raises BudgetExceeded (distinct from Unreached).
+    raises BudgetExceeded (distinct from Unreached); a g outside the table
+    raises NotInGroup.
     """
-    gidx = g if isinstance(g, int) else table.idx(g)
+    gidx = table.idx(g)
     dist = table.word_distances(generators, budget)
     if dist[gidx] < 0:
         return Unreached(explored=int((dist >= 0).sum()))

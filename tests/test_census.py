@@ -18,8 +18,16 @@ from congwidth.census import (
     width_bfs,
     width_census_csv,
 )
-from congwidth.errors import BadIndices, BudgetExceeded, CentralInput, UnsupportedRing
+from congwidth.errors import (
+    BadIndices,
+    BudgetExceeded,
+    CentralInput,
+    MismatchedRings,
+    NotInGroup,
+    UnsupportedRing,
+)
 from congwidth.matrices import SqMatrix, elementary, identity, mat_inv
+from congwidth.norms import word_norm
 from congwidth.rings import Ideal, RingSpec
 
 
@@ -384,3 +392,109 @@ def test_sum_set_uncovered_case():
     assert report.covered_at is None
     assert report.sizes == (4, 8, 12, 16, 20)
     assert "covered_at=never-within-budget" in report.render()
+
+
+# -- congruence contexts, element checks and the table cache ---------------------
+
+
+def _not_in_sl2_f3():
+    return [
+        -2,
+        24,
+        elementary(RingSpec.integers_mod(5), 2, 1, 2, 1),
+        SqMatrix.from_raw(RingSpec.integers_mod(3), [[2, 0], [0, 1]]),
+    ]
+
+
+@pytest.mark.parametrize("bad", _not_in_sl2_f3(), ids=["index-2", "index24", "over-Z5", "det2"])
+def test_non_elements_are_rejected(sl2_f3, ring_f3, bad):
+    # negative and past-the-end indices, a matrix over another ring with
+    # entries that are keys of the table, and a matrix outside SL_2
+    gens = [sl2_f3.idx(elementary(ring_f3, 2, i, j, 1)) for i, j in ((1, 2), (2, 1))]
+    with pytest.raises(NotInGroup):
+        sl2_f3.idx(bad)
+    with pytest.raises(NotInGroup):
+        width_bfs(sl2_f3, bad, Ideal.of(ring_f3, 1))
+    with pytest.raises(NotInGroup):
+        word_norm(sl2_f3, gens, bad)
+
+
+def test_idx_accepts_elements_and_indices(sl2_f3):
+    for k, g in enumerate(sl2_f3.elements):
+        assert sl2_f3.idx(g) == sl2_f3.idx(k) == sl2_f3.idx(np.int32(k)) == k
+        assert type(sl2_f3.idx(np.int32(k))) is int
+
+
+@pytest.mark.parametrize("n, m, q", [(2, 4, 2), (3, 2, 1), (2, 8, 2)])
+def test_conjugation_table_matches_matrix_products(n, m, q):
+    ring = RingSpec.integers_mod(m)
+    table = enumerate_sl(n, ring)
+    cong = table.congruence(Ideal.of(ring, q))
+    assert cong.conj.dtype == np.int32 and cong.conj.shape == (len(cong.esub), len(table))
+    for e, s in enumerate(cong.esub):
+        gs, gs_inv = table.elements[s], mat_inv(table.elements[s])
+        assert cong.conj[e].tolist() == [table.idx(gs * g * gs_inv) for g in table.elements]
+
+
+def test_congruence_context_is_keyed_by_the_ideal():
+    ring = RingSpec.integers_mod(8)
+    table = dataclasses.replace(enumerate_sl(2, ring), _congruence={})
+    ideals = [Ideal.of(ring, 2), Ideal.of(ring, 4)]
+    targets = [(1, 2), (2, 1)]
+    for k in range(len(table)):
+        if k in table.center:
+            continue
+        for ideal in ideals:
+            got = width_bfs(table, k, ideal)
+            assert {t: (r.min_ops, r.min_word) for t, r in got.items()} == (
+                _reference_width_bfs(table, k, ideal, targets)
+            ), (k, ideal)
+    assert table.congruence(Ideal.of(ring, 2)) is table.congruence(Ideal.of(ring, 6))
+    assert len(table._congruence) == 2
+    k = next(k for k in range(len(table)) if k not in table.center)
+    for other in (RingSpec.integers_mod(4), RingSpec.integers_mod(16)):
+        with pytest.raises(MismatchedRings):
+            width_bfs(table, k, Ideal.of(other, 2))
+
+
+def test_census_builds_each_congruence_context_once(monkeypatch):
+    # one census over SL_2(Z/8) with q = (2) builds each target set once and
+    # runs one E(q) closure; per sigma only the operation and word searches
+    ring = RingSpec.integers_mod(8)
+    table = dataclasses.replace(enumerate_sl(2, ring), _congruence={})
+    calls = {"targets": 0, "closure": 0}
+    target_elementaries = census.FiniteGroupTable.target_elementaries
+    closure = census.closure_bfs
+
+    def counted_targets(*args):
+        calls["targets"] += 1
+        return target_elementaries(*args)
+
+    def counted_closure(*args, **kwargs):
+        calls["closure"] += 1
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(census.FiniteGroupTable, "target_elementaries", counted_targets)
+    monkeypatch.setattr(census, "closure_bfs", counted_closure)
+    width_census_csv(table, Ideal.of(ring, 2))
+    noncentral = len(table) - len(table.center)
+    assert calls["targets"] <= 2
+    assert calls["closure"] == 1 + 2 * noncentral
+
+
+def test_table_cache_evicts_the_least_recently_used():
+    size = census._enumerate_sl.cache_parameters()["maxsize"]
+    groups = [(2, m) for m in range(2, 2 + size)] + [(3, 2)]
+
+    def table(n, m):
+        return enumerate_sl(n, RingSpec.integers_mod(m))
+
+    tables = [table(*g) for g in groups[:size]]
+    assert table(*groups[0]) is tables[0]  # now the most recently used
+    table(*groups[size])  # evicts groups[1], the least recently used
+    assert all(table(*groups[i]) is tables[i] for i in [0, *range(2, size)])
+    old, again = tables[1], table(*groups[1])
+    assert again is not old
+    assert again.elements == old.elements and again.index == old.index
+    assert again.center == old.center
+    assert np.array_equal(again.inv, old.inv) and np.array_equal(again.mul, old.mul)
