@@ -1,42 +1,39 @@
 """Brute-force oracle over finite matrix groups.
 
-Enumerates SL_n over a finite ring by closure under elementary generators
-(cross-checked against the closed-form order where known), runs exhaustive
-BFS for conjugacy-width minima, studies sum sets of subgroup elements modulo
-m, and checks the explicit five-term sum decomposition.
+Enumerates SL_n(Z/m) by closure under elementary generators (cross-checked
+against the closed-form order), runs exhaustive BFS for conjugacy-width
+minima, studies sum sets of subgroup elements modulo m, and checks the
+explicit five-term sum decomposition.
 
-Group elements are addressed by their enumeration index.  Products come
-from one int32 table, built with numpy on first use, and every search over
-the group is a closure_bfs whose step maps a frontier of indices to its
-neighbours.  Each table also keeps, once per ideal q, the targets E_ij(q),
-the elementary subgroup E(q) and a table of conjugation by E(q), so a width
-census does no per-sigma set-up.
+Finite groups have one integer form: a matrix over Z/m is an int64 array of
+residues, coded by its entries read as base-m digits.  A group table holds
+its elements' matrices and a code -> index array, and multiplies broadcast
+index arrays through them; every search over a group is a closure_bfs whose
+step maps a frontier of indices (or, for sum sets, codes) to its neighbours.
+Each table also keeps, once per ideal q, the targets E_ij(q), the elementary
+subgroup E(q) and a table of conjugation by E(q), so a width census does no
+per-sigma set-up.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .errors import BadIndices, BudgetExceeded, CentralInput, NotInGroup, UnsupportedRing
-from .matrices import (
-    SqMatrix,
-    determinant,
-    elementary,
-    identity,
-    is_central,
-    mat_inv,
-)
+from .errors import BadIndices, BudgetExceeded, CentralInput, DimensionMismatch, NotInGroup, UnsupportedRing
+from .matrices import SqMatrix, determinant, elementary
 from .rings import Ideal, RingSpec
 
 # A product table past this many int32 entries (256 MB) is refused.
 _TABLE_ENTRY_CAP = 1 << 26
-# Frontier nodes times group order handed to one closure_bfs step.
+# Frontier nodes times group order handed to one closure_bfs step, and
+# products per enumeration step.
 _BFS_SLICE = 1 << 16
+# Products per numpy call in FiniteGroupTable.product (temporaries of n^2 * 32 KB).
+_PRODUCT_SLICE = 1 << 12
 
 
 def sl_order(n: int, ring: RingSpec) -> int:
@@ -94,27 +91,16 @@ def closure_bfs(step, starts, size: int, budget: int | None = None) -> np.ndarra
     return dist
 
 
-def _product_table(elements: list[SqMatrix], m: int) -> np.ndarray:
-    """mul[a, b] = index of elements[a] * elements[b], over Z/m.
+def _encode(mats: np.ndarray, m: int) -> np.ndarray:
+    """Base-m codes of a (..., n, n) array of residues mod m."""
+    n = mats.shape[-1]
+    return mats.reshape(*mats.shape[:-2], n * n) @ m ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
 
-    Each element is encoded by its entries read as base-m digits, and a
-    row of products is mapped back to indices through a code -> index
-    array.  That array has m^(n^2) entries, at most a few times m * |G|.
-    """
-    size = len(elements)
-    if size * size > _TABLE_ENTRY_CAP:
-        raise BudgetExceeded(
-            f"product table of {size}^2 entries over the cap of {_TABLE_ENTRY_CAP}"
-        )
-    mats = np.array([g.key() for g in elements], dtype=np.int64)
-    n = mats.shape[1]
-    weights = m ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    index_of = np.empty(m ** (n * n), dtype=np.int32)
-    index_of[mats.reshape(size, n * n) @ weights] = np.arange(size)
-    mul = np.empty((size, size), dtype=np.int32)
-    for a in range(size):
-        mul[a] = index_of[(mats[a] @ mats % m).reshape(size, n * n) @ weights]
-    return mul
+
+def _decode(codes: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The (..., n, n) residue matrices of an array of base-m codes."""
+    digits = codes[..., None] // m ** np.arange(n * n - 1, -1, -1, dtype=np.int64) % m
+    return digits.reshape(*codes.shape, n, n)
 
 
 @dataclass(frozen=True)
@@ -128,11 +114,14 @@ class CongruenceContext:
 
 @dataclass
 class FiniteGroupTable:
-    """All of SL_n over a finite ring, with index-based multiplication.
+    """All of SL_n(Z/m), addressed by enumeration index; index 0 is the identity.
 
-    mul[a, b] is the index of elements[a] * elements[b], an int32 array of
-    |G|^2 entries built on first access; a group too large for it raises
-    BudgetExceeded there, while its elements, inverses and center stay usable.
+    mats[k] is element k as an int64 (n, n) array of residues, and
+    code_index maps the base-m code of any n x n matrix to its int32 index
+    (-1 off the group).  product(a, b) multiplies broadcast index arrays
+    through them; mul is its full |G|^2 table, built on first access and
+    refused with BudgetExceeded past the cap, where product still works.
+    elements and index are the same group as SqMatrix objects and keys.
     """
 
     ring: RingSpec
@@ -141,16 +130,34 @@ class FiniteGroupTable:
     index: dict = field(repr=False)
     inv: np.ndarray = field(repr=False)  # int32 index of each inverse
     center: list[int] = field(repr=False)
+    mats: np.ndarray = field(repr=False)
+    code_index: np.ndarray = field(repr=False)
     _mul: np.ndarray | None = field(default=None, repr=False)
     _congruence: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def product(self, a, b) -> np.ndarray:
+        """Indices of elements[a] * elements[b], for broadcast index arrays a, b."""
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        out = np.empty(shape or (1,), dtype=np.int32)
+        a, b = (self.mats[np.reshape(x, (1,) * (out.ndim - np.ndim(x)) + np.shape(x))] for x in (a, b))
+        # slices of the leading axis; an operand broadcast along it is not sliced
+        step = max(1, _PRODUCT_SLICE * len(out) // max(1, out.size))
+        m = self.ring.modulus
+        for lo in range(0, len(out), step):
+            x, y = (z[lo:lo + step] if len(z) > 1 else z for z in (a, b))
+            out[lo:lo + step] = self.code_index[_encode(x @ y % m, m)]
+        return out.reshape(shape)
+
     @property
     def mul(self) -> np.ndarray:
         if self._mul is None:
-            self._mul = _product_table(self.elements, self.ring.modulus)
+            size = len(self)
+            if size * size > _TABLE_ENTRY_CAP:
+                raise BudgetExceeded(f"product table of {size}^2 entries over the cap of {_TABLE_ENTRY_CAP}")
+            self._mul = self.product(np.arange(size)[:, None], np.arange(size))
         return self._mul
 
     def idx(self, g: SqMatrix | int) -> int:
@@ -163,12 +170,17 @@ class FiniteGroupTable:
                 return k
         raise NotInGroup(f"{g!r} is not an element of SL_{self.n}({self.ring.descriptor()})")
 
+    def congruent(self, ideal: Ideal) -> np.ndarray:
+        """Indices, in order, of the elements congruent to I modulo the ideal."""
+        in_ideal = np.array([ideal.contains(a) for a in self.ring.residues()])
+        diff = (self.mats - np.eye(self.n, dtype=np.int64)) % self.ring.modulus
+        return np.flatnonzero(in_ideal[diff].all(axis=(1, 2)))
+
     def word_distances(self, letters, budget: int | None = None) -> np.ndarray:
         """Word length of every element over the letters (-1: not generated)."""
         mul = self.mul
         letters = np.asarray(letters, dtype=np.int32)
-        one = self.idx(identity(self.ring, self.n))
-        return closure_bfs(lambda f: mul[f[:, None], letters], [one], len(self), budget)
+        return closure_bfs(lambda f: mul[f[:, None], letters], [0], len(self), budget)
 
     def target_elementaries(self, i: int, j: int, ideal: Ideal) -> list[int]:
         """Indices of nontrivial I + a*e_ij with a in the ideal."""
@@ -209,32 +221,50 @@ def enumerate_sl(n: int, ring: RingSpec, budget: int = 10**6) -> FiniteGroupTabl
 
 @lru_cache(maxsize=8)
 def _enumerate_sl(n: int, ring: RingSpec, expected: int) -> FiniteGroupTable:
-    gens = [
-        elementary(ring, n, i, j, a)
-        for i, j in permutations(range(1, n + 1), 2)
-        for a in ring.residues() if not a.is_zero
-    ]
+    """First-in first-out closure of I under right multiplication by the
+    generators I + a e_ij in (i, j, a) order, on codes: a new element takes
+    the next index at its first product g s in (parent, generator) order.
+    Parents go in slices of already indexed elements, and the inverse of
+    g s is carried along as s^-1 g^-1."""
+    if n < 2:
+        raise DimensionMismatch("dimension must be >= 2")
+    m = ring.modulus
+    eye = np.eye(n, dtype=np.int64)
+    units = np.eye(n * n, dtype=np.int64).reshape(n, n, n, n)  # units[i, j] = e_ij
+    gens = np.array([eye + a * units[i, j] for i, j in permutations(range(n), 2) for a in range(1, m)])
+    gens_inv = (2 * eye - gens) % m  # (I + a e_ij)^-1 = I - a e_ij
 
-    one = identity(ring, n)
-    elements = [one]
-    index = {one.key(): 0}
-    frontier = deque([one])
-    while frontier:
-        g = frontier.popleft()
-        for s in gens:
-            h = g * s
-            key = h.key()
-            if key not in index:
-                index[key] = len(elements)
-                elements.append(h)
-                frontier.append(h)
+    mats = np.empty((expected, n, n), dtype=np.int64)
+    invs = np.empty_like(mats)
+    code_index = np.full(m ** (n * n), -1, dtype=np.int32)
+    mats[0] = invs[0] = eye
+    code_index[_encode(eye, m)] = 0
+    size, lo = 1, 0
+    width = max(1, _BFS_SLICE // len(gens))
+    while lo < size:
+        hi = min(size, lo + width)
+        prods = (mats[lo:hi, None] @ gens % m).reshape(-1, n, n)
+        codes = _encode(prods, m)
+        new = np.flatnonzero(code_index[codes] < 0)
+        new = new[np.sort(np.unique(codes[new], return_index=True)[1])]
+        assert size + new.size <= expected, f"closure passed the formula's {expected} elements"
+        parent, gen = np.divmod(new, len(gens))
+        mats[size:size + new.size] = prods[new]
+        invs[size:size + new.size] = gens_inv[gen] @ invs[lo + parent] % m
+        code_index[codes[new]] = np.arange(size, size + new.size)
+        size += new.size
+        lo = hi
 
-    assert len(elements) == expected, (
-        f"closure found {len(elements)} elements, formula gives {expected}"
-    )
-    inv = np.array([index[mat_inv(g).key()] for g in elements], dtype=np.int32)
-    center = [k for k, g in enumerate(elements) if is_central(g)]
-    return FiniteGroupTable(ring, n, elements, index, inv, center)
+    assert size == expected, f"closure found {size} elements, formula gives {expected}"
+    inv = code_index[_encode(invs, m)]
+    center = np.flatnonzero((mats == mats[:, :1, :1] * eye).all(axis=(1, 2))).tolist()
+    # each possible row is built once, and shared by the keys and the elements
+    entries = ring.residues()
+    rows = {r: (r, tuple(entries[x] for x in r)) for r in np.ndindex(*(m,) * n)}
+    keys = [tuple(rows[r][0] for r in map(tuple, g)) for g in mats.tolist()]
+    elements = [SqMatrix(ring, n, tuple(rows[r][1] for r in key)) for key in keys]
+    index = dict(zip(keys, range(size)))
+    return FiniteGroupTable(ring, n, elements, index, inv, center, mats, code_index)
 
 
 @dataclass(frozen=True)
@@ -377,78 +407,41 @@ def sum_set_census(
     ring = RingSpec.integers_mod(m)
     if m**4 > budget:
         raise BudgetExceeded(f"universe size {m**4} over budget {budget}")
-    one = identity(ring, 2)
     for g in gens:
-        if g.ring != ring or determinant(g) != ring.one:
+        if g.n != 2 or g.ring != ring or determinant(g) != ring.one:
             raise ValueError("generators must be SL_2 matrices over Z/m")
-
-    # subgroup closure
-    group = {one.key(): one}
-    frontier = deque([one])
-    gen_list = gens + [mat_inv(g) for g in gens]
-    while frontier:
-        g = frontier.popleft()
-        for s in gen_list:
-            h = g * s
-            if h.key() not in group:
-                group[h.key()] = h
-                frontier.append(h)
-
-    def pack(mat: SqMatrix) -> int:
-        (a, b), (c, d) = mat.key()
-        return ((a * m + b) * m + c) * m + d
-
-    gamma = np.array(sorted(pack(g) for g in group.values()), dtype=np.int64)
-
-    def unpack_array(arr: np.ndarray) -> np.ndarray:
-        out = np.empty((arr.size, 4), dtype=np.int64)
-        rest = arr.copy()
-        for pos in range(3, -1, -1):
-            out[:, pos] = rest % m
-            rest //= m
-        return out
-
-    gamma_digits = unpack_array(gamma)
-
-    # target congruence subgroup: SL_2 matrices = I mod target_level, packed
     if m % target_level != 0:
         raise ValueError("target_level must divide the modulus")
-    targets = set()
-    lv = target_level % m
-    reach = range(0, m, lv) if lv else [0]
-    for da in reach:
-        for db in reach:
-            for dc in reach:
-                for dd in reach:
-                    mat = SqMatrix.from_raw(ring, [[1 + da, db], [dc, 1 + dd]])
-                    if determinant(mat) == ring.one:
-                        targets.add(pack(mat))
-    target_arr = np.array(sorted(targets), dtype=np.int64)
 
-    powers = np.array([m**3, m**2, m, 1], dtype=np.int64)
+    # the subgroup, as base-m codes, closed from I (code m^3 + 1): in a finite
+    # group the products of the generators already include their inverses
+    gen_mats = np.array([g.key() for g in gens], dtype=np.int64).reshape(-1, 2, 2)
+    dist = closure_bfs(lambda f: _encode(_decode(f, m, 2)[:, None] @ gen_mats % m, m), [m**3 + 1], m**4)
+    gamma = np.flatnonzero(dist >= 0)
+    gamma_mats = _decode(gamma, m, 2)
+
+    # target congruence subgroup: SL_2 matrices = I mod target_level, as codes
+    lv = target_level % m
+    reach = np.arange(0, m, lv) if lv else np.zeros(1, dtype=np.int64)
+    a, b, c, d = ((1 + reach) % m)[:, None, None, None], reach[:, None, None], reach[:, None], (1 + reach) % m
+    target_arr = (((a * m + b) * m + c) * m + d)[(a * d - b * c) % m == 1]
+
     covered = np.zeros(m**4, dtype=bool)
     covered[gamma] = True
-    frontier_idx = gamma.copy()
+    frontier = gamma
     sizes = [int(covered.sum())]
     covered_at = 1 if covered[target_arr].all() else None
     for l in range(2, max_terms + 1):
         if covered_at is not None:
             break
-        fd = unpack_array(frontier_idx)
-        new_chunks = []
-        for gd in gamma_digits:
-            summed = (fd + gd) % m
-            new_chunks.append(summed @ powers)
-        cand = np.unique(np.concatenate(new_chunks))
-        fresh = cand[~covered[cand]]
-        covered[fresh] = True
-        frontier_idx = fresh
+        fd = _decode(frontier, m, 2)
+        cand = np.unique(np.concatenate([_encode((fd + gd) % m, m) for gd in gamma_mats]))
+        frontier = cand[~covered[cand]]
+        covered[frontier] = True
         sizes.append(int(covered.sum()))
         if covered[target_arr].all():
             covered_at = l
-    return SumSetReport(
-        m, len(group), tuple(sizes), covered_at, target_level, len(targets)
-    )
+    return SumSetReport(m, gamma.size, tuple(sizes), covered_at, target_level, target_arr.size)
 
 
 # -- the explicit five-term identity ------------------------------------------

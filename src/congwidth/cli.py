@@ -14,8 +14,8 @@ import sys
 
 from .census import enumerate_sl, sum_set_census, verify_sum_identity, width_census_csv
 from .factorization import census_csv, decompose_elementary, factor_count_census
-from .errors import CongwidthError, ReplayMismatch
-from .matrices import SqMatrix, elementary, identity, parse_matrix
+from .errors import CongwidthError
+from .matrices import SqMatrix, elementary, parse_matrix
 from .norms import (
     FiltrationChain,
     MatrixGroupDomain,
@@ -236,13 +236,12 @@ def _cmd_norm(args) -> int:
 
 def _cmd_census(args) -> int:
     n, ring = args.group
-    table = enumerate_sl(n, ring, budget=args.budget)
     if args.factors:
         hist, mx, order = factor_count_census(n, ring, budget=args.budget)
         text = census_csv(hist, mx, order)
     else:
-        ideal = _parse_ideal(ring, args.ideal)
-        text = width_census_csv(table, ideal)
+        table = enumerate_sl(n, ring, budget=args.budget)
+        text = width_census_csv(table, _parse_ideal(ring, args.ideal))
     header = f"# congwidth census group=SL{n},{ring.descriptor()} seed={args.seed}\n"
     _emit(header + text, args.out)
     return 0
@@ -299,13 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
-    except ReplayMismatch as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except CongwidthError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CongwidthError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotSL, UnsupportedRing
+from .errors import NotSL, UnsupportedRing
 from .matrices import SqMatrix, _add_row, _box, _check_position, _unbox, determinant
 from .rings import RingElement, RingSpec, unit_check
 
@@ -151,8 +151,6 @@ def factor_count_census(n: int, ring: RingSpec, budget: int = 10**6):
     from .census import enumerate_sl  # noqa: PLC0415
 
     table = enumerate_sl(n, ring, budget=budget)
-    if len(table.elements) > budget:
-        raise BudgetExceeded(f"group order {len(table.elements)} over budget {budget}")
     hist: dict[int, int] = {}
     for g in table.elements:
         c = decompose_elementary(g).count

@@ -783,32 +783,57 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
     three-letter products starting with sigma itself (up to a final
     conjugation into E12), and phase C upgrades a two-letter upper-triangular
     product by one further commutator (four letters).
+
+    Elements are indices into the SL_2 table, multiplied by its product
+    primitive (not its full product table, which large groups cannot have).
+    Each phase scans its products in row-major order and takes the first
+    hit; every product scanned costs one unit of budget.
     """
     sigma = b.sigma
     ring = sigma.ring
     if not ring.is_finite:
         return False
+    # imported here: loading numpy before the rest of the package raised the
+    # peak RSS of `import congwidth` by ~1.3 MB
+    import numpy as np  # noqa: PLC0415
+
     from .census import enumerate_sl  # noqa: PLC0415
 
     table = enumerate_sl(2, ring, budget=budget)
-    conjugators = [s for s in table.elements if in_congruence_subgroup(s, q)]
+    prod, inv, mats, els = table.product, table.inv, table.mats, table.elements
+    conjugators = table.congruent(q)
+    sig = table.idx(sigma)
 
-    def class_of(base: SqMatrix) -> list[tuple[SqMatrix, SqMatrix]]:
-        # (conjugate value, witness s) over congruence-subgroup conjugators
-        seen = {}
-        for s in conjugators:
-            v = s * base * mat_inv(s)
-            if v.key() not in seen:
-                seen[v.key()] = (v, s)
-        return list(seen.values())
+    def class_of(base) -> tuple[np.ndarray, np.ndarray]:
+        # each conjugate s base s^-1 once, with its first witness s, in order
+        vals = prod(prod(conjugators, base), inv[conjugators])
+        first = np.sort(np.unique(vals, return_index=True)[1])
+        return vals[first], conjugators[first]
 
-    sig_inv = b.sigma_inv
-    cls_pos = class_of(sigma)
-    cls_neg = class_of(sig_inv)
+    cls_pos = class_of(sig)
+    cls_neg = class_of(inv[sig])
+    checked = 0
 
-    def emit_two(gx: SqMatrix, ex: int, gy: SqMatrix, ey: int):
+    def scan(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The products left[r] * right[c] in row-major order, as far as the budget reaches."""
+        rows = -(-(budget - checked) // len(right))
+        return prod(left[:rows, None], right).ravel()[:budget - checked]
+
+    def first_hit(left: np.ndarray, right: np.ndarray, hit: np.ndarray):
+        """(r, c) of the first scanned product that hit marks; None if no
+        product is a hit, False if the budget runs out first."""
+        nonlocal checked
+        found = np.flatnonzero(hit[scan(left, right)])
+        if found.size:
+            return divmod(int(found[0]), len(right))
+        if len(left) * len(right) > budget - checked:
+            return False
+        checked += len(left) * len(right)
+        return None
+
+    def emit_two(gx: int, ex: int, gy: int, ey: int):
         """Ops realizing (gx sigma^ex gx^-1)(gy sigma^ey gy^-1)."""
-        eta = mat_inv(gx) * gy
+        eta = els[prod(inv[gx], gy)]
         if ex == 1:
             if ey == -1:
                 b.apply(COMM_RIGHT, eta, "sl2.pair")
@@ -817,84 +842,68 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
         else:
             assert ey == 1, "(-1, -1) pairs are found through their inverses"
             b.apply(COMM_LEFT, eta, "sl2.pair")
-            b.apply(CONJUGATE, gx * sig_inv, "sl2.pair.conj")
+            b.apply(CONJUGATE, els[prod(gx, inv[sig])], "sl2.pair.conj")
             return
-        if not gx.is_identity:
-            b.apply(CONJUGATE, gx, "sl2.pair.conj")
+        if gx != 0:
+            b.apply(CONJUGATE, els[gx], "sl2.pair.conj")
 
     # Phase A: two letters.  (-1,-1) products are inverses of (+1,+1) ones
     # and E12 is inversion-closed, so three sign patterns suffice.
-    checked = 0
-    for (xs, ex), (ys, ey) in (
+    e12 = (mats[:, 1, 0] == 0) & (mats[:, 0, 0] == 1) & (mats[:, 1, 1] == 1) & (mats[:, 0, 1] != 0)
+    for ((xv, xg), ex), ((yv, yg), ey) in (
         ((cls_pos, 1), (cls_neg, -1)),
         ((cls_pos, 1), (cls_pos, 1)),
         ((cls_neg, -1), (cls_pos, 1)),
     ):
-        for xv, gx in xs:
-            for yv, gy in ys:
-                checked += 1
-                if checked > budget:
-                    return False
-                if _is_e12_nontrivial(xv * yv):
-                    emit_two(gx, ex, gy, ey)
-                    assert _is_e12_nontrivial(b.g)
-                    return True
-
-    # Map: which elements can be conjugated into E12 \ {1}, with a witness.
-    into_e12: dict = {}
-    for a in ring.residues():
-        if a.is_zero or not q.contains(a):
-            continue
-        t = elementary(ring, 2, 1, 2, a)
-        for s in conjugators:
-            z = mat_inv(s) * t * s
-            into_e12.setdefault(z.key(), s)
-
-    # Phase B: three letters sigma * Y2 * Y3, then conjugate into place.
-    labeled = [(v, g, 1) for v, g in cls_pos] + [(v, g, -1) for v, g in cls_neg]
-    for y2, g2, e2 in labeled:
-        base = sigma * y2
-        for y3, g3, e3 in labeled:
-            checked += 1
-            if checked > budget:
-                return False
-            w = base * y3
-            s = into_e12.get(w.key())
-            if s is None:
-                continue
-            b.apply(APPEND, g2, "sl2.pair.append", exp=e2)
-            b.apply(APPEND, g3, "sl2.pair.append", exp=e3)
-            if not s.is_identity:
-                b.apply(CONJUGATE, s, "sl2.pair.conj")
+        hit = first_hit(xv, yv, e12)
+        if hit is False:
+            return False
+        if hit is not None:
+            emit_two(xg[hit[0]], ex, yg[hit[1]], ey)
             assert _is_e12_nontrivial(b.g)
             return True
 
+    # Which elements can be conjugated into E12 \ {1}, with a witness: the
+    # first s^-1 t s, over t = E12(a) by a and then s by index.
+    t = [table.idx(elementary(ring, 2, 1, 2, a)) for a in ring.residues() if not a.is_zero and q.contains(a)]
+    reached = prod(prod(inv[conjugators], np.array(t, dtype=np.int64)[:, None]), conjugators).ravel()
+    vals, first = np.unique(reached, return_index=True)
+    into_e12 = np.full(len(table), -1, dtype=np.int64)
+    into_e12[vals] = conjugators[first % len(conjugators)]
+
+    # Phase B: three letters sigma * Y2 * Y3, then conjugate into place.
+    lv, lg = (np.concatenate(pair) for pair in zip(cls_pos, cls_neg))
+    hit = first_hit(prod(sig, lv), lv, into_e12 >= 0)
+    if hit is False:
+        return False
+    if hit is not None:
+        y2, y3 = hit
+        for y in hit:
+            b.apply(APPEND, els[lg[y]], "sl2.pair.append", exp=1 if y < len(cls_pos[0]) else -1)
+        if (s := into_e12[prod(prod(sig, lv[y2]), lv[y3])]) != 0:
+            b.apply(CONJUGATE, els[s], "sl2.pair.conj")
+        assert _is_e12_nontrivial(b.g)
+        return True
+
     # Phase C: a two-letter upper-triangular product upgraded by one commutator.
-    one = ring.one
-    for xv, gx in cls_pos:
-        for yv, gy in cls_neg:
-            checked += 1
-            if checked > budget:
-                return False
-            w = xv * yv
-            if not w.rows[1][0].is_zero or w.is_identity:
+    (xv, xg), (yv, yg) = cls_pos, cls_neg
+    w = scan(xv, yv)
+    for k in np.flatnonzero((mats[w, 1, 0] == 0) & (w != 0)):
+        v, qprime = els[w[k]].rows[0]
+        vinv = unit_check(v)
+        if vinv is None or v * v == ring.one:
+            continue
+        for z in _z_candidates(q, tries):
+            w_out = (z + qprime) * (v - vinv)
+            if w_out.is_zero:
                 continue
-            v = w.e(1, 1)
-            vinv = unit_check(v)
-            if vinv is None or v * v == one:
+            zmat = SqMatrix(ring, 2, ((vinv, z), (ring.zero, v)))
+            if not in_congruence_subgroup(zmat, q):
                 continue
-            qprime = w.e(1, 2)
-            for z in _z_candidates(q, tries):
-                w_out = (z + qprime) * (v - vinv)
-                if w_out.is_zero:
-                    continue
-                zmat = SqMatrix(ring, 2, ((vinv, z), (ring.zero, v)))
-                if not in_congruence_subgroup(zmat, q):
-                    continue
-                emit_two(gx, 1, gy, -1)
-                b.apply(COMM_RIGHT, zmat, "sl2.pair.comm")
-                assert _is_e12_nontrivial(b.g)
-                return True
+            emit_two(xg[k // len(yv)], 1, yg[k % len(yv)], -1)
+            b.apply(COMM_RIGHT, zmat, "sl2.pair.comm")
+            assert _is_e12_nontrivial(b.g)
+            return True
     return False
 
 
