@@ -12,7 +12,7 @@ index arrays through them; every search over a group is a closure_bfs whose
 step maps a frontier of indices (or, for sum sets, codes) to its neighbours.
 Each table also keeps, once per ideal q, the targets E_ij(q), the elementary
 subgroup E(q) and a table of conjugation by E(q), so a width census does no
-per-sigma set-up.
+per-sigma set-up.  A SqMatrix enters a table through idx and leaves through element.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import BadIndices, BudgetExceeded, CentralInput, DimensionMismatch, NotInGroup, UnsupportedRing
-from .matrices import SqMatrix, determinant, elementary
+from .errors import (BadIndices, BudgetExceeded, CentralInput, DimensionMismatch, NotInGroup, UnsupportedRing,
+                     ZeroIdeal)
+from .matrices import SqMatrix, _check_position, determinant
 from .rings import Ideal, RingSpec
 
 # A product table past this many int32 entries (256 MB) is refused.
@@ -121,25 +122,24 @@ class FiniteGroupTable:
     (-1 off the group).  product(a, b) multiplies broadcast index arrays
     through them; mul is its full |G|^2 table, built on first access and
     refused with BudgetExceeded past the cap, where product still works.
-    elements and index are the same group as SqMatrix objects and keys.
+    element(k) boxes one element; elements, all of them, is boxed on first use.
     """
 
     ring: RingSpec
     n: int
-    elements: list[SqMatrix]
-    index: dict = field(repr=False)
     inv: np.ndarray = field(repr=False)  # int32 index of each inverse
     center: list[int] = field(repr=False)
     mats: np.ndarray = field(repr=False)
     code_index: np.ndarray = field(repr=False)
     _mul: np.ndarray | None = field(default=None, repr=False)
+    _elements: list[SqMatrix] | None = field(default=None, repr=False)
     _congruence: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.mats)
 
     def product(self, a, b) -> np.ndarray:
-        """Indices of elements[a] * elements[b], for broadcast index arrays a, b."""
+        """Indices of element(a) * element(b), for broadcast index arrays a, b."""
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         out = np.empty(shape or (1,), dtype=np.int32)
         a, b = (self.mats[np.reshape(x, (1,) * (out.ndim - np.ndim(x)) + np.shape(x))] for x in (a, b))
@@ -160,13 +160,24 @@ class FiniteGroupTable:
             self._mul = self.product(np.arange(size)[:, None], np.arange(size))
         return self._mul
 
+    def element(self, k: int) -> SqMatrix:
+        """Element k as a SqMatrix."""
+        return SqMatrix.from_raw(self.ring, self.mats[k].tolist())
+
+    @property
+    def elements(self) -> list[SqMatrix]:
+        """Every element as a SqMatrix, in index order, boxed on first access."""
+        if self._elements is None:
+            self._elements = [self.element(k) for k in range(len(self))]
+        return self._elements
+
     def idx(self, g: SqMatrix | int) -> int:
         """Index of g, an element of the table or already an index into it."""
         if isinstance(g, (int, np.integer)):
             if 0 <= g < len(self):
                 return int(g)
         elif isinstance(g, SqMatrix) and g.n == self.n and (g.ring is self.ring or g.ring == self.ring):
-            if (k := self.index.get(g.key())) is not None:
+            if (k := int(self.code_index[_encode(np.array(g.key()), self.ring.modulus)])) >= 0:
                 return k
         raise NotInGroup(f"{g!r} is not an element of SL_{self.n}({self.ring.descriptor()})")
 
@@ -183,18 +194,20 @@ class FiniteGroupTable:
         return closure_bfs(lambda f: mul[f[:, None], letters], [0], len(self), budget)
 
     def target_elementaries(self, i: int, j: int, ideal: Ideal) -> list[int]:
-        """Indices of nontrivial I + a*e_ij with a in the ideal."""
-        out = []
-        for a in self.ring.residues():
-            if a.is_zero or not ideal.contains(a):
-                continue
-            out.append(self.idx(elementary(self.ring, self.n, i, j, a)))
-        return out
+        """Indices of nontrivial I + a*e_ij with a in the ideal, by a."""
+        n, m = self.n, self.ring.modulus
+        _check_position(n, i, j)
+        residues = [a.payload for a in self.ring.residues() if not a.is_zero and ideal.contains(a)]
+        eye = _encode(np.eye(n, dtype=np.int64), m)
+        place = m ** (n * n - 1 - (i - 1) * n - (j - 1))
+        return self.code_index[eye + place * np.array(residues, dtype=np.int64)].tolist()
 
     def congruence(self, ideal: Ideal) -> CongruenceContext:
-        """Targets, E(q) and conjugation by E(q), built once per ideal q."""
+        """Targets, E(q) and conjugation by E(q), built once per nonzero ideal q."""
         ctx = self._congruence.get(ideal.canonical)
         if ctx is None:
+            if ideal.is_zero:
+                raise ZeroIdeal("width census needs a nonzero ideal")
             targets = {p: np.array(self.target_elementaries(*p, ideal), dtype=np.int64)
                        for p in permutations(range(1, self.n + 1), 2)}
             # E(q): the closure of every nontrivial elementary matrix in q
@@ -258,13 +271,7 @@ def _enumerate_sl(n: int, ring: RingSpec, expected: int) -> FiniteGroupTable:
     assert size == expected, f"closure found {size} elements, formula gives {expected}"
     inv = code_index[_encode(invs, m)]
     center = np.flatnonzero((mats == mats[:, :1, :1] * eye).all(axis=(1, 2))).tolist()
-    # each possible row is built once, and shared by the keys and the elements
-    entries = ring.residues()
-    rows = {r: (r, tuple(entries[x] for x in r)) for r in np.ndindex(*(m,) * n)}
-    keys = [tuple(rows[r][0] for r in map(tuple, g)) for g in mats.tolist()]
-    elements = [SqMatrix(ring, n, tuple(rows[r][1] for r in key)) for key in keys]
-    index = dict(zip(keys, range(size)))
-    return FiniteGroupTable(ring, n, elements, index, inv, center, mats, code_index)
+    return FiniteGroupTable(ring, n, inv, center, mats, code_index)
 
 
 @dataclass(frozen=True)
@@ -341,7 +348,7 @@ def width_census_csv(table: FiniteGroupTable, ideal: Ideal) -> str:
     all_ops = []
     all_words = []
     unreachable = 0
-    for k in range(len(table.elements)):
+    for k in range(len(table)):
         if k in table.center:
             continue
         res = width_bfs(table, k, ideal)
@@ -355,8 +362,8 @@ def width_census_csv(table: FiniteGroupTable, ideal: Ideal) -> str:
             all_ops.append(r.min_ops)
             all_words.append(r.min_word)
     lines.append("summary {")
-    lines.append(f"  group_order={len(table.elements)}")
-    lines.append(f"  noncentral={len(table.elements) - len(table.center)}")
+    lines.append(f"  group_order={len(table)}")
+    lines.append(f"  noncentral={len(table) - len(table.center)}")
     lines.append(f"  unreachable_pairs={unreachable}")
     if all_ops:
         lines.append(f"  max_ops={max(all_ops)} mean_ops={sum(all_ops) / len(all_ops):.4f}")

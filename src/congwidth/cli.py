@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from itertools import permutations
 
 from .census import enumerate_sl, sum_set_census, verify_sum_identity, width_census_csv
 from .factorization import census_csv, decompose_elementary, factor_count_census
@@ -28,14 +29,19 @@ from .norms import (
     z2_mixed_norm,
 )
 from .reduction import reduce_full, replay_trace, serialize_trace, sl2_unit_reduction
-from .rings import Ideal, RingSpec, format_element, parse_element
+from .rings import Ideal, RingSpec, format_element, is_prime, parse_element
 
 
-def _ring_type(text: str) -> RingSpec:
-    try:
-        return RingSpec.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg(parse):
+    """An argparse type that reports the ValueError of parse as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
 
 
 def _target_type(text: str) -> tuple[int, int]:
@@ -46,17 +52,20 @@ def _target_type(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"target must be 'i,j', got {text!r}")
 
 
-def _group_type(text: str) -> tuple[int, RingSpec]:
+def _parse_group(text: str) -> tuple[int, RingSpec]:
+    """'SL<n>,<ring>', where F<p> stands for Z/p and p must be prime."""
     try:
         sl, ring = text.split(",", 1)
         if not sl.startswith("SL"):
             raise ValueError
         n = int(sl[2:])
-        if ring.startswith("F") and ring[1:].isdigit():
-            ring = "Z/" + ring[1:]
-        return n, RingSpec.parse(ring)
+        is_field = ring.startswith("F") and ring[1:].isdigit()
+        spec = RingSpec.parse("Z/" + ring[1:] if is_field else ring)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"group must look like 'SL3,F2', got {text!r}")
+        raise ValueError(f"group must look like 'SL3,F2', got {text!r}") from None
+    if is_field and not is_prime(spec.modulus):
+        raise ValueError(f"{ring} is not a field: {spec.modulus} is not prime")
+    return n, spec
 
 
 def _positive_int(text: str) -> int:
@@ -77,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pr = sub.add_parser("reduce", help="reduce a congruence matrix to a target elementary position")
-    pr.add_argument("--ring", type=_ring_type, required=True)
+    pr.add_argument("--ring", type=_arg(RingSpec.parse), required=True)
     pr.add_argument("--ideal", required=True, help="comma-separated ideal generators")
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--target", type=_target_type, required=True)
@@ -99,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--out", default=None)
 
     pc = sub.add_parser("census", help="exhaustive width census over a finite group")
-    pc.add_argument("--group", type=_group_type, required=True, help="e.g. SL3,F2 or SL2,Z/4")
+    pc.add_argument("--group", type=_arg(_parse_group), required=True, help="e.g. SL3,F2 or SL2,Z/4")
     pc.add_argument("--ideal", default="1", help="comma-separated generators (in the finite ring)")
     pc.add_argument("--budget", type=_positive_int, default=10**6)
     pc.add_argument("--factors", action="store_true",
@@ -173,8 +182,13 @@ def _cmd_decompose(args) -> int:
     return 0 if ok else 1
 
 
+class _Config(dict):
+    def __missing__(self, key):
+        raise CongwidthError(f"norm config tag={self.get('tag')} needs {key}=")
+
+
 def _parse_config(path: str) -> dict:
-    cfg = {}
+    cfg = _Config()
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -185,14 +199,9 @@ def _parse_config(path: str) -> dict:
     return cfg
 
 
-def _default_matrix_domain(ring: RingSpec, n: int, radius: int) -> MatrixGroupDomain:
-    gens = [
-        elementary(ring, n, i, j, 1)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
-    return MatrixGroupDomain(ring, n, gens, radius)
+def _unit_elementaries(ring: RingSpec, n: int) -> list[SqMatrix]:
+    """The generators I + e_ij of the default domains and word norms."""
+    return [elementary(ring, n, i, j, 1) for i, j in permutations(range(1, n + 1), 2)]
 
 
 def _cmd_norm(args) -> int:
@@ -203,12 +212,12 @@ def _cmd_norm(args) -> int:
     if tag == "dirac":
         ring = RingSpec.parse(cfg.get("ring", "Z"))
         n = int(cfg.get("n", "2"))
-        norm = dirac_norm(_default_matrix_domain(ring, n, int(cfg.get("radius", "8"))))
+        norm = dirac_norm(MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), int(cfg.get("radius", "8"))))
     elif tag == "filtration":
         ring = RingSpec.parse(cfg.get("ring", "Z"))
         n = int(cfg.get("n", "3"))
         ideal = _parse_ideal(ring, cfg["ideal"])
-        dom = _default_matrix_domain(ring, n, int(cfg.get("radius", "8")))
+        dom = MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), int(cfg.get("radius", "8")))
         norm = filtration_norm(FiltrationChain(dom, ideal, int(cfg.get("cap", "64"))))
     elif tag == "z2mixed":
         norm = z2_mixed_norm(int(cfg["p"]), int(cfg.get("box", "1000")))
@@ -217,14 +226,9 @@ def _cmd_norm(args) -> int:
         ideal = _parse_ideal(ring, cfg["ideal"])
         norm = padic_sup_norm(ideal, int(cfg["p"]), int(cfg.get("box", "64")))
     elif tag == "word":
-        n, ring = _group_type(cfg["group"])
+        n, ring = _parse_group(cfg["group"])
         table = enumerate_sl(n, ring, budget=int(cfg.get("budget", "1000000")))
-        seeds = [
-            table.idx(elementary(ring, n, i, j, 1))
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        ]
+        seeds = [table.idx(g) for g in _unit_elementaries(ring, n)]
         norm = word_norm_eval(table, conjugation_closure(table, seeds))
     else:
         raise CongwidthError(f"unknown norm tag {tag!r}")

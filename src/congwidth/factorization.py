@@ -152,10 +152,10 @@ def factor_count_census(n: int, ring: RingSpec, budget: int = 10**6):
 
     table = enumerate_sl(n, ring, budget=budget)
     hist: dict[int, int] = {}
-    for g in table.elements:
-        c = decompose_elementary(g).count
+    for k in range(len(table)):
+        c = decompose_elementary(table.element(k)).count
         hist[c] = hist.get(c, 0) + 1
-    return hist, max(hist), len(table.elements)
+    return hist, max(hist), len(table)
 
 
 def census_csv(hist: dict[int, int], max_count: int, order: int) -> str:

@@ -89,13 +89,6 @@ class SqMatrix:
         )
         return SqMatrix(self.ring, self.n, rows)
 
-    def scale(self, c: RingElement) -> "SqMatrix":
-        rows = tuple(tuple(c * e for e in r) for r in self.rows)
-        return SqMatrix(self.ring, self.n, rows)
-
-    def transpose(self) -> "SqMatrix":
-        return SqMatrix(self.ring, self.n, tuple(zip(*self.rows)))
-
     def __pow__(self, k: int) -> "SqMatrix":
         if k < 0:
             return mat_inv(self) ** (-k)

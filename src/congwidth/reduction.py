@@ -800,7 +800,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
     from .census import enumerate_sl  # noqa: PLC0415
 
     table = enumerate_sl(2, ring, budget=budget)
-    prod, inv, mats, els = table.product, table.inv, table.mats, table.elements
+    prod, inv, mats, element = table.product, table.inv, table.mats, table.element
     conjugators = table.congruent(q)
     sig = table.idx(sigma)
 
@@ -833,7 +833,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
 
     def emit_two(gx: int, ex: int, gy: int, ey: int):
         """Ops realizing (gx sigma^ex gx^-1)(gy sigma^ey gy^-1)."""
-        eta = els[prod(inv[gx], gy)]
+        eta = element(prod(inv[gx], gy))
         if ex == 1:
             if ey == -1:
                 b.apply(COMM_RIGHT, eta, "sl2.pair")
@@ -842,10 +842,10 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
         else:
             assert ey == 1, "(-1, -1) pairs are found through their inverses"
             b.apply(COMM_LEFT, eta, "sl2.pair")
-            b.apply(CONJUGATE, els[prod(gx, inv[sig])], "sl2.pair.conj")
+            b.apply(CONJUGATE, element(prod(gx, inv[sig])), "sl2.pair.conj")
             return
         if gx != 0:
-            b.apply(CONJUGATE, els[gx], "sl2.pair.conj")
+            b.apply(CONJUGATE, element(gx), "sl2.pair.conj")
 
     # Phase A: two letters.  (-1,-1) products are inverses of (+1,+1) ones
     # and E12 is inversion-closed, so three sign patterns suffice.
@@ -865,8 +865,8 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
 
     # Which elements can be conjugated into E12 \ {1}, with a witness: the
     # first s^-1 t s, over t = E12(a) by a and then s by index.
-    t = [table.idx(elementary(ring, 2, 1, 2, a)) for a in ring.residues() if not a.is_zero and q.contains(a)]
-    reached = prod(prod(inv[conjugators], np.array(t, dtype=np.int64)[:, None]), conjugators).ravel()
+    t = np.array(table.target_elementaries(1, 2, q), dtype=np.int64)
+    reached = prod(prod(inv[conjugators], t[:, None]), conjugators).ravel()
     vals, first = np.unique(reached, return_index=True)
     into_e12 = np.full(len(table), -1, dtype=np.int64)
     into_e12[vals] = conjugators[first % len(conjugators)]
@@ -879,9 +879,9 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
     if hit is not None:
         y2, y3 = hit
         for y in hit:
-            b.apply(APPEND, els[lg[y]], "sl2.pair.append", exp=1 if y < len(cls_pos[0]) else -1)
+            b.apply(APPEND, element(lg[y]), "sl2.pair.append", exp=1 if y < len(cls_pos[0]) else -1)
         if (s := into_e12[prod(prod(sig, lv[y2]), lv[y3])]) != 0:
-            b.apply(CONJUGATE, els[s], "sl2.pair.conj")
+            b.apply(CONJUGATE, element(s), "sl2.pair.conj")
         assert _is_e12_nontrivial(b.g)
         return True
 
@@ -889,7 +889,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
     (xv, xg), (yv, yg) = cls_pos, cls_neg
     w = scan(xv, yv)
     for k in np.flatnonzero((mats[w, 1, 0] == 0) & (w != 0)):
-        v, qprime = els[w[k]].rows[0]
+        v, qprime = element(w[k]).rows[0]
         vinv = unit_check(v)
         if vinv is None or v * v == ring.one:
             continue

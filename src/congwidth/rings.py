@@ -511,10 +511,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return self.ring.kernel.is_zero(self.payload)
 
-    @property
-    def is_one(self) -> bool:
-        return self == self.ring.one
-
     def __repr__(self) -> str:
         return f"<{format_element(self)} in {self.ring.descriptor()}>"
 
@@ -616,10 +612,6 @@ class Ideal:
     @property
     def is_zero(self) -> bool:
         return self.canonical.is_zero
-
-    @property
-    def is_unit_ideal(self) -> bool:
-        return is_unit(self.canonical)
 
     def contains(self, e: RingElement) -> bool:
         """Ideal membership, decided via canonical-generator divisibility."""

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import deque
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from congwidth.errors import (
     MismatchedRings,
     NotInGroup,
     UnsupportedRing,
+    ZeroIdeal,
 )
 from congwidth.matrices import SqMatrix, elementary, identity, mat_inv
 from congwidth.norms import word_norm
@@ -45,9 +47,8 @@ def test_order_formula_against_enumeration():
 
 
 def test_enumeration_closure(sl2_f3):
-    idx = sl2_f3.index
     for a in range(len(sl2_f3.elements)):
-        assert sl2_f3.mul[a][sl2_f3.inv[a]] == idx[identity(sl2_f3.ring, 2).key()]
+        assert sl2_f3.mul[a][sl2_f3.inv[a]] == sl2_f3.idx(identity(sl2_f3.ring, 2))
 
 
 def test_enumeration_no_duplicates(sl2_z4):
@@ -495,6 +496,64 @@ def test_table_cache_evicts_the_least_recently_used():
     assert all(table(*groups[i]) is tables[i] for i in [0, *range(2, size)])
     old, again = tables[1], table(*groups[1])
     assert again is not old
-    assert again.elements == old.elements and again.index == old.index
+    assert again.elements == old.elements
+    assert [again.idx(g) for g in old.elements] == list(range(len(old.elements)))
     assert again.center == old.center
     assert np.array_equal(again.inv, old.inv) and np.array_equal(again.mul, old.mul)
+
+
+@pytest.mark.parametrize("n, m, q", [(2, 4, 2), (2, 8, 2), (2, 8, 4), (2, 9, 3), (3, 2, 1)])
+def test_target_elementaries_match_the_matrix_loop(n, m, q):
+    ring = RingSpec.integers_mod(m)
+    table, ideal = enumerate_sl(n, ring), Ideal.of(ring, q)
+    for i, j in permutations(range(1, n + 1), 2):
+        # the SqMatrix loop target_elementaries replaced
+        reference = [
+            table.idx(elementary(ring, n, i, j, a))
+            for a in ring.residues()
+            if not a.is_zero and ideal.contains(a)
+        ]
+        assert table.target_elementaries(i, j, ideal) == reference
+    with pytest.raises(BadIndices):
+        table.target_elementaries(1, 1, ideal)
+
+
+def test_idx_and_element_are_inverse(sl2_z4, sl3_f2):
+    for table in (sl2_z4, sl3_f2):
+        for k in range(len(table)):
+            g = table.element(k)
+            assert g.key() == tuple(map(tuple, table.mats[k].tolist()))
+            assert table.idx(g) == k
+    off = SqMatrix.from_raw(sl2_z4.ring, [[2, 0], [0, 1]])  # det 2, not in SL_2
+    with pytest.raises(NotInGroup):
+        sl2_z4.idx(off)
+    with pytest.raises(NotInGroup):
+        sl2_z4.idx(sl3_f2.element(1))
+
+
+@pytest.mark.parametrize("m, q", [(2, 0), (4, 4), (8, 0)])
+def test_width_bfs_refuses_the_zero_ideal(m, q):
+    # the zero ideal has no nontrivial targets: every row would read unreachable
+    ring = RingSpec.integers_mod(m)
+    table = enumerate_sl(2, ring)
+    with pytest.raises(ZeroIdeal):
+        width_bfs(table, 1, Ideal.of(ring, q))
+    with pytest.raises(ZeroIdeal):
+        width_census_csv(table, Ideal.of(ring, q))
+
+
+def test_enumeration_and_census_build_no_matrices(monkeypatch):
+    # a table build and a width census stay on the table's integer form
+    built = []
+    post_init = SqMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SqMatrix, "__post_init__", counted)
+    census._enumerate_sl.cache_clear()
+    assert len(enumerate_sl(2, RingSpec.integers_mod(27))) == 17496
+    ring = RingSpec.integers_mod(8)
+    width_census_csv(enumerate_sl(2, ring), Ideal.of(ring, 2))
+    assert built == []

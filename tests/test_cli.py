@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from congwidth.cli import main
@@ -200,3 +202,70 @@ def test_budget_flag_must_be_positive():
     with pytest.raises(SystemExit) as exc:
         main(["census", "--group", "SL2,F2", "--budget", "0"])
     assert exc.value.code == 2
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("config, key", [
+    ("tag=filtration\nring=Z\n", "ideal"),
+    ("tag=word\n", "group"),
+    ("tag=z2mixed\n", "p"),
+    ("tag=padic-sup\nideal=2\n", "p"),
+])
+def test_norm_config_missing_key(tmp_path, capsys, config, key):
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(config)
+    assert main(["norm", "--config", str(cfg)]) == 1
+    assert f"needs {key}=" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("group", ["SLx,F5", "GL2,F5", "SL2", "SL2,Q", "SL2,F4", "SL2,F9"])
+def test_norm_config_bad_group(tmp_path, capsys, group):
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(f"tag=word\ngroup={group}\nsamples=10\n")
+    assert main(["norm", "--config", str(cfg)]) == 1
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("group", ["SL2,F4", "SL2,F9", "SL3,F6"])
+def test_census_refuses_a_non_prime_field(capsys, group):
+    # F_4 and F_9 are fields, but not Z/4 and Z/9: refused rather than misread
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--group", group])
+    assert exc.value.code == 2
+    assert "not a field" in capsys.readouterr().err
+
+
+def test_census_accepts_a_prime_field(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["census", "--group", "SL2,F5", "--factors", "--out", str(out)]) == 0
+    assert out.read_text().startswith("# congwidth census group=SL2,Z/5 ")
+
+
+@pytest.mark.parametrize("group, ideal", [("SL2,F2", "0"), ("SL2,Z/4", "0"), ("SL3,F2", "0,0")])
+def test_census_refuses_the_zero_ideal(tmp_path, capsys, group, ideal):
+    out = tmp_path / "c.csv"
+    assert main(["census", "--group", group, "--ideal", ideal, "--out", str(out)]) == 1
+    assert "nonzero ideal" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+# sha256 of the CLI word-norm report on SL2,F5 (1000 samples), by seed; the
+# index-based finite domain must reproduce the reports of the matrix-based one
+WORD_REPORT_SHA256 = {
+    0: "b281d4874a09849443ddf7d5551a9d66b8eae784bd87e846efaaa56184087bfd",
+    1: "1cd1485ab278772aec2109cefb6df7157974673c3e49d1ec36ce354a2c422d74",
+    2: "7d69923c6aea10c621e7c42cda095cb3afc691c0f8811fece3306eae832faacc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WORD_REPORT_SHA256))
+def test_norm_word_report_bytes(tmp_path, seed):
+    cfg, out = tmp_path / "norm.cfg", tmp_path / "report.txt"
+    cfg.write_text(f"tag=word\ngroup=SL2,F5\nsamples=1000\nseed={seed}\n")
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WORD_REPORT_SHA256[seed]

@@ -70,7 +70,8 @@ def test_enumeration_matches_the_matrix_closure(n, m):
     ring = RingSpec.integers_mod(m)
     table = enumerate_sl(n, ring)
     elements, index, inv, center = _reference_enumerate_sl(n, ring)
-    assert table.elements == elements and table.index == index
+    assert table.elements == elements
+    assert [table.idx(g) for g in elements] == [index[g.key()] for g in elements] == list(range(len(elements)))
     assert table.inv.tolist() == inv and table.center == center
     assert table.elements[0].is_identity
     assert table.mats.tolist() == [list(map(list, g.key())) for g in elements]

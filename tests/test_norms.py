@@ -10,7 +10,9 @@ from congwidth.errors import (
     NoSmallVector,
     NotCentral,
 )
-from congwidth.matrices import SqMatrix, elementary, identity, in_congruence_subgroup
+import congwidth.norms as norms
+from congwidth.census import enumerate_sl
+from congwidth.matrices import SqMatrix, elementary, identity, in_congruence_subgroup, mat_inv
 from congwidth.norms import (
     FiltrationChain,
     FiniteGroupDomain,
@@ -34,7 +36,7 @@ from congwidth.norms import (
     word_norm_eval,
     z2_mixed_norm,
 )
-from congwidth.rings import Ideal
+from congwidth.rings import Ideal, RingSpec
 
 
 def sl_domain(ring, n, radius=6):
@@ -74,6 +76,53 @@ def test_planted_failure_is_reported(sl2_f3):
     assert report.violations["definiteness"] > 0
     assert "definiteness" in report.examples
     assert "axiom=definiteness" in report.render()
+
+
+def test_finite_group_domain_against_matrix_arithmetic(sl2_f3, sl2_z4):
+    for table in (sl2_f3, sl2_z4):
+        dom = FiniteGroupDomain(table)
+        els = [table.element(k) for k in range(len(table))]
+        for a, ga in enumerate(els):
+            assert table.element(dom.inv(a)) == mat_inv(ga)
+            assert dom.is_identity(a) == ga.is_identity and dom.key(a) == a
+            for b, gb in enumerate(els):
+                c = dom.mul(a, b)
+                assert type(c) is int and table.element(c) == ga * gb
+        assert table.element(dom.identity()).is_identity
+
+
+def test_finite_group_domain_samples_as_the_matrix_sampler(sl2_f5):
+    dom = FiniteGroupDomain(sl2_f5)
+    rng, old = random.Random(3), random.Random(3)
+    for _ in range(50):
+        # the SqMatrix sampler the index domain replaced
+        assert sl2_f5.element(dom.sample(rng)) == sl2_f5.elements[old.randrange(len(sl2_f5.elements))]
+
+
+def test_finite_group_domain_needs_the_product_table():
+    table = enumerate_sl(2, RingSpec.integers_mod(27))  # 17496^2 products, over the cap
+    with pytest.raises(BudgetExceeded):
+        FiniteGroupDomain(table)
+
+
+def test_word_norm_harness_does_no_matrix_arithmetic(monkeypatch, sl2_f5):
+    seeds = [sl2_f5.idx(elementary(sl2_f5.ring, 2, i, j, 1)) for i, j in ((1, 2), (2, 1))]
+    norm = word_norm_eval(sl2_f5, conjugation_closure(sl2_f5, seeds))
+    calls = []
+    mul = SqMatrix.__mul__
+
+    def counted_mul(a, b):
+        calls.append("mul")
+        return mul(a, b)
+
+    def counted_inv(a):
+        calls.append("inv")
+        return mat_inv(a)
+
+    monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(norms, "mat_inv", counted_inv)
+    assert axiom_harness(norm, 200, seed=4).passed
+    assert calls == []
 
 
 # -- filtration ------------------------------------------------------------------
@@ -286,7 +335,7 @@ def test_average_norm_trivial_transversal(ring_z):
 def test_average_norm_invariant_input_unchanged(sl2_f3):
     dom = FiniteGroupDomain(sl2_f3)
     base = dirac_norm(dom)
-    reps = [sl2_f3.elements[k] for k in (0, 1, 2)]
+    reps = [0, 1, 2]
     # Dirac is fully invariant, so averaging over any list of "reps" of the
     # whole group (member = in trivial subgroup) changes nothing
     avg = average_norm(base, reps, 3, lambda g: dom.is_identity(g))
