@@ -59,10 +59,10 @@ def _parse_group(text: str) -> tuple[int, RingSpec]:
         if not sl.startswith("SL"):
             raise ValueError
         n = int(sl[2:])
-        is_field = ring.startswith("F") and ring[1:].isdigit()
-        spec = RingSpec.parse("Z/" + ring[1:] if is_field else ring)
     except ValueError:
         raise ValueError(f"group must look like 'SL3,F2', got {text!r}") from None
+    is_field = ring.startswith("F") and ring[1:].isdigit()
+    spec = RingSpec.parse("Z/" + ring[1:] if is_field else ring)  # its own message on failure
     if is_field and not is_prime(spec.modulus):
         raise ValueError(f"{ring} is not a field: {spec.modulus} is not prime")
     return n, spec

@@ -16,10 +16,10 @@ use an "append" step (g -> g * s sigma^e s^-1) that adds one letter.
 The invariants are written once, in the trace builder, under a per-kind
 policy: "reduce" (elementary witnesses, 9 steps, 512 letters, stage bounds),
 "sl2" (witnesses in the congruence subgroup of SL_2, 4 letters) and "partial"
-(the stage entry points: witnesses only).  The builder checks the input's
-preconditions when it starts, each witness as it records a step, and the
-budgets and single-entry output when the trace is taken.  Replay is a fresh
-builder fed the parsed steps.
+(the stage entry points: elementary witnesses only).  The builder checks the
+input's preconditions when it starts, each witness as it records a step, and
+the budgets and single-entry output when the trace is taken.  Replay is a
+fresh builder fed the parsed steps.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def _check_congruence_input(sigma: SqMatrix, q: Ideal):
 class _Policy:
     """What a trace kind certifies; None leaves that invariant unchecked."""
 
-    member: str | None  # the one witness tag allowed (None: each op's own)
+    member: str  # the one witness tag allowed
     max_steps: int | None
     max_word: int | None
     stage_bounds: dict[str, int] | None
@@ -207,7 +207,7 @@ _SL2_TARGETS = {"E12": (1, 2), "E21": (2, 1)}
 _POLICIES = {
     "reduce": _Policy("elem", MAX_STEPS, MAX_WORD, STAGE_BOUNDS, tuple, _check_reduce_preconditions),
     "sl2": _Policy("congruence", None, 4, None, _SL2_TARGETS.get, _check_sl2_preconditions),
-    "partial": _Policy(None, None, None, None, None, None),
+    "partial": _Policy("elem", None, None, None, None, None),
 }
 
 
@@ -251,7 +251,7 @@ class _Builder:
 
     def record(self, op: QOperation, case: str):
         k = len(self.steps) + 1
-        member = self.policy.member or op.s_member
+        member = self.policy.member
         if op.s_member != member:
             raise ReplayMismatch(f"step {k}: {self.kind} steps need {member!r} witnesses, got {op.s_member!r}")
         if member == "elem":
@@ -264,11 +264,8 @@ class _Builder:
                     raise ReplayMismatch(
                         f"step {k}: witness factor entry {format_element(f.a)} not a nonzero ideal element"
                     )
-        elif member == "congruence":
-            if not in_congruence_subgroup(op.s, self.q) or determinant(op.s) != op.s.ring.one:
-                raise ReplayMismatch(f"step {k}: s is not a determinant-1 matrix congruent to I mod the ideal")
-        else:
-            raise ReplayMismatch(f"step {k}: unknown membership tag {op.s_member!r}")
+        elif not in_congruence_subgroup(op.s, self.q) or determinant(op.s) != op.s.ring.one:
+            raise ReplayMismatch(f"step {k}: s is not a determinant-1 matrix congruent to I mod the ideal")
         if op.kind == APPEND and op.exp not in (1, -1):
             raise ReplayMismatch(f"step {k}: an appended letter conjugates sigma^1 or sigma^-1, not sigma^{op.exp}")
         self._step(op, self._conjugation(op))
@@ -478,17 +475,16 @@ def _affine_stage(b: _Builder) -> str:
         return _case1_finish(b, "affine.commuting")
 
     alpha = list(g.column(1))
-    ok, _ = is_unimodular(alpha[: n - 1])
+    ok, coeffs = is_unimodular(alpha[: n - 1])
     if not ok:
         wit = unimodular_square_shift(alpha)
         an = alpha[n - 1]
         b.apply_elem(CONJUGATE, [(i + 1, n, an * t) for i, t in enumerate(wit.t) if not (an * t).is_zero],
                      "affine.split.shift")
         alpha = list(b.g.column(1))
-        ok, _ = is_unimodular(alpha[: n - 1])
+        ok, coeffs = is_unimodular(alpha[: n - 1])
         assert ok, "shift witness must leave a unimodular prefix"
 
-    _, coeffs = is_unimodular(alpha[: n - 1])
     an = alpha[n - 1]
     lam_fac = [(n, k + 1, -(an * dk)) for k, dk in enumerate(coeffs) if not (an * dk).is_zero]
     b.apply_elem(COMM_RIGHT, tau_fac, "affine.split.comm")
@@ -660,100 +656,91 @@ def _theta(m: SqMatrix) -> SqMatrix:
     return SqMatrix(m.ring, 2, ((d, -c), (-bb, a)))
 
 
-def _unit_candidates(ring: RingSpec, bound: int) -> list[RingElement]:
-    return [RingElement(ring, u) for u in ring.kernel.units(bound)]
+# z runs over 0, ±q0, ..., ±8 q0 for the canonical generator q0 of the ideal
+_Z_MULTIPLES = 8
 
 
-def _z_candidates(q: Ideal, tries: int) -> list[RingElement]:
+def _congruent_units(q: Ideal) -> list[RingElement]:
+    """The units u = 1 mod q among those the ring's kernel offers, in its order."""
+    ring = q.ring
+    units = (RingElement(ring, u) for u in ring.kernel.units())
+    return [u for u in units if q.contains(u - ring.one)]
+
+
+def _z_candidates(q: Ideal) -> list[RingElement]:
     q0 = q.canonical
     ring = q.ring
     out = [ring.zero]
-    for k in range(1, tries + 1):
+    for k in range(1, _Z_MULTIPLES + 1):
         out.append(q0 * ring.el(k))
         out.append(-(q0 * ring.el(k)))
     return out
 
 
-def _try_upper_commutator(b: _Builder, q: Ideal, unit_bound: int, tries: int) -> bool:
+def _upgrade(y: SqMatrix, q: Ideal) -> SqMatrix | None:
+    """For y = [[v, q'], [0, v^-1]] in the congruence subgroup: the first
+    s = [[v^-1, z], [0, v]] over the z candidates with [y, s] a nontrivial
+    E12 element, entry (z + q')(v - v^-1) != 0; None if no z does, as when
+    v^2 = 1."""
+    v, qprime = y.rows[0]
+    vinv = unit_check(v)
+    for z in _z_candidates(q):
+        if not ((z + qprime) * (v - vinv)).is_zero:
+            return SqMatrix(v.ring, 2, ((vinv, z), (v.ring.zero, v)))
+    return None
+
+
+def _try_upper_commutator(b: _Builder, q: Ideal) -> bool:
     """sigma upper triangular: [sigma, eta] with eta upper triangular in the
-    congruence subgroup lands in E12; entry a*u*(z(a - a^-1) + b(u^-1 - u))."""
-    sigma = b.sigma
-    ring = sigma.ring
-    a, bb = sigma.rows[0]
-    for u in _unit_candidates(ring, unit_bound):
-        if not q.contains(u - ring.one):
-            continue
+    congruence subgroup is upper unipotent, with entry a*u*(z(a - a^-1) + b(u^-1 - u))."""
+    ring = b.sigma.ring
+    for u in _congruent_units(q):
         uinv = unit_check(u)
-        for z in _z_candidates(q, tries):
+        for z in _z_candidates(q):
             eta = SqMatrix(ring, 2, ((u, z), (ring.zero, uinv)))
-            cand = b.g * eta * b.ginv * mat_inv(eta)
-            if cand.rows[1][0].is_zero and cand.rows[0][0] == ring.one and not cand.rows[0][1].is_zero:
+            if not (b.g * eta * b.ginv * mat_inv(eta)).rows[0][1].is_zero:
                 b.apply(COMM_RIGHT, eta, "sl2.comm-upper")
                 return True
     return False
 
 
-def _try_unit_conjugates(b: _Builder, q: Ideal, unit_bound: int, tries: int) -> bool:
-    """The unit-conjugation path: two conjugates of sigma^{±1} multiply to
-    an upper-triangular Y = [[u^-4, *], [0, u^4]]; if Y is not already in E12
-    one further commutator with [[u^4, z], [0, u^-4]] lands there."""
+def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
+    """The unit-conjugation path, for sigma with c = sigma_21 != 0: two
+    conjugates of sigma^{±1} multiply to an upper-triangular
+    Y = [[u^-4, *], [0, u^4]]; if Y is not already in E12 one further
+    commutator with [[u^4, z], [0, u^-4]] lands there."""
     sigma = b.sigma
     ring = sigma.ring
     one = ring.one
     a = sigma.e(1, 1)
     c = sigma.e(2, 1)
-    q0 = q.canonical
-    for u in _unit_candidates(ring, unit_bound):
-        if not q.contains(u - one):
-            continue
+    c2 = c * c
+    # c^2 = 0 (c nonzero, over Z/m) leaves no w with u - 1 = w c^2 to divide out
+    if c2.is_zero:
+        return False
+    for u in _congruent_units(q):
         # u must be 1 mod c^2 A
-        c2 = c * c
-        if c.is_zero:
-            if u != one:
-                continue
-            xs = [q0 * ring.el(k) for k in range(1, tries + 1)]
-            xs += [-(x) for x in xs]
-        else:
-            # c^2 = 0 (c nonzero, over Z/m) leaves no w with u - 1 = w c^2 to divide out
-            if c2.is_zero or not Ideal(ring, (c2,)).contains(u - one):
-                continue
-            w = exact_div(u - one, c2)
-            u2 = u * u
-            x = c * w * (u2 * u + u2 + u + one)
-            xs = [x]
-        for x in xs:
-            t = a * x
-            if not q.contains(t):
-                continue
-            wmat = SqMatrix(ring, 2, ((one, t), (ring.zero, one)))
-            u2 = u * u
-            u2inv = unit_check(u2)
-            dmat = SqMatrix(ring, 2, ((u2, ring.zero), (ring.zero, u2inv)))
-            emat = mat_inv(wmat) * dmat
-            conj_s = wmat * b.sigma_inv
-            y = conj_s * (emat * sigma * mat_inv(emat) * b.sigma_inv) * mat_inv(conj_s)
-            if not y.rows[1][0].is_zero:
-                continue  # the chosen x does not cancel the corner
-            if y.is_identity:
-                continue
-            v = y.e(1, 1)
-            if v == one:
-                b.apply(COMM_LEFT, emat, "sl2.unit")
-                b.apply(CONJUGATE, conj_s, "sl2.unit.conj")
-                return True
-            vinv = unit_check(v)
-            if vinv is None or v * v == one:
-                continue
-            qprime = y.e(1, 2)
-            for z in _z_candidates(q, tries):
-                w_out = (z + qprime) * (v - vinv)
-                if w_out.is_zero:
-                    continue
-                b.apply(COMM_LEFT, emat, "sl2.unit")
-                b.apply(CONJUGATE, conj_s, "sl2.unit.conj")
-                zmat = SqMatrix(ring, 2, ((vinv, z), (ring.zero, v)))
-                b.apply(COMM_RIGHT, zmat, "sl2.unit.comm")
-                return True
+        if not Ideal(ring, (c2,)).contains(u - one):
+            continue
+        w = exact_div(u - one, c2)
+        u2 = u * u
+        t = a * c * w * (u2 * u + u2 + u + one)  # t c = a (u^4 - 1)
+        if not q.contains(t):
+            continue
+        wmat = SqMatrix(ring, 2, ((one, t), (ring.zero, one)))
+        dmat = SqMatrix(ring, 2, ((u2, ring.zero), (ring.zero, unit_check(u2))))
+        emat = mat_inv(wmat) * dmat
+        conj_s = wmat * b.sigma_inv
+        y = conj_s * (emat * sigma * mat_inv(emat) * b.sigma_inv) * mat_inv(conj_s)
+        assert y.rows[1][0].is_zero, "t cancels the corner"
+        zmat = _upgrade(y, q)
+        if zmat is None and not _is_e12_nontrivial(y):
+            continue
+        b.apply(COMM_LEFT, emat, "sl2.unit")
+        b.apply(CONJUGATE, conj_s, "sl2.unit.conj")
+        if zmat is not None:
+            b.apply(COMM_RIGHT, zmat, "sl2.unit.comm")
+        return True
     return False
 
 
@@ -775,7 +762,7 @@ def _try_square(b: _Builder) -> bool:
     return True
 
 
-def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
+def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
     """Finite rings only: search short products of congruence-subgroup
     conjugates of sigma^{±1} that land in E12, shortest first.
 
@@ -889,17 +876,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int, tries: int) -> bool:
     (xv, xg), (yv, yg) = cls_pos, cls_neg
     w = scan(xv, yv)
     for k in np.flatnonzero((mats[w, 1, 0] == 0) & (w != 0)):
-        v, qprime = element(w[k]).rows[0]
-        vinv = unit_check(v)
-        if vinv is None or v * v == ring.one:
-            continue
-        for z in _z_candidates(q, tries):
-            w_out = (z + qprime) * (v - vinv)
-            if w_out.is_zero:
-                continue
-            zmat = SqMatrix(ring, 2, ((vinv, z), (ring.zero, v)))
-            if not in_congruence_subgroup(zmat, q):
-                continue
+        if (zmat := _upgrade(element(w[k]), q)) is not None:
             emit_two(xg[k // len(yv)], 1, yg[k % len(yv)], -1)
             b.apply(COMM_RIGHT, zmat, "sl2.pair.comm")
             assert _is_e12_nontrivial(b.g)
@@ -912,39 +889,32 @@ def sl2_unit_reduction(
     q: Ideal,
     side: str = "E12",
     *,
-    unit_bound: int = 8,
-    tries: int = 8,
     pair_budget: int = 10**6,
     seed: int = 0,
 ) -> ReductionTrace:
     """Produce a nontrivial element of E12(q) (or E21(q)) as a product of at
     most 4 conjugates of sigma^{±1} by congruence-subgroup elements.
 
-    Search spaces: units per ring kind (Z: {1,-1}; Z/m: the unit group;
-    Z[1/p]: ±p^k for |k| <= unit_bound; F_p[x]: nonzero constants), with
-    bounded auxiliary searches.  Exhaustion raises NoUnitFound.
+    Search spaces: the units u = 1 mod q per ring kind (Z: {1,-1}; Z/m: the
+    unit group; Z[1/p]: ±p^k for |k| <= 8; F_p[x]: nonzero constants), the
+    upper entries z over 0, ±q0, ..., ±8 q0 for the canonical generator q0 of
+    q, and over finite rings products of at most four conjugates (at most
+    pair_budget of them).  Exhaustion raises NoUnitFound.
     """
     b = _Builder(sigma, q, "sl2", seed)
     if side not in _SL2_TARGETS:
         raise ValueError("side must be 'E12' or 'E21'")
     if side == "E21":
-        inner = sl2_unit_reduction(
-            _theta(sigma), q, "E12",
-            unit_bound=unit_bound, tries=tries, pair_budget=pair_budget, seed=seed,
-        )
+        inner = sl2_unit_reduction(_theta(sigma), q, "E12", pair_budget=pair_budget, seed=seed)
         for st in inner.steps:
             b.record(replace(st.op, s=_theta(st.op.s)), "sl2.mirror|" + st.case)
         return b.trace("E21")
 
     found = (
         _is_e12_nontrivial(sigma)  # already a nontrivial element of E12(q): a one-letter word
-        or (
-            _try_upper_commutator(b, q, unit_bound, tries)
-            if sigma.e(2, 1).is_zero
-            else _try_unit_conjugates(b, q, unit_bound, tries)
-        )
+        or (_try_upper_commutator(b, q) if sigma.e(2, 1).is_zero else _try_unit_conjugates(b, q))
         or _try_square(b)
-        or _try_pair_search(b, q, pair_budget, tries)
+        or _try_pair_search(b, q, pair_budget)
     )
     if not found:
         raise NoUnitFound(

@@ -92,7 +92,7 @@ class _Kernel:
     coerces raw input.  div and inverse return None when no answer exists.
     norm and quotient (Euclidean division) exist only when euclidean is set;
     shell(s) lists the elements a shift search adds at shell s >= 1, and
-    units(bound) the units a unit search tries.
+    units() the units a unit search tries.
     """
 
     finite = False
@@ -147,7 +147,7 @@ class _ZKernel(_Kernel):
     def shell(self, s: int) -> list:
         return [s, -s]
 
-    def units(self, bound: int) -> list:
+    def units(self) -> list:
         return [1, -1]
 
 
@@ -200,7 +200,7 @@ class _ZmodKernel(_ZKernel):
     def shell(self, s):
         return [s] if s < self.m else []
 
-    def units(self, bound):
+    def units(self):
         return [a for a in range(self.m) if gcd(a, self.m) == 1]
 
 
@@ -305,7 +305,7 @@ class _PolyKernel(_Kernel):
             s //= self.p
         return [self.el(digits)]
 
-    def units(self, bound):
+    def units(self):
         return [(c,) for c in range(1, self.p)]
 
 
@@ -381,9 +381,9 @@ class _ZinvKernel(_Kernel):
     def shell(self, s):
         return [self.el((sign * s, k)) for k in range(-2, 3) for sign in (1, -1)]
 
-    def units(self, bound):
+    def units(self):
         return [(1, 0), (-1, 0)] + [
-            (u, sign * k) for k in range(1, bound + 1) for sign in (1, -1) for u in (1, -1)
+            (u, sign * k) for k in range(1, 9) for sign in (1, -1) for u in (1, -1)
         ]
 
 

@@ -231,6 +231,32 @@ def test_norm_config_bad_group(tmp_path, capsys, group):
     _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("group", ["SL2,F1", "SL2,Z/1"])
+def test_group_reports_the_ring_error(tmp_path, capsys, group):
+    # the SL<n>,<ring> form is right: the ring's own error is reported
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--group", group])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "modulus must be >= 2" in err and "must look like" not in err
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(f"tag=word\ngroup={group}\nsamples=10\n")
+    assert main(["norm", "--config", str(cfg)]) == 1
+    assert _one_line_error(capsys) == "error: modulus must be >= 2\n"
+
+
+@pytest.mark.parametrize("group", ["GL2,F5", "SL2", "SLx,F5"])
+def test_group_reports_a_malformed_form(tmp_path, capsys, group):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--group", group])
+    assert exc.value.code == 2
+    assert f"group must look like 'SL3,F2', got {group!r}" in capsys.readouterr().err
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(f"tag=word\ngroup={group}\nsamples=10\n")
+    assert main(["norm", "--config", str(cfg)]) == 1
+    assert "must look like" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("group", ["SL2,F4", "SL2,F9", "SL3,F6"])
 def test_census_refuses_a_non_prime_field(capsys, group):
     # F_4 and F_9 are fields, but not Z/4 and Z/9: refused rather than misread

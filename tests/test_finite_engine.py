@@ -116,7 +116,7 @@ def test_product_works_past_the_table_cap():
 # -- the SL_2 pair search ------------------------------------------------------------
 
 
-def _reference_try_pair_search(b, q, budget, tries):
+def _reference_try_pair_search(b, q, budget):
     """The pair search on SqMatrix products, one candidate at a time."""
     sigma = b.sigma
     ring = sigma.ring
@@ -212,7 +212,7 @@ def _reference_try_pair_search(b, q, budget, tries):
             if vinv is None or v * v == one:
                 continue
             qprime = w.e(1, 2)
-            for z in _z_candidates(q, tries):
+            for z in _z_candidates(q):
                 w_out = (z + qprime) * (v - vinv)
                 if w_out.is_zero:
                     continue

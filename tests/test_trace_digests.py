@@ -12,7 +12,8 @@ import random
 import pytest
 
 import congwidth.reduction as reduction
-from congwidth.matrices import elementary, identity, is_central, mat_inv
+from congwidth.errors import CongwidthError
+from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
 from congwidth.reduction import (
     APPEND,
     COMM_LEFT,
@@ -24,10 +25,11 @@ from congwidth.reduction import (
     serialize_trace,
     sl2_unit_reduction,
 )
-from congwidth.rings import Ideal, RingSpec
+from congwidth.rings import Ideal, RingSpec, unit_check
 
 Z = RingSpec.integers()
 P2 = RingSpec.poly_over_fp(2)
+P3 = RingSpec.poly_over_fp(3)
 L5 = RingSpec.localized_integers(5)
 
 # name -> (ring, n, ideal generator, entry sampler)
@@ -49,6 +51,24 @@ REDUCE_DIGESTS = {
 }
 SL2_F5_DIGEST = "2d1d1767dd5f73ea1b5b6734a4d1b522a40423c36179dc48b4bacc7d748310d1"
 
+# The dimension-2 shortcut over infinite rings: name -> (ring, ideal generator,
+# units u with u = 1 mod the ideal for diagonal factors, entry coefficient sampler)
+SL2_INFINITE = {
+    "z": (Z, Z.el(2), (Z.el(-1),), lambda rng: Z.el(rng.choice((-2, -1, 1, 2)))),
+    "l5": (
+        L5, L5.el(2), (L5.el(5), L5.el((1, -1)), L5.el(-1)),
+        lambda rng: L5.el((rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-1, 0, 1)))),
+    ),
+    "p3": (P3, P3.x(), (), lambda rng: P3.el([rng.randint(1, 2), rng.randint(0, 2)])),
+}
+# sha256 over both sides of 120 inputs each: serialized traces, or the
+# exception's type and message
+SL2_INFINITE_DIGESTS = {
+    "z": "02f1d2f7c078cafad8f0e48c84b03b7a8e43b95672ccab47a0c2bc427422f626",
+    "l5": "6ee2bb93601ac70c4379115d7b1a1ff766f2ee135e49bcec3e6e2b036027b6f4",
+    "p3": "cae3e394ef029606278e6e70daccd30d0f93cfe3a3747cf669b9df14c8bee22d",
+}
+
 
 def _sigma(ring, n, entry, rng, factors=8):
     while True:
@@ -62,6 +82,33 @@ def _sigma(ring, n, entry, rng, factors=8):
 
 def _digest(texts) -> str:
     return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def _sl2_outcomes(name, count=120):
+    """sl2_unit_reduction on both sides of seeded random non-central elements
+    of the congruence subgroup: products of one to three factors, each an
+    elementary matrix with entry in the ideal or a diagonal unit matrix."""
+    ring, q0, units, coeff = SL2_INFINITE[name]
+    q = Ideal(ring, (q0,))
+    rng = random.Random(8191)
+    out = []
+    while len(out) < 2 * count:
+        g = identity(ring, 2)
+        for _ in range(rng.randint(1, 3)):
+            if units and rng.random() < 0.3:
+                u = rng.choice(units)
+                g = g * SqMatrix(ring, 2, ((u, ring.zero), (ring.zero, unit_check(u))))
+            else:
+                i, j = rng.choice(((1, 2), (2, 1)))
+                g = g * elementary(ring, 2, i, j, q0 * coeff(rng))
+        if is_central(g):
+            continue
+        for side in ("E12", "E21"):
+            try:
+                out.append(serialize_trace(sl2_unit_reduction(g, q, side)))
+            except CongwidthError as exc:
+                out.append(f"{type(exc).__name__}: {exc}\n")
+    return out
 
 
 def _reduce_inputs(name):
@@ -95,6 +142,11 @@ def test_reduce_full_digest(name, reduce_traces):
 
 def test_sl2_f5_digest(sl2_f5_traces):
     assert _digest(serialize_trace(t) for t in sl2_f5_traces) == SL2_F5_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(SL2_INFINITE))
+def test_sl2_infinite_ring_digest(name):
+    assert _digest(_sl2_outcomes(name)) == SL2_INFINITE_DIGESTS[name]
 
 
 def _reference_apply_qop(op, g, sigma):
