@@ -122,7 +122,7 @@ class FiniteGroupTable:
     (-1 off the group).  product(a, b) multiplies broadcast index arrays
     through them; mul is its full |G|^2 table, built on first access and
     refused with BudgetExceeded past the cap, where product still works.
-    element(k) boxes one element; elements, all of them, is boxed on first use.
+    element(k) wraps one element as a SqMatrix; elements, all of them, is built on first use.
     """
 
     ring: RingSpec
@@ -161,12 +161,12 @@ class FiniteGroupTable:
         return self._mul
 
     def element(self, k: int) -> SqMatrix:
-        """Element k as a SqMatrix."""
-        return SqMatrix.from_raw(self.ring, self.mats[k].tolist())
+        """Element k as a SqMatrix; its residues already are Z/m payloads."""
+        return SqMatrix(self.ring, self.n, payload=self.mats[k].tolist())
 
     @property
     def elements(self) -> list[SqMatrix]:
-        """Every element as a SqMatrix, in index order, boxed on first access."""
+        """Every element as a SqMatrix, in index order, built on first access."""
         if self._elements is None:
             self._elements = [self.element(k) for k in range(len(self))]
         return self._elements

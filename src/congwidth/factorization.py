@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSL, UnsupportedRing
-from .matrices import SqMatrix, _add_row, _box, _check_position, _unbox, determinant
+from .matrices import SqMatrix, _add_row, _check_position, _identity_rows, determinant
 from .rings import RingElement, RingSpec, unit_check
 
 
@@ -36,11 +36,11 @@ class ElemFactorization:
     def of(ring: RingSpec, n: int, factors: tuple[ElemFactor, ...]) -> "ElemFactorization":
         """The factorization of E_1 (E_2 (... E_k)), built by row operations on the identity."""
         k = ring.kernel
-        rows = [[k.one if i == j else k.zero for j in range(n)] for i in range(n)]
+        rows = _identity_rows(k, n)
         for f in reversed(factors):
             _check_position(n, f.i, f.j)
             _add_row(k, rows, f.i - 1, f.j - 1, ring.el(f.a).payload)
-        return ElemFactorization(factors, _box(ring, rows))
+        return ElemFactorization(factors, SqMatrix(ring, n, payload=rows))
 
     def product(self) -> SqMatrix:
         return ElemFactorization.of(self.target.ring, self.target.n, self.factors).target
@@ -55,7 +55,7 @@ class _RowReducer:
 
     def __init__(self, g: SqMatrix):
         self.ring = g.ring
-        self.rows = _unbox(g)
+        self.rows = [list(r) for r in g.payload]
         self.ops: list[tuple[int, int, RingElement]] = []  # row_i += a * row_j
 
     def add_row(self, i: int, j: int, a: RingElement):

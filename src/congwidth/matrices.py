@@ -1,11 +1,19 @@
 """Exact n x n matrices over a RingSpec and the group-theoretic primitives.
 
-Indices are 1-based throughout the public API and the text formats.
+A matrix stores its entries once, as payload rows: a tuple of row tuples of
+the canonical payloads that RingElement.payload holds.  Products,
+determinants, inverses, sums, the text format and the predicates run on
+those payloads through the ring's kernel; a RingElement is made only when a
+caller reads an entry (e, row, column, rows).  SqMatrix.from_raw is the one
+way in from raw values or RingElements.
+
+Indices are 1-based throughout the public API and the text formats, and
+0-based on payload rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import (
@@ -15,55 +23,56 @@ from .errors import (
     NotInvertible,
     ZeroIdeal,
 )
-from .rings import (
-    Ideal,
-    RingElement,
-    RingSpec,
-    format_element,
-    parse_element,
-)
+from .rings import Ideal, RingElement, RingSpec
 
 
 @dataclass(frozen=True)
 class SqMatrix:
-    """Immutable square matrix with exact entries."""
+    """Immutable square matrix; payload holds its entries as payload rows.
+
+    payload is keyword-only: SqMatrix(ring, n, payload=rows) takes canonical
+    payloads and does not coerce them; SqMatrix.from_raw(ring, rows) coerces
+    raw values and checks RingElements against the ring.
+    """
 
     ring: RingSpec
     n: int
-    rows: tuple[tuple[RingElement, ...], ...]
+    payload: tuple[tuple, ...] = field(kw_only=True)
 
     def __post_init__(self):
         if self.n < 2:
             raise DimensionMismatch("dimension must be >= 2")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+        payload = tuple(map(tuple, self.payload))
+        if len(payload) != self.n or any(len(r) != self.n for r in payload):
             raise DimensionMismatch("ragged matrix")
-        ring = self.ring
-        for r in self.rows:
-            for e in r:
-                if e.ring is not ring and e.ring != ring:
-                    raise MismatchedRings("entry outside the matrix ring")
+        object.__setattr__(self, "payload", payload)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_raw(ring: RingSpec, raw_rows) -> "SqMatrix":
-        rows = tuple(tuple(ring.el(x) for x in r) for r in raw_rows)
-        return SqMatrix(ring, len(rows), rows)
+        """Rows of ints, coefficient lists, (n, k) pairs or RingElements of ring."""
+        rows = [[ring.el(x).payload for x in r] for r in raw_rows]
+        return SqMatrix(ring, len(rows), payload=rows)
 
-    # -- accessors (1-based) -------------------------------------------------
+    # -- accessors (1-based); each boxes the entries it returns --------------
 
     def e(self, i: int, j: int) -> RingElement:
-        return self.rows[i - 1][j - 1]
+        return RingElement(self.ring, self.payload[i - 1][j - 1])
 
     def column(self, j: int) -> tuple[RingElement, ...]:
-        return tuple(self.rows[i][j - 1] for i in range(self.n))
+        return tuple(RingElement(self.ring, r[j - 1]) for r in self.payload)
 
     def row(self, i: int) -> tuple[RingElement, ...]:
-        return self.rows[i - 1]
+        return tuple(RingElement(self.ring, x) for x in self.payload[i - 1])
+
+    @property
+    def rows(self) -> tuple[tuple[RingElement, ...], ...]:
+        return tuple(tuple(RingElement(self.ring, x) for x in r) for r in self.payload)
 
     def key(self):
         """Hashable canonical key (entries only; ring fixed by context)."""
-        return tuple(tuple(e.payload for e in r) for r in self.rows)
+        return self.payload
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -73,21 +82,19 @@ class SqMatrix:
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
         self._check(other)
-        return _box(self.ring, _mul_rows(self.ring.kernel, _unbox(self), _unbox(other)))
+        return SqMatrix(self.ring, self.n, payload=_mul_rows(self.ring.kernel, self.payload, other.payload))
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
         self._check(other)
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-        return SqMatrix(self.ring, self.n, rows)
+        add = self.ring.kernel.add
+        rows = [list(map(add, ra, rb)) for ra, rb in zip(self.payload, other.payload)]
+        return SqMatrix(self.ring, self.n, payload=rows)
 
     def __sub__(self, other: "SqMatrix") -> "SqMatrix":
         self._check(other)
-        rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-        return SqMatrix(self.ring, self.n, rows)
+        k = self.ring.kernel
+        rows = [[k.add(a, k.neg(b)) for a, b in zip(ra, rb)] for ra, rb in zip(self.payload, other.payload)]
+        return SqMatrix(self.ring, self.n, payload=rows)
 
     def __pow__(self, k: int) -> "SqMatrix":
         if k < 0:
@@ -106,17 +113,17 @@ class SqMatrix:
         return self == identity(self.ring, self.n)
 
     def __repr__(self) -> str:
-        return "SqMatrix[" + "; ".join(
-            " ".join(format_element(e) for e in r) for r in self.rows
-        ) + f" over {self.ring.descriptor()}]"
+        fmt = self.ring.kernel.format
+        entries = "; ".join(" ".join(map(fmt, r)) for r in self.payload)
+        return f"SqMatrix[{entries} over {self.ring.descriptor()}]"
+
+
+def _identity_rows(k, n: int) -> list[list]:
+    return [[k.one if i == j else k.zero for j in range(n)] for i in range(n)]
 
 
 def identity(ring: RingSpec, n: int) -> SqMatrix:
-    one, zero = ring.one, ring.zero
-    rows = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-    return SqMatrix(ring, n, rows)
+    return SqMatrix(ring, n, payload=_identity_rows(ring.kernel, n))
 
 
 def _check_position(n: int, i: int, j: int):
@@ -127,33 +134,24 @@ def _check_position(n: int, i: int, j: int):
 def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
     """I + a*e_ij with i != j (1-based indices)."""
     _check_position(n, i, j)
-    a = ring.el(a)
-    rows = [list(r) for r in identity(ring, n).rows]
-    rows[i - 1][j - 1] = a
-    return SqMatrix(ring, n, tuple(tuple(r) for r in rows))
+    rows = _identity_rows(ring.kernel, n)
+    rows[i - 1][j - 1] = ring.el(a).payload
+    return SqMatrix(ring, n, payload=rows)
 
 
 def basis_matrix(ring: RingSpec, n: int, i: int, j: int) -> SqMatrix:
     """The matrix unit e_ij (1 in position (i, j), 0 elsewhere)."""
-    rows = [[ring.zero] * n for _ in range(n)]
-    rows[i - 1][j - 1] = ring.one
-    return SqMatrix(ring, n, tuple(tuple(r) for r in rows))
+    k = ring.kernel
+    rows = [[k.zero] * n for _ in range(n)]
+    rows[i - 1][j - 1] = k.one
+    return SqMatrix(ring, n, payload=rows)
 
 
 # -- the payload core ------------------------------------------------------------
 #
 # Products, determinants, inverses and elementary row and column operations
-# run on payload rows: lists of rows of canonical payloads, combined by the
-# ring's kernel.  A caller unboxes a matrix once (_unbox) and boxes each
-# entry of a result once (_box).  Indices here are 0-based.
-
-
-def _unbox(m: SqMatrix) -> list[list]:
-    return [[e.payload for e in r] for r in m.rows]
-
-
-def _box(ring: RingSpec, rows) -> SqMatrix:
-    return SqMatrix(ring, len(rows), tuple(tuple([RingElement(ring, x) for x in r]) for r in rows))
+# on payload rows, combined by the ring's kernel.  _add_row and _add_col
+# work in place on lists of row lists.  Indices here are 0-based.
 
 
 def _mul_rows(k, a, b) -> list[list]:
@@ -219,7 +217,7 @@ def determinant(m: SqMatrix) -> RingElement:
     """Exact determinant: cofactor expansion for n <= 4, Bareiss over domains
     otherwise (Bareiss division is invalid over non-domains)."""
     det = _det_cofactor if m.n <= 4 or not m.ring.is_domain else _det_bareiss
-    return RingElement(m.ring, det(m.ring.kernel, _unbox(m)))
+    return RingElement(m.ring, det(m.ring.kernel, m.payload))
 
 
 def mat_inv(m: SqMatrix) -> SqMatrix:
@@ -227,19 +225,18 @@ def mat_inv(m: SqMatrix) -> SqMatrix:
 
     The determinant is the first-row expansion over the same cofactors."""
     k = m.ring.kernel
-    rows = _unbox(m)
     n = m.n
 
     def cofactor(i, j):
-        c = _det_cofactor(k, [r[:j] + r[j + 1:] for rr, r in enumerate(rows) if rr != i])
+        c = _det_cofactor(k, [r[:j] + r[j + 1:] for rr, r in enumerate(m.payload) if rr != i])
         return k.neg(c) if (i + j) % 2 else c
 
     cof = [[cofactor(i, j) for j in range(n)] for i in range(n)]
-    d = reduce(k.add, map(k.mul, rows[0], cof[0]))
+    d = reduce(k.add, map(k.mul, m.payload[0], cof[0]))
     dinv = k.inverse(d)
     if dinv is None:
         raise NotInvertible(f"determinant {k.format(d)} is not a unit")
-    return _box(m.ring, [[k.mul(dinv, cof[j][i]) for j in range(n)] for i in range(n)])
+    return SqMatrix(m.ring, n, payload=[[k.mul(dinv, cof[j][i]) for j in range(n)] for i in range(n)])
 
 
 def commutator(g: SqMatrix, h: SqMatrix) -> SqMatrix:
@@ -256,13 +253,8 @@ def conjugate(g: SqMatrix, s: SqMatrix) -> SqMatrix:
 
 
 def is_scalar(g: SqMatrix) -> bool:
-    c = g.rows[0][0]
-    for i in range(g.n):
-        for j in range(g.n):
-            want = c if i == j else g.ring.zero
-            if g.rows[i][j] != want:
-                return False
-    return True
+    c, zero = g.payload[0][0], g.ring.kernel.zero
+    return all(x == (c if i == j else zero) for i, r in enumerate(g.payload) for j, x in enumerate(r))
 
 
 def is_central(g: SqMatrix) -> bool:
@@ -324,20 +316,17 @@ def embed_affine(gamma: SqMatrix, v, side: str, n: int) -> SqMatrix:
     if gamma.n != n - 1:
         raise DimensionMismatch(f"gamma must have dimension {n - 1}")
     ring = gamma.ring
-    v = [ring.el(x) for x in v]
+    v = [ring.el(x).payload for x in v]
     if len(v) != n - 1:
         raise DimensionMismatch(f"v must have {n - 1} entries")
-    zero, one = ring.zero, ring.one
+    zero, one = ring.kernel.zero, ring.kernel.one
     if side == "column":
-        rows = [tuple(gamma.rows[i]) + (v[i],) for i in range(n - 1)]
-        rows.append(tuple([zero] * (n - 1) + [one]))
+        rows = [r + (x,) for r, x in zip(gamma.payload, v)] + [(zero,) * (n - 1) + (one,)]
     elif side == "row":
-        rows = [(one,) + tuple(v)]
-        for i in range(n - 1):
-            rows.append((zero,) + tuple(gamma.rows[i]))
+        rows = [(one, *v)] + [(zero,) + r for r in gamma.payload]
     else:
         raise ValueError("side must be 'column' or 'row'")
-    return SqMatrix(ring, n, tuple(rows))
+    return SqMatrix(ring, n, payload=rows)
 
 
 # -- text format ----------------------------------------------------------------
@@ -345,9 +334,8 @@ def embed_affine(gamma: SqMatrix, v, side: str, n: int) -> SqMatrix:
 
 def format_matrix(m: SqMatrix) -> str:
     """Matrix text format: line 1 "<n> <ring-descriptor>", then n rows."""
-    lines = [f"{m.n} {m.ring.descriptor()}"]
-    for r in m.rows:
-        lines.append(" ".join(format_element(e) for e in r))
+    fmt = m.ring.kernel.format
+    lines = [f"{m.n} {m.ring.descriptor()}"] + [" ".join(map(fmt, r)) for r in m.payload]
     return "\n".join(lines) + "\n"
 
 
@@ -365,5 +353,5 @@ def parse_matrix(text: str) -> SqMatrix:
         items = ln.split()
         if len(items) != n:
             raise ValueError(f"row has {len(items)} entries, expected {n}")
-        rows.append(tuple(parse_element(ring, t) for t in items))
-    return SqMatrix(ring, n, tuple(rows))
+        rows.append([ring.kernel.parse(t) for t in items])
+    return SqMatrix(ring, n, payload=rows)

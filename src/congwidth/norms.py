@@ -24,10 +24,11 @@ from .errors import (
     InnerUnbounded,
     NoSmallVector,
     NotCentral,
+    UnsupportedRing,
     ZeroIdeal,
 )
 from .matrices import SqMatrix, congruence_level, identity, mat_inv
-from .rings import Ideal, RingElement, RingSpec
+from .rings import Ideal, RingElement, RingSpec, is_prime
 
 
 # -- group domains ------------------------------------------------------------
@@ -402,9 +403,15 @@ def p_abs(x: int, p: int) -> Fraction:
     return Fraction(1, p**v)
 
 
+def _check_prime(p: int):
+    if not is_prime(p):
+        raise ValueError(f"p-adic norms need a prime p, got {p}")
+
+
 def z2_mixed_norm(p: int, box: int = 1000) -> NormEval:
     """max(|x|_p / 2, |y|) on Z^2: non-discrete, unbounded, invariant under
     the shear (x, y) -> (x + y, y)."""
+    _check_prime(p)
     dom = Z2Domain(box)
 
     def fn(g):
@@ -420,8 +427,11 @@ def element_p_abs(e: RingElement, p: int) -> Fraction:
 
 
 def padic_sup_norm(ideal: Ideal, p: int, box: int = 64) -> NormEval:
-    """sup of p-adic absolute values on pairs of ideal elements; exactly
-    invariant under the elementary shears with entries in the ideal."""
+    """sup of p-adic absolute values on pairs of elements of an ideal of Z;
+    exactly invariant under the elementary shears with entries in the ideal."""
+    _check_prime(p)
+    if ideal.ring != RingSpec.integers():
+        raise UnsupportedRing(f"the p-adic sup norm needs an ideal of Z, not of {ideal.ring.descriptor()}")
     dom = IdealPairDomain(ideal, box)
 
     def fn(g):
@@ -564,6 +574,8 @@ def axiom_harness(norm: NormEval, samples: int = 1000, seed: int = 0) -> Harness
     Violations are report content, never exceptions; each violating tuple is
     recorded verbatim (up to 3 per axiom).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     dom = norm.domain
     rng = random.Random(seed)
     violations = {k: 0 for k in ("positivity", "definiteness", "symmetry", "triangle", "conjugation")}

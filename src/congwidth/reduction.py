@@ -45,15 +45,14 @@ from .matrices import (
     SqMatrix,
     _add_col,
     _add_row,
-    _box,
     _mul_rows,
-    _unbox,
     determinant,
     elementary,
     format_matrix,
     identity,
     in_congruence_subgroup,
     is_central,
+    is_scalar,
     mat_inv,
     parse_matrix,
 )
@@ -216,8 +215,8 @@ class _Builder:
     the input preconditions on construction, each step's witness as it is
     recorded, and the budgets and output support when the trace is taken.
 
-    The input is inverted once; after that each step maps the pair
-    (g, g^-1) to its image without a further inverse, on payload rows."""
+    The input is inverted once; after that each step maps the payload rows
+    of the pair (g, g^-1) to its image without a further inverse."""
 
     def __init__(self, sigma: SqMatrix, q: Ideal, kind: str, seed: int):
         if kind not in _POLICIES:
@@ -225,19 +224,13 @@ class _Builder:
         self.policy = _POLICIES[kind]
         if self.policy.preconditions:
             self.policy.preconditions(sigma, q)
-        self.sigma = sigma
-        self.sigma_inv = mat_inv(sigma)
+        self.sigma = self.g = sigma
+        self.sigma_inv = self.ginv = mat_inv(sigma)
         self.q = q
         self.kind = kind
         self.seed = seed
-        self.g = sigma
-        self._g, self._ginv = _unbox(sigma), _unbox(self.sigma_inv)
         self.wl = 1
         self.steps: list[TraceStep] = []
-
-    @property
-    def ginv(self) -> SqMatrix:
-        return _box(self.sigma.ring, self._ginv)
 
     def apply(self, kind: str, s: SqMatrix, case: str, exp: int = 1):
         """Record a step by s, certified to lie in the congruence subgroup."""
@@ -288,13 +281,14 @@ class _Builder:
                 return x
 
             return conj
-        s, sinv = _unbox(op.s), _unbox(mat_inv(op.s))
+        s, sinv = op.s.payload, mat_inv(op.s).payload
         return lambda x: _mul_rows(k, _mul_rows(k, s, x), sinv)
 
     def _step(self, op: QOperation, conj):
         """Map (g, g^-1) to the step's image and its inverse."""
-        k = self.sigma.ring.kernel
-        g, ginv = self._g, self._ginv
+        ring, n = self.sigma.ring, self.sigma.n
+        k = ring.kernel
+        g, ginv = self.g.payload, self.ginv.payload
         if op.kind == CONJUGATE:
             g, ginv = conj(g), conj(ginv)
         elif op.kind == COMM_RIGHT:  # [g, s] = g (s g^-1 s^-1), inverse (s g s^-1) g^-1
@@ -303,11 +297,10 @@ class _Builder:
             g, ginv = _mul_rows(k, conj(g), ginv), _mul_rows(k, g, conj(ginv))
         elif op.kind == APPEND:  # g (s sigma^e s^-1), inverse (s sigma^-e s^-1) g^-1
             pos, neg = (self.sigma, self.sigma_inv) if op.exp == 1 else (self.sigma_inv, self.sigma)
-            g, ginv = _mul_rows(k, g, conj(_unbox(pos))), _mul_rows(k, conj(_unbox(neg)), ginv)
+            g, ginv = _mul_rows(k, g, conj(pos.payload)), _mul_rows(k, conj(neg.payload), ginv)
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
-        self._g, self._ginv = g, ginv
-        self.g = _box(self.sigma.ring, g)
+        self.g, self.ginv = SqMatrix(ring, n, payload=g), SqMatrix(ring, n, payload=ginv)
 
     def trace(self, target) -> ReductionTrace:
         trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
@@ -356,16 +349,12 @@ class SRWitness:
 
 def unimodular_square_shift(alpha: list[RingElement], bound: int = 10**4) -> SRWitness:
     """Find t with the first n-1 coordinates of alpha, each shifted by
-    t_i * a_n^2, unimodular; certified by an extended-gcd Bezout witness."""
+    t_i * a_n^2, unimodular; certified by an extended-gcd Bezout witness.
+    The first t tried is zero, so a unimodular prefix comes back unshifted."""
     ring = alpha[0].ring
     n = len(alpha)
     prefix = list(alpha[: n - 1])
     an2 = alpha[n - 1] * alpha[n - 1]
-    ok, coeffs = is_unimodular(prefix)
-    if ok:
-        zero = tuple(ring.zero for _ in range(n - 1))
-        return SRWitness(zero, tuple(prefix), tuple(coeffs))
-
     tried = 0
     pool: list[RingElement] = []
     shell = 0
@@ -404,12 +393,13 @@ def _tuples_with_max_shell(pool, new, width):
 
 def in_upper_affine(g: SqMatrix) -> bool:
     """Bottom row equals (0, ..., 0, 1)."""
-    return g.row(g.n) == identity(g.ring, g.n).row(g.n)
+    return g.payload[-1] == identity(g.ring, g.n).payload[-1]
 
 
 def in_lower_affine(g: SqMatrix) -> bool:
     """First column equals (1, 0, ..., 0)."""
-    return g.column(1) == identity(g.ring, g.n).column(1)
+    k = g.ring.kernel
+    return [r[0] for r in g.payload] == [k.one] + [k.zero] * (g.n - 1)
 
 
 def _commutes(a: SqMatrix, b: SqMatrix) -> bool:
@@ -425,13 +415,12 @@ def _case1_finish(b: _Builder, tag: str) -> str:
     g = b.g
     n = g.n
     ring = g.ring
+    k = ring.kernel
     q0 = b.q.canonical
-    u = g.e(1, 1)
-    col = g.column(1)
-    assert is_unit(u) and all(col[r].is_zero for r in range(1, n)), (
+    assert is_unit(g.e(1, 1)) and all(k.is_zero(r[0]) for r in g.payload[1:]), (
         "commuting case must pin the first column to a unit multiple of e_1"
     )
-    sub = SqMatrix(ring, n - 1, tuple(tuple(g.rows[i][1:]) for i in range(1, n)))
+    sub = SqMatrix(ring, n - 1, payload=[r[1:] for r in g.payload[1:]])
     for i in range(1, n):
         for j in range(1, n):
             if i == j:
@@ -441,19 +430,12 @@ def _case1_finish(b: _Builder, tag: str) -> str:
                 assert in_lower_affine(b.g) and not is_central(b.g)
                 return "lower"
     # sub is scalar t*I and the commuting relation forces t = u
-    t = sub.e(1, 1)
-    assert all(
-        sub.e(i, j) == (t if i == j else ring.zero)
-        for i in range(1, n)
-        for j in range(1, n)
-    )
-    assert t == u, "commuting case forces matching corner units"
-    v = [g.rows[0][j] for j in range(1, n)]
-    j0 = next((idx for idx, e in enumerate(v) if not e.is_zero), None)
+    assert is_scalar(sub)
+    assert sub.payload[0][0] == g.payload[0][0], "commuting case forces matching corner units"
+    j0 = next((idx for idx, e in enumerate(g.payload[0][1:]) if not k.is_zero(e)), None)
     if j0 is None:
         raise CentralInput("scalar matrix slipped through the central filter")
-    k = 1 if j0 != 0 else 2
-    b.apply_elem(COMM_RIGHT, [(j0 + 2, k + 1, q0)], tag + ".scalar")
+    b.apply_elem(COMM_RIGHT, [(j0 + 2, 2 if j0 != 0 else 3, q0)], tag + ".scalar")
     assert in_lower_affine(b.g) and not is_central(b.g)
     return "lower"
 
@@ -474,19 +456,15 @@ def _affine_stage(b: _Builder) -> str:
     if _commutes(g, tau):
         return _case1_finish(b, "affine.commuting")
 
-    alpha = list(g.column(1))
-    ok, coeffs = is_unimodular(alpha[: n - 1])
-    if not ok:
-        wit = unimodular_square_shift(alpha)
-        an = alpha[n - 1]
-        b.apply_elem(CONJUGATE, [(i + 1, n, an * t) for i, t in enumerate(wit.t) if not (an * t).is_zero],
-                     "affine.split.shift")
-        alpha = list(b.g.column(1))
-        ok, coeffs = is_unimodular(alpha[: n - 1])
-        assert ok, "shift witness must leave a unimodular prefix"
-
+    alpha = g.column(1)
     an = alpha[n - 1]
-    lam_fac = [(n, k + 1, -(an * dk)) for k, dk in enumerate(coeffs) if not (an * dk).is_zero]
+    wit = unimodular_square_shift(alpha)
+    shift = [(i + 1, n, an * t) for i, t in enumerate(wit.t) if not (an * t).is_zero]
+    if shift:
+        b.apply_elem(CONJUGATE, shift, "affine.split.shift")
+    # the shift adds t_i a_n times row n to row i and leaves row n alone
+    assert b.g.column(1)[: n - 1] == wit.shifted, "shift witness must match the shifted prefix"
+    lam_fac = [(n, k + 1, -(an * dk)) for k, dk in enumerate(wit.bezout) if not (an * dk).is_zero]
     b.apply_elem(COMM_RIGHT, tau_fac, "affine.split.comm")
     if lam_fac:
         b.apply_elem(CONJUGATE, lam_fac, "affine.split.conj")
@@ -507,9 +485,9 @@ def _translate_stage(b: _Builder, loc: str):
     n = b.g.n
     k = b.g.ring.kernel
     if loc == "upper":
-        lines, shift, case = list(zip(*b._g)), 0, "translate.col"
+        lines, shift, case = list(zip(*b.g.payload)), 0, "translate.col"
     elif loc == "lower":
-        lines, shift, case = b._ginv, 1, "translate.row"
+        lines, shift, case = b.ginv.payload, 1, "translate.row"
     else:
         raise ValueError(f"unknown affine location {loc!r}")
     k0 = next(
@@ -525,8 +503,8 @@ def _translate_stage(b: _Builder, loc: str):
 
 
 def _support(g: SqMatrix) -> list[tuple[int, int]]:
-    one = identity(g.ring, g.n)
-    return [(i + 1, j + 1) for i in range(g.n) for j in range(g.n) if g.rows[i][j] != one.rows[i][j]]
+    one = identity(g.ring, g.n).payload
+    return [(i + 1, j + 1) for i in range(g.n) for j in range(g.n) if g.payload[i][j] != one[i][j]]
 
 
 def _single_stage(b: _Builder):
@@ -651,9 +629,9 @@ def reduce_full(sigma: SqMatrix, q: Ideal, target: tuple[int, int], seed: int = 
 
 def _theta(m: SqMatrix) -> SqMatrix:
     """The inverse-transpose automorphism of SL_2; swaps E12 and E21."""
-    a, bb = m.rows[0]
-    c, d = m.rows[1]
-    return SqMatrix(m.ring, 2, ((d, -c), (-bb, a)))
+    (a, bb), (c, d) = m.payload
+    neg = m.ring.kernel.neg
+    return SqMatrix(m.ring, 2, payload=((d, neg(c)), (neg(bb), a)))
 
 
 # z runs over 0, ±q0, ..., ±8 q0 for the canonical generator q0 of the ideal
@@ -682,11 +660,11 @@ def _upgrade(y: SqMatrix, q: Ideal) -> SqMatrix | None:
     s = [[v^-1, z], [0, v]] over the z candidates with [y, s] a nontrivial
     E12 element, entry (z + q')(v - v^-1) != 0; None if no z does, as when
     v^2 = 1."""
-    v, qprime = y.rows[0]
+    v, qprime = y.row(1)
     vinv = unit_check(v)
     for z in _z_candidates(q):
         if not ((z + qprime) * (v - vinv)).is_zero:
-            return SqMatrix(v.ring, 2, ((vinv, z), (v.ring.zero, v)))
+            return SqMatrix.from_raw(v.ring, ((vinv, z), (0, v)))
     return None
 
 
@@ -697,8 +675,8 @@ def _try_upper_commutator(b: _Builder, q: Ideal) -> bool:
     for u in _congruent_units(q):
         uinv = unit_check(u)
         for z in _z_candidates(q):
-            eta = SqMatrix(ring, 2, ((u, z), (ring.zero, uinv)))
-            if not (b.g * eta * b.ginv * mat_inv(eta)).rows[0][1].is_zero:
+            eta = SqMatrix.from_raw(ring, ((u, z), (0, uinv)))
+            if not (b.g * eta * b.ginv * mat_inv(eta)).e(1, 2).is_zero:
                 b.apply(COMM_RIGHT, eta, "sl2.comm-upper")
                 return True
     return False
@@ -727,12 +705,12 @@ def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
         t = a * c * w * (u2 * u + u2 + u + one)  # t c = a (u^4 - 1)
         if not q.contains(t):
             continue
-        wmat = SqMatrix(ring, 2, ((one, t), (ring.zero, one)))
-        dmat = SqMatrix(ring, 2, ((u2, ring.zero), (ring.zero, unit_check(u2))))
+        wmat = SqMatrix.from_raw(ring, ((1, t), (0, 1)))
+        dmat = SqMatrix.from_raw(ring, ((u2, 0), (0, unit_check(u2))))
         emat = mat_inv(wmat) * dmat
         conj_s = wmat * b.sigma_inv
         y = conj_s * (emat * sigma * mat_inv(emat) * b.sigma_inv) * mat_inv(conj_s)
-        assert y.rows[1][0].is_zero, "t cancels the corner"
+        assert y.e(2, 1).is_zero, "t cancels the corner"
         zmat = _upgrade(y, q)
         if zmat is None and not _is_e12_nontrivial(y):
             continue
@@ -745,13 +723,9 @@ def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
 
 
 def _is_e12_nontrivial(m: SqMatrix) -> bool:
-    ring = m.ring
-    return (
-        m.rows[1][0].is_zero
-        and m.rows[0][0] == ring.one
-        and m.rows[1][1] == ring.one
-        and not m.rows[0][1].is_zero
-    )
+    k = m.ring.kernel
+    (a, bb), (c, d) = m.payload
+    return k.is_zero(c) and a == d == k.one and not k.is_zero(bb)
 
 
 def _try_square(b: _Builder) -> bool:

@@ -1,7 +1,27 @@
 import pytest
 
 from congwidth.census import enumerate_sl
-from congwidth.rings import RingSpec
+from congwidth.rings import RingElement, RingSpec
+
+
+@pytest.fixture
+def ring_element_count(monkeypatch):
+    """A callable returning how many RingElements were made since its last call
+    (or since the fixture was set up)."""
+    made = [0]
+    real = RingElement.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingElement, "__init__", counted)
+
+    def take() -> int:
+        count, made[0] = made[0], 0
+        return count
+
+    return take
 
 
 @pytest.fixture(scope="session")

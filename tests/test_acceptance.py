@@ -177,7 +177,7 @@ def test_criterion_3_branch_coverage(ring_z, ring_l5, ring_f5):
         P7 = RingSpec.poly_over_fp(7)
         q1 = Ideal.of(P7, 1)
         x = P7.x()
-        sigma = SqMatrix(P7, 3, (
+        sigma = SqMatrix.from_raw(P7, (
             (P7.el(2), x, P7.zero),
             (P7.zero, P7.el(2), P7.zero),
             (P7.zero, P7.zero, P7.el(2)),

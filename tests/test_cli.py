@@ -223,6 +223,20 @@ def test_norm_config_missing_key(tmp_path, capsys, config, key):
     assert f"needs {key}=" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("config, message", [
+    ("tag=z2mixed\np=0\n", "p-adic norms need a prime p, got 0"),
+    ("tag=padic-sup\nideal=2\np=0\n", "p-adic norms need a prime p, got 0"),
+    ("tag=padic-sup\nring=F2[x]\nideal=1,1\np=2\n", "the p-adic sup norm needs an ideal of Z, not of F2[x]"),
+    ("tag=z2mixed\np=2\nsamples=0\n", "samples must be >= 1, got 0"),
+    ("tag=z2mixed\np=2\nsamples=-5\n", "samples must be >= 1, got -5"),
+])
+def test_norm_config_bad_value(tmp_path, capsys, config, message):
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(config)
+    assert main(["norm", "--config", str(cfg)]) == 1
+    assert _one_line_error(capsys) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("group", ["SLx,F5", "GL2,F5", "SL2", "SL2,Q", "SL2,F4", "SL2,F9"])
 def test_norm_config_bad_group(tmp_path, capsys, group):
     cfg = tmp_path / "norm.cfg"

@@ -216,7 +216,7 @@ def _reference_try_pair_search(b, q, budget):
                 w_out = (z + qprime) * (v - vinv)
                 if w_out.is_zero:
                     continue
-                zmat = SqMatrix(ring, 2, ((vinv, z), (ring.zero, v)))
+                zmat = SqMatrix.from_raw(ring, ((vinv, z), (ring.zero, v)))
                 if not in_congruence_subgroup(zmat, q):
                     continue
                 emit_two(gx, 1, gy, -1)

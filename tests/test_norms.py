@@ -9,6 +9,7 @@ from congwidth.errors import (
     CapAmbiguous,
     NoSmallVector,
     NotCentral,
+    UnsupportedRing,
 )
 import congwidth.norms as norms
 from congwidth.census import enumerate_sl
@@ -540,6 +541,28 @@ def test_shrink_ideal_dirac_exhausts(ring_z):
 def test_padic_sup_harness(ring_z):
     q = Ideal.of(ring_z, 2)
     assert axiom_harness(padic_sup_norm(q, 2), 300, seed=24).passed
+
+
+@pytest.mark.parametrize("p", [1, 0, -2, 4])
+def test_padic_norms_refuse_a_non_prime_p_when_built(ring_z, p):
+    # no value is evaluated here: with p = 1 the valuation loop never ends
+    with pytest.raises(ValueError, match="prime"):
+        z2_mixed_norm(p)
+    with pytest.raises(ValueError, match="prime"):
+        padic_sup_norm(Ideal.of(ring_z, 2), p)
+
+
+@pytest.mark.parametrize("ring", [RingSpec.poly_over_fp(2), RingSpec.integers_mod(8),
+                                  RingSpec.localized_integers(3)])
+def test_padic_sup_norm_needs_an_ideal_of_z(ring):
+    with pytest.raises(UnsupportedRing):
+        padic_sup_norm(Ideal.of(ring, 2), 2)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_harness_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        axiom_harness(z2_mixed_norm(2), samples)
 
 
 def test_element_p_abs(ring_z):

@@ -1,27 +1,30 @@
-"""The payload core of congwidth.matrices against the boxed code it replaced.
+"""The payload core of congwidth.matrices against the boxed code it replaced,
+and the one matrix representation.
 
 The reference functions below are the element-by-element implementations
 that SqMatrix products, determinants and inverses used before the payload
 core: every ring operation goes through RingElement arithmetic.  Each test
 draws matrices over Z, Z/4, Z/12, F2[x], F7[x] and Z[1/5] and checks the
-core against them.
+core against them.  A SqMatrix stores payload rows only: the representation
+tests check that boxing at the accessors round-trips, and a counter gate
+checks that arithmetic, comparison and the text format box no entry.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congwidth.errors import NotInvertible
+from congwidth.errors import MismatchedRings, NotInvertible
 from congwidth.matrices import (
     SqMatrix,
     _add_col,
     _add_row,
-    _box,
-    _unbox,
     determinant,
     elementary,
+    format_matrix,
     identity,
     mat_inv,
+    parse_matrix,
 )
 from congwidth.rings import RingSpec, unit_check
 
@@ -49,7 +52,7 @@ def _reference_dot(row, col):
 def reference_mul(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     cols = tuple(zip(*b.rows))
     rows = tuple(tuple(_reference_dot(a.rows[i], cols[j]) for j in range(a.n)) for i in range(a.n))
-    return SqMatrix(a.ring, a.n, rows)
+    return SqMatrix.from_raw(a.ring, rows)
 
 
 def reference_det(rows, ring):
@@ -83,7 +86,7 @@ def reference_inv(m: SqMatrix) -> SqMatrix:
             cof = reference_det(minor, m.ring)
             row.append(dinv * (-cof if (i + j) % 2 else cof))
         rows.append(tuple(row))
-    return SqMatrix(m.ring, n, tuple(rows))
+    return SqMatrix.from_raw(m.ring, rows)
 
 
 # -- strategies ----------------------------------------------------------------------
@@ -147,9 +150,60 @@ def test_row_and_column_operations_match_reference(args, data):
     i, j = data.draw(st.permutations(range(n)))[:2]
     a = ring.el(data.draw(RINGS[ring]))
     e = elementary(ring, n, i + 1, j + 1, a)
-    rows = _unbox(m)
+    rows = [list(r) for r in m.payload]
     _add_row(ring.kernel, rows, i, j, a.payload)  # row_i += a * row_j
-    assert _box(ring, rows) == reference_mul(e, m)
-    rows = _unbox(m)
+    assert SqMatrix(ring, n, payload=rows) == reference_mul(e, m)
+    rows = [list(r) for r in m.payload]
     _add_col(ring.kernel, rows, i, j, a.payload)  # col_j += col_i * a
-    assert _box(ring, rows) == reference_mul(m, e)
+    assert SqMatrix(ring, n, payload=rows) == reference_mul(m, e)
+
+
+# -- one representation ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and_matrices(1))
+def test_payload_is_the_only_representation(args):
+    ring, m = args
+    boxed = SqMatrix.from_raw(ring, m.rows)
+    assert boxed == m and hash(boxed) == hash(m)
+    assert m.key() == m.payload
+    for i in range(1, m.n + 1):
+        for j in range(1, m.n + 1):
+            assert m.e(i, j).payload == m.payload[i - 1][j - 1]
+    with pytest.raises(TypeError):
+        SqMatrix(ring, m.n, m.rows)  # rows of RingElements are not payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_and_matrices(1), st.data())
+def test_from_raw_refuses_entries_of_another_ring(args, data):
+    ring, m = args
+    other = data.draw(st.sampled_from([r for r in RINGS if r != ring]))
+    with pytest.raises(MismatchedRings):
+        SqMatrix.from_raw(other, m.rows)
+
+
+@pytest.mark.parametrize("ring", [RingSpec.integers(), RingSpec.poly_over_fp(2), RingSpec.localized_integers(5)],
+                         ids=lambda r: r.descriptor())
+def test_matrix_operations_make_no_ring_elements(ring, ring_element_count):
+    a = elementary(ring, 3, 1, 2, 3) * elementary(ring, 3, 3, 1, 2) * elementary(ring, 3, 2, 3, -1)
+    b = elementary(ring, 3, 2, 1, 5) * elementary(ring, 3, 1, 3, 7)
+    text = format_matrix(a)
+    ops = {
+        "*": lambda: a * b,
+        "+": lambda: a + b,
+        "-": lambda: a - b,
+        "mat_inv": lambda: mat_inv(a),
+        "identity": lambda: identity(ring, 3),
+        "format_matrix": lambda: format_matrix(b),
+        "parse_matrix": lambda: parse_matrix(text),
+        "==": lambda: a == b,
+        "hash": lambda: hash(a),
+    }
+    made = {}
+    for name, op in ops.items():
+        ring_element_count()
+        op()
+        made[name] = ring_element_count()
+    assert made == dict.fromkeys(ops, 0)

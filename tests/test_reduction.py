@@ -109,9 +109,8 @@ def test_affine_commuting_scalar_branch():
     P7 = RingSpec.poly_over_fp(7)
     q = Ideal.of(P7, 1)
     x = P7.x()
-    sigma = SqMatrix(
+    sigma = SqMatrix.from_raw(
         P7,
-        3,
         (
             (P7.el(2), x, P7.zero),
             (P7.zero, P7.el(2), P7.zero),
@@ -184,7 +183,7 @@ def test_translate_upper_formula(ring_z):
     rows = [list(r) for r in expected.rows]
     rows[0][2] = gv[0] - vprime[0]
     rows[1][2] = gv[1] - vprime[1]
-    assert out == SqMatrix(ring_z, 3, tuple(tuple(r) for r in rows))
+    assert out == SqMatrix.from_raw(ring_z, rows)
 
 
 def test_translate_upper_trivial(ring_z):

@@ -3,7 +3,8 @@
 The digests were recorded before the trace checks moved into the builder;
 any change to the trace bytes (steps, witnesses, case tags, matrix table)
 shows up here.  The same traces also check the builder's carried inverse
-against the defining formula of each step, and gate its inverse count.
+against the defining formula of each step, and gate its inverse count and
+the RingElements made per step.
 """
 
 import hashlib
@@ -97,7 +98,7 @@ def _sl2_outcomes(name, count=120):
         for _ in range(rng.randint(1, 3)):
             if units and rng.random() < 0.3:
                 u = rng.choice(units)
-                g = g * SqMatrix(ring, 2, ((u, ring.zero), (ring.zero, unit_check(u))))
+                g = g * SqMatrix.from_raw(ring, ((u, ring.zero), (ring.zero, unit_check(u))))
             else:
                 i, j = rng.choice(((1, 2), (2, 1)))
                 g = g * elementary(ring, 2, i, j, q0 * coeff(rng))
@@ -175,6 +176,23 @@ def test_builder_steps_match_reference_and_carry_the_inverse(reduce_traces, sl2_
             prev = st.result
             steps += 1
     assert steps > 500
+
+
+def test_reduce_and_replay_make_few_ring_elements_per_step(ring_element_count):
+    # matrices hold payload rows; only entry reads and witness scalars box
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            ring_element_count()
+            trace = reduce_full(*args)
+            made = ring_element_count()
+            text = serialize_trace(trace)
+            ring_element_count()
+            replay_trace(text)
+            replayed = ring_element_count()
+            steps = len(trace.steps)
+            assert steps > 0
+            assert made <= 20 * steps, f"reduce_full on {name} made {made} ring elements in {steps} steps"
+            assert replayed <= 10 * steps, f"replay_trace on {name} made {replayed} ring elements in {steps} steps"
 
 
 def test_reduce_and_replay_invert_once(monkeypatch):
