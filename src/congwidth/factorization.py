@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import NotSL, UnsupportedRing
 from .matrices import SqMatrix, _add_row, _check_position, _identity_rows, determinant
-from .rings import RingElement, RingSpec, unit_check
+from .rings import RingElement, RingSpec
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,20 @@ class ElemFactorization:
 
 
 class _RowReducer:
-    """Mutable row-reduction state recording left multiplications."""
+    """Mutable row-reduction state recording left multiplications.
+
+    Rows and recorded multipliers are payloads; only the factors are boxed."""
 
     def __init__(self, g: SqMatrix):
-        self.ring = g.ring
+        self.kernel = g.ring.kernel
         self.rows = [list(r) for r in g.payload]
-        self.ops: list[tuple[int, int, RingElement]] = []  # row_i += a * row_j
+        self.ops: list[tuple[int, int, object]] = []  # row_i += a * row_j
 
-    def add_row(self, i: int, j: int, a: RingElement):
-        if a.is_zero:
+    def add_row(self, i: int, j: int, a):
+        if self.kernel.is_zero(a):
             return
         self.ops.append((i, j, a))
-        _add_row(self.ring.kernel, self.rows, i, j, a.payload)
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return RingElement(self.ring, self.rows[i][j])
+        _add_row(self.kernel, self.rows, i, j, a)
 
 
 def decompose_elementary(g: SqMatrix) -> ElemFactorization:
@@ -77,69 +76,66 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
     lowest row index.
     """
     ring = g.ring
-    kernel = ring.kernel
-    if not kernel.euclidean:
+    k = ring.kernel
+    if not k.euclidean:
         raise UnsupportedRing(f"decomposition not supported over {ring.descriptor()}")
     if determinant(g) != ring.one:
         raise NotSL("decomposition requires determinant 1")
     n = g.n
     st = _RowReducer(g)
+    rows = st.rows
+    minus_one = k.neg(k.one)
 
     # Clear below the diagonal, column by column, leaving unit pivots.
     for c in range(n - 1):
         while True:
-            live = [r for r in range(c, n) if not st.entry(r, c).is_zero]
+            live = [r for r in range(c, n) if not k.is_zero(rows[r][c])]
             if len(live) == 1:
                 break
-            piv = min(live, key=lambda r: (kernel.norm(st.entry(r, c).payload), r))
+            piv = min(live, key=lambda r: (k.norm(rows[r][c]), r))
             for r in live:
                 if r == piv:
                     continue
                 # |entry - q * pivot| < |pivot| in the ring's Euclidean norm
-                q = kernel.quotient(st.entry(r, c).payload, st.entry(piv, c).payload)
-                st.add_row(r, piv, -RingElement(ring, q))
+                st.add_row(r, piv, k.neg(k.quotient(rows[r][c], rows[piv][c])))
         r = live[0]
         if r != c:
-            st.add_row(c, r, ring.one)
-            st.add_row(r, c, -ring.one)
+            st.add_row(c, r, k.one)
+            st.add_row(r, c, minus_one)
 
     # Matrix is now upper triangular with unit diagonal; clear above pivots.
     for c in range(n - 1, 0, -1):
-        pivinv = unit_check(st.entry(c, c))
+        pivinv = k.inverse(rows[c][c])
         assert pivinv is not None, "pivot must be a unit in SL_n"
         for r in range(c):
-            x = st.entry(r, c)
-            if not x.is_zero:
-                st.add_row(r, c, -(x * pivinv))
+            x = rows[r][c]
+            if not k.is_zero(x):
+                st.add_row(r, c, k.neg(k.mul(x, pivinv)))
 
     # Reduce diag(u_1, ..., u_n) to I with embedded 2x2 unit-diagonal moves.
     for c in range(n - 1):
-        u = st.entry(c, c)
-        if u == ring.one:
+        u = rows[c][c]
+        if u == k.one:
             continue
-        uinv = unit_check(u)
+        uinv = k.inverse(u)
         assert uinv is not None
         # diag(u^-1, u) at rows (c, c+1) = w(u^-1) * w(-1), w(t) = E12(t)E21(-t^-1)E12(t)
         for (i, j, a) in reversed(
             [
                 (c, c + 1, uinv),
-                (c + 1, c, -u),
+                (c + 1, c, k.neg(u)),
                 (c, c + 1, uinv),
-                (c, c + 1, -ring.one),
-                (c + 1, c, ring.one),
-                (c, c + 1, -ring.one),
+                (c, c + 1, minus_one),
+                (c + 1, c, k.one),
+                (c, c + 1, minus_one),
             ]
         ):
             st.add_row(i, j, a)
 
-    assert all(
-        st.entry(i, j) == (ring.one if i == j else ring.zero)
-        for i in range(n)
-        for j in range(n)
-    ), "row reduction did not reach the identity"
+    assert rows == _identity_rows(k, n), "row reduction did not reach the identity"
 
     # L_k ... L_1 g = I, hence g = L_1^-1 ... L_k^-1 (ops in original order).
-    factors = tuple(ElemFactor(i + 1, j + 1, -a) for (i, j, a) in st.ops)
+    factors = tuple(ElemFactor(i + 1, j + 1, RingElement(ring, k.neg(a))) for (i, j, a) in st.ops)
     return ElemFactorization(factors, g)
 
 

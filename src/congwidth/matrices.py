@@ -284,27 +284,28 @@ class CongruenceDatum:
     level: int | None  # None: beyond every checked power
     is_identity: bool  # distinguishes the identity from a cap overflow
 
-    @property
-    def capped(self) -> bool:
-        return self.level is None and not self.is_identity
-
 
 def congruence_level(g: SqMatrix, ideal: Ideal, cap: int = 64) -> CongruenceDatum:
-    """Largest i <= cap with all entries of g - I in ideal^i."""
+    """Largest i <= cap with all entries of g - I in ideal^i.
+
+    d^i (d the canonical generator) is built once per level, and each nonzero
+    entry of g - I is tested by kernel division; a zero d^i (Z/m only)
+    divides no nonzero entry.  A chain that stabilises still runs to the cap."""
     if ideal.is_zero:
         raise ZeroIdeal("congruence level against the zero ideal")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    one = identity(g.ring, g.n)
-    if g == one:
+    k = g.ring.kernel
+    minus_one = k.neg(k.one)
+    diff = [e for i, r in enumerate(g.payload) for j, x in enumerate(r)
+            if not k.is_zero(e := k.add(x, minus_one) if i == j else x)]
+    if not diff:
         return CongruenceDatum(ideal, None, True)
-    diff = [e for r in (g - one).rows for e in r]
-    level = 0
+    d, di = ideal.canonical.payload, k.one
     for i in range(1, cap + 1):
-        if all(ideal.power_contains(e, i) for e in diff):
-            level = i
-        else:
-            return CongruenceDatum(ideal, level, False)
+        di = k.mul(di, d)
+        if any(k.div(e, di) is None for e in diff):
+            return CongruenceDatum(ideal, i - 1, False)
     return CongruenceDatum(ideal, None, False)
 
 

@@ -40,12 +40,13 @@ class MatrixGroupDomain:
     def __init__(self, ring: RingSpec, n: int, generators: list[SqMatrix], radius: int = 8):
         self.ring = ring
         self.n = n
-        self.generators = list(generators)
+        self.letters = [(g, mat_inv(g)) for g in generators]  # (g, g^-1): sampling inverts nothing
         self.radius = radius
         self.name = f"SL{n}({ring.descriptor()})"
+        self.one = identity(ring, n)
 
     def identity(self):
-        return identity(self.ring, self.n)
+        return self.one
 
     def mul(self, a, b):
         return a * b
@@ -54,18 +55,16 @@ class MatrixGroupDomain:
         return mat_inv(a)
 
     def is_identity(self, a) -> bool:
-        return a == self.identity()
+        return a == self.one
 
     def key(self, a):
         return a.key()
 
     def sample(self, rng: random.Random):
-        out = self.identity()
+        out = self.one
         for _ in range(rng.randint(0, self.radius)):
-            g = rng.choice(self.generators)
-            if rng.random() < 0.5:
-                g = mat_inv(g)
-            out = out * g
+            g, ginv = rng.choice(self.letters)
+            out = out * (ginv if rng.random() < 0.5 else g)
         return out
 
 

@@ -621,16 +621,5 @@ class Ideal:
             return e.is_zero
         return divides(self.canonical, e)
 
-    def power_contains(self, e: RingElement, i: int) -> bool:
-        """Membership in the i-th power of this ideal."""
-        if i == 0:
-            return True
-        if self.is_zero:
-            return e.is_zero
-        di = self.ring.one
-        for _ in range(i):
-            di = di * self.canonical
-        return divides(di, e)
-
     def describe(self) -> str:
         return "(" + ", ".join(format_element(g) for g in self.generators) + ")"

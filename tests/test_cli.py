@@ -309,3 +309,20 @@ def test_norm_word_report_bytes(tmp_path, seed):
     cfg.write_text(f"tag=word\ngroup=SL2,F5\nsamples=1000\nseed={seed}\n")
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WORD_REPORT_SHA256[seed]
+
+
+# sha256 of the CLI filtration report on SL3(Z), ideal 2, cap 64 (1000
+# samples), by seed
+FILTRATION_REPORT_SHA256 = {
+    0: "503383ef8990175b4fa13de56e6c6af246730bfd61515bee0973ee446c31e91a",
+    1: "cff2d33ff8b819b15ac603aa272e43cc983c463c164ac4ba7323bb1d2a194aa8",
+    2: "88ebf4930bbd8487c147d912e8c5123bcb97095c69003572293a9574143dec1b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FILTRATION_REPORT_SHA256))
+def test_norm_filtration_report_bytes(tmp_path, seed):
+    cfg, out = tmp_path / "norm.cfg", tmp_path / "report.txt"
+    cfg.write_text(f"tag=filtration\nring=Z\nn=3\nideal=2\ncap=64\nsamples=1000\nseed={seed}\n")
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FILTRATION_REPORT_SHA256[seed]

@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from congwidth.factorization import decompose_elementary, factor_count_census
+from congwidth.factorization import census_csv, decompose_elementary, factor_count_census
 from congwidth.errors import NotSL, UnsupportedRing
 from congwidth.matrices import SqMatrix, elementary, identity, mat_inv
+from congwidth.rings import RingSpec
 
 
 def rand_sl(ring, n, rng, nfac, coeff):
@@ -105,3 +107,18 @@ def test_factor_count_census_orders(ring_f2, ring_f3):
     assert order3 == 3 * (3**2 - 1)
     assert sum(hist3.values()) == order3
     assert hist3[0] == 1
+
+
+# sha256 of census_csv for SL3(Z/3) (5616 elements)
+SL3_Z3_FACTORS_SHA256 = "4aab267681206a1a7722355a74d39ba84c5db1b5f1821491b9d8ba7c013eda1b"
+
+
+def test_factor_census_of_sl3_z3_reads_entries_unboxed(ring_element_count):
+    hist, mx, order = factor_count_census(3, RingSpec.integers_mod(3))
+    made = ring_element_count()
+    assert order == 5616
+    assert hashlib.sha256(census_csv(hist, mx, order).encode()).hexdigest() == SL3_Z3_FACTORS_SHA256
+    # one RingElement per factor (53,892) and two per determinant check: the
+    # reducer reads, compares and divides payloads (391,230 when it boxed them)
+    bound = sum(c * f for c, f in hist.items()) + 2 * order
+    assert bound == 65_124 and made <= bound

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congwidth.errors import MismatchedRings, NotInvertible, ZeroIdeal
 from congwidth.matrices import (
+    CongruenceDatum,
     SqMatrix,
     basis_matrix,
     commutator,
@@ -20,7 +23,7 @@ from congwidth.matrices import (
     mat_inv,
     parse_matrix,
 )
-from congwidth.rings import Ideal, RingSpec
+from congwidth.rings import Ideal, RingSpec, divides
 
 
 def rand_sl3(ring, rng, nfac=8, scale=3):
@@ -188,7 +191,85 @@ def test_congruence_level_cap_flag(ring_z):
     q = Ideal.of(ring_z, 2)
     g = elementary(ring_z, 3, 1, 2, 2**70)
     datum = congruence_level(g, q, cap=64)
-    assert datum.level is None and not datum.is_identity and datum.capped
+    assert datum.level is None and not datum.is_identity
+
+
+def test_congruence_level_matches_ideal_powers():
+    """Membership of single entries in powers of an ideal, read off the
+    level of the elementary matrix carrying them."""
+    Z = RingSpec.integers()
+    q = Ideal.of(Z, 2)
+    assert congruence_level(elementary(Z, 3, 1, 2, 4), q).level == 2  # 4 in q^2, not in q^3
+    assert congruence_level(identity(Z, 3), q, cap=17).is_identity  # 0 lies in every power
+    Z12 = RingSpec.integers_mod(12)
+    q12 = Ideal.of(Z12, 2)
+    datum = congruence_level(elementary(Z12, 2, 1, 2, 4), q12)
+    assert datum.level is None and not datum.is_identity  # 4 = 4^k in Z/12 lies in every power
+    assert congruence_level(elementary(Z12, 2, 1, 2, 2), q12).level == 1  # 2 not in q^2
+    L5 = RingSpec.localized_integers(5)
+    q5 = Ideal.of(L5, 2)
+    assert congruence_level(elementary(L5, 2, 2, 1, (4, -3)), q5).level == 2  # 4/125: 5-part a unit
+    assert congruence_level(elementary(L5, 2, 2, 1, (2, 1)), q5).level == 1
+
+
+def reference_level(g: SqMatrix, ideal: Ideal, cap: int) -> CongruenceDatum:
+    """Power by power: q^i rebuilt with i products, every entry of g - I
+    tested with divides."""
+    ring = g.ring
+    if g == identity(ring, g.n):
+        return CongruenceDatum(ideal, None, True)
+    diff = [e for r in (g - identity(ring, g.n)).rows for e in r]
+    for i in range(1, cap + 1):
+        di = ring.one
+        for _ in range(i):
+            di = di * ideal.canonical
+        if not all(divides(di, e) for e in diff):
+            return CongruenceDatum(ideal, i - 1, False)
+    return CongruenceDatum(ideal, None, False)
+
+
+# (ring, generator of q, raw entries): Z/8 has 2^3 = 0, and in Z/12 the chain
+# (2) > (4) = (4)^2 = ... stabilises, so 4 lies in every power
+LEVEL_CASES = [
+    (RingSpec.integers(), 2, st.integers(-9, 9)),
+    (RingSpec.integers(), 6, st.integers(-9, 9)),
+    (RingSpec.integers_mod(8), 2, st.integers(0, 7)),
+    (RingSpec.integers_mod(12), 2, st.integers(0, 11)),
+    (RingSpec.poly_over_fp(2), [0, 1], st.lists(st.integers(0, 1), max_size=3)),
+    (RingSpec.localized_integers(5), 2, st.tuples(st.integers(-9, 9), st.integers(-2, 2))),
+]
+
+
+@st.composite
+def level_cases(draw):
+    ring, gen, raw = draw(st.sampled_from(LEVEL_CASES))
+    ideal = Ideal.of(ring, gen)
+    n = draw(st.sampled_from((2, 3)))
+    diff = []
+    for _ in range(n * n):
+        x = ring.el(draw(raw)) if draw(st.booleans()) else ring.zero
+        for _ in range(draw(st.integers(0, 6))):
+            x = x * ideal.canonical
+        diff.append(x)
+    g = identity(ring, n) + SqMatrix.from_raw(ring, [diff[i * n:(i + 1) * n] for i in range(n)])
+    return g, ideal, draw(st.sampled_from((1, 2, 3, 8, 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_cases())
+def test_congruence_level_matches_reference(case):
+    g, ideal, cap = case
+    assert congruence_level(g, ideal, cap) == reference_level(g, ideal, cap)
+
+
+@pytest.mark.parametrize("ring, gen", [c[:2] for c in LEVEL_CASES], ids=["Z-2", "Z-6", "Z8-2", "Z12-2", "F2x-x", "Z5inv-2"])
+def test_congruence_level_identity_and_cap_one(ring, gen):
+    q = Ideal.of(ring, gen)
+    assert congruence_level(identity(ring, 3), q, cap=1) == CongruenceDatum(q, None, True)
+    g = elementary(ring, 3, 2, 3, q.canonical * q.canonical)
+    assert congruence_level(g, q, cap=1) == reference_level(g, q, 1)
+    with pytest.raises(ValueError):
+        congruence_level(g, q, cap=0)
 
 
 def test_congruence_level_zero_ideal(ring_z):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -127,6 +128,46 @@ def test_word_norm_harness_does_no_matrix_arithmetic(monkeypatch, sl2_f5):
 
 
 # -- filtration ------------------------------------------------------------------
+
+
+# sha256 of the filtration sample stream of the CLI domain (SL3(Z) over the
+# unit elementaries, radius 8; ideal 2, cap 64): 100 samples for each seed
+# 0-7, one line per sample with its payload rows and its norm value.  A
+# report with zero violations reads the same whatever was sampled, so this
+# pins the stream itself.
+SAMPLE_STREAM_SHA256 = "8c7638bbc907aaebaa8a994043046c00c016a598d7097b47e222fbe2617366fa"
+
+
+def test_filtration_sample_stream_digest(ring_z):
+    dom = sl_domain(ring_z, 3, radius=8)
+    norm = filtration_norm(FiltrationChain(dom, Ideal.of(ring_z, 2), 64))
+    lines = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        for _ in range(100):
+            g = dom.sample(rng)
+            lines.append(f"{g.payload} {norm.value(g)}")
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_STREAM_SHA256
+
+
+def test_filtration_harness_inverts_only_for_its_axioms(monkeypatch, ring_z):
+    dom = sl_domain(ring_z, 3, radius=8)
+    norm = filtration_norm(FiltrationChain(dom, Ideal.of(ring_z, 2), 64))
+    calls = []
+
+    def counted_inv(a):
+        calls.append(a)
+        return mat_inv(a)
+
+    monkeypatch.setattr(norms, "mat_inv", counted_inv)
+    rng = random.Random(0)
+    for _ in range(200):
+        dom.sample(rng)
+    assert calls == []
+    samples = 50
+    assert axiom_harness(norm, samples, seed=3).passed
+    assert len(calls) == 2 * samples  # symmetry and conjugation
 
 
 def test_filtration_values(ring_z):

@@ -142,22 +142,6 @@ def test_ideal_membership_generators():
             assert ideal.contains(ideal.canonical)
 
 
-def test_ideal_powers():
-    Z = RingSpec.integers()
-    I = Ideal.of(Z, 2)
-    assert I.power_contains(Z.el(4), 2)
-    assert not I.power_contains(Z.el(4), 3)
-    assert I.power_contains(Z.zero, 17)
-    Z12 = RingSpec.integers_mod(12)
-    J = Ideal.of(Z12, 2)
-    assert J.power_contains(Z12.el(4), 2)
-    assert not J.power_contains(Z12.el(2), 2)
-    L5 = RingSpec.localized_integers(5)
-    K = Ideal.of(L5, 2)
-    assert K.power_contains(L5.el((4, -3)), 2)  # 4/125: p-part is a unit
-    assert not K.power_contains(L5.el((2, 1)), 2)
-
-
 def test_unit_check_examples():
     Z = RingSpec.integers()
     assert unit_check(Z.el(-1)) == Z.el(-1)
