@@ -269,11 +269,21 @@ def is_central(g: SqMatrix) -> bool:
     return is_scalar(g)
 
 
+def _off_identity(g: SqMatrix) -> list:
+    """The nonzero entries of g - I, as payloads."""
+    k = g.ring.kernel
+    minus_one = k.neg(k.one)
+    return [e for i, r in enumerate(g.payload) for j, x in enumerate(r)
+            if not k.is_zero(e := k.add(x, minus_one) if i == j else x)]
+
+
 def in_congruence_subgroup(g: SqMatrix, ideal: Ideal) -> bool:
-    """True iff g = I mod ideal (entrywise)."""
-    one = identity(g.ring, g.n)
-    diff = g - one
-    return all(ideal.contains(e) for r in diff.rows for e in r)
+    """True iff g = I mod ideal: one kernel division per nonzero entry of g - I."""
+    if g.ring is not ideal.ring and g.ring != ideal.ring:
+        raise MismatchedRings("element outside the ideal's ring")
+    k, d = g.ring.kernel, ideal.canonical.payload
+    diff = _off_identity(g)
+    return not diff if k.is_zero(d) else all(k.div(e, d) is not None for e in diff)
 
 
 @dataclass(frozen=True)
@@ -296,9 +306,7 @@ def congruence_level(g: SqMatrix, ideal: Ideal, cap: int = 64) -> CongruenceDatu
     if cap < 1:
         raise ValueError("cap must be >= 1")
     k = g.ring.kernel
-    minus_one = k.neg(k.one)
-    diff = [e for i, r in enumerate(g.payload) for j, x in enumerate(r)
-            if not k.is_zero(e := k.add(x, minus_one) if i == j else x)]
+    diff = _off_identity(g)
     if not diff:
         return CongruenceDatum(ideal, None, True)
     d, di = ideal.canonical.payload, k.one

@@ -11,11 +11,11 @@ values hash safely:
 
 Each ring kind has one kernel class, which holds all of the kind's
 payload-level code: arithmetic, coercion, the text format, units, division,
-gcd, and the per-kind helpers of factorization and reduction.  A RingSpec
-binds its kernel once, when it is made, and nothing dispatches on the kind
-after that.  RingElement arithmetic is the ring check plus one kernel call.
-The check compares ring identity first and falls back to equality only for
-two distinct but equal RingSpecs.
+gcd, and the per-kind helpers of factorization and reduction.  Kernels are
+stateless, so all equal RingSpecs share the one made with the first of them,
+and nothing dispatches on the kind after that.  RingElement arithmetic is
+the ring check plus one kernel call.  The check compares ring identity
+first and falls back to equality only for two distinct but equal RingSpecs.
 
 All four rings are principal ideal rings, so an ideal carries a cached
 canonical generator and membership is a divisibility test.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 
 from .errors import MismatchedRings, UnsupportedRing
@@ -82,6 +83,11 @@ def _trim(coeffs: list[int]) -> tuple:
     return tuple(coeffs)
 
 
+def _pack(coeffs, k: int) -> int:
+    """coeffs as one int, coefficient i in bytes [k*i, k*(i+1)), little-endian."""
+    return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in coeffs), "little")
+
+
 # -- one kernel per ring kind ------------------------------------------------------
 
 
@@ -100,8 +106,8 @@ class _Kernel:
     euclidean = True
     is_zero = operator.not_  # builtins do not bind: self.is_zero(a) is not_(a)
 
-    def __init__(self, spec: "RingSpec"):
-        self.m, self.p = spec.modulus, spec.prime
+    def __init__(self, m: int, p: int):
+        self.m, self.p = m, p
         self.zero, self.one = self.el(0), self.el(1)
 
     def x(self):
@@ -156,10 +162,10 @@ class _ZmodKernel(_ZKernel):
 
     finite = True
 
-    def __init__(self, spec: "RingSpec"):
-        if spec.modulus < 2:
+    def __init__(self, m: int, p: int):
+        if m < 2:
             raise ValueError("modulus must be >= 2")
-        super().__init__(spec)
+        super().__init__(m, p)
         self.domain = is_prime(self.m)
 
     def add(self, a, b):
@@ -207,18 +213,16 @@ class _ZmodKernel(_ZKernel):
 class _PolyKernel(_Kernel):
     """F_p[x]; the Euclidean norm is degree + 1, and gcds are monic."""
 
-    def __init__(self, spec: "RingSpec"):
-        if not is_prime(spec.prime):
+    def __init__(self, m: int, p: int):
+        if not is_prime(p):
             raise ValueError("coefficient characteristic must be prime")
-        super().__init__(spec)
+        super().__init__(m, p)
+        self._mod_p = bytes(v % p for v in range(256))  # bytes.translate table
 
     def add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return _trim(out)
+        if not a or not b:
+            return a or b
+        return self._kronecker(operator.add, a, b, 2 * (self.p - 1), max(len(a), len(b)))
 
     def neg(self, a):
         return tuple(-c % self.p for c in a)
@@ -226,13 +230,20 @@ class _PolyKernel(_Kernel):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        p = self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-        return _trim(out)
+        bound = min(len(a), len(b)) * (self.p - 1) ** 2
+        return self._kronecker(operator.mul, a, b, bound, len(a) + len(b) - 1)
+
+    def _kronecker(self, op, a, b, bound: int, length: int):
+        """op(a, b) with a and b packed into ints, one coefficient per k-byte slot.
+
+        k is the fewest bytes that hold bound, the largest slot value op can form,
+        so no slot carries; the result's length slots, mod p, are its coefficients."""
+        k = (bound.bit_length() + 7) // 8
+        if k == 1:
+            r = op(int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little"))
+            return tuple(r.to_bytes(length, "little").translate(self._mod_p).rstrip(b"\0"))
+        r = op(_pack(a, k), _pack(b, k)).to_bytes(k * length, "little")
+        return _trim([int.from_bytes(r[i:i + k], "little") % self.p for i in range(0, len(r), k)])
 
     def el(self, raw):
         return _trim([int(c) % self.p for c in ([raw] if isinstance(raw, int) else raw)])
@@ -314,10 +325,10 @@ class _ZinvKernel(_Kernel):
 
     euclidean = False
 
-    def __init__(self, spec: "RingSpec"):
-        if not is_prime(spec.prime):
+    def __init__(self, m: int, p: int):
+        if not is_prime(p):
             raise ValueError("inverted integer must be prime")
-        super().__init__(spec)
+        super().__init__(m, p)
 
     def add(self, a, b):
         (n1, k1), (n2, k2) = a, b
@@ -390,6 +401,12 @@ class _ZinvKernel(_Kernel):
 _KERNELS = {KIND_Z: _ZKernel, KIND_ZMOD: _ZmodKernel, KIND_POLY: _PolyKernel, KIND_ZINV: _ZinvKernel}
 
 
+@cache
+def _kernel(kind: str, modulus: int, prime: int) -> _Kernel:
+    """The one kernel of each ring; a constructor that raises caches nothing."""
+    return _KERNELS[kind](modulus, prime)
+
+
 @dataclass(frozen=True, slots=True)
 class RingSpec:
     """A concrete commutative ring with unit; its kernel is bound when it is made."""
@@ -402,7 +419,7 @@ class RingSpec:
     def __post_init__(self):
         if self.kind not in _KERNELS:
             raise ValueError(f"unknown ring kind {self.kind!r}")
-        object.__setattr__(self, "kernel", _KERNELS[self.kind](self))
+        object.__setattr__(self, "kernel", _kernel(self.kind, self.modulus, self.prime))
 
     # -- construction ------------------------------------------------------
 

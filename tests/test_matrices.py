@@ -334,10 +334,42 @@ def test_text_format_round_trip():
             assert format_matrix(parse_matrix(text)) == text
 
 
-def test_congruence_subgroup_membership(ring_z):
+def test_congruence_subgroup_membership(ring_z, ring_z4):
     q = Ideal.of(ring_z, 2)
     assert in_congruence_subgroup(elementary(ring_z, 3, 1, 2, 2), q)
     assert not in_congruence_subgroup(elementary(ring_z, 3, 1, 2, 1), q)
+    with pytest.raises(MismatchedRings):
+        in_congruence_subgroup(elementary(ring_z, 3, 1, 2, 2), Ideal.of(ring_z4, 2))
+
+
+def _reference_in_congruence_subgroup(g, ideal):
+    """The definition: every entry of g - I lies in the ideal."""
+    diff = g - identity(g.ring, g.n)
+    return all(ideal.contains(e) for r in diff.rows for e in r)
+
+
+CONGRUENCE_RAW = {
+    RingSpec.integers(): st.integers(-6, 6),
+    RingSpec.integers_mod(8): st.integers(0, 7),
+    RingSpec.poly_over_fp(2): st.lists(st.integers(0, 1), max_size=3),
+    RingSpec.localized_integers(5): st.tuples(st.integers(-6, 6), st.integers(-1, 1)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_in_congruence_subgroup_matches_definition(data):
+    ring = data.draw(st.sampled_from(list(CONGRUENCE_RAW)), label="ring")
+    raw = CONGRUENCE_RAW[ring]
+    q = Ideal.of(ring, data.draw(st.one_of(st.just(0), raw), label="generator"))  # zero ideal too
+    n = data.draw(st.sampled_from((2, 3)), label="n")
+    # I + d*M lies in the congruence subgroup; replacing one entry may leave it
+    rows = [[(ring.one if i == j else ring.zero) + q.canonical * ring.el(data.draw(raw)) for j in range(n)]
+            for i in range(n)]
+    if data.draw(st.booleans(), label="perturb"):
+        rows[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = ring.el(data.draw(raw))
+    g = SqMatrix.from_raw(ring, rows)
+    assert in_congruence_subgroup(g, q) == _reference_in_congruence_subgroup(g, q)
 
 
 def test_inverse_over_composite_modulus(ring_z4):

@@ -7,7 +7,8 @@ core: every ring operation goes through RingElement arithmetic.  Each test
 draws matrices over Z, Z/4, Z/12, F2[x], F7[x] and Z[1/5] and checks the
 core against them.  A SqMatrix stores payload rows only: the representation
 tests check that boxing at the accessors round-trips, and a counter gate
-checks that arithmetic, comparison and the text format box no entry.
+checks that arithmetic, comparison, the text format and congruence-subgroup
+membership box no entry.
 """
 
 import pytest
@@ -23,10 +24,11 @@ from congwidth.matrices import (
     elementary,
     format_matrix,
     identity,
+    in_congruence_subgroup,
     mat_inv,
     parse_matrix,
 )
-from congwidth.rings import RingSpec, unit_check
+from congwidth.rings import Ideal, RingSpec, unit_check
 
 # ring -> strategy for raw entries accepted by ring.el
 RINGS = {
@@ -190,6 +192,7 @@ def test_matrix_operations_make_no_ring_elements(ring, ring_element_count):
     a = elementary(ring, 3, 1, 2, 3) * elementary(ring, 3, 3, 1, 2) * elementary(ring, 3, 2, 3, -1)
     b = elementary(ring, 3, 2, 1, 5) * elementary(ring, 3, 1, 3, 7)
     text = format_matrix(a)
+    q = Ideal.of(ring, 3)
     ops = {
         "*": lambda: a * b,
         "+": lambda: a + b,
@@ -200,6 +203,7 @@ def test_matrix_operations_make_no_ring_elements(ring, ring_element_count):
         "parse_matrix": lambda: parse_matrix(text),
         "==": lambda: a == b,
         "hash": lambda: hash(a),
+        "in_congruence_subgroup": lambda: in_congruence_subgroup(b, q),
     }
     made = {}
     for name, op in ops.items():

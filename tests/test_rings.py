@@ -39,10 +39,13 @@ def sample_element(ring, rng):
 def test_descriptor_round_trip():
     for ring in all_rings():
         assert RingSpec.parse(ring.descriptor()) == ring
+        assert RingSpec.parse(ring.descriptor()).kernel is ring.kernel  # one kernel per ring
+    assert RingSpec.poly_over_fp(3).kernel is not RingSpec.poly_over_fp(2).kernel
 
 
 def test_descriptor_rejects_garbage():
-    for bad in ("Q", "Z/1", "Z/0", "F4[x]", "F9[x]", "Z[1/6]", "Z[1/0]", "z"):
+    # twice each: a construction that raises leaves no kernel behind
+    for bad in ("Q", "Z/1", "Z/0", "F4[x]", "F9[x]", "Z[1/6]", "Z[1/0]", "z") * 2:
         with pytest.raises(ValueError):
             RingSpec.parse(bad)
 

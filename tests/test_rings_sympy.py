@@ -13,6 +13,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul
 
 from congwidth.rings import RingSpec, divides, exact_div, extended_gcd, unit_check
 
@@ -218,3 +220,85 @@ def test_extended_gcd_generates_sympy_gcd(model, data):
     assert_denotes(model, g, model.to_sympy(g))
     expected = model.gcd([model.to_sympy(e) for e in elems])
     assert model.generator(model.to_sympy(g)) == model.generator(expected)
+
+
+
+# -- F_p[x] sums and products over long operands ---------------------------------
+#
+# The kernel packs each coefficient into a slot of k bytes, k set by the
+# largest value a slot can reach (min(len) * (p-1)**2 for a product, 2*(p-1)
+# for a sum).  The primes sit on both sides of each k boundary, and lengths
+# run to 300, past the 255 at which an F2[x] product needs two-byte slots.
+# sympy's dense GF(p) arithmetic is the oracle here: Poly products this long
+# take tens of milliseconds each.
+
+SLOT_PRIMES = [2, 3, 13, 17, 251, 257, 65537]
+
+
+def schoolbook_add(p, a, b):
+    """The reference sum: coefficientwise, mod p, trailing zeros trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def schoolbook_mul(p, a, b):
+    """The reference product: the double loop over coefficient pairs."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def sympy_gf(op, p, a, b):
+    """op (gf_add or gf_mul) on ascending payloads, through sympy's descending lists."""
+    return tuple(reversed(op(list(reversed(a)), list(reversed(b)), p, ZZ)))
+
+
+@st.composite
+def long_polys(draw, p, max_len=300):
+    """A canonical F_p[x] payload of a uniformly drawn length 0..max_len."""
+    n = draw(st.integers(0, max_len))
+    rnd = draw(st.randoms(use_true_random=False))
+    return tuple(rnd.randrange(p) for _ in range(n - 1)) + ((rnd.randrange(1, p),) if n else ())
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_long_sums_and_products_match_sympy_and_schoolbook(p, data):
+    k = RingSpec.poly_over_fp(p).kernel
+    a, b = data.draw(long_polys(p)), data.draw(long_polys(p))
+    assert k.add(a, b) == schoolbook_add(p, a, b) == sympy_gf(gf_add, p, a, b)
+    assert k.mul(a, b) == schoolbook_mul(p, a, b) == sympy_gf(gf_mul, p, a, b)
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_extreme_coefficients_fill_every_slot_size(p):
+    # all coefficients p-1: the middle slot of a product reaches its bound
+    # min(len) * (p-1)**2 exactly, so a slot one byte too narrow would carry
+    k = RingSpec.poly_over_fp(p).kernel
+    for la, lb in [(1, 1), (1, 300), (2, 2), (63, 63), (64, 64), (255, 255), (256, 256), (300, 320)]:
+        a, b = (p - 1,) * la, (p - 1,) * lb
+        assert k.mul(a, b) == schoolbook_mul(p, a, b)
+        assert k.add(a, b) == schoolbook_add(p, a, b)
+
+
+def test_f2_product_past_one_byte_slots():
+    # min(len) >= 300 > 255: an F2[x] product needs two-byte slots
+    k = RingSpec.poly_over_fp(2).kernel
+    a = tuple(i % 3 % 2 for i in range(299)) + (1,)
+    b = (1,) * 320
+    for x, y in [(a, b), (b, b), (a, a)]:
+        assert k.mul(x, y) == schoolbook_mul(2, x, y) == sympy_gf(gf_mul, 2, x, y)
