@@ -326,3 +326,19 @@ def test_norm_filtration_report_bytes(tmp_path, seed):
     cfg.write_text(f"tag=filtration\nring=Z\nn=3\nideal=2\ncap=64\nsamples=1000\nseed={seed}\n")
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FILTRATION_REPORT_SHA256[seed]
+
+
+# sha256 of the CLI report (1000 samples, seed 0) of each remaining norm tag
+NORM_REPORT_SHA256 = {
+    "tag=dirac\n": "0dbe4b5c1cdff35e914c146653f30269fa1b19bd6a778ac3ec58636884eb2cb2",
+    "tag=z2mixed\np=2\n": "d7f255dbd2a4c671bff033a4c9f2ec3b2c9d3122b745cdc0ba2f1e124d4e1f87",
+    "tag=padic-sup\nideal=2\np=2\n": "bf7437ad62ebb803128c7a8bc1caca9429f4a36f5afe95ba58fd51e20b4a8447",
+}
+
+
+@pytest.mark.parametrize("config", sorted(NORM_REPORT_SHA256), ids=lambda c: c.replace("\n", " ").strip())
+def test_norm_report_bytes(tmp_path, config):
+    cfg, out = tmp_path / "norm.cfg", tmp_path / "report.txt"
+    cfg.write_text(config)
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NORM_REPORT_SHA256[config]

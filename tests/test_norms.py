@@ -629,3 +629,71 @@ def test_filtration_custom_value_sequence(ring_z):
     assert norm.value(elementary(ring_z, 3, 1, 2, 4)) == Fraction(1, 9)
     with pytest.raises(CapAmbiguous):
         norm.value(elementary(ring_z, 3, 1, 2, 2**40))
+
+
+# -- value streams ---------------------------------------------------------------------------------
+
+
+# sha256 of the value stream of each construction: str(norm.value(g)) for 200
+# draws of norm.domain.sample from random.Random(0), one line per draw.  The
+# harness reports only violation counts, so these pin the values themselves.
+VALUE_STREAM_SHA256 = {
+    "dirac-matrix": "1b576c153be7d5650d73d97c3a611e891b5e1d1c20f1f04af4441c9d156c78f4",
+    "dirac-finite": "48fda1ceb1d350030bc1ddf49636588abaabb489f4c11cff8d3ed293396352a7",
+    "filtration": "f57d7cd5b57ef70351d311b5be76c6f4409a8f110ed55b3f190bdc3d02903db8",
+    "bounded": "f737d0c54185ae2dd7e3bd55f06e9bde4c428c85701fe9308e312bc5c5d73058",
+    "singular": "287307dc8be3c7c18135836704763009a220822f8cfae10f480c70625b066aeb",
+    "quotient": "f9ac7c81e2ee3cefb3c2b216b32dff47f11e80fc8bdf7de887bce5326699761b",
+    "average": "1c48aa19ea432f16556cf9eb20bed0e183805d09e4bf90006ae327a8b54c63de",
+    "product-sum": "968941505900458245c0262dc97c575f53ca7c4a66d5a4739bc0754ff56fd426",
+    "z2-mixed": "027b19570930a5aabdfb7f8fe9a178eaa51488a3d7d42de66ebf9dd2cfadb1fc",
+    "padic-sup": "a2a9e9aea0cbd1588fd00939c8521d23b88d31c5e2f17e8d6c178741718cd50e",
+    "word": "fa4af1812fcde3d6dce0d5c690f3eb5e3001ba925a5c2d8db6f3a9225f3d44f7",
+}
+
+
+def _value_stream_norms(ring_z, sl2_f3, sl2_z4, ring_z4):
+    q2, q3 = Ideal.of(ring_z, 2), Ideal.of(ring_z, 3)
+    filtration = filtration_norm(FiltrationChain(sl_domain(ring_z, 3), q2))
+    inner = filtration_norm(FiltrationChain(gamma_domain(ring_z, 3, 2), q2))
+    base2 = filtration_norm(FiltrationChain(sl_domain(ring_z, 2), q3))
+    minus = SqMatrix.from_raw(ring_z, [[-1, 0], [0, -1]])
+    _, hamming, _ = _hamming_norm_on_gamma2(sl2_z4, ring_z4)
+    qz4 = Ideal.of(ring_z4, 2)
+    member4 = lambda g: in_congruence_subgroup(g, qz4)
+    reps = []
+    for g in sl2_z4.elements:
+        if all(not member4(g * mat_inv(r)) for r in reps):
+            reps.append(g)
+    seeds = [sl2_f3.idx(elementary(sl2_f3.ring, 2, i, j, 1)) for i, j in ((1, 2), (2, 1))]
+    word = word_norm_eval(sl2_f3, conjugation_closure(sl2_f3, seeds))
+    return {
+        "dirac-matrix": dirac_norm(sl_domain(ring_z, 3)),
+        "dirac-finite": dirac_norm(FiniteGroupDomain(sl2_f3)),
+        "filtration": filtration,
+        "bounded": bounded_transform(filtration),
+        "singular": singular_extension(bounded_transform(inner), sl_domain(ring_z, 3),
+                                       lambda g: in_congruence_subgroup(g, q2)),
+        "quotient": quotient_norm(base2, [identity(ring_z, 2), minus]),
+        "average": average_norm(hamming, reps, len(reps), member4),
+        "product-sum": product_sum_norm(word, dirac_norm(FiniteGroupDomain(sl2_f3))),
+        "z2-mixed": z2_mixed_norm(2),
+        "padic-sup": padic_sup_norm(q2, 2),
+        "word": word,
+    }
+
+
+def _value_stream_sha256(norm) -> str:
+    rng = random.Random(0)
+    text = "".join(f"{norm.value(norm.domain.sample(rng))}\n" for _ in range(200))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def value_stream_norms(ring_z, sl2_f3, sl2_z4, ring_z4):
+    return _value_stream_norms(ring_z, sl2_f3, sl2_z4, ring_z4)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_STREAM_SHA256))
+def test_value_stream_digest(value_stream_norms, name):
+    assert _value_stream_sha256(value_stream_norms[name]) == VALUE_STREAM_SHA256[name]
