@@ -29,7 +29,7 @@ from .norms import (
     z2_mixed_norm,
 )
 from .reduction import reduce_full, replay_trace, serialize_trace, sl2_unit_reduction
-from .rings import Ideal, RingSpec, format_element, is_prime, parse_element
+from .rings import RingSpec, format_element, is_prime, parse_ideal
 
 
 def _arg(parse):
@@ -68,6 +68,9 @@ def _parse_group(text: str) -> tuple[int, RingSpec]:
     return n, spec
 
 
+_IDEAL_HELP = "ideal generators separated by spaces, each written as a matrix entry (F2[x]: 0,1 is x)"
+
+
 def _positive_int(text: str) -> int:
     try:
         v = int(text)
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("reduce", help="reduce a congruence matrix to a target elementary position")
     pr.add_argument("--ring", type=_arg(RingSpec.parse), required=True)
-    pr.add_argument("--ideal", required=True, help="comma-separated ideal generators")
+    pr.add_argument("--ideal", required=True, help=_IDEAL_HELP)
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--target", type=_target_type, required=True)
     pr.add_argument("--side", choices=["E12", "E21"], default=None,
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("census", help="exhaustive width census over a finite group")
     pc.add_argument("--group", type=_arg(_parse_group), required=True, help="e.g. SL3,F2 or SL2,Z/4")
-    pc.add_argument("--ideal", default="1", help="comma-separated generators (in the finite ring)")
+    pc.add_argument("--ideal", default="1", help=_IDEAL_HELP)
     pc.add_argument("--budget", type=_positive_int, default=10**6)
     pc.add_argument("--factors", action="store_true",
                     help="histogram elementary-factorization counts instead of widths")
@@ -141,11 +144,6 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _parse_ideal(ring: RingSpec, text: str) -> Ideal:
-    gens = tuple(parse_element(ring, t) for t in text.split(","))
-    return Ideal(ring, gens)
-
-
 def _read_matrix(path: str) -> SqMatrix:
     with open(path) as fh:
         return parse_matrix(fh.read())
@@ -155,7 +153,7 @@ def _cmd_reduce(args) -> int:
     sigma = _read_matrix(args.infile)
     if sigma.ring != args.ring:
         raise CongwidthError("matrix ring does not match --ring")
-    q = _parse_ideal(args.ring, args.ideal)
+    q = parse_ideal(args.ring, args.ideal)
     if args.side is not None:
         trace = sl2_unit_reduction(sigma, q, args.side, seed=args.seed)
     else:
@@ -183,11 +181,24 @@ def _cmd_decompose(args) -> int:
 
 
 class _Config(dict):
+    """A norm config's key=value lines; read records every key handed out."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
     def __missing__(self, key):
         raise CongwidthError(f"norm config tag={self.get('tag')} needs {key}=")
 
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
-def _parse_config(path: str) -> dict:
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def _parse_config(path: str) -> _Config:
     cfg = _Config()
     with open(path) as fh:
         for raw in fh:
@@ -216,14 +227,14 @@ def _cmd_norm(args) -> int:
     elif tag == "filtration":
         ring = RingSpec.parse(cfg.get("ring", "Z"))
         n = int(cfg.get("n", "3"))
-        ideal = _parse_ideal(ring, cfg["ideal"])
+        ideal = parse_ideal(ring, cfg["ideal"])
         dom = MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), int(cfg.get("radius", "8")))
         norm = filtration_norm(FiltrationChain(dom, ideal, int(cfg.get("cap", "64"))))
     elif tag == "z2mixed":
         norm = z2_mixed_norm(int(cfg["p"]), int(cfg.get("box", "1000")))
     elif tag == "padic-sup":
         ring = RingSpec.parse(cfg.get("ring", "Z"))
-        ideal = _parse_ideal(ring, cfg["ideal"])
+        ideal = parse_ideal(ring, cfg["ideal"])
         norm = padic_sup_norm(ideal, int(cfg["p"]), int(cfg.get("box", "64")))
     elif tag == "word":
         n, ring = _parse_group(cfg["group"])
@@ -232,6 +243,9 @@ def _cmd_norm(args) -> int:
         norm = word_norm_eval(table, conjugation_closure(table, seeds))
     else:
         raise CongwidthError(f"unknown norm tag {tag!r}")
+    unread = sorted(cfg.keys() - cfg.read)
+    if unread:
+        raise CongwidthError(f"norm config tag={tag} has unknown keys {', '.join(k + '=' for k in unread)}")
     report = axiom_harness(norm, samples, seed)
     header = f"# congwidth norm tag={tag} seed={seed}\n"
     _emit(header + report.render(), args.out)
@@ -245,7 +259,7 @@ def _cmd_census(args) -> int:
         text = census_csv(hist, mx, order)
     else:
         table = enumerate_sl(n, ring, budget=args.budget)
-        text = width_census_csv(table, _parse_ideal(ring, args.ideal))
+        text = width_census_csv(table, parse_ideal(ring, args.ideal))
     header = f"# congwidth census group=SL{n},{ring.descriptor()} seed={args.seed}\n"
     _emit(header + text, args.out)
     return 0

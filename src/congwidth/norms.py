@@ -6,9 +6,13 @@ inversion, the triangle inequality, and invariance under conjugation.
 Everything is checked with exact rational arithmetic; the axiom harness
 samples tuples and reports any violating tuple verbatim.
 
-Group domains are described one of three ways: a finite group table (its
-elements are indices), a matrix group with a bounded random-product sampler
-over designated generators, or Z^2 with a box sampler.
+A group domain is any object with mul(a, b), inv(a), is_identity(a) and
+sample(rng).  Four domains are given directly: a matrix group with a bounded
+random-product sampler over designated generators, a finite group table (its
+elements are indices), and Z^2 and the pairs of an ideal, both with box
+samplers.  Two more are built by the constructions: the direct product of
+two domains and the quotient by a finite central subgroup, which compares
+elements by value (matrices, ring-element pairs and ints all hash by value).
 """
 
 from __future__ import annotations
@@ -38,15 +42,9 @@ class MatrixGroupDomain:
     """Matrix group sampled by bounded random products of generators."""
 
     def __init__(self, ring: RingSpec, n: int, generators: list[SqMatrix], radius: int = 8):
-        self.ring = ring
-        self.n = n
         self.letters = [(g, mat_inv(g)) for g in generators]  # (g, g^-1): sampling inverts nothing
         self.radius = radius
-        self.name = f"SL{n}({ring.descriptor()})"
         self.one = identity(ring, n)
-
-    def identity(self):
-        return self.one
 
     def mul(self, a, b):
         return a * b
@@ -56,9 +54,6 @@ class MatrixGroupDomain:
 
     def is_identity(self, a) -> bool:
         return a == self.one
-
-    def key(self, a):
-        return a.key()
 
     def sample(self, rng: random.Random):
         out = self.one
@@ -75,10 +70,6 @@ class FiniteGroupDomain:
     def __init__(self, table: FiniteGroupTable):
         self.table = table
         self.products = table.mul
-        self.name = f"SL{table.n}({table.ring.descriptor()})[table]"
-
-    def identity(self):
-        return 0
 
     def mul(self, a, b):
         return int(self.products[a, b])
@@ -89,9 +80,6 @@ class FiniteGroupDomain:
     def is_identity(self, a) -> bool:
         return a == 0
 
-    def key(self, a):
-        return a
-
     def sample(self, rng: random.Random):
         return rng.randrange(len(self.table))
 
@@ -101,10 +89,6 @@ class Z2Domain:
 
     def __init__(self, box: int = 1000):
         self.box = box
-        self.name = "Z^2"
-
-    def identity(self):
-        return (0, 0)
 
     def mul(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -114,9 +98,6 @@ class Z2Domain:
 
     def is_identity(self, a) -> bool:
         return a == (0, 0)
-
-    def key(self, a):
-        return a
 
     def sample(self, rng: random.Random):
         return (rng.randint(-self.box, self.box), rng.randint(-self.box, self.box))
@@ -129,11 +110,6 @@ class IdealPairDomain:
         self.ideal = ideal
         self.ring = ideal.ring
         self.box = box
-        self.name = f"{ideal.describe()}^2"
-
-    def identity(self):
-        z = self.ring.zero
-        return (z, z)
 
     def mul(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -143,9 +119,6 @@ class IdealPairDomain:
 
     def is_identity(self, a) -> bool:
         return a[0].is_zero and a[1].is_zero
-
-    def key(self, a):
-        return (a[0].payload, a[1].payload)
 
     def sample(self, rng: random.Random):
         d = self.ideal.canonical
@@ -160,10 +133,6 @@ class ProductDomain:
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.name = f"{left.name} x {right.name}"
-
-    def identity(self):
-        return (self.left.identity(), self.right.identity())
 
     def mul(self, a, b):
         return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
@@ -174,9 +143,6 @@ class ProductDomain:
     def is_identity(self, a) -> bool:
         return self.left.is_identity(a[0]) and self.right.is_identity(a[1])
 
-    def key(self, a):
-        return (self.left.key(a[0]), self.right.key(a[1]))
-
     def sample(self, rng: random.Random):
         return (self.left.sample(rng), self.right.sample(rng))
 
@@ -186,11 +152,7 @@ class QuotientDomain:
 
     def __init__(self, base, central: list):
         self.base = base
-        self.central_keys = {base.key(a) for a in central}
-        self.name = f"{base.name}/A"
-
-    def identity(self):
-        return self.base.identity()
+        self.central = set(central)
 
     def mul(self, a, b):
         return self.base.mul(a, b)
@@ -199,10 +161,7 @@ class QuotientDomain:
         return self.base.inv(a)
 
     def is_identity(self, a) -> bool:
-        return self.base.key(a) in self.central_keys
-
-    def key(self, a):
-        return self.base.key(a)
+        return a in self.central
 
     def sample(self, rng: random.Random):
         return self.base.sample(rng)
@@ -213,13 +172,10 @@ class QuotientDomain:
 
 @dataclass(frozen=True)
 class NormEval:
-    """A conjugation-invariant norm: exact rational values plus metadata."""
+    """A conjugation-invariant norm: a group domain and an exact value function."""
 
     domain: object
     fn: object  # element -> Fraction
-    tag: str
-    invariance_scope: str
-    params: tuple = ()
 
     def value(self, g) -> Fraction:
         return self.fn(g)
@@ -234,7 +190,7 @@ def dirac_norm(domain) -> NormEval:
     def fn(g):
         return Fraction(0) if domain.is_identity(g) else Fraction(1)
 
-    return NormEval(domain, fn, "dirac", domain.name)
+    return NormEval(domain, fn)
 
 
 @dataclass(frozen=True)
@@ -280,13 +236,7 @@ def filtration_norm(chain: FiltrationChain) -> NormEval:
             )
         return chain.value_at(datum.level)
 
-    return NormEval(
-        chain.domain,
-        fn,
-        "filtration",
-        chain.domain.name,
-        (chain.ideal.describe(), chain.cap),
-    )
+    return NormEval(chain.domain, fn)
 
 
 def bounded_transform(norm: NormEval) -> NormEval:
@@ -296,25 +246,18 @@ def bounded_transform(norm: NormEval) -> NormEval:
         x = norm.value(g)
         return x / (1 + x)
 
-    return NormEval(norm.domain, fn, f"bounded({norm.tag})", norm.invariance_scope, norm.params)
+    return NormEval(norm.domain, fn)
 
 
-def singular_extension(
-    inner: NormEval,
-    ambient,
-    member,
-    *,
-    presamples: int = 64,
-    seed: int = 0,
-) -> NormEval:
+def singular_extension(inner: NormEval, ambient, member) -> NormEval:
     """inner on the normal subgroup, constant 1 outside it.
 
-    Requires inner bounded by 1 (checked on the construction presamples and
-    again on every evaluation) and invariance of inner under ambient
-    conjugation (sampled check at construction).
+    Requires inner bounded by 1 (checked on 64 seeded samples at
+    construction and again on every evaluation) and invariance of inner
+    under ambient conjugation (checked on the same samples).
     """
-    rng = random.Random(seed)
-    for _ in range(presamples):
+    rng = random.Random(0)
+    for _ in range(64):
         n = inner.domain.sample(rng)
         v = inner.value(n)
         if v > 1:
@@ -332,24 +275,26 @@ def singular_extension(
             return v
         return Fraction(1)
 
-    return NormEval(ambient, fn, f"singular({inner.tag})", ambient.name)
+    return NormEval(ambient, fn)
 
 
-def quotient_norm(norm: NormEval, central: list, *, check_samples: int = 32, seed: int = 0) -> NormEval:
-    """min over the central coset: a norm on the quotient group."""
+def quotient_norm(norm: NormEval, central: list) -> NormEval:
+    """min over the central coset: a norm on the quotient group.
+
+    Centrality is checked against 32 seeded samples per element of central.
+    """
     dom = norm.domain
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for a in central:
-        for _ in range(check_samples):
+        for _ in range(32):
             s = dom.sample(rng)
-            if dom.key(dom.mul(s, a)) != dom.key(dom.mul(a, s)):
+            if dom.mul(s, a) != dom.mul(a, s):
                 raise NotCentral("supplied subgroup is not central")
-    qdom = QuotientDomain(dom, central)
 
     def fn(g):
         return min(norm.value(dom.mul(g, a)) for a in central)
 
-    return NormEval(qdom, fn, f"quotient({norm.tag})", qdom.name)
+    return NormEval(QuotientDomain(dom, central), fn)
 
 
 def average_norm(norm: NormEval, reps: list, index: int, member) -> NormEval:
@@ -368,17 +313,16 @@ def average_norm(norm: NormEval, reps: list, index: int, member) -> NormEval:
             total += norm.value(dom.mul(dom.mul(s, g), dom.inv(s)))
         return total / index
 
-    return NormEval(dom, fn, f"average({norm.tag})", f"{dom.name} (full)", (index,))
+    return NormEval(dom, fn)
 
 
 def product_sum_norm(norm_left: NormEval, norm_right: NormEval) -> NormEval:
     """Coordinate-wise sum on the direct product."""
-    dom = ProductDomain(norm_left.domain, norm_right.domain)
 
     def fn(g):
         return norm_left.value(g[0]) + norm_right.value(g[1])
 
-    return NormEval(dom, fn, f"sum({norm_left.tag},{norm_right.tag})", dom.name)
+    return NormEval(ProductDomain(norm_left.domain, norm_right.domain), fn)
 
 
 # -- p-adic flavored norms ---------------------------------------------------------
@@ -411,13 +355,12 @@ def z2_mixed_norm(p: int, box: int = 1000) -> NormEval:
     """max(|x|_p / 2, |y|) on Z^2: non-discrete, unbounded, invariant under
     the shear (x, y) -> (x + y, y)."""
     _check_prime(p)
-    dom = Z2Domain(box)
 
     def fn(g):
         x, y = g
         return max(p_abs(x, p) / 2, Fraction(abs(y)))
 
-    return NormEval(dom, fn, "z2-mixed", "upper shear", (p,))
+    return NormEval(Z2Domain(box), fn)
 
 
 def element_p_abs(e: RingElement, p: int) -> Fraction:
@@ -431,26 +374,28 @@ def padic_sup_norm(ideal: Ideal, p: int, box: int = 64) -> NormEval:
     _check_prime(p)
     if ideal.ring != RingSpec.integers():
         raise UnsupportedRing(f"the p-adic sup norm needs an ideal of Z, not of {ideal.ring.descriptor()}")
-    dom = IdealPairDomain(ideal, box)
 
     def fn(g):
         return max(element_p_abs(g[0], p), element_p_abs(g[1], p))
 
-    return NormEval(dom, fn, "padic-sup", f"E(2,{ideal.describe()},Z) linear action", (p,))
+    return NormEval(IdealPairDomain(ideal, box), fn)
 
 
 def shrink_ideal(
     norm: NormEval,
     epsilon: Fraction,
     *,
-    shells: int = 128,
     max_candidates: int = 10**5,
-    ball_samples: int = 10**3,
     seed: int = 0,
 ):
     """Find (x, y) in the pair domain with 6*norm((x, y)) <= epsilon and return
-    the principal ideal generated by x^3 together with the witness and a
-    sampled check that the squared ideal stays inside the epsilon ball.
+    the principal ideal generated by x^3 together with the witness and the
+    number of violations in 1000 seeded samples of the x^3-multiples, which
+    should stay inside the epsilon ball.
+
+    Candidates (x, y) = d * (i, j) with i != 0, d the ideal's canonical
+    generator, are tried by growing max(|i|, |j|) up to 128, at most
+    max_candidates of them.
 
     Exhaustion raises NoSmallVector: at desk scale this signals discreteness
     at the search scale, not an error in the norm.
@@ -460,7 +405,7 @@ def shrink_ideal(
     d = dom.ideal.canonical
     tried = 0
     witness = None
-    for shell in range(1, shells + 1):
+    for shell in range(1, 129):
         for i in range(-shell, shell + 1):
             for j in range(-shell, shell + 1):
                 if max(abs(i), abs(j)) != shell or i == 0:
@@ -484,7 +429,7 @@ def shrink_ideal(
     shrunk = Ideal(ring, (cube,))
     rng = random.Random(seed)
     violations = 0
-    for _ in range(ball_samples):
+    for _ in range(1000):
         a = ring.el(rng.randint(-dom.box, dom.box))
         b = ring.el(rng.randint(-dom.box, dom.box))
         v = (a * cube, b * cube)
@@ -534,12 +479,11 @@ def word_norm_eval(table: FiniteGroupTable, generators: list[int]) -> NormEval:
     if (dist < 0).any():
         raise ValueError("generator set does not generate the whole group")
     dist = dist.tolist()
-    dom = FiniteGroupDomain(table)
 
     def fn(g):
         return Fraction(dist[table.idx(g)])
 
-    return NormEval(dom, fn, "word", dom.name, (len(generators),))
+    return NormEval(FiniteGroupDomain(table), fn)
 
 
 # -- the axiom harness -----------------------------------------------------------

@@ -65,6 +65,7 @@ from .rings import (
     is_unimodular,
     is_unit,
     parse_element,
+    parse_ideal,
     unit_check,
 )
 
@@ -983,8 +984,7 @@ def _parse_lines(lines: list[str]) -> ReductionTrace:
     n = int(expect_prefix("n "))
     if n < 1:
         raise TraceFormatError(f"bad dimension {n}")
-    gens = tuple(parse_element(ring, t) for t in expect_prefix("ideal ").split())
-    ideal = Ideal(ring, gens)
+    ideal = parse_ideal(ring, expect_prefix("ideal "))
     target_raw = expect_prefix("target ")
     if kind == "reduce":
         i, j = target_raw.split()

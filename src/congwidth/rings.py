@@ -638,5 +638,8 @@ class Ideal:
             return e.is_zero
         return divides(self.canonical, e)
 
-    def describe(self) -> str:
-        return "(" + ", ".join(format_element(g) for g in self.generators) + ")"
+
+def parse_ideal(ring: RingSpec, text: str) -> Ideal:
+    """Generators separated by whitespace, each in the ring's element format
+    (as a trace's ideal line writes them)."""
+    return Ideal(ring, tuple(parse_element(ring, t) for t in text.split()))

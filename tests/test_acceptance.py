@@ -297,11 +297,6 @@ def test_criterion_5_norm_axioms(ring_z, sl2_f3, sl2_z4, ring_z4):
         members = [g for g in sl2_z4.elements if in_congruence_subgroup(g, qz4)]
 
         class _LayerDomain:
-            name = "congruence layer mod 4"
-
-            def identity(self):
-                return identity(ring_z4, 2)
-
             def mul(self, a, b):
                 return a * b
 
@@ -310,9 +305,6 @@ def test_criterion_5_norm_axioms(ring_z, sl2_f3, sl2_z4, ring_z4):
 
             def is_identity(self, a):
                 return a == identity(ring_z4, 2)
-
-            def key(self, a):
-                return a.key()
 
             def sample(self, rng):
                 return members[rng.randrange(len(members))]
@@ -323,7 +315,7 @@ def test_criterion_5_norm_axioms(ring_z, sl2_f3, sl2_z4, ring_z4):
             diff = g - identity(ring_z4, 2)
             return Fraction(sum(0 if e.is_zero else 1 for r in diff.rows for e in r), 4)
 
-        inner4 = NormEval(layer, hamming, "hamming", layer.name)
+        inner4 = NormEval(layer, hamming)
         reps = []
         for g in sl2_z4.elements:
             if all(not in_congruence_subgroup(g * mat_inv(r), qz4) for r in reps):

@@ -286,7 +286,7 @@ def test_census_accepts_a_prime_field(tmp_path):
     assert out.read_text().startswith("# congwidth census group=SL2,Z/5 ")
 
 
-@pytest.mark.parametrize("group, ideal", [("SL2,F2", "0"), ("SL2,Z/4", "0"), ("SL3,F2", "0,0")])
+@pytest.mark.parametrize("group, ideal", [("SL2,F2", "0"), ("SL2,Z/4", "0"), ("SL3,F2", "0 0")])
 def test_census_refuses_the_zero_ideal(tmp_path, capsys, group, ideal):
     out = tmp_path / "c.csv"
     assert main(["census", "--group", group, "--ideal", ideal, "--out", str(out)]) == 1
@@ -342,3 +342,56 @@ def test_norm_report_bytes(tmp_path, config):
     cfg.write_text(config)
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NORM_REPORT_SHA256[config]
+
+
+# -- ideal syntax: whitespace-separated generators in the ring's element format
+
+
+def test_reduce_reads_an_f2x_ideal_as_one_polynomial(tmp_path, capsys):
+    # 0,1 is x: the unit entry of E12(1) is outside (x), so the input is refused
+    P2 = RingSpec.poly_over_fp(2)
+    infile = tmp_path / "m.txt"
+    write_matrix(infile, elementary(P2, 3, 1, 2, 1))
+    rc = main(["reduce", "--ring", "F2[x]", "--ideal", "0,1", "--in", str(infile), "--target", "1,2"])
+    assert rc == 1
+    assert _one_line_error(capsys) == "error: input is not congruent to I modulo the ideal\n"
+
+
+def test_reduce_writes_the_ideal_as_it_reads_it(tmp_path):
+    P2 = RingSpec.poly_over_fp(2)
+    infile, out = tmp_path / "m.txt", tmp_path / "trace.txt"
+    write_matrix(infile, elementary(P2, 3, 1, 2, P2.x()))
+    args = ["reduce", "--ring", "F2[x]", "--ideal", "0,1", "--in", str(infile), "--target", "1,2"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert "\nideal 0,1\n" in out.read_text()
+    assert main(["replay", "--in", str(out)]) == 0
+
+
+def test_norm_filtration_over_f2x(tmp_path, capsys):
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text("tag=filtration\nring=F2[x]\nn=3\nideal=0,1\nsamples=200\n")
+    assert main(["norm", "--config", str(cfg)]) == 0
+    assert "axiom=definiteness samples=200 violations=0" in capsys.readouterr().out
+
+
+def test_census_ideal_generators_are_space_separated(tmp_path):
+    one, two = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["census", "--group", "SL2,Z/8", "--ideal", "2", "--out", str(one)]) == 0
+    assert main(["census", "--group", "SL2,Z/8", "--ideal", "2 4", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_a_comma_list_over_z_is_refused(tmp_path, capsys):
+    infile = tmp_path / "m.txt"
+    write_matrix(infile, elementary(RingSpec.integers(), 3, 1, 2, 2))
+    rc = main(["reduce", "--ring", "Z", "--ideal", "2,4", "--in", str(infile), "--target", "1,2"])
+    assert rc == 1
+    _one_line_error(capsys)
+
+
+def test_norm_config_unknown_keys(tmp_path, capsys):
+    cfg, out = tmp_path / "norm.cfg", tmp_path / "report.txt"
+    cfg.write_text("tag=dirac\nsample=7\nsede=3\n")
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == "error: norm config tag=dirac has unknown keys sample=, sede=\n"
+    assert not out.exists()

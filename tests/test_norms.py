@@ -72,7 +72,7 @@ def test_dirac_passes_harness(sl2_f3):
 
 def test_planted_failure_is_reported(sl2_f3):
     dom = FiniteGroupDomain(sl2_f3)
-    broken = NormEval(dom, lambda g: Fraction(0), "broken", dom.name)
+    broken = NormEval(dom, lambda g: Fraction(0))
     report = axiom_harness(broken, 200, seed=2)
     assert not report.passed
     assert report.violations["definiteness"] > 0
@@ -86,11 +86,11 @@ def test_finite_group_domain_against_matrix_arithmetic(sl2_f3, sl2_z4):
         els = [table.element(k) for k in range(len(table))]
         for a, ga in enumerate(els):
             assert table.element(dom.inv(a)) == mat_inv(ga)
-            assert dom.is_identity(a) == ga.is_identity and dom.key(a) == a
+            assert dom.is_identity(a) == ga.is_identity
             for b, gb in enumerate(els):
                 c = dom.mul(a, b)
                 assert type(c) is int and table.element(c) == ga * gb
-        assert table.element(dom.identity()).is_identity
+        assert table.element(0).is_identity
 
 
 def test_finite_group_domain_samples_as_the_matrix_sampler(sl2_f5):
@@ -331,11 +331,6 @@ def _hamming_norm_on_gamma2(table, ring):
     members = [g for g in table.elements if in_congruence_subgroup(g, q)]
 
     class _ListDomain:
-        name = "Gamma(2) mod 4"
-
-        def identity(self):
-            return identity(ring, 2)
-
         def mul(self, a, b):
             return a * b
 
@@ -347,9 +342,6 @@ def _hamming_norm_on_gamma2(table, ring):
         def is_identity(self, a):
             return a == identity(ring, 2)
 
-        def key(self, a):
-            return a.key()
-
         def sample(self, rng):
             return members[rng.randrange(len(members))]
 
@@ -360,7 +352,7 @@ def _hamming_norm_on_gamma2(table, ring):
         weight = sum(0 if e.is_zero else 1 for r in diff.rows for e in r)
         return Fraction(weight, 4)
 
-    return dom, NormEval(dom, fn, "hamming", dom.name), members
+    return dom, NormEval(dom, fn), members
 
 
 def test_average_norm_trivial_transversal(ring_z):
@@ -440,10 +432,10 @@ def test_product_sum_values_and_harness(sl2_f3):
     left = word_norm_eval(sl2_f3, closure)
     right = dirac_norm(dom)
     norm = product_sum_norm(left, right)
-    e = (dom.identity(), dom.identity())
+    e = (0, 0)
     assert norm.value(e) == 0
     g = sl2_f3.elements[5]
-    assert norm.value((g, dom.identity())) == left.value(g)
+    assert norm.value((g, 0)) == left.value(g)
     assert axiom_harness(norm, 300, seed=15).passed
 
 
@@ -574,7 +566,7 @@ def test_shrink_ideal_immediate_witness(ring_z):
 def test_shrink_ideal_dirac_exhausts(ring_z):
     q = Ideal.of(ring_z, 2)
     dom = IdealPairDomain(q, box=64)
-    dirac = NormEval(dom, lambda g: Fraction(0) if dom.is_identity(g) else Fraction(1), "dirac", dom.name)
+    dirac = NormEval(dom, lambda g: Fraction(0) if dom.is_identity(g) else Fraction(1))
     with pytest.raises(NoSmallVector):
         shrink_ideal(dirac, Fraction(1, 4), max_candidates=500)
 
