@@ -205,8 +205,10 @@ def _parse_config(path: str) -> _Config:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            cfg[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key in cfg:
+                raise CongwidthError(f"norm config repeats {key}=")
+            cfg[key] = val
     return cfg
 
 

@@ -349,8 +349,8 @@ def format_matrix(m: SqMatrix) -> str:
 
 
 def parse_matrix(text: str) -> SqMatrix:
-    lines = [ln for ln in text.strip().splitlines()]
-    head = lines[0].split()
+    lines = text.strip().splitlines()
+    head = lines[0].split() if lines else []
     if len(head) != 2:
         raise ValueError("matrix header must be '<n> <ring-descriptor>'")
     n = int(head[0])

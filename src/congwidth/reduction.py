@@ -19,12 +19,14 @@ policy: "reduce" (elementary witnesses, 9 steps, 512 letters, stage bounds),
 (the stage entry points: elementary witnesses only).  The builder checks the
 input's preconditions when it starts, each witness as it records a step, and
 the budgets and single-entry output when the trace is taken.  Replay is a
-fresh builder fed the parsed steps.
+fresh builder fed the input and the witnesses a serialized trace records;
+the trace is accepted only if the rebuilt one serializes to the same bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -321,19 +323,6 @@ class _Builder:
             if not self.q.contains(trace.output.e(*pos)):
                 raise ReplayMismatch("output entry is outside the ideal")
         return trace
-
-
-def validate_trace(trace: ReductionTrace):
-    """Replay a trace through a fresh builder, which re-checks the input, every
-    step and the finished trace; raise on the first broken invariant."""
-    b = _Builder(trace.input, trace.ideal, trace.kind, trace.seed)
-    for k, st in enumerate(trace.steps, start=1):
-        b.record(st.op, st.case)
-        if b.g != st.result:
-            raise ReplayMismatch(f"replay mismatch at step {k}")
-        if b.wl != st.word_length:
-            raise ReplayMismatch(f"step {k}: word-length ledger expected {b.wl}, recorded {st.word_length}")
-    b.trace(trace.target)
 
 
 # -- stable-range shift ----------------------------------------------------------
@@ -942,108 +931,87 @@ def serialize_trace(trace: ReductionTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str) -> ReductionTrace:
-    """Parse a serialized reduce or sl2 trace; any malformed text raises
-    TraceFormatError."""
-    try:
-        return _parse_lines(text.splitlines())
-    except ValueError as exc:  # bad integers, ring elements or matrices
-        raise TraceFormatError(f"malformed trace: {exc}") from exc
-
-
-def _parse_lines(lines: list[str]) -> ReductionTrace:
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise TraceFormatError("unexpected end of trace")
-        ln = lines[pos]
-        pos += 1
-        return ln
-
-    def expect_prefix(prefix: str) -> str:
-        ln = take()
-        if not ln.startswith(prefix):
-            raise TraceFormatError(f"expected {prefix!r}, got {ln!r}")
-        return ln[len(prefix):]
-
-    def ref(label: str) -> SqMatrix:
-        k = int(label[1:]) if label.startswith("M") else -1
-        if not 0 <= k < len(mats):
-            raise TraceFormatError(f"matrix reference {label!r} out of range")
-        return mats[k]
-
-    if take() != "congwidth-trace v1":
-        raise TraceFormatError("bad magic line")
-    kind = expect_prefix("kind ")
-    if kind not in ("reduce", "sl2"):
-        raise TraceFormatError(f"unknown trace kind {kind!r}")
-    seed = int(expect_prefix("seed "))
-    ring = RingSpec.parse(expect_prefix("ring "))
-    n = int(expect_prefix("n "))
-    if n < 1:
-        raise TraceFormatError(f"bad dimension {n}")
-    ideal = parse_ideal(ring, expect_prefix("ideal "))
-    target_raw = expect_prefix("target ")
-    if kind == "reduce":
-        i, j = target_raw.split()
-        target: object = (int(i), int(j))
-    else:
-        target = target_raw
-    input_label = expect_prefix("input ")
-
-    step_lines = []
-    while pos < len(lines) and lines[pos].startswith("step "):
-        step_lines.append(take()[len("step "):])
-    if expect_prefix("output ") != f"M{2 * len(step_lines)}":
-        raise TraceFormatError("output is not the last step's result")
-    count = int(expect_prefix("matrices "))
-    mats: list[SqMatrix] = []
-    for k in range(count):
-        label = take()
-        if label != f"M{k}":
-            raise TraceFormatError(f"expected matrix label M{k}, got {label!r}")
-        m = parse_matrix("\n".join(take() for _ in range(n + 1)))
-        if m.ring != ring or m.n != n:
-            raise TraceFormatError(f"M{k} is not a {n}x{n} matrix over {ring.descriptor()}")
-        mats.append(m)
-    if take() != "end":
-        raise TraceFormatError("missing end marker")
-
-    steps = []
-    for k, raw in enumerate(step_lines, start=1):
-        # exactly the keys serialize_trace writes, each once
-        tokens = [tok.partition("=")[::2] for tok in raw.split()]
-        attrs = dict(tokens)
-        keys = ["kind", "s", "result", "len", "case", "smem", "sfac"]
-        keys += ["exp"] if attrs.get("kind") == APPEND else []
-        missing = [key for key in keys if key not in attrs]
-        if missing:
-            raise TraceFormatError(f"step {k} is missing {', '.join(missing)}")
-        if len(tokens) != len(keys):
-            raise TraceFormatError(f"step {k} has an unknown or repeated key")
-        if attrs["smem"] != "elem" and attrs["sfac"] != "-":
-            raise TraceFormatError(f"step {k}: {attrs['smem']} steps carry sfac=-")
-        if attrs["kind"] not in (CONJUGATE, COMM_RIGHT, COMM_LEFT, APPEND):
-            raise TraceFormatError(f"step {k}: unknown op kind {attrs['kind']!r}")
-        s = ref(attrs["s"])
-        fac = None
-        if attrs["smem"] == "elem":
-            factors = []
-            if attrs["sfac"] != "-":
-                for part in attrs["sfac"].split("|"):
-                    ij, _, a = part.partition(":")
-                    fi, fj = ij.split(",")
-                    factors.append(ElemFactor(int(fi), int(fj), parse_element(ring, a)))
-            fac = ElemFactorization(tuple(factors), s)
-        op = QOperation(attrs["kind"], s, fac, attrs["smem"], int(attrs.get("exp", 1)))
-        steps.append(TraceStep(op, ref(attrs["result"]), int(attrs["len"]), attrs["case"]))
-    return ReductionTrace(kind, ref(input_label), ideal, target, tuple(steps), seed)
 
 
 def replay_trace(text: str) -> ReductionTrace:
-    """Parse and fully re-verify a serialized trace."""
-    trace = parse_trace(text)
-    validate_trace(trace)
-    return trace
+    """Rebuild a serialized trace and accept the text only if the rebuilt
+    trace serializes to exactly the same bytes.
+
+    Only what a fresh builder consumes is read: the header, the input M0 and,
+    per step, its kind, case, witness tag and exponent with the witness (the
+    sfac factors of an elem step, the conjugator of a congruence step).  The
+    builder re-checks the input, every witness and the finished trace; the
+    byte comparison covers the rest, recorded results and ledger included.
+    A first difference inside a recorded step matrix is a replay mismatch at
+    that step; any other is a format error naming the line.
+
+    The rebuild stops at the first step whose result differs from the matrix
+    the file records for it, so the work stays bounded by the file (a
+    repeated commutator step doubles the length of the entries); the lines
+    written up to that step then decide between the two errors."""
+    try:
+        trace, stopped = _rebuild(text.split("\n"))
+        again = serialize_trace(trace)
+    except ValueError as exc:  # bad integers, ring elements or matrices
+        raise TraceFormatError(f"malformed trace: {exc}") from exc
+    if again == text:
+        return trace
+    # lines with their terminating newline, so a missing or extra one differs too
+    want, got = (re.findall(r"[^\n]*\n|[^\n]+", t) for t in (again, text))
+    k = next(k for k, (a, b) in enumerate(itertools.zip_longest(want, got)) if a != b)
+    steps = len(trace.steps)
+    block, row = divmod(k - _matrix_table(steps), trace.input.n + 2)
+    if stopped and k >= 8 + steps:  # past the step lines rebuilt before the stop
+        raise ReplayMismatch(f"replay mismatch at step {steps}")
+    if not stopped and row and 1 <= block <= 2 * steps:
+        raise ReplayMismatch(f"replay mismatch at step {(block + 1) // 2}")
+    expected = repr(want[k]) if k < len(want) else "the end of the file"
+    raise TraceFormatError(f"line {k + 1}: expected {expected}")
+
+
+def _matrix_table(steps: int) -> int:
+    """0-based line of the label M0 in a serialized trace: eight header lines,
+    one line per step, then the output and matrix-count lines.  Each matrix
+    Mk follows as its label and the n + 1 lines of format_matrix."""
+    return 10 + steps
+
+
+def _rebuild(lines: list[str]) -> tuple[ReductionTrace, bool]:
+    """A fresh builder fed what the serialized lines record of the input and
+    the witnesses; the other lines are left to the byte comparison.  Returns
+    the trace and whether it stopped early: at the first step whose result
+    differs from the recorded one, the steps so far, unchecked."""
+    kind, seed, ring, n, ideal, target = (ln.partition(" ")[2] for ln in lines[1:7])
+    if kind not in ("reduce", "sl2"):
+        raise TraceFormatError(f"unknown trace kind {kind!r}")
+    ring, n = RingSpec.parse(ring), int(n)
+    steps = list(itertools.takewhile(lambda ln: ln.startswith("step "), lines[8:]))
+    target = tuple(map(int, target.split())) if kind == "reduce" else target
+
+    def recorded(k: int) -> str:
+        """The text of matrix Mk: the n + 1 lines after its label."""
+        start = _matrix_table(len(steps)) + k * (n + 2) + 1
+        return "\n".join(lines[start:start + n + 1]) + "\n"
+
+    b = _Builder(parse_matrix(recorded(0)), parse_ideal(ring, ideal), kind, int(seed))
+    for k, line in enumerate(steps, start=1):
+        attrs = dict(tok.partition("=")[::2] for tok in line.split()[1:])
+        op_kind, smem, exp = attrs.get("kind", ""), attrs.get("smem", ""), int(attrs.get("exp", 1))
+        if smem == "elem":
+            sfac = attrs.get("sfac", "")
+            factors = () if sfac == "-" else tuple(_factor(ring, f) for f in sfac.split("|"))
+            fac = ElemFactorization.of(ring, n, factors)
+            op = QOperation(op_kind, fac.target, fac, smem, exp)
+        else:
+            op = QOperation(op_kind, parse_matrix(recorded(2 * k - 1)), None, smem, exp)
+        b.record(op, attrs.get("case", ""))
+        if format_matrix(b.g) != recorded(2 * k):
+            return ReductionTrace(kind, b.sigma, b.q, target, tuple(b.steps), b.seed), True
+    return b.trace(target), False
+
+
+def _factor(ring: RingSpec, text: str) -> ElemFactor:
+    """One sfac entry "i,j:a"."""
+    ij, _, a = text.partition(":")
+    i, j = ij.split(",")
+    return ElemFactor(int(i), int(j), parse_element(ring, a))

@@ -642,4 +642,11 @@ class Ideal:
 def parse_ideal(ring: RingSpec, text: str) -> Ideal:
     """Generators separated by whitespace, each in the ring's element format
     (as a trace's ideal line writes them)."""
-    return Ideal(ring, tuple(parse_element(ring, t) for t in text.split()))
+    return Ideal(ring, tuple(_parse_generator(ring, t) for t in text.split()))
+
+
+def _parse_generator(ring: RingSpec, text: str) -> RingElement:
+    try:
+        return parse_element(ring, text)
+    except ValueError as exc:
+        raise ValueError(f"ideal generator {text!r} is not an element of {ring.descriptor()}: {exc}") from exc

@@ -386,7 +386,23 @@ def test_a_comma_list_over_z_is_refused(tmp_path, capsys):
     write_matrix(infile, elementary(RingSpec.integers(), 3, 1, 2, 2))
     rc = main(["reduce", "--ring", "Z", "--ideal", "2,4", "--in", str(infile), "--target", "1,2"])
     assert rc == 1
-    _one_line_error(capsys)
+    assert "ideal generator '2,4' is not an element of Z" in _one_line_error(capsys)
+
+
+def test_an_empty_matrix_file_is_refused(tmp_path, capsys):
+    infile = tmp_path / "m.txt"
+    infile.write_text("")
+    rc = main(["reduce", "--ring", "Z", "--ideal", "2", "--in", str(infile), "--target", "1,2"])
+    assert rc == 1
+    assert "matrix header" in _one_line_error(capsys)
+
+
+def test_norm_config_repeated_key(tmp_path, capsys):
+    cfg, out = tmp_path / "norm.cfg", tmp_path / "report.txt"
+    cfg.write_text("tag=dirac\nsamples=10\nsamples=20\n")
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == "error: norm config repeats samples=\n"
+    assert not out.exists()
 
 
 def test_norm_config_unknown_keys(tmp_path, capsys):

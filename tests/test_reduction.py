@@ -32,7 +32,6 @@ from congwidth.reduction import (
     strip_to_translation,
     translation_to_elementary,
     unimodular_square_shift,
-    validate_trace,
     word_product,
 )
 from congwidth.rings import Ideal, RingSpec, is_unimodular
@@ -101,7 +100,6 @@ def test_affine_commuting_block_branch(ring_l5):
     trace, loc = reduce_to_affine(sigma, q)
     assert [s.case for s in trace.steps] == ["affine.commuting.block"]
     assert loc == "lower"
-    validate_trace(trace)
 
 
 def test_affine_commuting_scalar_branch():
@@ -500,7 +498,7 @@ def test_sl2_square_zero_corner_is_a_domain_outcome(m, q0):
             continue
         for side in ("E12", "E21"):
             try:
-                validate_trace(sl2_unit_reduction(g, q, side))
+                replay_trace(serialize_trace(sl2_unit_reduction(g, q, side)))
                 outcome = "trace"
             except CongwidthError as exc:
                 outcome = type(exc).__name__

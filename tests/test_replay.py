@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import congwidth.reduction as reduction
 from congwidth.cli import main
 from congwidth.errors import (
     CongwidthError,
@@ -25,7 +26,6 @@ from congwidth.reduction import (
     QOperation,
     ReductionTrace,
     TraceStep,
-    parse_trace,
     reduce_full,
     relocate_elementary,
     replay_trace,
@@ -152,6 +152,59 @@ def test_malformed_trace_is_a_format_error(mutate, tmp_path, capsys):
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        pytest.param("\n1 4 0\n", "\n1 04 0\n", ReplayMismatch, id="leading-zero-entry"),
+        pytest.param("\nM1\n", "\x0bM1\n", TraceFormatError, id="vertical-tab-line-break"),
+    ],
+)
+def test_only_canonical_bytes_replay(old, new, error, tmp_path, capsys):
+    # both encode the same trace and were accepted: 04 parses as 4, and
+    # splitlines breaks lines at a vertical tab
+    text = _golden_text()
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    with pytest.raises(error):
+        replay_trace(bad)
+    rc, err = _replay_cli(tmp_path, bad, capsys)
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_format_error_names_the_first_differing_line():
+    lines = _golden_text().split("\n")
+    lines[2] = "seed +0"
+    with pytest.raises(TraceFormatError, match=r"line 3: expected 'seed 0\\n'"):
+        replay_trace("\n".join(lines))
+    with pytest.raises(TraceFormatError, match="line 28: expected the end of the file"):
+        replay_trace(_golden_text() + "\n")
+    with pytest.raises(TraceFormatError, match=r"line 27: expected 'end\\n'"):
+        replay_trace(_golden_text()[:-1])
+
+
+def test_replay_stops_at_the_first_step_whose_result_differs(monkeypatch):
+    # each copy of a commutator step doubles the length of the entries: the
+    # rebuild must stop at the first copy, not run all thirty
+    lines = CORPUS[0].split("\n")
+    k = next(k for k, ln in enumerate(lines) if ln.startswith("step kind=CommRight"))
+    bad = "\n".join(lines[: k + 1] + [lines[k]] * 30 + lines[k + 1:])
+    recorded = []
+    real = reduction._Builder.record
+
+    def record(self, op, case):
+        recorded.append(case)
+        assert len(recorded) <= k - 6, "the rebuild went past the first repeated step"
+        real(self, op, case)
+
+    monkeypatch.setattr(reduction._Builder, "record", record)
+    with pytest.raises(TraceFormatError, match=f"line {k + 2}: expected 'step "):
+        replay_trace(bad)
+    lines[k] = lines[k].replace(" len=", " foo=1 len=")  # a format error before the stop
+    recorded.clear()
+    with pytest.raises(TraceFormatError, match=f"line {k + 1}:"):
+        replay_trace("\n".join(lines[: k + 1] + [lines[k]] * 30 + lines[k + 1:]))
+
+
 def _sl2_text() -> str:
     trace = sl2_unit_reduction(SqMatrix.from_raw(L5, [[1, 0], [2, 1]]), Ideal.of(L5, 2), "E12")
     return serialize_trace(trace)
@@ -265,7 +318,7 @@ def _certified(trace: ReductionTrace):
     return trace.kind, trace.input, trace.ideal.canonical, trace.target, steps, stages
 
 
-CERTIFIED = [_certified(parse_trace(text)) for text in CORPUS]
+CERTIFIED = [_certified(replay_trace(text)) for text in CORPUS]
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,8 +330,6 @@ def test_flipped_or_swapped_trace_is_rejected_or_certifies_the_same(data):
         again = replay_trace(mutant)
     except CongwidthError:
         return
-    if serialize_trace(again) == CORPUS[k]:
-        return  # the same trace, e.g. from a non-canonical literal of the same element
-    # a changed label: the same certificate, and nothing in the file was dropped
+    # only canonical bytes replay; a changed label leaves the same certificate
+    assert serialize_trace(again) == mutant
     assert _certified(again) == CERTIFIED[k]
-    assert serialize_trace(again).split() == mutant.split()

@@ -3,8 +3,8 @@
 The digests were recorded before the trace checks moved into the builder;
 any change to the trace bytes (steps, witnesses, case tags, matrix table)
 shows up here.  The same traces also check the builder's carried inverse
-against the defining formula of each step, and gate its inverse count and
-the RingElements made per step.
+against the defining formula of each step, and gate its inverse count, the
+RingElements made per step and the matrices replay parses.
 """
 
 import hashlib
@@ -207,3 +207,20 @@ def test_reduce_and_replay_invert_once(monkeypatch):
             calls.clear()
             replay_trace(text)
             assert len(calls) <= 1, f"replay_trace on {name} inverted {len(calls)} matrices"
+
+
+def test_replay_parses_the_input_and_congruence_witnesses_only(monkeypatch, sl2_f5_traces):
+    calls = []
+    real = reduction.parse_matrix
+    monkeypatch.setattr(reduction, "parse_matrix", lambda text: calls.append(text) or real(text))
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            text = serialize_trace(reduce_full(*args))
+            calls.clear()
+            replay_trace(text)
+            assert len(calls) == 1, f"replay_trace on {name} parsed {len(calls)} matrices"
+    for trace in sl2_f5_traces:
+        text = serialize_trace(trace)
+        calls.clear()
+        replay_trace(text)
+        assert len(calls) <= 1 + len(trace.steps), f"replay_trace parsed {len(calls)} matrices"
