@@ -239,11 +239,11 @@ class _Builder:
         """Record a step by s, certified to lie in the congruence subgroup."""
         self.record(QOperation(kind, s, None, "congruence", exp), case)
 
-    def apply_elem(self, kind: str, factors, case: str):
+    def apply_elem(self, kind: str, factors, case: str, exp: int = 1):
         """Record a step by the product s of the elementary factors (i, j, a)."""
         ring = self.sigma.ring
         fac = ElemFactorization.of(ring, self.sigma.n, tuple(ElemFactor(i, j, ring.el(a)) for i, j, a in factors))
-        self.record(QOperation(kind, fac.target, fac), case)
+        self.record(QOperation(kind, fac.target, fac, "elem", exp), case)
 
     def record(self, op: QOperation, case: str):
         k = len(self.steps) + 1
@@ -931,8 +931,6 @@ def serialize_trace(trace: ReductionTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-
-
 def replay_trace(text: str) -> ReductionTrace:
     """Rebuild a serialized trace and accept the text only if the rebuilt
     trace serializes to exactly the same bytes.
@@ -945,12 +943,12 @@ def replay_trace(text: str) -> ReductionTrace:
     A first difference inside a recorded step matrix is a replay mismatch at
     that step; any other is a format error naming the line.
 
-    The rebuild stops at the first step whose result differs from the matrix
-    the file records for it, so the work stays bounded by the file (a
-    repeated commutator step doubles the length of the entries); the lines
-    written up to that step then decide between the two errors."""
+    The rebuild stops with a replay mismatch at the first step whose result
+    differs from the matrix the file records for it, so the work stays
+    bounded by the file (a repeated commutator step doubles the length of
+    the entries)."""
     try:
-        trace, stopped = _rebuild(text.split("\n"))
+        trace = _rebuild(text.split("\n"))
         again = serialize_trace(trace)
     except ValueError as exc:  # bad integers, ring elements or matrices
         raise TraceFormatError(f"malformed trace: {exc}") from exc
@@ -960,58 +958,56 @@ def replay_trace(text: str) -> ReductionTrace:
     want, got = (re.findall(r"[^\n]*\n|[^\n]+", t) for t in (again, text))
     k = next(k for k, (a, b) in enumerate(itertools.zip_longest(want, got)) if a != b)
     steps = len(trace.steps)
-    block, row = divmod(k - _matrix_table(steps), trace.input.n + 2)
-    if stopped and k >= 8 + steps:  # past the step lines rebuilt before the stop
-        raise ReplayMismatch(f"replay mismatch at step {steps}")
-    if not stopped and row and 1 <= block <= 2 * steps:
+    # eight header lines, a line per step, output and count lines, then each
+    # matrix as its label and the n + 1 lines of format_matrix
+    block, row = divmod(k - 10 - steps, trace.input.n + 2)
+    if row and 1 <= block <= 2 * steps:
         raise ReplayMismatch(f"replay mismatch at step {(block + 1) // 2}")
     expected = repr(want[k]) if k < len(want) else "the end of the file"
     raise TraceFormatError(f"line {k + 1}: expected {expected}")
 
 
-def _matrix_table(steps: int) -> int:
-    """0-based line of the label M0 in a serialized trace: eight header lines,
-    one line per step, then the output and matrix-count lines.  Each matrix
-    Mk follows as its label and the n + 1 lines of format_matrix."""
-    return 10 + steps
-
-
-def _rebuild(lines: list[str]) -> tuple[ReductionTrace, bool]:
+def _rebuild(lines: list[str]) -> ReductionTrace:
     """A fresh builder fed what the serialized lines record of the input and
-    the witnesses; the other lines are left to the byte comparison.  Returns
-    the trace and whether it stopped early: at the first step whose result
-    differs from the recorded one, the steps so far, unchecked."""
-    kind, seed, ring, n, ideal, target = (ln.partition(" ")[2] for ln in lines[1:7])
+    the witnesses; the other lines are left to the byte comparison.  The
+    input's ring and size are the trace's: the header's n only locates the
+    recorded matrices, and each one read must be n x n."""
+    kind, seed, _, n, ideal, target = (ln.partition(" ")[2] for ln in lines[1:7])
     if kind not in ("reduce", "sl2"):
         raise TraceFormatError(f"unknown trace kind {kind!r}")
-    ring, n = RingSpec.parse(ring), int(n)
+    n = int(n)
     steps = list(itertools.takewhile(lambda ln: ln.startswith("step "), lines[8:]))
     target = tuple(map(int, target.split())) if kind == "reduce" else target
 
     def recorded(k: int) -> str:
         """The text of matrix Mk: the n + 1 lines after its label."""
-        start = _matrix_table(len(steps)) + k * (n + 2) + 1
+        start = 10 + len(steps) + k * (n + 2) + 1
         return "\n".join(lines[start:start + n + 1]) + "\n"
 
-    b = _Builder(parse_matrix(recorded(0)), parse_ideal(ring, ideal), kind, int(seed))
+    def matrix(k: int) -> SqMatrix:
+        m = parse_matrix(recorded(k))
+        if m.n != n:
+            raise TraceFormatError(f"M{k} is {m.n} x {m.n}, the header says n {n}")
+        return m
+
+    sigma = matrix(0)
+    b = _Builder(sigma, parse_ideal(sigma.ring, ideal), kind, int(seed))
     for k, line in enumerate(steps, start=1):
         attrs = dict(tok.partition("=")[::2] for tok in line.split()[1:])
-        op_kind, smem, exp = attrs.get("kind", ""), attrs.get("smem", ""), int(attrs.get("exp", 1))
-        if smem == "elem":
+        op_kind, case, exp = attrs.get("kind", ""), attrs.get("case", ""), int(attrs.get("exp", 1))
+        if attrs.get("smem") == "elem":
             sfac = attrs.get("sfac", "")
-            factors = () if sfac == "-" else tuple(_factor(ring, f) for f in sfac.split("|"))
-            fac = ElemFactorization.of(ring, n, factors)
-            op = QOperation(op_kind, fac.target, fac, smem, exp)
+            factors = [] if sfac == "-" else [_factor(sigma.ring, f) for f in sfac.split("|")]
+            b.apply_elem(op_kind, factors, case, exp)
         else:
-            op = QOperation(op_kind, parse_matrix(recorded(2 * k - 1)), None, smem, exp)
-        b.record(op, attrs.get("case", ""))
+            b.record(QOperation(op_kind, matrix(2 * k - 1), None, attrs.get("smem", ""), exp), case)
         if format_matrix(b.g) != recorded(2 * k):
-            return ReductionTrace(kind, b.sigma, b.q, target, tuple(b.steps), b.seed), True
-    return b.trace(target), False
+            raise ReplayMismatch(f"replay mismatch at step {k}")
+    return b.trace(target)
 
 
-def _factor(ring: RingSpec, text: str) -> ElemFactor:
+def _factor(ring: RingSpec, text: str) -> tuple[int, int, RingElement]:
     """One sfac entry "i,j:a"."""
     ij, _, a = text.partition(":")
     i, j = ij.split(",")
-    return ElemFactor(int(i), int(j), parse_element(ring, a))
+    return int(i), int(j), parse_element(ring, a)
