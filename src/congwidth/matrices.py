@@ -252,11 +252,6 @@ def conjugate(g: SqMatrix, s: SqMatrix) -> SqMatrix:
 # -- predicates ----------------------------------------------------------------
 
 
-def is_scalar(g: SqMatrix) -> bool:
-    c, zero = g.payload[0][0], g.ring.kernel.zero
-    return all(x == (c if i == j else zero) for i, r in enumerate(g.payload) for j, x in enumerate(r))
-
-
 def is_central(g: SqMatrix) -> bool:
     """True iff g commutes with every elementary(i, j, 1), i.e. iff g is scalar.
 
@@ -266,7 +261,8 @@ def is_central(g: SqMatrix) -> bool:
     g[r][i] = 0 for r != i and g[i][i] = g[j][j].  Over all i != j, g is
     therefore scalar, and scalar matrices commute with everything.
     """
-    return is_scalar(g)
+    c, zero = g.payload[0][0], g.ring.kernel.zero
+    return all(x == (c if i == j else zero) for i, r in enumerate(g.payload) for j, x in enumerate(r))
 
 
 def _off_identity(g: SqMatrix) -> list:

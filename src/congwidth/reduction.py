@@ -16,11 +16,14 @@ use an "append" step (g -> g * s sigma^e s^-1) that adds one letter.
 The invariants are written once, in the trace builder, under a per-kind
 policy: "reduce" (elementary witnesses, 9 steps, 512 letters, stage bounds),
 "sl2" (witnesses in the congruence subgroup of SL_2, 4 letters) and "partial"
-(the stage entry points: elementary witnesses only).  The builder checks the
-input's preconditions when it starts, each witness as it records a step, and
-the budgets and single-entry output when the trace is taken.  Replay is a
-fresh builder fed the input and the witnesses a serialized trace records;
-the trace is accepted only if the rebuilt one serializes to the same bytes.
+(the stage entry points: elementary witnesses only).  Every step enters the
+builder one way, record(kind, witness, case): the witness is the conjugator
+s itself or the elementary factors of s, which the builder multiplies out
+once.  The builder checks the input's preconditions when it starts, each
+witness as it records a step, and the budgets and single-entry output when
+the trace is taken.  Replay is a fresh builder fed the input and the
+witnesses a serialized trace records; the trace is accepted only if the
+rebuilt one serializes to the same bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     CentralInput,
@@ -54,7 +57,6 @@ from .matrices import (
     identity,
     in_congruence_subgroup,
     is_central,
-    is_scalar,
     mat_inv,
     parse_matrix,
 )
@@ -85,16 +87,19 @@ STAGE_BOUNDS = {"affine": 4, "translate": 1, "single": 1, "relocate": 3}
 class QOperation:
     """One trace transformation, with a membership witness for s.
 
-    s_member "elem" means s carries an elementary factorization whose factors
-    all have off-diagonal entry in the ideal; "congruence" means s is only
-    certified to lie in the congruence subgroup (dimension-2 shortcut).
+    With s_factors, s is their product, and each factor has off-diagonal entry
+    in the ideal (s_member "elem"); without, s is only certified to lie in the
+    congruence subgroup (s_member "congruence", the dimension-2 shortcut).
     """
 
     kind: str
     s: SqMatrix
     s_factors: ElemFactorization | None = None
-    s_member: str = "elem"
     exp: int = 1  # Append only
+
+    @property
+    def s_member(self) -> str:
+        return "congruence" if self.s_factors is None else "elem"
 
 
 @dataclass(frozen=True)
@@ -128,16 +133,6 @@ class ReductionTrace:
             stage = st.case.split(".", 1)[0]
             counts[stage] = counts.get(stage, 0) + 1
         return counts
-
-
-def _next_word_length(kind: str, wl: int) -> int:
-    if kind == CONJUGATE:
-        return wl
-    if kind in (COMM_RIGHT, COMM_LEFT):
-        return 2 * wl
-    if kind == APPEND:
-        return wl + 1
-    raise ValueError(f"unknown op kind {kind!r}")
 
 
 def expand_trace_word(trace: ReductionTrace) -> list[tuple[SqMatrix, int]]:
@@ -217,6 +212,8 @@ class _Builder:
     """Records a trace and checks every invariant of its kind on the way:
     the input preconditions on construction, each step's witness as it is
     recorded, and the budgets and output support when the trace is taken.
+    record is the one way a step enters; it alone builds a QOperation and
+    its TraceStep.
 
     The input is inverted once; after that each step maps the payload rows
     of the pair (g, g^-1) to its image without a further inverse."""
@@ -235,43 +232,37 @@ class _Builder:
         self.wl = 1
         self.steps: list[TraceStep] = []
 
-    def apply(self, kind: str, s: SqMatrix, case: str, exp: int = 1):
-        """Record a step by s, certified to lie in the congruence subgroup."""
-        self.record(QOperation(kind, s, None, "congruence", exp), case)
-
-    def apply_elem(self, kind: str, factors, case: str, exp: int = 1):
-        """Record a step by the product s of the elementary factors (i, j, a)."""
-        ring = self.sigma.ring
-        fac = ElemFactorization.of(ring, self.sigma.n, tuple(ElemFactor(i, j, ring.el(a)) for i, j, a in factors))
-        self.record(QOperation(kind, fac.target, fac, "elem", exp), case)
-
-    def record(self, op: QOperation, case: str):
+    def record(self, kind: str, witness, case: str, exp: int = 1):
+        """Record the step g -> kind(g, s).  The witness is s itself, a
+        matrix in the congruence subgroup, or the elementary factors (i, j, a)
+        whose product is s; either is checked against the policy first."""
         k = len(self.steps) + 1
+        ring = self.sigma.ring
+        if isinstance(witness, SqMatrix):
+            op = QOperation(kind, witness, None, exp)
+        else:
+            fac = ElemFactorization.of(ring, self.sigma.n, tuple(ElemFactor(i, j, ring.el(a)) for i, j, a in witness))
+            op = QOperation(kind, fac.target, fac, exp)
         member = self.policy.member
         if op.s_member != member:
-            raise ReplayMismatch(f"step {k}: {self.kind} steps need {member!r} witnesses, got {op.s_member!r}")
-        if member == "elem":
-            if op.s_factors is None:
-                raise ReplayMismatch(f"step {k}: missing elementary witness")
-            if op.s_factors.product() != op.s:
-                raise ReplayMismatch(f"step {k}: witness does not multiply to s")
+            raise ReplayMismatch(f"step {k}: {self.kind} steps need {member!r} witnesses")
+        if op.s_factors is not None:
             for f in op.s_factors.factors:
                 if f.a.is_zero or not self.q.contains(f.a):
                     raise ReplayMismatch(
                         f"step {k}: witness factor entry {format_element(f.a)} not a nonzero ideal element"
                     )
-        elif not in_congruence_subgroup(op.s, self.q) or determinant(op.s) != op.s.ring.one:
+        elif not in_congruence_subgroup(op.s, self.q) or determinant(op.s) != ring.one:
             raise ReplayMismatch(f"step {k}: s is not a determinant-1 matrix congruent to I mod the ideal")
-        if op.kind == APPEND and op.exp not in (1, -1):
-            raise ReplayMismatch(f"step {k}: an appended letter conjugates sigma^1 or sigma^-1, not sigma^{op.exp}")
+        if kind == APPEND and exp not in (1, -1):
+            raise ReplayMismatch(f"step {k}: an appended letter conjugates sigma^1 or sigma^-1, not sigma^{exp}")
         self._step(op, self._conjugation(op))
-        self.wl = _next_word_length(op.kind, self.wl)
         self.steps.append(TraceStep(op, self.g, self.wl, case))
 
     def _conjugation(self, op: QOperation):
         """X -> s X s^-1 on payload rows, for a witness record has checked."""
         k = self.sigma.ring.kernel
-        if op.s_member == "elem":
+        if op.s_factors is not None:
             # s = E_1 ... E_r: s X is row operations by E_r, ..., E_1, and X s^-1
             # column operations by the factors of s^-1 (inverse_factors) in order
             ops = [(_add_row, f) for f in reversed(op.s_factors.factors)]
@@ -288,7 +279,9 @@ class _Builder:
         return lambda x: _mul_rows(k, _mul_rows(k, s, x), sinv)
 
     def _step(self, op: QOperation, conj):
-        """Map (g, g^-1) to the step's image and its inverse."""
+        """Map (g, g^-1) to the step's image and its inverse, and the word
+        length to the step's: kept by a conjugation, doubled by a commutator,
+        one more after an appended letter."""
         ring, n = self.sigma.ring, self.sigma.n
         k = ring.kernel
         g, ginv = self.g.payload, self.ginv.payload
@@ -296,11 +289,14 @@ class _Builder:
             g, ginv = conj(g), conj(ginv)
         elif op.kind == COMM_RIGHT:  # [g, s] = g (s g^-1 s^-1), inverse (s g s^-1) g^-1
             g, ginv = _mul_rows(k, g, conj(ginv)), _mul_rows(k, conj(g), ginv)
+            self.wl *= 2
         elif op.kind == COMM_LEFT:  # [s, g] = (s g s^-1) g^-1, inverse g (s g^-1 s^-1)
             g, ginv = _mul_rows(k, conj(g), ginv), _mul_rows(k, g, conj(ginv))
+            self.wl *= 2
         elif op.kind == APPEND:  # g (s sigma^e s^-1), inverse (s sigma^-e s^-1) g^-1
             pos, neg = (self.sigma, self.sigma_inv) if op.exp == 1 else (self.sigma_inv, self.sigma)
             g, ginv = _mul_rows(k, g, conj(pos.payload)), _mul_rows(k, conj(neg.payload), ginv)
+            self.wl += 1
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
         self.g, self.ginv = SqMatrix(ring, n, payload=g), SqMatrix(ring, n, payload=ginv)
@@ -416,16 +412,16 @@ def _case1_finish(b: _Builder, tag: str) -> str:
             if i == j:
                 continue
             if not _commutes(sub, elementary(ring, n - 1, i, j, q0)):
-                b.apply_elem(COMM_RIGHT, [(i + 1, j + 1, q0)], tag + ".block")
+                b.record(COMM_RIGHT, [(i + 1, j + 1, q0)], tag + ".block")
                 assert in_lower_affine(b.g) and not is_central(b.g)
                 return "lower"
     # sub is scalar t*I and the commuting relation forces t = u
-    assert is_scalar(sub)
+    assert is_central(sub)
     assert sub.payload[0][0] == g.payload[0][0], "commuting case forces matching corner units"
     j0 = next((idx for idx, e in enumerate(g.payload[0][1:]) if not k.is_zero(e)), None)
     if j0 is None:
         raise CentralInput("scalar matrix slipped through the central filter")
-    b.apply_elem(COMM_RIGHT, [(j0 + 2, 2 if j0 != 0 else 3, q0)], tag + ".scalar")
+    b.record(COMM_RIGHT, [(j0 + 2, 2 if j0 != 0 else 3, q0)], tag + ".scalar")
     assert in_lower_affine(b.g) and not is_central(b.g)
     return "lower"
 
@@ -451,18 +447,18 @@ def _affine_stage(b: _Builder) -> str:
     wit = unimodular_square_shift(alpha)
     shift = [(i + 1, n, an * t) for i, t in enumerate(wit.t) if not (an * t).is_zero]
     if shift:
-        b.apply_elem(CONJUGATE, shift, "affine.split.shift")
+        b.record(CONJUGATE, shift, "affine.split.shift")
     # the shift adds t_i a_n times row n to row i and leaves row n alone
     assert b.g.column(1)[: n - 1] == wit.shifted, "shift witness must match the shifted prefix"
     lam_fac = [(n, k + 1, -(an * dk)) for k, dk in enumerate(wit.bezout) if not (an * dk).is_zero]
-    b.apply_elem(COMM_RIGHT, tau_fac, "affine.split.comm")
+    b.record(COMM_RIGHT, tau_fac, "affine.split.comm")
     if lam_fac:
-        b.apply_elem(CONJUGATE, lam_fac, "affine.split.conj")
+        b.record(CONJUGATE, lam_fac, "affine.split.conj")
     rho = b.g
     assert not is_central(rho), "conjugated commutator must stay non-central"
     if _commutes(rho, tau):
         return _case1_finish(b, "affine.split.recommuting")
-    b.apply_elem(COMM_RIGHT, tau_fac, "affine.split.comm2")
+    b.record(COMM_RIGHT, tau_fac, "affine.split.comm2")
     assert in_upper_affine(b.g) and not is_central(b.g)
     return "upper"
 
@@ -488,7 +484,7 @@ def _translate_stage(b: _Builder, loc: str):
     if k0 is None:  # gamma = I
         return
     i, j = (k0 + 1, n) if loc == "upper" else (1, k0 + 2)
-    b.apply_elem(COMM_RIGHT, [(i, j, b.q.canonical)], case)
+    b.record(COMM_RIGHT, [(i, j, b.q.canonical)], case)
     assert not is_central(b.g), "translation part must be nonzero"
 
 
@@ -511,17 +507,17 @@ def _single_stage(b: _Builder):
         if sup == [(1, n)]:
             return
         b0 = min(i for (i, _) in sup if i != 1)
-        b.apply_elem(COMM_RIGHT, [(1, b0, q0)], "single.col")
+        b.record(COMM_RIGHT, [(1, b0, q0)], "single.col")
     elif all(i == 1 and j > 1 for (i, j) in sup):
         if sup == [(1, n)]:
             return
         j0 = min(j for (_, j) in sup if j != n)
-        b.apply_elem(COMM_RIGHT, [(j0, n, q0)], "single.row")
+        b.record(COMM_RIGHT, [(j0, n, q0)], "single.row")
     elif all(i == n and j < n for (i, j) in sup):
         if sup == [(n, 1)]:
             return
         a0 = min(j for (_, j) in sup if j != 1)
-        b.apply_elem(COMM_RIGHT, [(a0, 1, q0)], "single.bottom")
+        b.record(COMM_RIGHT, [(a0, 1, q0)], "single.bottom")
     else:
         raise ValueError("matrix is not in a translation block form")
     assert len(_support(b.g)) == 1, "single-entry stage must isolate one entry"
@@ -543,16 +539,16 @@ def _relocate_stage(b: _Builder, target: tuple[int, int]):
         guard += 1
         assert guard <= 3, "relocation exceeded three moves"
         if j == l:
-            b.apply_elem(COMM_LEFT, [(i, k, q0)], "relocate.same-col")
+            b.record(COMM_LEFT, [(i, k, q0)], "relocate.same-col")
         elif i == k:
-            b.apply_elem(COMM_RIGHT, [(l, j, q0)], "relocate.same-row")
+            b.record(COMM_RIGHT, [(l, j, q0)], "relocate.same-row")
         elif k != j:
-            b.apply_elem(COMM_RIGHT, [(l, j, q0)], "relocate.pivot")
+            b.record(COMM_RIGHT, [(l, j, q0)], "relocate.pivot")
         elif i != l:
-            b.apply_elem(COMM_LEFT, [(i, k, q0)], "relocate.corner.direct")
+            b.record(COMM_LEFT, [(i, k, q0)], "relocate.corner.direct")
         else:
             h = next(x for x in range(1, n + 1) if x not in (k, l))
-            b.apply_elem(COMM_LEFT, [(h, k, q0)], "relocate.corner.detour")
+            b.record(COMM_LEFT, [(h, k, q0)], "relocate.corner.detour")
 
 
 # Public per-stage entry points: each returns a partial trace (kind
@@ -667,7 +663,7 @@ def _try_upper_commutator(b: _Builder, q: Ideal) -> bool:
         for z in _z_candidates(q):
             eta = SqMatrix.from_raw(ring, ((u, z), (0, uinv)))
             if not (b.g * eta * b.ginv * mat_inv(eta)).e(1, 2).is_zero:
-                b.apply(COMM_RIGHT, eta, "sl2.comm-upper")
+                b.record(COMM_RIGHT, eta, "sl2.comm-upper")
                 return True
     return False
 
@@ -704,10 +700,10 @@ def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
         zmat = _upgrade(y, q)
         if zmat is None and not _is_e12_nontrivial(y):
             continue
-        b.apply(COMM_LEFT, emat, "sl2.unit")
-        b.apply(CONJUGATE, conj_s, "sl2.unit.conj")
+        b.record(COMM_LEFT, emat, "sl2.unit")
+        b.record(CONJUGATE, conj_s, "sl2.unit.conj")
         if zmat is not None:
-            b.apply(COMM_RIGHT, zmat, "sl2.unit.comm")
+            b.record(COMM_RIGHT, zmat, "sl2.unit.comm")
         return True
     return False
 
@@ -722,7 +718,7 @@ def _try_square(b: _Builder) -> bool:
     """sigma^2 can be a nontrivial E12 element (e.g. -I times a unipotent)."""
     if not _is_e12_nontrivial(b.sigma * b.sigma):
         return False
-    b.apply(APPEND, identity(b.sigma.ring, 2), "sl2.square", exp=1)
+    b.record(APPEND, identity(b.sigma.ring, 2), "sl2.square", exp=1)
     return True
 
 
@@ -787,16 +783,16 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
         eta = element(prod(inv[gx], gy))
         if ex == 1:
             if ey == -1:
-                b.apply(COMM_RIGHT, eta, "sl2.pair")
+                b.record(COMM_RIGHT, eta, "sl2.pair")
             else:
-                b.apply(APPEND, eta, "sl2.pair", exp=1)
+                b.record(APPEND, eta, "sl2.pair", exp=1)
         else:
             assert ey == 1, "(-1, -1) pairs are found through their inverses"
-            b.apply(COMM_LEFT, eta, "sl2.pair")
-            b.apply(CONJUGATE, element(prod(gx, inv[sig])), "sl2.pair.conj")
+            b.record(COMM_LEFT, eta, "sl2.pair")
+            b.record(CONJUGATE, element(prod(gx, inv[sig])), "sl2.pair.conj")
             return
         if gx != 0:
-            b.apply(CONJUGATE, element(gx), "sl2.pair.conj")
+            b.record(CONJUGATE, element(gx), "sl2.pair.conj")
 
     # Phase A: two letters.  (-1,-1) products are inverses of (+1,+1) ones
     # and E12 is inversion-closed, so three sign patterns suffice.
@@ -830,9 +826,9 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
     if hit is not None:
         y2, y3 = hit
         for y in hit:
-            b.apply(APPEND, element(lg[y]), "sl2.pair.append", exp=1 if y < len(cls_pos[0]) else -1)
+            b.record(APPEND, element(lg[y]), "sl2.pair.append", exp=1 if y < len(cls_pos[0]) else -1)
         if (s := into_e12[prod(prod(sig, lv[y2]), lv[y3])]) != 0:
-            b.apply(CONJUGATE, element(s), "sl2.pair.conj")
+            b.record(CONJUGATE, element(s), "sl2.pair.conj")
         assert _is_e12_nontrivial(b.g)
         return True
 
@@ -842,7 +838,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
     for k in np.flatnonzero((mats[w, 1, 0] == 0) & (w != 0)):
         if (zmat := _upgrade(element(w[k]), q)) is not None:
             emit_two(xg[k // len(yv)], 1, yg[k % len(yv)], -1)
-            b.apply(COMM_RIGHT, zmat, "sl2.pair.comm")
+            b.record(COMM_RIGHT, zmat, "sl2.pair.comm")
             assert _is_e12_nontrivial(b.g)
             return True
     return False
@@ -871,7 +867,7 @@ def sl2_unit_reduction(
     if side == "E21":
         inner = sl2_unit_reduction(_theta(sigma), q, "E12", pair_budget=pair_budget, seed=seed)
         for st in inner.steps:
-            b.record(replace(st.op, s=_theta(st.op.s)), "sl2.mirror|" + st.case)
+            b.record(st.op.kind, _theta(st.op.s), "sl2.mirror|" + st.case, st.op.exp)
         return b.trace("E21")
 
     found = (
@@ -909,13 +905,8 @@ def serialize_trace(trace: ReductionTrace) -> str:
         ids.append(st.op.s)
         rid = len(ids)
         ids.append(st.result)
-        if st.op.s_member == "elem":
-            fac = st.op.s_factors
-            sfac = "|".join(
-                f"{f.i},{f.j}:{format_element(f.a)}" for f in fac.factors
-            ) or "-"
-        else:
-            sfac = "-"
+        factors = st.op.s_factors.factors if st.op.s_factors is not None else ()
+        sfac = "|".join(f"{f.i},{f.j}:{format_element(f.a)}" for f in factors) or "-"
         extra = f" exp={st.op.exp}" if st.op.kind == APPEND else ""
         lines.append(
             f"step kind={st.op.kind} s=M{sid} result=M{rid} len={st.word_length} "
@@ -994,13 +985,12 @@ def _rebuild(lines: list[str]) -> ReductionTrace:
     b = _Builder(sigma, parse_ideal(sigma.ring, ideal), kind, int(seed))
     for k, line in enumerate(steps, start=1):
         attrs = dict(tok.partition("=")[::2] for tok in line.split()[1:])
-        op_kind, case, exp = attrs.get("kind", ""), attrs.get("case", ""), int(attrs.get("exp", 1))
         if attrs.get("smem") == "elem":
             sfac = attrs.get("sfac", "")
-            factors = [] if sfac == "-" else [_factor(sigma.ring, f) for f in sfac.split("|")]
-            b.apply_elem(op_kind, factors, case, exp)
+            witness = [] if sfac == "-" else [_factor(sigma.ring, f) for f in sfac.split("|")]
         else:
-            b.record(QOperation(op_kind, matrix(2 * k - 1), None, attrs.get("smem", ""), exp), case)
+            witness = matrix(2 * k - 1)
+        b.record(attrs.get("kind", ""), witness, attrs.get("case", ""), int(attrs.get("exp", 1)))
         if format_matrix(b.g) != recorded(2 * k):
             raise ReplayMismatch(f"replay mismatch at step {k}")
     return b.trace(target)

@@ -144,16 +144,16 @@ def _reference_try_pair_search(b, q, budget):
         eta = mat_inv(gx) * gy
         if ex == 1:
             if ey == -1:
-                b.apply(COMM_RIGHT, eta, "sl2.pair")
+                b.record(COMM_RIGHT, eta, "sl2.pair")
             else:
-                b.apply(APPEND, eta, "sl2.pair", exp=1)
+                b.record(APPEND, eta, "sl2.pair", exp=1)
         else:
             assert ey == 1, "(-1, -1) pairs are found through their inverses"
-            b.apply(COMM_LEFT, eta, "sl2.pair")
-            b.apply(CONJUGATE, gx * sig_inv, "sl2.pair.conj")
+            b.record(COMM_LEFT, eta, "sl2.pair")
+            b.record(CONJUGATE, gx * sig_inv, "sl2.pair.conj")
             return
         if not gx.is_identity:
-            b.apply(CONJUGATE, gx, "sl2.pair.conj")
+            b.record(CONJUGATE, gx, "sl2.pair.conj")
 
     checked = 0
     for (xs, ex), (ys, ey) in (
@@ -191,10 +191,10 @@ def _reference_try_pair_search(b, q, budget):
             s = into_e12.get(w.key())
             if s is None:
                 continue
-            b.apply(APPEND, g2, "sl2.pair.append", exp=e2)
-            b.apply(APPEND, g3, "sl2.pair.append", exp=e3)
+            b.record(APPEND, g2, "sl2.pair.append", exp=e2)
+            b.record(APPEND, g3, "sl2.pair.append", exp=e3)
             if not s.is_identity:
-                b.apply(CONJUGATE, s, "sl2.pair.conj")
+                b.record(CONJUGATE, s, "sl2.pair.conj")
             assert _is_e12_nontrivial(b.g)
             return True
 
@@ -220,7 +220,7 @@ def _reference_try_pair_search(b, q, budget):
                 if not in_congruence_subgroup(zmat, q):
                     continue
                 emit_two(gx, 1, gy, -1)
-                b.apply(COMM_RIGHT, zmat, "sl2.pair.comm")
+                b.record(COMM_RIGHT, zmat, "sl2.pair.comm")
                 assert _is_e12_nontrivial(b.g)
                 return True
     return False

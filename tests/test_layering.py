@@ -6,6 +6,8 @@
   ring's kernel, so no module dispatches on the kind.
 - Every public method or property of a class is named somewhere in the
   package source or in README.md: no public wrapper that nothing calls.
+- Only the trace builder's methods construct a QOperation or a TraceStep,
+  so every recorded step passes its checks.
 
 Each module is parsed and walked once.
 """
@@ -21,10 +23,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "congwidth"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def _names(tree: ast.AST) -> tuple[list[tuple[str, int]], set[str], set[str], list[tuple[str, str, int]]]:
+TRACE_RECORDS = ("QOperation", "TraceStep")
+
+
+def _names(tree: ast.AST):
     """(imported names with their lines, names used, every identifier,
-    public methods as (class, name, line))."""
-    imports, used, idents, methods = [], set(), set(), []
+    public methods as (class, name, line), trace-record constructions as
+    (name, line), class spans as (class, first line, last line))."""
+    imports, used, idents, methods, records, spans = [], set(), set(), [], [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
@@ -39,10 +45,15 @@ def _names(tree: ast.AST) -> tuple[list[tuple[str, int]], set[str], set[str], li
         elif isinstance(node, ast.ClassDef):
             methods += [(node.name, f.name, f.lineno) for f in node.body
                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+            spans.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in TRACE_RECORDS:
+                records.append((name, node.lineno))
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
             used |= _names(ast.parse(annotation.value, mode="eval"))[1]
-    return imports, used, idents, methods
+    return imports, used, idents, methods, records, spans
 
 
 @lru_cache(maxsize=None)
@@ -68,3 +79,13 @@ def test_public_methods_are_named():
     named |= set(re.findall(r"\w+", (SRC.parent.parent / "README.md").read_text()))
     unnamed = [f"{p.name}:{line} {cls}.{name}" for p in MODULES for cls, name, line in _scan(p)[3] if name not in named]
     assert not unnamed, f"public methods named nowhere in src/ or README.md: {', '.join(unnamed)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_builder_records_steps(path):
+    records, spans = _scan(path)[4:]
+    assert records or path.name != "reduction.py", "the builder's own constructions went unseen"
+    inside = [(first, last) for cls, first, last in spans if cls == "_Builder"]
+    outside = [f"{name} (line {line})" for name, line in records
+               if not any(first <= line <= last for first, last in inside)]
+    assert not outside, f"{path.name} builds trace records outside _Builder: {', '.join(outside)}"

@@ -19,7 +19,6 @@ from congwidth.matrices import (
     identity,
     in_congruence_subgroup,
     is_central,
-    is_scalar,
     mat_inv,
     parse_matrix,
 )
@@ -285,8 +284,10 @@ def test_is_central_examples(ring_z):
 
 
 def test_central_iff_scalar_exhaustive(sl2_f3):
-    for g in sl2_f3.elements:
-        assert is_central(g) == is_scalar(g)
+    # central by definition: g commutes with every element of SL2(F3)
+    group = sl2_f3.elements
+    for g in group:
+        assert is_central(g) == all(g * h == h * g for h in group)
 
 
 def test_embed_affine_examples(ring_z):

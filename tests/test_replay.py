@@ -103,7 +103,7 @@ def test_sl2_conjugator_must_have_determinant_one():
     trace = sl2_unit_reduction(SqMatrix.from_raw(L5, [[1, 0], [2, 1]]), q, "E12")
     flip = SqMatrix.from_raw(L5, [[-1, 0], [0, 1]])  # = I mod 2, det -1
     out = flip * trace.output * mat_inv(flip)
-    extra = TraceStep(QOperation(CONJUGATE, flip, None, "congruence"), out, trace.word_length, "sl2.unit.conj")
+    extra = TraceStep(QOperation(CONJUGATE, flip), out, trace.word_length, "sl2.unit.conj")
     bad = ReductionTrace("sl2", trace.input, q, "E12", trace.steps + (extra,), 0)
     replay_trace(serialize_trace(trace))
     with pytest.raises(ReplayMismatch, match="step 4"):
@@ -116,7 +116,7 @@ def test_sl2_appended_letter_is_sigma_to_plus_or_minus_one():
     sigma = SqMatrix.from_raw(Z, [[1, 2], [0, 1]])
 
     def append(exp):
-        op = QOperation(APPEND, identity(Z, 2), None, "congruence", exp)
+        op = QOperation(APPEND, identity(Z, 2), None, exp)
         step = TraceStep(op, sigma ** (1 + exp), 2, "sl2.square")
         return serialize_trace(ReductionTrace("sl2", sigma, q, "E12", (step,), 0))
 
@@ -201,10 +201,10 @@ def test_replay_stops_at_the_first_step_whose_result_differs(monkeypatch):
     recorded = []
     real = reduction._Builder.record
 
-    def record(self, op, case):
+    def record(self, kind, witness, case, exp=1):
         recorded.append(case)
         assert len(recorded) <= k - 6, "the rebuild went past the first repeated step"
-        real(self, op, case)
+        real(self, kind, witness, case, exp)
 
     monkeypatch.setattr(reduction._Builder, "record", record)
     with pytest.raises(ReplayMismatch, match=f"replay mismatch at step {k - 6}$"):
@@ -230,6 +230,24 @@ def test_step_line_carries_exactly_the_serialized_keys(kind, old, new, tmp_path,
     assert old in text
     bad = text.replace(old, new, 1)
     with pytest.raises(TraceFormatError):
+        replay_trace(bad)
+    rc, err = _replay_cli(tmp_path, bad, capsys)
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "kind, tag, message",
+    [
+        pytest.param("reduce", "smem=elem", r"^step 1: reduce steps need 'elem' witnesses$", id="reduce"),
+        pytest.param("sl2", "smem=congruence", r"^line 9: expected 'step .* smem=congruence ", id="sl2"),
+    ],
+)
+def test_unknown_witness_tag_is_refused(kind, tag, message, tmp_path, capsys):
+    # the refusal names what the trace kind needs, not a tag the file never held
+    text = _golden_text() if kind == "reduce" else _sl2_text()
+    assert tag in text
+    bad = text.replace(tag, "smem=foo", 1)
+    with pytest.raises(CongwidthError, match=message):
         replay_trace(bad)
     rc, err = _replay_cli(tmp_path, bad, capsys)
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1

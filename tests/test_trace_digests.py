@@ -4,7 +4,8 @@ The digests were recorded before the trace checks moved into the builder;
 any change to the trace bytes (steps, witnesses, case tags, matrix table)
 shows up here.  The same traces also check the builder's carried inverse
 against the defining formula of each step, and gate its inverse count, the
-RingElements made per step and the matrices replay parses.
+elementary products it forms, the RingElements made per step and the
+matrices replay parses.
 """
 
 import hashlib
@@ -170,7 +171,8 @@ def test_builder_steps_match_reference_and_carry_the_inverse(reduce_traces, sl2_
         b = _Builder(trace.input, trace.ideal, trace.kind, trace.seed)
         prev = trace.input
         for st in trace.steps:
-            b.record(st.op, st.case)
+            fac = st.op.s_factors
+            b.record(st.op.kind, st.op.s if fac is None else [(f.i, f.j, f.a) for f in fac.factors], st.case, st.op.exp)
             assert b.g == st.result == _reference_apply_qop(st.op, prev, trace.input)
             assert (b.g * b.ginv).is_identity
             prev = st.result
@@ -207,6 +209,22 @@ def test_reduce_and_replay_invert_once(monkeypatch):
             calls.clear()
             replay_trace(text)
             assert len(calls) <= 1, f"replay_trace on {name} inverted {len(calls)} matrices"
+
+
+def test_reduce_and_replay_multiply_each_witness_once(monkeypatch):
+    calls = []
+    real = reduction.ElemFactorization.of
+    monkeypatch.setattr(reduction.ElemFactorization, "of", staticmethod(lambda *a: calls.append(a) or real(*a)))
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            calls.clear()
+            trace = reduce_full(*args)
+            elem = sum(1 for st in trace.steps if st.op.s_member == "elem")
+            assert elem > 0 and len(calls) == elem, f"reduce_full on {name}: {len(calls)} products for {elem} steps"
+            text = serialize_trace(trace)
+            calls.clear()
+            replay_trace(text)
+            assert len(calls) == elem, f"replay_trace on {name}: {len(calls)} products for {elem} steps"
 
 
 def test_replay_parses_the_input_and_congruence_witnesses_only(monkeypatch, sl2_f5_traces):
