@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--target", type=_target_type, required=True)
     pr.add_argument("--side", choices=["E12", "E21"], default=None,
                     help="dimension-2 mode: use the unit shortcut for this side")
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=int, default=0, help="echoed on the trace's seed line only; nothing is random")
     pr.add_argument("--out", default=None)
 
     pp = sub.add_parser("replay", help="verify a serialized trace")

@@ -24,6 +24,10 @@ witness as it records a step, and the budgets and single-entry output when
 the trace is taken.  Replay is a fresh builder fed the input and the
 witnesses a serialized trace records; the trace is accepted only if the
 rebuilt one serializes to the same bytes.
+
+The builder carries (g, g^-1) and inverts only the input.  A commutator
+with one elementary factor is a rank-one update of I, about n^2 + 3n ring
+products; only the dimension-2 congruence witnesses take dense products.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .matrices import (
     _add_row,
     _mul_rows,
     determinant,
-    elementary,
     format_matrix,
     identity,
     in_congruence_subgroup,
@@ -213,10 +216,7 @@ class _Builder:
     the input preconditions on construction, each step's witness as it is
     recorded, and the budgets and output support when the trace is taken.
     record is the one way a step enters; it alone builds a QOperation and
-    its TraceStep.
-
-    The input is inverted once; after that each step maps the payload rows
-    of the pair (g, g^-1) to its image without a further inverse."""
+    its TraceStep."""
 
     def __init__(self, sigma: SqMatrix, q: Ideal, kind: str, seed: int):
         if kind not in _POLICIES:
@@ -256,7 +256,7 @@ class _Builder:
             raise ReplayMismatch(f"step {k}: s is not a determinant-1 matrix congruent to I mod the ideal")
         if kind == APPEND and exp not in (1, -1):
             raise ReplayMismatch(f"step {k}: an appended letter conjugates sigma^1 or sigma^-1, not sigma^{exp}")
-        self._step(op, self._conjugation(op))
+        self._step(op)
         self.steps.append(TraceStep(op, self.g, self.wl, case))
 
     def _conjugation(self, op: QOperation):
@@ -278,20 +278,22 @@ class _Builder:
         s, sinv = op.s.payload, mat_inv(op.s).payload
         return lambda x: _mul_rows(k, _mul_rows(k, s, x), sinv)
 
-    def _step(self, op: QOperation, conj):
+    def _step(self, op: QOperation):
         """Map (g, g^-1) to the step's image and its inverse, and the word
         length to the step's: kept by a conjugation, doubled by a commutator,
         one more after an appended letter."""
         ring, n = self.sigma.ring, self.sigma.n
         k = ring.kernel
         g, ginv = self.g.payload, self.ginv.payload
+        elem_comm = op.s_factors is not None and op.kind in (COMM_RIGHT, COMM_LEFT)
+        conj = None if elem_comm else self._conjugation(op)
         if op.kind == CONJUGATE:
             g, ginv = conj(g), conj(ginv)
-        elif op.kind == COMM_RIGHT:  # [g, s] = g (s g^-1 s^-1), inverse (s g s^-1) g^-1
-            g, ginv = _mul_rows(k, g, conj(ginv)), _mul_rows(k, conj(g), ginv)
-            self.wl *= 2
-        elif op.kind == COMM_LEFT:  # [s, g] = (s g s^-1) g^-1, inverse g (s g^-1 s^-1)
-            g, ginv = _mul_rows(k, conj(g), ginv), _mul_rows(k, g, conj(ginv))
+        elif op.kind in (COMM_RIGHT, COMM_LEFT):  # [g, s] = g (s g^-1 s^-1), inverse (s g s^-1) g^-1
+            g, ginv = (self._elem_commutator(op.s_factors) if elem_comm
+                       else (_mul_rows(k, g, conj(ginv)), _mul_rows(k, conj(g), ginv)))
+            if op.kind == COMM_LEFT:  # [s, g] = [g, s]^-1: the pair swapped
+                g, ginv = ginv, g
             self.wl *= 2
         elif op.kind == APPEND:  # g (s sigma^e s^-1), inverse (s sigma^-e s^-1) g^-1
             pos, neg = (self.sigma, self.sigma_inv) if op.exp == 1 else (self.sigma_inv, self.sigma)
@@ -300,6 +302,35 @@ class _Builder:
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
         self.g, self.ginv = SqMatrix(ring, n, payload=g), SqMatrix(ring, n, payload=ginv)
+
+    def _elem_commutator(self, fac: ElemFactorization):
+        """[g, s] = h s^-1 by column operations and [g, s]^-1 = s h^-1 by row
+        operations, for h = g s g^-1 = I + W and s = E_1 ... E_r.  For one
+        factor (i, j, a), W = a (column i of g)(row j of g^-1) and h^-1 = I - W."""
+        k, g, ginv = self.sigma.ring.kernel, self.g.payload, self.ginv.payload
+        ops = [(f.i - 1, f.j - 1, f.a.payload) for f in fac.factors]
+        inv_ops = [(i, j, k.neg(a)) for i, j, a in reversed(ops)]
+
+        def update(ops):  # W = (g s - g) g^-1, where g s - g is zero off the columns j of ops
+            gs = [list(r) for r in g]
+            for i, j, a in ops:
+                _add_col(k, gs, i, j, a)
+            w = [[k.zero] * len(g) for _ in g]
+            for t in dict.fromkeys(j for _, j, _ in ops):
+                for r, (x, y) in enumerate(zip(gs, g)):
+                    if not k.is_zero(d := k.add(x[t], k.neg(y[t]))):
+                        w[r] = [e if k.is_zero(v) else k.add(e, k.mul(d, v)) for e, v in zip(w[r], ginv[t])]
+            return w
+
+        w = update(ops)
+        winv = update(inv_ops) if len(ops) > 1 else [list(map(k.neg, r)) for r in w]
+        h, hinv = ([[k.add(x, k.one) if r == c else x for c, x in enumerate(row)] for r, row in enumerate(m)]
+                   for m in (w, winv))
+        for i, j, a in inv_ops:
+            _add_col(k, h, i, j, a)
+        for i, j, a in reversed(ops):
+            _add_row(k, hinv, i, j, a)
+        return h, hinv
 
     def trace(self, target) -> ReductionTrace:
         trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
@@ -388,8 +419,12 @@ def in_lower_affine(g: SqMatrix) -> bool:
     return [r[0] for r in g.payload] == [k.one] + [k.zero] * (g.n - 1)
 
 
-def _commutes(a: SqMatrix, b: SqMatrix) -> bool:
-    return a * b == b * a
+def _commutes(g: SqMatrix, i: int, j: int) -> bool:
+    """Whether g commutes with I + a e_ij, a != 0 in a domain: column i of g
+    is zero off row i, row j of g is zero off column j, and g_ii = g_jj."""
+    k, p, i, j = g.ring.kernel, g.payload, i - 1, j - 1
+    return (p[i][i] == p[j][j] and all(k.is_zero(r[i]) for c, r in enumerate(p) if c != i)
+            and all(k.is_zero(x) for c, x in enumerate(p[j]) if c != j))
 
 
 # -- the four reduction stages -----------------------------------------------------
@@ -407,14 +442,11 @@ def _case1_finish(b: _Builder, tag: str) -> str:
         "commuting case must pin the first column to a unit multiple of e_1"
     )
     sub = SqMatrix(ring, n - 1, payload=[r[1:] for r in g.payload[1:]])
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                continue
-            if not _commutes(sub, elementary(ring, n - 1, i, j, q0)):
-                b.record(COMM_RIGHT, [(i + 1, j + 1, q0)], tag + ".block")
-                assert in_lower_affine(b.g) and not is_central(b.g)
-                return "lower"
+    for i, j in itertools.permutations(range(1, n), 2):
+        if not _commutes(sub, i, j):
+            b.record(COMM_RIGHT, [(i + 1, j + 1, q0)], tag + ".block")
+            assert in_lower_affine(b.g) and not is_central(b.g)
+            return "lower"
     # sub is scalar t*I and the commuting relation forces t = u
     assert is_central(sub)
     assert sub.payload[0][0] == g.payload[0][0], "commuting case forces matching corner units"
@@ -431,15 +463,13 @@ def _affine_stage(b: _Builder) -> str:
     (bottom row e_n, "upper", or first column e_1, "lower")."""
     g = b.g
     n = g.n
-    ring = g.ring
     q0 = b.q.canonical
     if in_upper_affine(g):
         return "upper"
     if in_lower_affine(g):
         return "lower"
-    tau = elementary(ring, n, 1, 2, q0)
-    tau_fac = [(1, 2, q0)]
-    if _commutes(g, tau):
+    tau_fac = [(1, 2, q0)]  # tau = I + q0 e_12
+    if _commutes(g, 1, 2):
         return _case1_finish(b, "affine.commuting")
 
     alpha = g.column(1)
@@ -456,7 +486,7 @@ def _affine_stage(b: _Builder) -> str:
         b.record(CONJUGATE, lam_fac, "affine.split.conj")
     rho = b.g
     assert not is_central(rho), "conjugated commutator must stay non-central"
-    if _commutes(rho, tau):
+    if _commutes(rho, 1, 2):
         return _case1_finish(b, "affine.split.recommuting")
     b.record(COMM_RIGHT, tau_fac, "affine.split.comm2")
     assert in_upper_affine(b.g) and not is_central(b.g)
