@@ -45,10 +45,6 @@ class ElemFactorization:
     def product(self) -> SqMatrix:
         return ElemFactorization.of(self.target.ring, self.target.n, self.factors).target
 
-    def inverse_factors(self) -> tuple[ElemFactor, ...]:
-        """Reversed, negated factor list; a factorization of target^-1."""
-        return tuple(ElemFactor(f.i, f.j, -f.a) for f in reversed(self.factors))
-
 
 class _RowReducer:
     """Mutable row-reduction state recording left multiplications.

@@ -139,14 +139,6 @@ def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
     return SqMatrix(ring, n, payload=rows)
 
 
-def basis_matrix(ring: RingSpec, n: int, i: int, j: int) -> SqMatrix:
-    """The matrix unit e_ij (1 in position (i, j), 0 elsewhere)."""
-    k = ring.kernel
-    rows = [[k.zero] * n for _ in range(n)]
-    rows[i - 1][j - 1] = k.one
-    return SqMatrix(ring, n, payload=rows)
-
-
 # -- the payload core ------------------------------------------------------------
 #
 # Products, determinants, inverses and elementary row and column operations
@@ -188,36 +180,13 @@ def _det_cofactor(k, rows):
     return acc
 
 
-def _det_bareiss(k, rows):
-    """Fraction-free elimination; every division is exact over a domain."""
-    add, mul, neg = k.add, k.mul, k.neg
-    a = [list(r) for r in rows]
-    n = len(a)
-    prev = k.one
-    sign = 1
-    for c in range(n - 1):
-        if k.is_zero(a[c][c]):
-            swap = next((r for r in range(c + 1, n) if not k.is_zero(a[r][c])), None)
-            if swap is None:
-                return k.zero
-            a[c], a[swap] = a[swap], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = k.div(add(mul(a[i][j], a[c][c]), neg(mul(a[i][c], a[c][j]))), prev)
-        prev = a[c][c]
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else neg(d)
-
-
 # -- determinant and inverse ---------------------------------------------------
 
 
 def determinant(m: SqMatrix) -> RingElement:
-    """Exact determinant: cofactor expansion for n <= 4, Bareiss over domains
-    otherwise (Bareiss division is invalid over non-domains)."""
-    det = _det_cofactor if m.n <= 4 or not m.ring.is_domain else _det_bareiss
-    return RingElement(m.ring, det(m.ring.kernel, m.payload))
+    """Exact determinant by cofactor expansion, which divides by nothing and
+    so holds over every ring, domain or not."""
+    return RingElement(m.ring, _det_cofactor(m.ring.kernel, m.payload))
 
 
 def mat_inv(m: SqMatrix) -> SqMatrix:

@@ -17,6 +17,7 @@ elements by value (matrices, ring-element pairs and ints all hash by value).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -403,26 +404,14 @@ def shrink_ideal(
     dom = norm.domain
     ring = dom.ring
     d = dom.ideal.canonical
+    shells = ((d * ring.el(i), d * ring.el(j))
+              for shell in range(1, 129) for i in range(-shell, shell + 1) for j in range(-shell, shell + 1)
+              if max(abs(i), abs(j)) == shell and i != 0)
     tried = 0
-    witness = None
-    for shell in range(1, 129):
-        for i in range(-shell, shell + 1):
-            for j in range(-shell, shell + 1):
-                if max(abs(i), abs(j)) != shell or i == 0:
-                    continue
-                x = d * ring.el(i)
-                y = d * ring.el(j)
-                tried += 1
-                if 6 * norm.value((x, y)) <= epsilon:
-                    witness = (x, y)
-                    break
-                if tried >= max_candidates:
-                    break
-            if witness or tried >= max_candidates:
-                break
-        if witness or tried >= max_candidates:
+    for tried, witness in enumerate(itertools.islice(shells, max_candidates), start=1):
+        if 6 * norm.value(witness) <= epsilon:
             break
-    if witness is None:
+    else:
         raise NoSmallVector(f"no pair with 6*norm <= {epsilon}", tried)
     x, _ = witness
     cube = x * x * x

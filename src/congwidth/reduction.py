@@ -25,9 +25,11 @@ the trace is taken.  Replay is a fresh builder fed the input and the
 witnesses a serialized trace records; the trace is accepted only if the
 rebuilt one serializes to the same bytes.
 
-The builder carries (g, g^-1) and inverts only the input.  A commutator
-with one elementary factor is a rank-one update of I, about n^2 + 3n ring
-products; only the dimension-2 congruence witnesses take dense products.
+The builder carries (g, g^-1) and inverts only the input.  A witness acts
+by row and column operations (elementary factors) or by 2 x 2 products (a
+congruence conjugator), and a commutator is one low-rank update of I for
+both: with one elementary factor a rank-one update, about n^2 + 3n ring
+products.
 """
 
 from __future__ import annotations
@@ -211,6 +213,30 @@ _POLICIES = {
 }
 
 
+def _action(k, op: QOperation, n: int):
+    """How the witness s of a checked op acts on payload rows: the maps
+    x -> s x, x -> x s and x -> x s^-1, and the columns where x s can differ
+    from x.  Elementary factors s = E_1 ... E_r act by row and column
+    operations on their own columns; a congruence conjugator by products."""
+    if op.s_factors is None:
+        s, sinv = op.s.payload, mat_inv(op.s).payload
+        return (lambda x: _mul_rows(k, s, x), lambda x: _mul_rows(k, x, s),
+                lambda x: _mul_rows(k, x, sinv), range(n))
+    ops = [(f.i - 1, f.j - 1, f.a.payload) for f in op.s_factors.factors]
+    inv_ops = [(i, j, k.neg(a)) for i, j, a in reversed(ops)]
+
+    def acting(add, ops):  # x -> x with ops applied in order, on a copy
+        def act(x):
+            x = [list(r) for r in x]
+            for i, j, a in ops:
+                add(k, x, i, j, a)
+            return x
+        return act
+
+    cols = list(dict.fromkeys(j for _, j, _ in ops))
+    return acting(_add_row, ops[::-1]), acting(_add_col, ops), acting(_add_col, inv_ops), cols
+
+
 class _Builder:
     """Records a trace and checks every invariant of its kind on the way:
     the input preconditions on construction, each step's witness as it is
@@ -259,39 +285,40 @@ class _Builder:
         self._step(op)
         self.steps.append(TraceStep(op, self.g, self.wl, case))
 
-    def _conjugation(self, op: QOperation):
-        """X -> s X s^-1 on payload rows, for a witness record has checked."""
-        k = self.sigma.ring.kernel
-        if op.s_factors is not None:
-            # s = E_1 ... E_r: s X is row operations by E_r, ..., E_1, and X s^-1
-            # column operations by the factors of s^-1 (inverse_factors) in order
-            ops = [(_add_row, f) for f in reversed(op.s_factors.factors)]
-            ops += [(_add_col, f) for f in op.s_factors.inverse_factors()]
-
-            def conj(x):
-                x = [list(r) for r in x]
-                for add, f in ops:
-                    add(k, x, f.i - 1, f.j - 1, f.a.payload)
-                return x
-
-            return conj
-        s, sinv = op.s.payload, mat_inv(op.s).payload
-        return lambda x: _mul_rows(k, _mul_rows(k, s, x), sinv)
-
     def _step(self, op: QOperation):
         """Map (g, g^-1) to the step's image and its inverse, and the word
         length to the step's: kept by a conjugation, doubled by a commutator,
-        one more after an appended letter."""
+        one more after an appended letter.
+
+        A commutator is one low-rank update for every witness: h = g s g^-1
+        is I + W with W = (g s - g) g^-1, and g s - g is zero off the columns
+        the witness acts on; then [g, s] = h s^-1 and [g, s]^-1 = s h^-1."""
         ring, n = self.sigma.ring, self.sigma.n
         k = ring.kernel
         g, ginv = self.g.payload, self.ginv.payload
-        elem_comm = op.s_factors is not None and op.kind in (COMM_RIGHT, COMM_LEFT)
-        conj = None if elem_comm else self._conjugation(op)
+        left, right, right_inv, cols = _action(k, op, n)
+
+        def conj(x):
+            return right_inv(left(x))
+
+        def update(gs):  # W = (gs - g) g^-1, where gs - g is zero off cols
+            w = [[k.zero] * n for _ in range(n)]
+            for t in cols:
+                for r, (x, y) in enumerate(zip(gs, g)):
+                    if not k.is_zero(d := k.add(x[t], k.neg(y[t]))):
+                        w[r] = [e if k.is_zero(v) else k.add(e, k.mul(d, v)) for e, v in zip(w[r], ginv[t])]
+            return w
+
         if op.kind == CONJUGATE:
             g, ginv = conj(g), conj(ginv)
-        elif op.kind in (COMM_RIGHT, COMM_LEFT):  # [g, s] = g (s g^-1 s^-1), inverse (s g s^-1) g^-1
-            g, ginv = (self._elem_commutator(op.s_factors) if elem_comm
-                       else (_mul_rows(k, g, conj(ginv)), _mul_rows(k, conj(g), ginv)))
+        elif op.kind in (COMM_RIGHT, COMM_LEFT):
+            w = update(right(g))
+            # s - I in one column j is v e_j^T with 1 + v_j = det s = 1, so
+            # (s - I)^2 = 0, W^2 = 0 and h^-1 = I - W; otherwise h^-1 = g s^-1 g^-1
+            winv = [list(map(k.neg, r)) for r in w] if len(cols) == 1 else update(right_inv(g))
+            h, hinv = ([[k.add(x, k.one) if r == c else x for c, x in enumerate(row)] for r, row in enumerate(m)]
+                       for m in (w, winv))
+            g, ginv = right_inv(h), left(hinv)
             if op.kind == COMM_LEFT:  # [s, g] = [g, s]^-1: the pair swapped
                 g, ginv = ginv, g
             self.wl *= 2
@@ -302,35 +329,6 @@ class _Builder:
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
         self.g, self.ginv = SqMatrix(ring, n, payload=g), SqMatrix(ring, n, payload=ginv)
-
-    def _elem_commutator(self, fac: ElemFactorization):
-        """[g, s] = h s^-1 by column operations and [g, s]^-1 = s h^-1 by row
-        operations, for h = g s g^-1 = I + W and s = E_1 ... E_r.  For one
-        factor (i, j, a), W = a (column i of g)(row j of g^-1) and h^-1 = I - W."""
-        k, g, ginv = self.sigma.ring.kernel, self.g.payload, self.ginv.payload
-        ops = [(f.i - 1, f.j - 1, f.a.payload) for f in fac.factors]
-        inv_ops = [(i, j, k.neg(a)) for i, j, a in reversed(ops)]
-
-        def update(ops):  # W = (g s - g) g^-1, where g s - g is zero off the columns j of ops
-            gs = [list(r) for r in g]
-            for i, j, a in ops:
-                _add_col(k, gs, i, j, a)
-            w = [[k.zero] * len(g) for _ in g]
-            for t in dict.fromkeys(j for _, j, _ in ops):
-                for r, (x, y) in enumerate(zip(gs, g)):
-                    if not k.is_zero(d := k.add(x[t], k.neg(y[t]))):
-                        w[r] = [e if k.is_zero(v) else k.add(e, k.mul(d, v)) for e, v in zip(w[r], ginv[t])]
-            return w
-
-        w = update(ops)
-        winv = update(inv_ops) if len(ops) > 1 else [list(map(k.neg, r)) for r in w]
-        h, hinv = ([[k.add(x, k.one) if r == c else x for c, x in enumerate(row)] for r, row in enumerate(m)]
-                   for m in (w, winv))
-        for i, j, a in inv_ops:
-            _add_col(k, h, i, j, a)
-        for i, j, a in reversed(ops):
-            _add_row(k, hinv, i, j, a)
-        return h, hinv
 
     def trace(self, target) -> ReductionTrace:
         trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)

@@ -11,9 +11,12 @@ values hash safely:
 
 Each ring kind has one kernel class, which holds all of the kind's
 payload-level code: arithmetic, coercion, the text format, units, division,
-gcd, and the per-kind helpers of factorization and reduction.  Kernels are
-stateless, so all equal RingSpecs share the one made with the first of them,
-and nothing dispatches on the kind after that.  RingElement arithmetic is
+and the per-kind helpers of factorization and reduction.  The extended gcd
+is written once, on the base kernel: a Euclidean kernel supplies quotient
+and normal (the unit that makes an element canonical), and Z[1/p] rescales
+the integer gcd of its numerators.  Kernels are stateless, so all equal
+RingSpecs share the one made with the first of them, and nothing
+dispatches on the kind after that.  RingElement arithmetic is
 the ring check plus one kernel call.  The check compares ring identity
 first and falls back to equality only for two distinct but equal RingSpecs.
 
@@ -52,30 +55,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) >= 0 and g = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _int_xgcd(ints) -> tuple[int, list[int]]:
-    """Return (g, coeffs) with g = gcd(ints) >= 0 and g = sum coeffs[i]*ints[i]."""
-    g, coeffs = 0, []
-    for e in ints:
-        g, s, t = _xgcd(g, e)
-        coeffs = [c * s for c in coeffs] + [t]
-    return g, coeffs
-
-
 def _trim(coeffs: list[int]) -> tuple:
     """Drop trailing zeros from coeffs, in place; return them as a tuple."""
     while coeffs and coeffs[-1] == 0:
@@ -96,9 +75,10 @@ class _Kernel:
 
     Every method takes and returns canonical payloads, except el, which
     coerces raw input.  div and inverse return None when no answer exists.
-    norm and quotient (Euclidean division) exist only when euclidean is set;
-    shell(s) lists the elements a shift search adds at shell s >= 1, and
-    units() the units a unit search tries.
+    A Euclidean kernel (euclidean set) supplies norm, quotient (Euclidean
+    division) and normal(a), the unit that makes a canonical; xgcd is then
+    the one extended Euclid below.  shell(s) lists the elements a shift
+    search adds at shell s >= 1, and units() the units a unit search tries.
     """
 
     finite = False
@@ -116,6 +96,22 @@ class _Kernel:
     def canonical(self, gens: list) -> object:
         """The canonical generator of the ideal generated by gens."""
         return self.xgcd(gens)[0]
+
+    def xgcd(self, elems):
+        """(g, coeffs) with g = sum coeffs[i] * elems[i] the canonical gcd:
+        extended Euclid on quotient, folded over elems one at a time."""
+        add, mul, neg = self.add, self.mul, self.neg
+        g, coeffs = self.zero, []
+        for e in elems:
+            # rows (r, s, t) with r = s g + t e; take the quotient times the newer row
+            old, new = (g, self.one, self.zero), (e, self.zero, self.one)
+            while not self.is_zero(new[0]):
+                q = neg(self.quotient(old[0], new[0]))
+                old, new = new, [add(x, mul(q, y)) for x, y in zip(old, new)]
+            u = self.normal(old[0])
+            g, s, t = [mul(v, u) for v in old]
+            coeffs = [mul(c, s) for c in coeffs] + [t]
+        return g, coeffs
 
 
 class _ZKernel(_Kernel):
@@ -140,15 +136,14 @@ class _ZKernel(_Kernel):
         q, r = divmod(a, b)
         return None if r else q
 
-    def xgcd(self, elems):
-        g, coeffs = _int_xgcd(elems)
-        return self.el(g), [self.el(c) for c in coeffs]
-
     def norm(self, a) -> int:
         return abs(a)
 
     def quotient(self, a, b):
         return self.el(a // b)
+
+    def normal(self, a):
+        return -1 if a < 0 else 1
 
     def shell(self, s: int) -> list:
         return [s, -s]
@@ -194,7 +189,7 @@ class _ZmodKernel(_ZKernel):
 
     def div(self, a, b):
         # solve q*b = a in Z/m; a solution exists iff gcd(b, m) | a
-        g, s, _ = _xgcd(b, self.m)
+        g, (s, _) = _Z.xgcd([b, self.m])
         return None if a % g else a // g * s % self.m
 
     def canonical(self, gens):
@@ -281,33 +276,14 @@ class _PolyKernel(_Kernel):
         q, r = self.divmod(a, b)
         return None if r else q
 
-    def xgcd(self, elems):
-        g, coeffs = (), []
-        for e in elems:
-            g, s, t = self._xgcd(g, e)
-            coeffs = [self.mul(c, s) for c in coeffs] + [t]
-        return g, coeffs
-
-    def _xgcd(self, a, b):
-        """Extended gcd of two polynomials, with monic g."""
-        r0, r1 = a, b
-        s0, s1 = (1,), ()
-        t0, t1 = (), (1,)
-        while r1:
-            q, r = self.divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, self.add(s0, self.neg(self.mul(q, s1)))
-            t0, t1 = t1, self.add(t0, self.neg(self.mul(q, t1)))
-        if r0:
-            inv_lead = (pow(r0[-1], -1, self.p),)
-            r0, s0, t0 = (self.mul(v, inv_lead) for v in (r0, s0, t0))
-        return r0, s0, t0
-
     def norm(self, a) -> int:
         return len(a)
 
     def quotient(self, a, b):
         return self.divmod(a, b)[0]
+
+    def normal(self, a):
+        return (pow(a[-1], -1, self.p),) if a else self.one
 
     def shell(self, s):
         digits = []
@@ -386,7 +362,7 @@ class _ZinvKernel(_Kernel):
         return None if r else self.el((q, a[1] - b[1]))
 
     def xgcd(self, elems):
-        g, coeffs = _int_xgcd(n for n, _ in elems)
+        g, coeffs = _Z.xgcd([n for n, _ in elems])
         return self.el(g), [self.el((c, -k)) for c, (_, k) in zip(coeffs, elems)]
 
     def shell(self, s):
@@ -405,6 +381,9 @@ _KERNELS = {KIND_Z: _ZKernel, KIND_ZMOD: _ZmodKernel, KIND_POLY: _PolyKernel, KI
 def _kernel(kind: str, modulus: int, prime: int) -> _Kernel:
     """The one kernel of each ring; a constructor that raises caches nothing."""
     return _KERNELS[kind](modulus, prime)
+
+
+_Z = _kernel(KIND_Z, 0, 0)  # the integer Euclid of Z/m division and Z[1/p] gcds
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,18 +1,21 @@
-"""Commutator steps with elementary witnesses, and the entry test for
+"""Commutator steps with both witness kinds, and the entry test for
 commuting with an elementary matrix, against dense matrix products.
 
-The builder forms [g, s] and its inverse from the rank-one update
-g s g^-1 = I + W and row and column operations.  These tests draw g and
-witnesses of one to three factors over Z, F2[x], Z[1/5] and the non-domain
-Z/8, and compare every recorded step with g s g^-1 s^-1 (or s g s^-1 g^-1)
-formed by SqMatrix products and inverses.  The reduce pipeline only records
-one-factor commutators, so the multi-factor ones are covered here alone.
+The builder forms [g, s] and its inverse from the low-rank update
+g s g^-1 = I + W and the witness's action: row and column operations for
+elementary factors, products for a congruence conjugator.  These tests draw
+g and witnesses over Z, F2[x], Z[1/5] and the non-domain Z/8 (elementary
+witnesses of one to three factors, or conjugators in the congruence
+subgroup of SL_2 for the "sl2" builder), and compare every recorded step
+with g s g^-1 s^-1 (or s g s^-1 g^-1) formed by SqMatrix products and
+inverses.  The reduce pipeline only records one-factor commutators, so the
+multi-factor ones are covered here alone.
 """
 
 import operator
 from functools import reduce
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
@@ -78,17 +81,53 @@ def _commutator_steps(draw):
                 witness.append((i, j, a))
         if witness:
             steps.append((draw(st.sampled_from((COMM_RIGHT, COMM_LEFT))), witness))
-    return g, Ideal(ring, (q0,)), steps
+    return "partial", g, Ideal(ring, (q0,)), steps
 
 
-@settings(max_examples=200, deadline=None)
-@given(_commutator_steps())
+@st.composite
+def _congruent(draw, ring):
+    """An element of the congruence subgroup of SL_2 for the ring's ideal:
+    elementary factors with entries in the ideal and, where the ring has
+    units besides 1 (each is 1 mod the ideal), a diagonal unit factor, all
+    conjugated by an arbitrary invertible matrix."""
+    entries, q0, units = STEP_RINGS[ring]
+    x = identity(ring, 2)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = _position(draw, 2)
+        x = x * elementary(ring, 2, i, j, q0 * ring.el(draw(entries)))
+    if units and draw(st.booleans()):
+        u = ring.el(draw(st.sampled_from(units)))
+        x = x * SqMatrix.from_raw(ring, [[u, 0], [0, unit_check(u)]])
+    h = draw(_invertible(ring, entries, units, 2))
+    return h * x * mat_inv(h)
+
+
+@st.composite
+def _congruence_steps(draw):
+    ring = draw(st.sampled_from(list(STEP_RINGS)))
+    q = Ideal(ring, (STEP_RINGS[ring][1],))
+    g = draw(_congruent(ring))
+    assume(not is_central(g))  # an "sl2" builder refuses a central input
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(_congruent(ring))
+        if not is_central(s):
+            steps.append((draw(st.sampled_from((COMM_RIGHT, COMM_LEFT))), s))
+    assume(steps)
+    return "sl2", g, q, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_commutator_steps(), _congruence_steps()))
 def test_commutator_steps_match_dense_products(case):
-    g, q, steps = case
+    trace_kind, g, q, steps = case
     ring, n = g.ring, g.n
-    b = _Builder(g, q, "partial", 0)
+    b = _Builder(g, q, trace_kind, 0)
     for kind, witness in steps:
-        s = reduce(operator.mul, (elementary(ring, n, i, j, a) for i, j, a in witness))
+        if isinstance(witness, SqMatrix):
+            s = witness
+        else:
+            s = reduce(operator.mul, (elementary(ring, n, i, j, a) for i, j, a in witness))
         sinv, ginv = mat_inv(s), mat_inv(g)
         g = g * s * ginv * sinv if kind == COMM_RIGHT else s * g * sinv * ginv
         b.record(kind, witness, "test")

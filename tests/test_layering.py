@@ -4,8 +4,10 @@
   is exempt).  A name used only inside a string annotation counts as used.
 - Only rings.py names the ring-kind constants KIND_*: everything else asks a
   ring's kernel, so no module dispatches on the kind.
-- Every public method or property of a class is named somewhere in the
-  package source or in README.md: no public wrapper that nothing calls.
+- Every public method or property of a class, and every public top-level
+  function or class, is named somewhere in the package source besides its
+  definition (an ``__init__`` export counts) or in README.md: no public
+  wrapper that nothing calls.
 - Only the trace builder's methods construct a QOperation or a TraceStep,
   so every recorded step passes its checks.
 
@@ -58,7 +60,12 @@ def _names(tree: ast.AST):
 
 @lru_cache(maxsize=None)
 def _scan(path: Path):
-    return _names(ast.parse(path.read_text(), filename=str(path)))
+    """_names of the module, then its public top-level functions and classes
+    as (name, line)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    tops = [(node.name, node.lineno) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    return *_names(tree), tops
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -78,12 +85,14 @@ def test_public_methods_are_named():
     named = set().union(*(_scan(p)[2] for p in SRC.glob("*.py")))
     named |= set(re.findall(r"\w+", (SRC.parent.parent / "README.md").read_text()))
     unnamed = [f"{p.name}:{line} {cls}.{name}" for p in MODULES for cls, name, line in _scan(p)[3] if name not in named]
-    assert not unnamed, f"public methods named nowhere in src/ or README.md: {', '.join(unnamed)}"
+    # a definition is not a use: identifiers come from names, attributes and imports
+    unnamed += [f"{p.name}:{line} {name}" for p in MODULES for name, line in _scan(p)[6] if name not in named]
+    assert not unnamed, f"public names named nowhere else in src/ or README.md: {', '.join(unnamed)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_builder_records_steps(path):
-    records, spans = _scan(path)[4:]
+    records, spans = _scan(path)[4:6]
     assert records or path.name != "reduction.py", "the builder's own constructions went unseen"
     inside = [(first, last) for cls, first, last in spans if cls == "_Builder"]
     outside = [f"{name} (line {line})" for name, line in records

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,6 @@ from congwidth.errors import MismatchedRings, NotInvertible, ZeroIdeal
 from congwidth.matrices import (
     CongruenceDatum,
     SqMatrix,
-    basis_matrix,
     commutator,
     congruence_level,
     conjugate,
@@ -22,7 +22,7 @@ from congwidth.matrices import (
     mat_inv,
     parse_matrix,
 )
-from congwidth.rings import Ideal, RingSpec, divides
+from congwidth.rings import Ideal, RingSpec, divides, unit_check
 
 
 def rand_sl3(ring, rng, nfac=8, scale=3):
@@ -82,14 +82,34 @@ def test_determinant_examples(ring_z):
     assert determinant(diag) == ring_z.el(6)
 
 
-def test_determinant_bareiss_matches_cofactor(ring_z):
-    rng = random.Random(3)
-    from congwidth.matrices import _det_bareiss, _det_cofactor
-
-    for _ in range(15):
-        rows = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)]
-        m = SqMatrix.from_raw(ring_z, rows)
-        assert _det_bareiss(ring_z.kernel, m.payload) == _det_cofactor(ring_z.kernel, m.payload)
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", [0, 6], ids=["Z", "Z/6"])
+def test_determinant_and_inverse_match_sympy(n, m):
+    # cofactor expansion serves every n, past n = 4 and over the non-domain
+    # Z/6 too; sympy's det of the integer lift is the reference (mod 6 over Z/6)
+    ring = RingSpec.integers_mod(m) if m else RingSpec.integers()
+    rng = random.Random(10 * n + m)
+    for trial in range(8):
+        if trial % 2:  # a random matrix: over Z its inverse rarely exists
+            a = SqMatrix.from_raw(ring, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        else:  # elementary products, with determinant -1 every other time
+            a = identity(ring, n)
+            for _ in range(3 * n):
+                i, j = rng.sample(range(1, n + 1), 2)
+                a = a * elementary(ring, n, i, j, rng.randint(-3, 3))
+            if trial % 4:
+                a = a * SqMatrix.from_raw(ring, [[-1 if r == c == 0 else int(r == c) for c in range(n)]
+                                                 for r in range(n)])
+        expected = sp.Matrix(a.payload).det()
+        d = determinant(a)
+        assert d == ring.el(int(expected))
+        if m:
+            assert 0 <= d.payload < m
+        if unit_check(d) is None:
+            with pytest.raises(NotInvertible):
+                mat_inv(a)
+        else:
+            assert (a * mat_inv(a)).is_identity and (mat_inv(a) * a).is_identity
 
 
 def test_not_invertible(ring_z):
@@ -126,7 +146,8 @@ def test_matrix_unit_sandwich_sampled(ring_z):
     for _ in range(25):
         g, h = rand_sl3(ring_z, rng), rand_sl3(ring_z, rng)
         i, j = rng.randint(1, 3), rng.randint(1, 3)
-        prod = g * basis_matrix(ring_z, 3, i, j) * h
+        unit = SqMatrix.from_raw(ring_z, [[int((r, c) == (i, j)) for c in range(1, 4)] for r in range(1, 4)])
+        prod = g * unit * h
         col = g.column(i)
         row = h.row(j)
         outer = SqMatrix.from_raw(

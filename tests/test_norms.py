@@ -567,8 +567,9 @@ def test_shrink_ideal_dirac_exhausts(ring_z):
     q = Ideal.of(ring_z, 2)
     dom = IdealPairDomain(q, box=64)
     dirac = NormEval(dom, lambda g: Fraction(0) if dom.is_identity(g) else Fraction(1))
-    with pytest.raises(NoSmallVector):
+    with pytest.raises(NoSmallVector) as info:
         shrink_ideal(dirac, Fraction(1, 4), max_candidates=500)
+    assert info.value.candidates_tried == 500
 
 
 def test_padic_sup_harness(ring_z):

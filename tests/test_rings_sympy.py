@@ -7,6 +7,7 @@ maps sympy values back, so that a result is also checked to be the
 canonical element for its value.
 """
 
+import operator
 from functools import reduce
 
 import pytest
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul
 
-from congwidth.rings import RingSpec, divides, exact_div, extended_gcd, unit_check
+from congwidth.rings import Ideal, RingSpec, divides, exact_div, extended_gcd, unit_check
 
 X = sp.Symbol("x")
 
 
 class Integers:
+    gcd_is_canonical = True  # an ideal's canonical generator is the gcd
+
     def __init__(self):
         self.ring = RingSpec.integers()
 
@@ -52,6 +55,8 @@ class Integers:
 
 
 class Residues(Integers):
+    gcd_is_canonical = False  # the canonical generator also takes the gcd with m
+
     def __init__(self, m):
         self.m = m
         self.ring = RingSpec.integers_mod(m)
@@ -76,6 +81,8 @@ class Residues(Integers):
 
 
 class Polynomials:
+    gcd_is_canonical = True
+
     def __init__(self, p):
         self.p = p
         self.ring = RingSpec.poly_over_fp(p)
@@ -106,6 +113,8 @@ class Polynomials:
 
 
 class Localized:
+    gcd_is_canonical = True
+
     def __init__(self, p):
         self.p = p
         self.ring = RingSpec.localized_integers(p)
@@ -216,10 +225,14 @@ def test_unit_check_matches_sympy(model, data):
 @given(data=st.data())
 def test_extended_gcd_generates_sympy_gcd(model, data):
     elems = data.draw(st.lists(model.elements(), min_size=1, max_size=4))
-    g, _ = extended_gcd(elems)
+    g, coeffs = extended_gcd(elems)
     assert_denotes(model, g, model.to_sympy(g))
     expected = model.gcd([model.to_sympy(e) for e in elems])
     assert model.generator(model.to_sympy(g)) == model.generator(expected)
+    assert len(coeffs) == len(elems)
+    assert reduce(operator.add, map(operator.mul, coeffs, elems)) == g  # Bezout
+    if model.gcd_is_canonical:
+        assert g == Ideal(model.ring, tuple(elems)).canonical
 
 
 
