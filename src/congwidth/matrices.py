@@ -14,7 +14,7 @@ Indices are 1-based throughout the public API and the text formats, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import (
     BadIndices,
@@ -43,7 +43,7 @@ class SqMatrix:
         if self.n < 2:
             raise DimensionMismatch("dimension must be >= 2")
         payload = tuple(map(tuple, self.payload))
-        if len(payload) != self.n or any(len(r) != self.n for r in payload):
+        if len(payload) != self.n or not all(map(self.n.__eq__, map(len, payload))):
             raise DimensionMismatch("ragged matrix")
         object.__setattr__(self, "payload", payload)
 
@@ -107,6 +107,12 @@ class SqMatrix:
             base = base * base
             k >>= 1
         return out
+
+    @cached_property
+    def text(self) -> str:
+        """Matrix text format: line 1 "<n> <ring-descriptor>", then n rows; rendered once."""
+        fmt = self.ring.kernel.format
+        return "\n".join([f"{self.n} {self.ring.descriptor()}"] + [" ".join(map(fmt, r)) for r in self.payload]) + "\n"
 
     @property
     def is_identity(self) -> bool:
@@ -307,10 +313,8 @@ def embed_affine(gamma: SqMatrix, v, side: str, n: int) -> SqMatrix:
 
 
 def format_matrix(m: SqMatrix) -> str:
-    """Matrix text format: line 1 "<n> <ring-descriptor>", then n rows."""
-    fmt = m.ring.kernel.format
-    lines = [f"{m.n} {m.ring.descriptor()}"] + [" ".join(map(fmt, r)) for r in m.payload]
-    return "\n".join(lines) + "\n"
+    """The matrix text format (SqMatrix.text), rendered once per matrix."""
+    return m.text
 
 
 def parse_matrix(text: str) -> SqMatrix:

@@ -38,6 +38,7 @@ import itertools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CentralInput,
@@ -138,6 +139,42 @@ class ReductionTrace:
             stage = st.case.split(".", 1)[0]
             counts[stage] = counts.get(stage, 0) + 1
         return counts
+
+    @cached_property
+    def text(self) -> str:
+        """The serialized trace; its matrices are SqMatrix.text, so each is rendered once."""
+        if self.kind not in ("reduce", "sl2"):
+            raise ValueError("only full reduce/sl2 traces serialize")
+        ids: list[SqMatrix] = [self.input]
+        lines = [
+            "congwidth-trace v1",
+            f"kind {self.kind}",
+            f"seed {self.seed}",
+            f"ring {self.input.ring.descriptor()}",
+            f"n {self.input.n}",
+            "ideal " + " ".join(format_element(g) for g in self.ideal.generators),
+            ("target " + (f"{self.target[0]} {self.target[1]}" if self.kind == "reduce" else str(self.target))),
+            "input M0",
+        ]
+        for st in self.steps:
+            sid = len(ids)
+            ids.append(st.op.s)
+            rid = len(ids)
+            ids.append(st.result)
+            factors = st.op.s_factors.factors if st.op.s_factors is not None else ()
+            sfac = "|".join(f"{f.i},{f.j}:{format_element(f.a)}" for f in factors) or "-"
+            extra = f" exp={st.op.exp}" if st.op.kind == APPEND else ""
+            lines.append(
+                f"step kind={st.op.kind} s=M{sid} result=M{rid} len={st.word_length} "
+                f"case={st.case} smem={st.op.s_member} sfac={sfac}{extra}"
+            )
+        out_id = len(ids) - 1 if self.steps else 0
+        lines.append(f"output M{out_id}")
+        lines.append(f"matrices {len(ids)}")
+        for k, m in enumerate(ids):
+            lines += [f"M{k}", m.text.rstrip("\n")]
+        lines.append("end")
+        return "\n".join(lines) + "\n"
 
 
 def expand_trace_word(trace: ReductionTrace) -> list[tuple[SqMatrix, int]]:
@@ -408,7 +445,8 @@ def _tuples_with_max_shell(pool, new, width):
 
 def in_upper_affine(g: SqMatrix) -> bool:
     """Bottom row equals (0, ..., 0, 1)."""
-    return g.payload[-1] == identity(g.ring, g.n).payload[-1]
+    k = g.ring.kernel
+    return g.payload[-1] == (k.zero,) * (g.n - 1) + (k.one,)
 
 
 def in_lower_affine(g: SqMatrix) -> bool:
@@ -517,8 +555,10 @@ def _translate_stage(b: _Builder, loc: str):
 
 
 def _support(g: SqMatrix) -> list[tuple[int, int]]:
-    one = identity(g.ring, g.n).payload
-    return [(i + 1, j + 1) for i in range(g.n) for j in range(g.n) if g.payload[i][j] != one[i][j]]
+    """The positions where g differs from the identity."""
+    k = g.ring.kernel
+    return [(i + 1, j + 1) for i, r in enumerate(g.payload) for j, x in enumerate(r)
+            if x != (k.one if i == j else k.zero)]
 
 
 def _single_stage(b: _Builder):
@@ -915,39 +955,8 @@ def sl2_unit_reduction(
 
 
 def serialize_trace(trace: ReductionTrace) -> str:
-    if trace.kind not in ("reduce", "sl2"):
-        raise ValueError("only full reduce/sl2 traces serialize")
-    ids: list[SqMatrix] = [trace.input]
-    lines = [
-        "congwidth-trace v1",
-        f"kind {trace.kind}",
-        f"seed {trace.seed}",
-        f"ring {trace.input.ring.descriptor()}",
-        f"n {trace.input.n}",
-        "ideal " + " ".join(format_element(g) for g in trace.ideal.generators),
-        ("target " + (f"{trace.target[0]} {trace.target[1]}" if trace.kind == "reduce" else str(trace.target))),
-        "input M0",
-    ]
-    for st in trace.steps:
-        sid = len(ids)
-        ids.append(st.op.s)
-        rid = len(ids)
-        ids.append(st.result)
-        factors = st.op.s_factors.factors if st.op.s_factors is not None else ()
-        sfac = "|".join(f"{f.i},{f.j}:{format_element(f.a)}" for f in factors) or "-"
-        extra = f" exp={st.op.exp}" if st.op.kind == APPEND else ""
-        lines.append(
-            f"step kind={st.op.kind} s=M{sid} result=M{rid} len={st.word_length} "
-            f"case={st.case} smem={st.op.s_member} sfac={sfac}{extra}"
-        )
-    out_id = len(ids) - 1 if trace.steps else 0
-    lines.append(f"output M{out_id}")
-    lines.append(f"matrices {len(ids)}")
-    for k, m in enumerate(ids):
-        lines.append(f"M{k}")
-        lines.append(format_matrix(m).rstrip("\n"))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    """The trace's text (ReductionTrace.text), rendered once per trace."""
+    return trace.text
 
 
 def replay_trace(text: str) -> ReductionTrace:
@@ -1019,7 +1028,7 @@ def _rebuild(lines: list[str]) -> ReductionTrace:
         else:
             witness = matrix(2 * k - 1)
         b.record(attrs.get("kind", ""), witness, attrs.get("case", ""), int(attrs.get("exp", 1)))
-        if format_matrix(b.g) != recorded(2 * k):
+        if format_matrix(b.g) != recorded(2 * k):  # fills the text serialize_trace reuses
             raise ReplayMismatch(f"replay mismatch at step {k}")
     return b.trace(target)
 

@@ -123,11 +123,7 @@ class _ZKernel(_Kernel):
     def descriptor(self) -> str:
         return "Z"
 
-    def format(self, a) -> str:
-        return str(a)
-
-    def parse(self, text: str):
-        return int(text)
+    format, parse = str, int  # types do not bind: self.format(a) is str(a)
 
     def inverse(self, a):
         return a if a in (1, -1) else None
@@ -220,7 +216,7 @@ class _PolyKernel(_Kernel):
         return self._kronecker(operator.add, a, b, 2 * (self.p - 1), max(len(a), len(b)))
 
     def neg(self, a):
-        return tuple(-c % self.p for c in a)
+        return a if self.p == 2 else tuple(-c % self.p for c in a)
 
     def mul(self, a, b):
         if not a or not b:
@@ -250,7 +246,7 @@ class _PolyKernel(_Kernel):
         return f"F{self.p}[x]"
 
     def format(self, a) -> str:
-        return ",".join(str(c) for c in a) if a else "0"
+        return ",".join(map(str, a)) if a else "0"
 
     def parse(self, text: str):
         return self.el([int(c) for c in text.split(",")])

@@ -5,9 +5,11 @@ any change to the trace bytes (steps, witnesses, case tags, matrix table)
 shows up here.  The same traces also check the builder's carried inverse
 against the defining formula of each step, and gate its inverse count, its
 dense matrix products and ring products, the elementary products it forms,
-the RingElements made per step and the matrices replay parses.
+the RingElements made per step, the matrices replay parses and the matrices
+serialize and replay render to text.
 """
 
+import functools
 import hashlib
 import random
 
@@ -15,7 +17,7 @@ import pytest
 
 import congwidth.matrices as matrices
 import congwidth.reduction as reduction
-from congwidth.errors import CongwidthError
+from congwidth.errors import CongwidthError, ReplayMismatch
 from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
 from congwidth.reduction import (
     APPEND,
@@ -271,3 +273,55 @@ def test_replay_parses_the_input_and_congruence_witnesses_only(monkeypatch, sl2_
         calls.clear()
         replay_trace(text)
         assert len(calls) <= 1 + len(trace.steps), f"replay_trace parsed {len(calls)} matrices"
+
+
+def _count_renders(monkeypatch) -> list:
+    """The matrices rendered to text from now on: SqMatrix.text with its
+    rendering wrapped, still computed once per matrix."""
+    rendered, render = [], SqMatrix.text.func
+    text = functools.cached_property(lambda m: rendered.append(m) or render(m))
+    text.__set_name__(SqMatrix, "text")
+    monkeypatch.setattr(SqMatrix, "text", text)
+    return rendered
+
+
+def test_reduce_and_replay_format_each_matrix_once(monkeypatch):
+    """A trace of s steps records 1 + 2 s matrices: the input, and each
+    step's witness and result.  Serializing renders each once, a second
+    serialization renders none, and replay renders each result once, in the
+    step check whose text the byte comparison reuses.  The trace's own text
+    is kept too: a second serialization returns the same string."""
+    rendered = _count_renders(monkeypatch)
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            trace = reduce_full(*args)
+            steps = len(trace.steps)
+            rendered.clear()
+            text = serialize_trace(trace)
+            assert len(rendered) == 1 + 2 * steps, f"serialize_trace on {name} rendered {len(rendered)} matrices"
+            rendered.clear()
+            assert serialize_trace(trace) is text and not rendered, f"a second serialize_trace on {name} rendered"
+            replay_trace(text)
+            assert len(rendered) <= 1 + 2 * steps, f"replay_trace on {name} rendered {len(rendered)} matrices"
+
+
+def test_flipped_result_entry_is_refused_after_serializing():
+    """Text is rendered from a matrix's own entries, never taken from the
+    input: a result whose recorded entry is changed after the trace has been
+    serialized (and every matrix text kept) is still a replay mismatch."""
+    for name in CLASSES:
+        ring, n = CLASSES[name][:2]
+        k = ring.kernel
+        for args in _reduce_inputs(name):
+            trace = reduce_full(*args)
+            text = serialize_trace(trace)
+            steps = len(trace.steps)
+            replay_trace(text)
+            for step in range(1, steps + 1):
+                lines = text.split("\n")
+                row = 10 + steps + 2 * step * (n + 2) + 2  # first row of M(2 step)
+                entries = lines[row].split(" ")
+                entries[0] = k.format(k.add(k.parse(entries[0]), k.one))
+                lines[row] = " ".join(entries)
+                with pytest.raises(ReplayMismatch, match=f"replay mismatch at step {step}$"):
+                    replay_trace("\n".join(lines))
