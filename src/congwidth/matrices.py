@@ -14,7 +14,7 @@ Indices are 1-based throughout the public API and the text formats, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 from .errors import (
     BadIndices,
@@ -108,11 +108,15 @@ class SqMatrix:
             k >>= 1
         return out
 
-    @cached_property
+    @property
     def text(self) -> str:
-        """Matrix text format: line 1 "<n> <ring-descriptor>", then n rows; rendered once."""
-        fmt = self.ring.kernel.format
-        return "\n".join([f"{self.n} {self.ring.descriptor()}"] + [" ".join(map(fmt, r)) for r in self.payload]) + "\n"
+        """Matrix text format: line 1 "<n> <ring-descriptor>", then n rows; rendered once into __dict__."""
+        text = self.__dict__.get("text")
+        if text is None:
+            fmt = self.ring.kernel.format
+            text = self.__dict__["text"] = "\n".join(
+                [f"{self.n} {self.ring.descriptor()}"] + [" ".join(map(fmt, r)) for r in self.payload]) + "\n"
+        return text
 
     @property
     def is_identity(self) -> bool:
@@ -198,12 +202,15 @@ def determinant(m: SqMatrix) -> RingElement:
 def mat_inv(m: SqMatrix) -> SqMatrix:
     """Exact inverse via the adjugate; requires the determinant to be a unit.
 
-    The determinant is the first-row expansion over the same cofactors."""
+    Each column is struck once, and a cofactor's minor drops one row of that.
+    The determinant is the first-row expansion over the same cofactors; a
+    determinant whose inverse is one (every SL_n input) scales nothing."""
     k = m.ring.kernel
     n = m.n
+    struck = [[r[:j] + r[j + 1:] for r in m.payload] for j in range(n)]
 
     def cofactor(i, j):
-        c = _det_cofactor(k, [r[:j] + r[j + 1:] for rr, r in enumerate(m.payload) if rr != i])
+        c = _det_cofactor(k, struck[j][:i] + struck[j][i + 1:])
         return k.neg(c) if (i + j) % 2 else c
 
     cof = [[cofactor(i, j) for j in range(n)] for i in range(n)]
@@ -211,7 +218,8 @@ def mat_inv(m: SqMatrix) -> SqMatrix:
     dinv = k.inverse(d)
     if dinv is None:
         raise NotInvertible(f"determinant {k.format(d)} is not a unit")
-    return SqMatrix(m.ring, n, payload=[[k.mul(dinv, cof[j][i]) for j in range(n)] for i in range(n)])
+    adj = zip(*cof)
+    return SqMatrix(m.ring, n, payload=adj if dinv == k.one else [[k.mul(dinv, c) for c in r] for r in adj])
 
 
 def commutator(g: SqMatrix, h: SqMatrix) -> SqMatrix:
@@ -240,11 +248,11 @@ def is_central(g: SqMatrix) -> bool:
     return all(x == (c if i == j else zero) for i, r in enumerate(g.payload) for j, x in enumerate(r))
 
 
-def _off_identity(g: SqMatrix) -> list:
-    """The nonzero entries of g - I, as payloads."""
+def _off_identity(g: SqMatrix) -> list[tuple]:
+    """The nonzero entries of g - I, as (row, column, payload), 0-based."""
     k = g.ring.kernel
     minus_one = k.neg(k.one)
-    return [e for i, r in enumerate(g.payload) for j, x in enumerate(r)
+    return [(i, j, e) for i, r in enumerate(g.payload) for j, x in enumerate(r)
             if not k.is_zero(e := k.add(x, minus_one) if i == j else x)]
 
 
@@ -254,7 +262,7 @@ def in_congruence_subgroup(g: SqMatrix, ideal: Ideal) -> bool:
         raise MismatchedRings("element outside the ideal's ring")
     k, d = g.ring.kernel, ideal.canonical.payload
     diff = _off_identity(g)
-    return not diff if k.is_zero(d) else all(k.div(e, d) is not None for e in diff)
+    return not diff if k.is_zero(d) else all(k.div(e, d) is not None for _, _, e in diff)
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def congruence_level(g: SqMatrix, ideal: Ideal, cap: int = 64) -> CongruenceDatu
     if cap < 1:
         raise ValueError("cap must be >= 1")
     k = g.ring.kernel
-    diff = _off_identity(g)
+    diff = [e for _, _, e in _off_identity(g)]
     if not diff:
         return CongruenceDatum(ideal, None, True)
     d, di = ideal.canonical.payload, k.one

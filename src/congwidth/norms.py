@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedRing,
     ZeroIdeal,
 )
-from .matrices import SqMatrix, congruence_level, identity, mat_inv
+from .matrices import SqMatrix, _off_identity, congruence_level, identity, mat_inv
 from .rings import Ideal, RingElement, RingSpec, is_prime
 
 
@@ -43,7 +43,8 @@ class MatrixGroupDomain:
     """Matrix group sampled by bounded random products of generators."""
 
     def __init__(self, ring: RingSpec, n: int, generators: list[SqMatrix], radius: int = 8):
-        self.letters = [(g, mat_inv(g)) for g in generators]  # (g, g^-1): sampling inverts nothing
+        # (g, g^-1), each as the nonzero entries (r, c, x) of letter - I: sampling inverts nothing
+        self.letters = [(_off_identity(g), _off_identity(mat_inv(g))) for g in generators]
         self.radius = radius
         self.one = identity(ring, n)
 
@@ -57,11 +58,18 @@ class MatrixGroupDomain:
         return a == self.one
 
     def sample(self, rng: random.Random):
-        out = self.one
+        """out (I + D) = out + out D: row[c] += old[r] * x per entry of D, old the row before it."""
+        one = self.one
+        add, mul = one.ring.kernel.add, one.ring.kernel.mul
+        rows = list(map(list, one.payload))
         for _ in range(rng.randint(0, self.radius)):
             g, ginv = rng.choice(self.letters)
-            out = out * (ginv if rng.random() < 0.5 else g)
-        return out
+            entries = ginv if rng.random() < 0.5 else g
+            for row in rows:
+                old = row[:]
+                for r, c, x in entries:
+                    row[c] = add(row[c], mul(old[r], x))
+        return SqMatrix(one.ring, one.n, payload=rows)
 
 
 class FiniteGroupDomain:

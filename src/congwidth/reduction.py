@@ -38,7 +38,6 @@ import itertools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     CentralInput,
@@ -140,9 +139,11 @@ class ReductionTrace:
             counts[stage] = counts.get(stage, 0) + 1
         return counts
 
-    @cached_property
+    @property
     def text(self) -> str:
-        """The serialized trace; its matrices are SqMatrix.text, so each is rendered once."""
+        """The serialized trace, rendered once into __dict__; its matrices are SqMatrix.text."""
+        if "text" in self.__dict__:
+            return self.__dict__["text"]
         if self.kind not in ("reduce", "sl2"):
             raise ValueError("only full reduce/sl2 traces serialize")
         ids: list[SqMatrix] = [self.input]
@@ -174,7 +175,8 @@ class ReductionTrace:
         for k, m in enumerate(ids):
             lines += [f"M{k}", m.text.rstrip("\n")]
         lines.append("end")
-        return "\n".join(lines) + "\n"
+        self.__dict__["text"] = text = "\n".join(lines) + "\n"
+        return text
 
 
 def expand_trace_word(trace: ReductionTrace) -> list[tuple[SqMatrix, int]]:

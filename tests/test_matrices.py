@@ -112,6 +112,49 @@ def test_determinant_and_inverse_match_sympy(n, m):
             assert (a * mat_inv(a)).is_identity and (mat_inv(a) * a).is_identity
 
 
+def _sympy_entry(ring, a):
+    """A payload as a sympy value: a polynomial in x over F_p[x] (coefficients
+    lifted to Z), n * p^k over Z[1/p]."""
+    if ring == RingSpec.localized_integers(5):
+        return a[0] * sp.Rational(5) ** a[1]
+    return sum(c * sp.Symbol("x") ** i for i, c in enumerate(a))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ring, units, non_unit, draw", [
+    (RingSpec.poly_over_fp(3), [1, 2], [0, 1],
+     lambda rng: [rng.randint(0, 2) for _ in range(rng.randint(0, 2))]),
+    (RingSpec.localized_integers(5), [1, -1, 5, (-1, 3), (1, -2)], 3,
+     lambda rng: (rng.randint(-3, 3), rng.randint(-1, 1))),
+], ids=["F3[x]", "Z[1/5]"])
+def test_inverse_on_every_kernel(n, ring, units, non_unit, draw):
+    # an elementary product with its first row scaled by u has determinant u:
+    # u = 1 takes mat_inv's unscaled branch, any other unit the scaled one,
+    # and a non-unit u is refused; sympy's determinant of the lift is the
+    # reference, read as a Poly over GF(3) for F3[x]
+    rng = random.Random(n)
+    for u in units + [non_unit]:
+        a = SqMatrix.from_raw(ring, [[u if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)])
+        for _ in range(3 * n):
+            i, j = rng.sample(range(1, n + 1), 2)
+            a = a * elementary(ring, n, i, j, draw(rng))
+        d = determinant(a)
+        assert d == ring.el(u)
+        expected = sp.Matrix([[_sympy_entry(ring, x) for x in r] for r in a.payload]).det()
+        if ring == RingSpec.poly_over_fp(3):
+            x = sp.Symbol("x")
+            assert sp.Poly(expected, x, modulus=3) == sp.Poly(_sympy_entry(ring, d.payload), x, modulus=3)
+        else:
+            assert expected == _sympy_entry(ring, d.payload)
+        if u == non_unit:
+            with pytest.raises(NotInvertible):
+                mat_inv(a)
+            continue
+        inv = mat_inv(a)
+        assert (a * inv).is_identity and (inv * a).is_identity
+        assert mat_inv(inv) == a
+
+
 def test_not_invertible(ring_z):
     with pytest.raises(NotInvertible):
         mat_inv(SqMatrix.from_raw(ring_z, [[2, 0], [0, 3]]))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congwidth.errors import (
     BadTransversal,
@@ -12,6 +14,7 @@ from congwidth.errors import (
     NotCentral,
     UnsupportedRing,
 )
+import congwidth.matrices as matrices
 import congwidth.norms as norms
 from congwidth.census import enumerate_sl
 from congwidth.matrices import SqMatrix, elementary, identity, in_congruence_subgroup, mat_inv
@@ -168,6 +171,71 @@ def test_filtration_harness_inverts_only_for_its_axioms(monkeypatch, ring_z):
     samples = 50
     assert axiom_harness(norm, samples, seed=3).passed
     assert len(calls) == 2 * samples  # symmetry and conjugation
+
+
+def test_filtration_sampler_builds_one_matrix_and_no_product(monkeypatch, ring_z):
+    """The sampler multiplies by column updates from the entries of
+    letter - I: no SqMatrix product, no dense _mul_rows call, and one
+    SqMatrix built per sample."""
+    dom = sl_domain(ring_z, 3, radius=8)
+    calls = []
+    mul, mul_rows, post_init = SqMatrix.__mul__, matrices._mul_rows, SqMatrix.__post_init__
+
+    def counted_mul(a, b):
+        calls.append("__mul__")
+        return mul(a, b)
+
+    def counted_mul_rows(*args):
+        calls.append("_mul_rows")
+        return mul_rows(*args)
+
+    def counted_post_init(m):
+        calls.append("SqMatrix")
+        post_init(m)
+
+    monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(matrices, "_mul_rows", counted_mul_rows)
+    monkeypatch.setattr(SqMatrix, "__post_init__", counted_post_init)
+    rng = random.Random(0)
+    for _ in range(200):
+        dom.sample(rng)
+    assert calls == ["SqMatrix"] * 200
+
+
+def _dense_sample(letters, radius, one, rng):
+    """The sampler's reference: the same RNG calls, each letter multiplied on
+    by a dense SqMatrix product."""
+    out = one
+    for _ in range(rng.randint(0, radius)):
+        g, ginv = rng.choice(letters)
+        out = out * (ginv if rng.random() < 0.5 else g)
+    return out
+
+
+# per ring, an entry that makes the third generator below non-elementary and dense
+SAMPLER_RINGS = {
+    RingSpec.integers(): 2,
+    RingSpec.poly_over_fp(2): [0, 1],  # x
+    RingSpec.localized_integers(5): (1, -1),  # 1/5
+    RingSpec.integers_mod(6): 5,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(SAMPLER_RINGS)), st.integers(0, 2**32), st.integers(0, 12))
+def test_sampler_matches_dense_products(ring, seed, radius):
+    # diag(-1, -1, 1) and dense SL_3 letters: each entry (r, c) of letter - I
+    # has c among the rows of another, so an update that read a row it has
+    # already changed would differ from the dense product
+    diag = SqMatrix.from_raw(ring, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    dense = SqMatrix.from_raw(ring, [[2, 3, 1], [1, 2, 1], [1, 1, 1]])
+    gens = [diag, dense, elementary(ring, 3, 3, 1, SAMPLER_RINGS[ring]) * dense]
+    dom = MatrixGroupDomain(ring, 3, gens, radius)
+    letters = [(g, mat_inv(g)) for g in gens]
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        assert dom.sample(fast) == _dense_sample(letters, radius, dom.one, slow)
+    assert fast.random() == slow.random()
 
 
 def test_filtration_values(ring_z):

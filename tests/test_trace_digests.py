@@ -9,7 +9,6 @@ the RingElements made per step, the matrices replay parses and the matrices
 serialize and replay render to text.
 """
 
-import functools
 import hashlib
 import random
 
@@ -276,12 +275,16 @@ def test_replay_parses_the_input_and_congruence_witnesses_only(monkeypatch, sl2_
 
 
 def _count_renders(monkeypatch) -> list:
-    """The matrices rendered to text from now on: SqMatrix.text with its
-    rendering wrapped, still computed once per matrix."""
-    rendered, render = [], SqMatrix.text.func
-    text = functools.cached_property(lambda m: rendered.append(m) or render(m))
-    text.__set_name__(SqMatrix, "text")
-    monkeypatch.setattr(SqMatrix, "text", text)
+    """The matrices rendered to text from now on: the reads of SqMatrix.text
+    that find no text memoized in the matrix's __dict__."""
+    rendered, text = [], SqMatrix.text.fget
+
+    def counted(m):
+        if "text" not in m.__dict__:
+            rendered.append(m)
+        return text(m)
+
+    monkeypatch.setattr(SqMatrix, "text", property(counted))
     return rendered
 
 
