@@ -23,8 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import (BadIndices, BudgetExceeded, CentralInput, DimensionMismatch, NotInGroup, UnsupportedRing,
-                     ZeroIdeal)
+from .errors import BudgetExceeded, CentralInput, DimensionMismatch, NotInGroup, UnsupportedRing, ZeroIdeal
 from .matrices import SqMatrix, _check_position, determinant
 from .rings import Ideal, RingSpec
 
@@ -62,13 +61,12 @@ def sl_order(n: int, ring: RingSpec) -> int:
     return total
 
 
-def closure_bfs(step, starts, size: int, budget: int | None = None) -> np.ndarray:
+def closure_bfs(step, starts, size: int) -> np.ndarray:
     """Breadth-first closure over the nodes 0..size-1, one layer at a time.
 
     step maps a 1-D array of frontier nodes to an array, of any shape, of
     their neighbours.  Returns the int32 distance of every node from the
-    nearest start, -1 for nodes never reached.  Reaching more than budget
-    nodes raises BudgetExceeded.
+    nearest start, -1 for nodes never reached.
 
     step sees at most _BFS_SLICE // size nodes at a time, so a step that
     yields a few neighbours per node and group element keeps its
@@ -78,12 +76,9 @@ def closure_bfs(step, starts, size: int, budget: int | None = None) -> np.ndarra
     fresh = np.zeros(size, dtype=bool)
     fresh[np.asarray(starts, dtype=np.int64)] = True
     width = max(1, _BFS_SLICE // size)
-    reached = depth = 0
+    depth = 0
     while (frontier := np.flatnonzero(fresh)).size:
         dist[frontier] = depth
-        reached += frontier.size
-        if budget is not None and reached > budget:
-            raise BudgetExceeded(f"closure BFS exceeded {budget} nodes")
         fresh[:] = False
         for lo in range(0, frontier.size, width):
             cand = step(frontier[lo:lo + width]).ravel()
@@ -187,11 +182,11 @@ class FiniteGroupTable:
         diff = (self.mats - np.eye(self.n, dtype=np.int64)) % self.ring.modulus
         return np.flatnonzero(in_ideal[diff].all(axis=(1, 2)))
 
-    def word_distances(self, letters, budget: int | None = None) -> np.ndarray:
+    def word_distances(self, letters) -> np.ndarray:
         """Word length of every element over the letters (-1: not generated)."""
         mul = self.mul
         letters = np.asarray(letters, dtype=np.int32)
-        return closure_bfs(lambda f: mul[f[:, None], letters], [0], len(self), budget)
+        return closure_bfs(lambda f: mul[f[:, None], letters], [0], len(self))
 
     def target_elementaries(self, i: int, j: int, ideal: Ideal) -> list[int]:
         """Indices of nontrivial I + a*e_ij with a in the ideal, by a."""
@@ -285,13 +280,8 @@ class WidthResult:
         return self.min_ops is None or self.min_word is None
 
 
-def width_bfs(
-    table: FiniteGroupTable,
-    sigma: SqMatrix | int,
-    ideal: Ideal,
-    targets: list[tuple[int, int]] | None = None,
-) -> dict[tuple[int, int], WidthResult]:
-    """Exact minima over the finite group, per target position (i, j):
+def width_bfs(table: FiniteGroupTable, sigma: SqMatrix | int, ideal: Ideal) -> dict[tuple[int, int], WidthResult]:
+    """Exact minima over the finite group, for every target position (i, j), i != j:
 
     - minimum number of operations g -> sgs^-1 / [g, s] / [s, g] (s ranging
       over the whole elementary subgroup of the ideal) taking sigma to a
@@ -306,10 +296,6 @@ def width_bfs(
     if sidx in table.center:
         raise CentralInput("width census needs a non-central element")
     cong = table.congruence(ideal)
-    if targets is None:
-        targets = list(cong.targets)
-    elif not set(targets) <= cong.targets.keys():
-        raise BadIndices(f"bad target positions {targets} for n={table.n}")
 
     mul, inv, conj = table.mul, table.inv, cong.conj
 
@@ -326,10 +312,9 @@ def width_bfs(
     dist_word = table.word_distances(letters.nonzero()[0])
 
     results = {}
-    for (i, j) in targets:
-        ops = dist_ops[cong.targets[(i, j)]]
-        word = dist_word[cong.targets[(i, j)]]
-        results[(i, j)] = WidthResult((i, j), _least(ops[ops >= 0]), _least(word[word > 0]))
+    for p, t in cong.targets.items():
+        ops, word = dist_ops[t], dist_word[t]
+        results[p] = WidthResult(p, _least(ops[ops >= 0]), _least(word[word > 0]))
     return results
 
 

@@ -46,23 +46,6 @@ class ElemFactorization:
         return ElemFactorization.of(self.target.ring, self.target.n, self.factors).target
 
 
-class _RowReducer:
-    """Mutable row-reduction state recording left multiplications.
-
-    Rows and recorded multipliers are payloads; only the factors are boxed."""
-
-    def __init__(self, g: SqMatrix):
-        self.kernel = g.ring.kernel
-        self.rows = [list(r) for r in g.payload]
-        self.ops: list[tuple[int, int, object]] = []  # row_i += a * row_j
-
-    def add_row(self, i: int, j: int, a):
-        if self.kernel.is_zero(a):
-            return
-        self.ops.append((i, j, a))
-        _add_row(self.kernel, self.rows, i, j, a)
-
-
 def decompose_elementary(g: SqMatrix) -> ElemFactorization:
     """Factor g in SL_n over Z, F_p[x], or Z/m into elementary matrices.
 
@@ -78,9 +61,14 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
     if determinant(g) != ring.one:
         raise NotSL("decomposition requires determinant 1")
     n = g.n
-    st = _RowReducer(g)
-    rows = st.rows
+    rows = [list(r) for r in g.payload]
+    ops: list[tuple[int, int, object]] = []  # row_i += a * row_j, payload multipliers
     minus_one = k.neg(k.one)
+
+    def add_row(i: int, j: int, a):
+        if not k.is_zero(a):
+            ops.append((i, j, a))
+            _add_row(k, rows, i, j, a)
 
     # Clear below the diagonal, column by column, leaving unit pivots.
     for c in range(n - 1):
@@ -93,11 +81,11 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
                 if r == piv:
                     continue
                 # |entry - q * pivot| < |pivot| in the ring's Euclidean norm
-                st.add_row(r, piv, k.neg(k.quotient(rows[r][c], rows[piv][c])))
+                add_row(r, piv, k.neg(k.quotient(rows[r][c], rows[piv][c])))
         r = live[0]
         if r != c:
-            st.add_row(c, r, k.one)
-            st.add_row(r, c, minus_one)
+            add_row(c, r, k.one)
+            add_row(r, c, minus_one)
 
     # Matrix is now upper triangular with unit diagonal; clear above pivots.
     for c in range(n - 1, 0, -1):
@@ -106,7 +94,7 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
         for r in range(c):
             x = rows[r][c]
             if not k.is_zero(x):
-                st.add_row(r, c, k.neg(k.mul(x, pivinv)))
+                add_row(r, c, k.neg(k.mul(x, pivinv)))
 
     # Reduce diag(u_1, ..., u_n) to I with embedded 2x2 unit-diagonal moves.
     for c in range(n - 1):
@@ -126,12 +114,12 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
                 (c, c + 1, minus_one),
             ]
         ):
-            st.add_row(i, j, a)
+            add_row(i, j, a)
 
     assert rows == _identity_rows(k, n), "row reduction did not reach the identity"
 
     # L_k ... L_1 g = I, hence g = L_1^-1 ... L_k^-1 (ops in original order).
-    factors = tuple(ElemFactor(i + 1, j + 1, RingElement(ring, k.neg(a))) for (i, j, a) in st.ops)
+    factors = tuple(ElemFactor(i + 1, j + 1, RingElement(ring, k.neg(a))) for (i, j, a) in ops)
     return ElemFactorization(factors, g)
 
 

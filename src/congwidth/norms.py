@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import FiniteGroupTable, closure_bfs
+from .census import FiniteGroupTable
 from .errors import (
     BadTransversal,
     CapAmbiguous,
@@ -446,24 +446,22 @@ class Unreached:
 
 
 def conjugation_closure(table: FiniteGroupTable, seeds: list[int]) -> list[int]:
-    """Close a set of element indices under conjugation and inversion."""
+    """Close a set of element indices under conjugation and inversion: the
+    conjugates g f g^-1 of the seeds and their inverses, by every g (a
+    conjugation orbit is already closed)."""
     mul, inv = table.mul, table.inv
     starts = list(seeds) + [inv[s] for s in seeds]
-    # conjugates g f g^-1 of the frontier f by every g
-    dist = closure_bfs(lambda f: mul[mul[:, f], inv[:, None]], starts, len(table))
-    return (dist >= 0).nonzero()[0].tolist()
+    return sorted(set(mul[mul[:, starts], inv[:, None]].ravel().tolist()))
 
 
-def word_norm(table: FiniteGroupTable, generators: list[int], g: SqMatrix | int, budget: int = 10**6):
+def word_norm(table: FiniteGroupTable, generators: list[int], g: SqMatrix | int):
     """Minimal generator count expressing g over the given set, by BFS.
 
     Returns the exact integer, or Unreached when the closure of the set is
-    exhausted without meeting g.  A closure of more than budget elements
-    raises BudgetExceeded (distinct from Unreached); a g outside the table
-    raises NotInGroup.
+    exhausted without meeting g; a g outside the table raises NotInGroup.
     """
     gidx = table.idx(g)
-    dist = table.word_distances(generators, budget)
+    dist = table.word_distances(generators)
     if dist[gidx] < 0:
         return Unreached(explored=int((dist >= 0).sum()))
     return int(dist[gidx])

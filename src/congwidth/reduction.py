@@ -284,8 +284,6 @@ class _Builder:
     its TraceStep."""
 
     def __init__(self, sigma: SqMatrix, q: Ideal, kind: str, seed: int):
-        if kind not in _POLICIES:
-            raise ReplayMismatch(f"unknown trace kind {kind!r}")
         self.policy = _POLICIES[kind]
         if self.policy.preconditions:
             self.policy.preconditions(sigma, q)
@@ -534,25 +532,19 @@ def _affine_stage(b: _Builder) -> str:
 def _translate_stage(b: _Builder, loc: str):
     """Stage 2: at most one commutator into pure translation block form.
 
-    For g = [[gamma, v], [0, 1]] it scans the columns of gamma; for
-    g = [[1, u], [0, gamma]] the rows of gamma^-1, a block of the carried g^-1."""
+    For g = [[gamma, v], [0, 1]] the witness is the first column of gamma
+    off the identity; for g = [[1, u], [0, gamma]] the first row of gamma^-1,
+    a block of the carried g^-1."""
     n = b.g.n
-    k = b.g.ring.kernel
     if loc == "upper":
-        lines, shift, case = list(zip(*b.g.payload)), 0, "translate.col"
+        wit, case = min(((j, n) for _, j in _support(b.g) if j < n), default=None), "translate.col"
     elif loc == "lower":
-        lines, shift, case = b.ginv.payload, 1, "translate.row"
+        wit, case = min(((1, i) for i, _ in _support(b.ginv) if i > 1), default=None), "translate.row"
     else:
         raise ValueError(f"unknown affine location {loc!r}")
-    k0 = next(
-        (idx for idx in range(n - 1)
-         if any(x != (k.one if c == idx + shift else k.zero) for c, x in enumerate(lines[idx + shift]))),
-        None,
-    )
-    if k0 is None:  # gamma = I
+    if wit is None:  # gamma = I
         return
-    i, j = (k0 + 1, n) if loc == "upper" else (1, k0 + 2)
-    b.record(COMM_RIGHT, [(i, j, b.q.canonical)], case)
+    b.record(COMM_RIGHT, [(*wit, b.q.canonical)], case)
     assert not is_central(b.g), "translation part must be nonzero"
 
 
@@ -622,39 +614,39 @@ def _relocate_stage(b: _Builder, target: tuple[int, int]):
 
 
 # Public per-stage entry points: each returns a partial trace (kind
-# "partial", validated for replay and witnesses but not for output support)
-# plus stage-specific data.
+# "partial", seed 0, validated for replay and witnesses but not for output
+# support) plus stage-specific data.
 
 
-def reduce_to_affine(sigma: SqMatrix, q: Ideal, seed: int = 0):
+def reduce_to_affine(sigma: SqMatrix, q: Ideal):
     """Stage 1 as a standalone call: returns (partial trace, location)."""
     _check_reduce_preconditions(sigma, q)
-    b = _Builder(sigma, q, "partial", seed)
+    b = _Builder(sigma, q, "partial", 0)
     loc = _affine_stage(b)
     return b.trace(("affine", loc)), loc
 
 
-def strip_to_translation(g: SqMatrix, q: Ideal, loc: str, seed: int = 0) -> ReductionTrace:
+def strip_to_translation(g: SqMatrix, q: Ideal, loc: str) -> ReductionTrace:
     """Stage 2 as a standalone call on a matrix in an affine copy."""
     if is_central(g):
         raise CentralInput("translation stage needs a non-central input")
-    b = _Builder(g, q, "partial", seed)
+    b = _Builder(g, q, "partial", 0)
     _translate_stage(b, loc)
     return b.trace(("translate", loc))
 
 
-def translation_to_elementary(g: SqMatrix, q: Ideal, seed: int = 0) -> ReductionTrace:
+def translation_to_elementary(g: SqMatrix, q: Ideal) -> ReductionTrace:
     """Stage 3 as a standalone call on a translation-form matrix."""
     if is_central(g):
         raise CentralInput("single-entry stage needs a non-central input")
-    b = _Builder(g, q, "partial", seed)
+    b = _Builder(g, q, "partial", 0)
     _single_stage(b)
     return b.trace(("single",))
 
 
-def relocate_elementary(g: SqMatrix, q: Ideal, target: tuple[int, int], seed: int = 0) -> ReductionTrace:
+def relocate_elementary(g: SqMatrix, q: Ideal, target: tuple[int, int]) -> ReductionTrace:
     """Stage 4 as a standalone call on a single-entry matrix."""
-    b = _Builder(g, q, "partial", seed)
+    b = _Builder(g, q, "partial", 0)
     _relocate_stage(b, target)
     return b.trace(("relocate", target))
 
@@ -711,12 +703,11 @@ def _z_candidates(q: Ideal) -> list[RingElement]:
     return out
 
 
-def _upgrade(y: SqMatrix, q: Ideal) -> SqMatrix | None:
-    """For y = [[v, q'], [0, v^-1]] in the congruence subgroup: the first
-    s = [[v^-1, z], [0, v]] over the z candidates with [y, s] a nontrivial
-    E12 element, entry (z + q')(v - v^-1) != 0; None if no z does, as when
-    v^2 = 1."""
-    v, qprime = y.row(1)
+def _upgrade(v: RingElement, qprime: RingElement, q: Ideal) -> SqMatrix | None:
+    """For y = [[v, q'], [0, v^-1]] in the congruence subgroup, given by its
+    first row: the first s = [[v^-1, z], [0, v]] over the z candidates with
+    [y, s] a nontrivial E12 element, entry (z + q')(v - v^-1) != 0; None if
+    no z does, as when v^2 = 1."""
     vinv = unit_check(v)
     for z in _z_candidates(q):
         if not ((z + qprime) * (v - vinv)).is_zero:
@@ -725,68 +716,60 @@ def _upgrade(y: SqMatrix, q: Ideal) -> SqMatrix | None:
 
 
 def _try_upper_commutator(b: _Builder, q: Ideal) -> bool:
-    """sigma upper triangular: [sigma, eta] with eta upper triangular in the
-    congruence subgroup is upper unipotent, with entry a*u*(z(a - a^-1) + b(u^-1 - u))."""
-    ring = b.sigma.ring
+    """sigma = [[a, beta], [0, a^-1]]: [sigma, eta] with eta = [[u, z], [0, u^-1]]
+    in the congruence subgroup is upper unipotent with entry (1, 2) equal to
+    a*u*(z(a - a^-1) + beta(u^-1 - u)), and a, u are units."""
+    (a, beta), (_, ainv) = b.sigma.rows
     for u in _congruent_units(q):
         uinv = unit_check(u)
         for z in _z_candidates(q):
-            eta = SqMatrix.from_raw(ring, ((u, z), (0, uinv)))
-            if not (b.g * eta * b.ginv * mat_inv(eta)).e(1, 2).is_zero:
-                b.record(COMM_RIGHT, eta, "sl2.comm-upper")
+            if not (z * (a - ainv) + beta * (uinv - u)).is_zero:
+                b.record(COMM_RIGHT, SqMatrix.from_raw(b.sigma.ring, ((u, z), (0, uinv))), "sl2.comm-upper")
                 return True
     return False
 
 
 def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
-    """The unit-conjugation path, for sigma with c = sigma_21 != 0: two
-    conjugates of sigma^{±1} multiply to an upper-triangular
-    Y = [[u^-4, *], [0, u^4]]; if Y is not already in E12 one further
-    commutator with [[u^4, z], [0, u^-4]] lands there."""
+    """The unit-conjugation path, for sigma = [[a, beta], [c, d]] with c != 0.
+    With u - 1 = w c^2, s = 1 + u + u^2 + u^3 and t = a c w s (so t c = a(u^4 - 1)),
+    the witnesses E = [[u^2, -t u^-2], [0, u^-2]] and S = [[d - t c, t a - beta],
+    [-c, a]] give S [E, sigma] S^-1 = Y = [[u^-4, c w s (a u^4 - d)],
+    [0, u^4]]: two conjugates of sigma^{±1}.  If Y is not already in E12 one
+    further commutator with [[u^4, z], [0, u^-4]] lands there."""
     sigma = b.sigma
     ring = sigma.ring
     one = ring.one
-    a = sigma.e(1, 1)
-    c = sigma.e(2, 1)
+    (a, beta), (c, d) = sigma.rows
     c2 = c * c
     # c^2 = 0 (c nonzero, over Z/m) leaves no w with u - 1 = w c^2 to divide out
     if c2.is_zero:
         return False
+    c2_ideal = Ideal(ring, (c2,))
     for u in _congruent_units(q):
         # u must be 1 mod c^2 A
-        if not Ideal(ring, (c2,)).contains(u - one):
+        if not c2_ideal.contains(u - one):
             continue
         w = exact_div(u - one, c2)
         u2 = u * u
-        t = a * c * w * (u2 * u + u2 + u + one)  # t c = a (u^4 - 1)
-        if not q.contains(t):
+        u2inv = unit_check(u2)
+        u4 = u2 * u2
+        s = u2 * u + u2 + u + one
+        t = a * c * w * s  # in q, as c is
+        v, qprime = u2inv * u2inv, c * w * s * (a * u4 - d)  # the first row of Y
+        zmat = _upgrade(v, qprime, q)
+        if zmat is None and not (v == one and not qprime.is_zero):
             continue
-        wmat = SqMatrix.from_raw(ring, ((1, t), (0, 1)))
-        dmat = SqMatrix.from_raw(ring, ((u2, 0), (0, unit_check(u2))))
-        emat = mat_inv(wmat) * dmat
-        conj_s = wmat * b.sigma_inv
-        y = conj_s * (emat * sigma * mat_inv(emat) * b.sigma_inv) * mat_inv(conj_s)
-        assert y.e(2, 1).is_zero, "t cancels the corner"
-        zmat = _upgrade(y, q)
-        if zmat is None and not _is_e12_nontrivial(y):
-            continue
-        b.record(COMM_LEFT, emat, "sl2.unit")
-        b.record(CONJUGATE, conj_s, "sl2.unit.conj")
+        b.record(COMM_LEFT, SqMatrix.from_raw(ring, ((u2, -(t * u2inv)), (0, u2inv))), "sl2.unit")
+        b.record(CONJUGATE, SqMatrix.from_raw(ring, ((d - t * c, t * a - beta), (-c, a))), "sl2.unit.conj")
         if zmat is not None:
             b.record(COMM_RIGHT, zmat, "sl2.unit.comm")
         return True
     return False
 
 
-def _is_e12_nontrivial(m: SqMatrix) -> bool:
-    k = m.ring.kernel
-    (a, bb), (c, d) = m.payload
-    return k.is_zero(c) and a == d == k.one and not k.is_zero(bb)
-
-
 def _try_square(b: _Builder) -> bool:
     """sigma^2 can be a nontrivial E12 element (e.g. -I times a unipotent)."""
-    if not _is_e12_nontrivial(b.sigma * b.sigma):
+    if _support(b.sigma * b.sigma) != [(1, 2)]:
         return False
     b.record(APPEND, identity(b.sigma.ring, 2), "sl2.square", exp=1)
     return True
@@ -877,7 +860,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
             return False
         if hit is not None:
             emit_two(xg[hit[0]], ex, yg[hit[1]], ey)
-            assert _is_e12_nontrivial(b.g)
+            assert _support(b.g) == [(1, 2)]
             return True
 
     # Which elements can be conjugated into E12 \ {1}, with a witness: the
@@ -899,17 +882,17 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
             b.record(APPEND, element(lg[y]), "sl2.pair.append", exp=1 if y < len(cls_pos[0]) else -1)
         if (s := into_e12[prod(prod(sig, lv[y2]), lv[y3])]) != 0:
             b.record(CONJUGATE, element(s), "sl2.pair.conj")
-        assert _is_e12_nontrivial(b.g)
+        assert _support(b.g) == [(1, 2)]
         return True
 
     # Phase C: a two-letter upper-triangular product upgraded by one commutator.
     (xv, xg), (yv, yg) = cls_pos, cls_neg
     w = scan(xv, yv)
     for k in np.flatnonzero((mats[w, 1, 0] == 0) & (w != 0)):
-        if (zmat := _upgrade(element(w[k]), q)) is not None:
+        if (zmat := _upgrade(*element(w[k]).row(1), q)) is not None:
             emit_two(xg[k // len(yv)], 1, yg[k % len(yv)], -1)
             b.record(COMM_RIGHT, zmat, "sl2.pair.comm")
-            assert _is_e12_nontrivial(b.g)
+            assert _support(b.g) == [(1, 2)]
             return True
     return False
 
@@ -941,7 +924,7 @@ def sl2_unit_reduction(
         return b.trace("E21")
 
     found = (
-        _is_e12_nontrivial(sigma)  # already a nontrivial element of E12(q): a one-letter word
+        _support(sigma) == [(1, 2)]  # already a nontrivial element of E12(q): a one-letter word
         or (_try_upper_commutator(b, q) if sigma.e(2, 1).is_zero else _try_unit_conjugates(b, q))
         or _try_square(b)
         or _try_pair_search(b, q, pair_budget)

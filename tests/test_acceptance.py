@@ -88,7 +88,7 @@ def test_criterion_1_exhaustive_width_bounds(sl3_f2, ring_f2):
         for k in range(len(sl3_f2.elements)):
             if k in sl3_f2.center:
                 continue
-            res = width_bfs(sl3_f2, k, q, targets=ALL_TARGETS)
+            res = width_bfs(sl3_f2, k, q)
             for target in ALL_TARGETS:
                 r = res[target]
                 assert not r.unreachable, (k, target)
@@ -403,7 +403,7 @@ def test_criterion_8_oracle_consistency(sl3_f2, ring_f2, sl2_f5, ring_f5):
         for k, g in enumerate(sl3_f2.elements):
             if k in sl3_f2.center:
                 continue
-            res = width_bfs(sl3_f2, k, q, targets=ALL_TARGETS)
+            res = width_bfs(sl3_f2, k, q)
             for target in ALL_TARGETS:
                 trace = reduce_full(g, q, target)
                 assert len(trace.steps) <= 9
@@ -417,7 +417,7 @@ def test_criterion_8_oracle_consistency(sl3_f2, ring_f2, sl2_f5, ring_f5):
         for k, g in enumerate(sl2_f5.elements):
             if k in sl2_f5.center:
                 continue
-            res = width_bfs(sl2_f5, k, q5, targets=[(1, 2), (2, 1)])
+            res = width_bfs(sl2_f5, k, q5)
             for side, target in (("E12", (1, 2)), ("E21", (2, 1))):
                 trace = sl2_unit_reduction(g, q5, side)
                 assert res[target].min_word <= trace.word_length

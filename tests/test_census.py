@@ -69,7 +69,7 @@ def test_enumerate_rejects_infinite():
 def test_width_bfs_elementary_input(sl3_f2, ring_f2):
     q = Ideal.of(ring_f2, 1)
     sigma = elementary(ring_f2, 3, 1, 2, 1)
-    res = width_bfs(sl3_f2, sigma, q, targets=[(1, 2)])
+    res = width_bfs(sl3_f2, sigma, q)
     r = res[(1, 2)]
     assert r.min_ops == 0 and r.min_word == 1
 
@@ -80,20 +80,13 @@ def test_width_bfs_rejects_central(sl2_f3, ring_f3):
         width_bfs(sl2_f3, identity(ring_f3, 2), q)
 
 
-def test_width_bfs_rejects_bad_target(sl2_f3, ring_f3):
-    q = Ideal.of(ring_f3, 1)
-    k = next(k for k in range(len(sl2_f3)) if k not in sl2_f3.center)
-    with pytest.raises(BadIndices):
-        width_bfs(sl2_f3, k, q, targets=[(1, 1)])
-
-
 def test_width_bfs_minima_are_minimal(sl2_f5, ring_f5):
     # spot-check the word minimum by brute-force products of letters
     q = Ideal.of(ring_f5, 1)
     sigma = sl2_f5.elements[7]
     if sl2_f5.idx(sigma) in sl2_f5.center:
         sigma = sl2_f5.elements[8]
-    res = width_bfs(sl2_f5, sigma, q, targets=[(1, 2)])
+    res = width_bfs(sl2_f5, sigma, q)
     r = res[(1, 2)]
     letters = set()
     for s in sl2_f5.elements:
@@ -126,7 +119,7 @@ def test_width_bfs_unreachable_flag():
     q = Ideal.of(ring, 3)
     table = enumerate_sl(2, ring)
     sigma = SqMatrix.from_raw(ring, [[4, 3], [0, 7]])
-    res = width_bfs(table, sigma, q, targets=[(1, 2)])
+    res = width_bfs(table, sigma, q)
     assert res[(1, 2)].unreachable
 
 
@@ -234,7 +227,7 @@ def test_large_product_table():
     assert table.mul[a][table.inv[a]] == e
     # BFS still works against the large table
     q = Ideal.of(ring, 2)
-    res = width_bfs(table, elementary(ring, 2, 1, 2, 2), q, targets=[(1, 2)])
+    res = width_bfs(table, elementary(ring, 2, 1, 2, 2), q)
     assert res[(1, 2)].min_ops == 0 and res[(1, 2)].min_word == 1
 
 
@@ -363,9 +356,9 @@ def test_width_bfs_ops_minimum_is_minimal(sl2_f3, ring_f3):
     q = Ideal.of(ring_f3, 1)
     sigma = next(
         g for k, g in enumerate(sl2_f3.elements)
-        if k not in sl2_f3.center and width_bfs(sl2_f3, k, q, targets=[(1, 2)])[(1, 2)].min_ops
+        if k not in sl2_f3.center and width_bfs(sl2_f3, k, q)[(1, 2)].min_ops
     )
-    r = width_bfs(sl2_f3, sigma, q, targets=[(1, 2)])[(1, 2)]
+    r = width_bfs(sl2_f3, sigma, q)[(1, 2)]
     targets = {elementary(ring_f3, 2, 1, 2, a).key() for a in (1, 2)}
     frontier = {sigma.key()}
     lookup = {g.key(): g for g in sl2_f3.elements}

@@ -31,7 +31,6 @@ from congwidth.reduction import (
     COMM_LEFT,
     COMM_RIGHT,
     CONJUGATE,
-    _is_e12_nontrivial,
     _z_candidates,
     serialize_trace,
     sl2_unit_reduction,
@@ -114,6 +113,12 @@ def test_product_works_past_the_table_cap():
 
 
 # -- the SL_2 pair search ------------------------------------------------------------
+
+
+def _is_e12_nontrivial(m):
+    (a, bb), (c, d) = m.rows
+    one = m.ring.one
+    return c.is_zero and a == d == one and not bb.is_zero
 
 
 def _reference_try_pair_search(b, q, budget):

@@ -10,8 +10,13 @@
   wrapper that nothing calls.
 - Only the trace builder's methods construct a QOperation or a TraceStep,
   so every recorded step passes its checks.
+- Every defaulted parameter of a public function, public method or
+  ``__init__`` is passed, by keyword or by position, by some call in the
+  package source or in perfbench/: no setting that no caller sets.  A call to
+  a class counts as a call to its ``__init__``; a function's call to itself
+  does not count.  KNOBS_WITHOUT_CALLER lists the exceptions, with reasons.
 
-Each module is parsed and walked once.
+Each file is parsed once.
 """
 
 import ast
@@ -23,6 +28,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "congwidth"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+# (function, parameter) -> why the default stays settable although no call sets it
+KNOBS_WITHOUT_CALLER = {
+    ("unimodular_square_shift", "bound"): "the cap that ends the shift search with SearchExhausted; tests lower it",
+    ("sl2_unit_reduction", "pair_budget"): "the pair-search cap; tests pin the outcomes of lowered budgets",
+    ("shrink_ideal", "max_candidates"): "the cap that ends the search with NoSmallVector; tests lower it",
+    ("shrink_ideal", "seed"): "seeds the violation sampler, as axiom_harness's seed does; tests set it",
+}
 
 
 TRACE_RECORDS = ("QOperation", "TraceStep")
@@ -59,10 +73,15 @@ def _names(tree: ast.AST):
 
 
 @lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@lru_cache(maxsize=None)
 def _scan(path: Path):
     """_names of the module, then its public top-level functions and classes
     as (name, line)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(path)
     tops = [(node.name, node.lineno) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
     return *_names(tree), tops
@@ -98,3 +117,58 @@ def test_only_the_builder_records_steps(path):
     outside = [f"{name} (line {line})" for name, line in records
                if not any(first <= line <= last for first, last in inside)]
     assert not outside, f"{path.name} builds trace records outside _Builder: {', '.join(outside)}"
+
+
+def _defaulted_params(tree: ast.AST):
+    """(function name, parameter name, positional index or None, line) for
+    every defaulted parameter of a public function, public method or
+    __init__; a class's __init__ is keyed by the class name, and positional
+    indices skip a method's self."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) and node is not tree:
+            continue
+        for f in node.body:
+            if not isinstance(f, ast.FunctionDef) or (f.name.startswith("_") and f.name != "__init__"):
+                continue
+            key = node.name if f.name == "__init__" else f.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+            skip = 0 if node is tree or static else 1
+            positional = f.args.posonlyargs + f.args.args
+            for k, (arg, _) in enumerate(zip(reversed(positional), reversed(f.args.defaults))):
+                out.append((key, arg.arg, len(positional) - 1 - k - skip, f.lineno))
+            out += [(key, a.arg, None, f.lineno)
+                    for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    return out
+
+
+def _passed(paths):
+    """(callee name, parameter name or positional index) -> the (file, name
+    of the enclosing function) of every call passing that argument; a
+    starred argument is passed as "*"."""
+    passed = {}
+
+    def visit(path, node, own):
+        if isinstance(node, ast.FunctionDef):
+            own = node.name
+        elif isinstance(node, ast.Call) and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)):
+            args = ["*" if isinstance(a, ast.Starred) else k for k, a in enumerate(node.args)]
+            for arg in args + [kw.arg or "*" for kw in node.keywords]:
+                passed.setdefault((name, arg), set()).add((path, own))
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, own)
+
+    for path in paths:
+        visit(path, _tree(path), None)
+    return passed
+
+
+def test_every_default_has_a_caller():
+    passed = _passed([*SRC.glob("*.py"), *PERFBENCH.glob("*.py")])
+    params = [(p, *d) for p in MODULES for d in _defaulted_params(_tree(p))]
+    stale = KNOBS_WITHOUT_CALLER.keys() - {(fn, arg) for _, fn, arg, _, _ in params}
+    assert not stale, f"exceptions that name no defaulted parameter: {sorted(stale)}"
+    unset = [f"{p.name}:{line} {fn}({arg}=)" for p, fn, arg, pos, line in params
+             if (fn, arg) not in KNOBS_WITHOUT_CALLER
+             and not any(where != (p, fn) for key in ((fn, arg), (fn, pos), (fn, "*")) for where in passed.get(key, ()))]
+    assert not unset, f"defaulted parameters that no call in src/ or perfbench/ passes: {', '.join(unset)}"

@@ -544,14 +544,6 @@ def test_word_norm_unreached(sl2_f3):
     assert res.explored == 2  # the center only
 
 
-def test_word_norm_budget(sl2_f3):
-    ring = sl2_f3.ring
-    seeds = [sl2_f3.idx(elementary(ring, 2, 1, 2, 1)), sl2_f3.idx(elementary(ring, 2, 2, 1, 1))]
-    letters = conjugation_closure(sl2_f3, seeds)
-    with pytest.raises(BudgetExceeded):
-        word_norm(sl2_f3, letters, SqMatrix.from_raw(ring, [[0, 1], [2, 0]]), budget=3)
-
-
 def test_word_norm_eval_harness(sl2_f3):
     ring = sl2_f3.ring
     seeds = [sl2_f3.idx(elementary(ring, 2, 1, 2, 1)), sl2_f3.idx(elementary(ring, 2, 2, 1, 1))]

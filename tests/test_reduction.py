@@ -227,6 +227,19 @@ def test_single_entry_row_case(ring_z):
     assert len(diff) == 1 and diff[0][0] == 0
 
 
+def test_single_entry_bottom_case(ring_z):
+    # bottom translation (2, 4): one commutator with I + 2 e_21 leaves 8 at (3, 1)
+    q = Ideal.of(ring_z, 2)
+    trace = translation_to_elementary(SqMatrix.from_raw(ring_z, [[1, 0, 0], [0, 1, 0], [2, 4, 1]]), q)
+    assert [s.case for s in trace.steps] == ["single.bottom"]
+    assert trace.output == elementary(ring_z, 3, 3, 1, 8)
+
+
+def test_single_entry_refuses_other_shapes(ring_z):
+    with pytest.raises(ValueError, match="not in a translation block form"):
+        translation_to_elementary(elementary(ring_z, 3, 2, 1, 2), Ideal.of(ring_z, 2))
+
+
 def test_single_entry_already_single(ring_z):
     q = Ideal.of(ring_z, 2)
     trace = translation_to_elementary(elementary(ring_z, 3, 1, 3, 6), q)
@@ -486,6 +499,17 @@ def test_sl2_exhaustive_z5(sl2_f5, ring_f5):
             assert word_product(trace) == trace.output
 
 
+def test_sl2_pair_search_upgrade_branch():
+    # no two- or three-letter product lands in E12; phase C upgrades an
+    # upper-triangular pair by one commutator
+    Z9 = RingSpec.integers_mod(9)
+    sigma = SqMatrix.from_raw(Z9, [[5, 3], [3, 2]])
+    trace = sl2_unit_reduction(sigma, Ideal.of(Z9, 1), "E12")
+    assert [s.case for s in trace.steps] == ["sl2.pair", "sl2.pair.comm"]
+    assert trace.word_length == 4
+    assert word_product(trace) == trace.output == elementary(Z9, 2, 1, 2, 6)
+
+
 @pytest.mark.parametrize("m, q0", [(4, 2), (9, 3)])
 def test_sl2_square_zero_corner_is_a_domain_outcome(m, q0):
     # the corner c of [[1, 3], [0, 1]]^theta over Z/9 is nonzero with c^2 = 0;
@@ -604,3 +628,39 @@ def test_commutator_with_opposite_diagonal_symbolic():
     assert sympy.simplify(C[1, 1] - 1) == 0
     assert sympy.simplify(C[1, 0]) == 0
     assert sympy.simplify(C[0, 1] - (z + qp) * (v - 1 / v)) == 0
+
+
+def test_upper_commutator_entry_symbolic():
+    # [sigma, eta] for upper-triangular sigma and eta: upper unipotent, with
+    # the entry the search tests
+    import sympy
+
+    a, beta, u, z = sympy.symbols("a beta u z")
+    sigma = sympy.Matrix([[a, beta], [0, 1 / a]])
+    eta = sympy.Matrix([[u, z], [0, 1 / u]])
+    C = sigma * eta * sigma.inv() * eta.inv()
+    expected = sympy.Matrix([[1, a * u * (z * (a - 1 / a) + beta * (1 / u - u))], [0, 1]])
+    assert sympy.simplify(C - expected) == sympy.zeros(2, 2)
+
+
+def test_unit_path_closed_forms_symbolic():
+    # the witnesses and the product Y that the unit path writes entrywise
+    # equal the dense products they replace, given det sigma = 1 and
+    # u - 1 = w c^2: E = W^-1 D, S = W sigma^-1 and Y = S [E, sigma] S^-1
+    import sympy
+
+    a, beta, c, w = sympy.symbols("a beta c w")
+    d = (1 + beta * c) / a  # determinant 1
+    u = 1 + w * c**2
+    s = 1 + u + u**2 + u**3
+    t = a * c * w * s
+    sigma = sympy.Matrix([[a, beta], [c, d]])
+    W = sympy.Matrix([[1, t], [0, 1]])
+    D = sympy.Matrix([[u**2, 0], [0, u**-2]])
+    E_dense, S_dense = W.inv() * D, W * sigma.inv()
+    Y_dense = S_dense * (E_dense * sigma * E_dense.inv() * sigma.inv()) * S_dense.inv()
+    E = sympy.Matrix([[u**2, -t * u**-2], [0, u**-2]])
+    S = sympy.Matrix([[d - t * c, t * a - beta], [-c, a]])
+    Y = sympy.Matrix([[u**-4, c * w * s * (a * u**4 - d)], [0, u**4]])
+    for dense, closed in ((E_dense, E), (S_dense, S), (Y_dense, Y)):
+        assert (dense - closed).applyfunc(sympy.cancel) == sympy.zeros(2, 2)

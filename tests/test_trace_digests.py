@@ -6,11 +6,13 @@ shows up here.  The same traces also check the builder's carried inverse
 against the defining formula of each step, and gate its inverse count, its
 dense matrix products and ring products, the elementary products it forms,
 the RingElements made per step, the matrices replay parses and the matrices
-serialize and replay render to text.
+serialize and replay render to text.  The dimension-2 shortcut's inputs over
+Z and Z[1/5] gate its matrix products and inversions.
 """
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -88,15 +90,15 @@ def _digest(texts) -> str:
     return hashlib.sha256("".join(texts).encode()).hexdigest()
 
 
-def _sl2_outcomes(name, count=120):
-    """sl2_unit_reduction on both sides of seeded random non-central elements
-    of the congruence subgroup: products of one to three factors, each an
-    elementary matrix with entry in the ideal or a diagonal unit matrix."""
+def _sl2_inputs(name, count=120):
+    """count seeded random non-central elements of the congruence subgroup,
+    with the ideal: products of one to three factors, each an elementary
+    matrix with entry in the ideal or a diagonal unit matrix."""
     ring, q0, units, coeff = SL2_INFINITE[name]
     q = Ideal(ring, (q0,))
     rng = random.Random(8191)
     out = []
-    while len(out) < 2 * count:
+    while len(out) < count:
         g = identity(ring, 2)
         for _ in range(rng.randint(1, 3)):
             if units and rng.random() < 0.3:
@@ -105,14 +107,57 @@ def _sl2_outcomes(name, count=120):
             else:
                 i, j = rng.choice(((1, 2), (2, 1)))
                 g = g * elementary(ring, 2, i, j, q0 * coeff(rng))
-        if is_central(g):
-            continue
+        if not is_central(g):
+            out.append((g, q))
+    return out
+
+
+def _sl2_outcomes(name):
+    """sl2_unit_reduction on both sides of the _sl2_inputs: each serialized
+    trace, or the exception's type and message."""
+    out = []
+    for g, q in _sl2_inputs(name):
         for side in ("E12", "E21"):
             try:
                 out.append(serialize_trace(sl2_unit_reduction(g, q, side)))
             except CongwidthError as exc:
                 out.append(f"{type(exc).__name__}: {exc}\n")
     return out
+
+
+def test_sl2_shortcut_decides_on_entries(monkeypatch):
+    """Over an infinite ring the shortcut's searches read entries: the only
+    matrix product is sigma * sigma in _try_square, and the only inversions
+    are the builder's, of its input and of each congruence witness."""
+    products, inversions = [], []
+    real_mul, real_inv = SqMatrix.__mul__, reduction.mat_inv
+    builder = (reduction._Builder.__init__.__code__, reduction._action.__code__)
+
+    def counted_mul(self, other):
+        products.append(sys._getframe(1).f_code.co_name)
+        return real_mul(self, other)
+
+    def counted_inv(m):
+        inversions.append(sys._getframe(1).f_code in builder)
+        return real_inv(m)
+
+    inputs = _sl2_inputs("z") + _sl2_inputs("l5")
+    monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(reduction, "mat_inv", counted_inv)
+    cases = set()
+    for g, q in inputs:
+        for side in ("E12", "E21"):
+            products.clear()
+            inversions.clear()
+            builders = 1 if side == "E12" else 2  # the mirror rebuilds the E12 trace
+            try:
+                steps = sl2_unit_reduction(g, q, side).steps
+            except CongwidthError:
+                steps = ()
+            cases.update(st.case.rpartition("|")[2] for st in steps)
+            assert products in ([], ["_try_square"]), products
+            assert all(inversions) and len(inversions) == builders * (1 + len(steps))
+    assert {"sl2.unit", "sl2.unit.comm", "sl2.comm-upper", "sl2.square"} <= cases
 
 
 def _reduce_inputs(name):
