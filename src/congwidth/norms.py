@@ -43,6 +43,8 @@ class MatrixGroupDomain:
     """Matrix group sampled by bounded random products of generators."""
 
     def __init__(self, ring: RingSpec, n: int, generators: list[SqMatrix], radius: int = 8):
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
         # (g, g^-1), each as the nonzero entries (r, c, x) of letter - I: sampling inverts nothing
         self.letters = [(_off_identity(g), _off_identity(mat_inv(g))) for g in generators]
         self.radius = radius
@@ -97,6 +99,8 @@ class Z2Domain:
     """The additive group Z^2 with a box sampler."""
 
     def __init__(self, box: int = 1000):
+        if box < 0:
+            raise ValueError(f"box must be >= 0, got {box}")
         self.box = box
 
     def mul(self, a, b):
@@ -116,6 +120,10 @@ class IdealPairDomain:
     """The additive group q + q (pairs of ideal elements) with a box sampler."""
 
     def __init__(self, ideal: Ideal, box: int = 64):
+        if ideal.is_zero:
+            raise ZeroIdeal("ideal pair domain needs a nonzero ideal")
+        if box < 0:
+            raise ValueError(f"box must be >= 0, got {box}")
         self.ideal = ideal
         self.ring = ideal.ring
         self.box = box

@@ -682,10 +682,6 @@ def _theta(m: SqMatrix) -> SqMatrix:
     return SqMatrix(m.ring, 2, payload=((d, neg(c)), (neg(bb), a)))
 
 
-# z runs over 0, ±q0, ..., ±8 q0 for the canonical generator q0 of the ideal
-_Z_MULTIPLES = 8
-
-
 def _congruent_units(q: Ideal) -> list[RingElement]:
     """The units u = 1 mod q among those the ring's kernel offers, in its order."""
     ring = q.ring
@@ -693,40 +689,28 @@ def _congruent_units(q: Ideal) -> list[RingElement]:
     return [u for u in units if q.contains(u - ring.one)]
 
 
-def _z_candidates(q: Ideal) -> list[RingElement]:
+def _upper_eta(a: RingElement, beta: RingElement, units, q: Ideal) -> SqMatrix | None:
+    """The first eta = [[u, z], [0, u^-1]], u over units and then z over 0,
+    ±q0, ..., ±8 q0 (q0 the canonical generator of q), with [y, eta] a
+    nontrivial E12 element for y = [[a, beta], [0, a^-1]]; None if none is.
+    Its corner a u (z d + c), d = a - a^-1, c = beta (u^-1 - u), is linear in
+    z: z = 0 when c != 0, else q0 when q0 d != 0, as (k q0) d = k (q0 d)."""
     q0 = q.canonical
-    ring = q.ring
-    out = [ring.zero]
-    for k in range(1, _Z_MULTIPLES + 1):
-        out.append(q0 * ring.el(k))
-        out.append(-(q0 * ring.el(k)))
-    return out
-
-
-def _upgrade(v: RingElement, qprime: RingElement, q: Ideal) -> SqMatrix | None:
-    """For y = [[v, q'], [0, v^-1]] in the congruence subgroup, given by its
-    first row: the first s = [[v^-1, z], [0, v]] over the z candidates with
-    [y, s] a nontrivial E12 element, entry (z + q')(v - v^-1) != 0; None if
-    no z does, as when v^2 = 1."""
-    vinv = unit_check(v)
-    for z in _z_candidates(q):
-        if not ((z + qprime) * (v - vinv)).is_zero:
-            return SqMatrix.from_raw(v.ring, ((vinv, z), (0, v)))
+    q0_moves = not (q0 * (a - unit_check(a))).is_zero
+    for u in units:
+        uinv = unit_check(u)
+        c_moves = not (beta * (uinv - u)).is_zero
+        if c_moves or q0_moves:
+            return SqMatrix.from_raw(a.ring, ((u, 0 if c_moves else q0), (0, uinv)))
     return None
 
 
 def _try_upper_commutator(b: _Builder, q: Ideal) -> bool:
-    """sigma = [[a, beta], [0, a^-1]]: [sigma, eta] with eta = [[u, z], [0, u^-1]]
-    in the congruence subgroup is upper unipotent with entry (1, 2) equal to
-    a*u*(z(a - a^-1) + beta(u^-1 - u)), and a, u are units."""
-    (a, beta), (_, ainv) = b.sigma.rows
-    for u in _congruent_units(q):
-        uinv = unit_check(u)
-        for z in _z_candidates(q):
-            if not (z * (a - ainv) + beta * (uinv - u)).is_zero:
-                b.record(COMM_RIGHT, SqMatrix.from_raw(b.sigma.ring, ((u, z), (0, uinv))), "sl2.comm-upper")
-                return True
-    return False
+    """sigma = [[a, beta], [0, a^-1]]: one commutator with an _upper_eta."""
+    if (eta := _upper_eta(*b.sigma.row(1), _congruent_units(q), q)) is None:
+        return False
+    b.record(COMM_RIGHT, eta, "sl2.comm-upper")
+    return True
 
 
 def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
@@ -756,7 +740,7 @@ def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
         s = u2 * u + u2 + u + one
         t = a * c * w * s  # in q, as c is
         v, qprime = u2inv * u2inv, c * w * s * (a * u4 - d)  # the first row of Y
-        zmat = _upgrade(v, qprime, q)
+        zmat = _upper_eta(v, qprime, [u4], q)
         if zmat is None and not (v == one and not qprime.is_zero):
             continue
         b.record(COMM_LEFT, SqMatrix.from_raw(ring, ((u2, -(t * u2inv)), (0, u2inv))), "sl2.unit")
@@ -787,7 +771,8 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
     Elements are indices into the SL_2 table, multiplied by its product
     primitive (not its full product table, which large groups cannot have).
     Each phase scans its products in row-major order and takes the first
-    hit; every product scanned costs one unit of budget.
+    hit; every product scanned costs one unit of budget, and so does every
+    product of the one two-letter pattern that cannot hit and is not scanned.
     """
     sigma = b.sigma
     ring = sigma.ring
@@ -831,37 +816,31 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
         checked += len(left) * len(right)
         return None
 
-    def emit_two(gx: int, ex: int, gy: int, ey: int):
-        """Ops realizing (gx sigma^ex gx^-1)(gy sigma^ey gy^-1)."""
+    def emit_two(gx: int, gy: int, ey: int):
+        """Ops realizing (gx sigma gx^-1)(gy sigma^ey gy^-1)."""
         eta = element(prod(inv[gx], gy))
-        if ex == 1:
-            if ey == -1:
-                b.record(COMM_RIGHT, eta, "sl2.pair")
-            else:
-                b.record(APPEND, eta, "sl2.pair", exp=1)
-        else:
-            assert ey == 1, "(-1, -1) pairs are found through their inverses"
-            b.record(COMM_LEFT, eta, "sl2.pair")
-            b.record(CONJUGATE, element(prod(gx, inv[sig])), "sl2.pair.conj")
-            return
+        b.record(COMM_RIGHT if ey == -1 else APPEND, eta, "sl2.pair")
         if gx != 0:
             b.record(CONJUGATE, element(gx), "sl2.pair.conj")
 
     # Phase A: two letters.  (-1,-1) products are inverses of (+1,+1) ones
-    # and E12 is inversion-closed, so three sign patterns suffice.
+    # and E12 is inversion-closed.  A (-1,+1) product A^-1 B = X in E12 \ {1}
+    # (A, B conjugates of sigma) is never new either: sigma is in Gamma(q),
+    # so X is, so C = X^-1 A X is a conjugate of sigma too, and the (+1,-1)
+    # product B C^-1 = X.  Its products are still charged, so the budget
+    # counts every two-letter product.
     e12 = (mats[:, 1, 0] == 0) & (mats[:, 0, 0] == 1) & (mats[:, 1, 1] == 1) & (mats[:, 0, 1] != 0)
-    for ((xv, xg), ex), ((yv, yg), ey) in (
-        ((cls_pos, 1), (cls_neg, -1)),
-        ((cls_pos, 1), (cls_pos, 1)),
-        ((cls_neg, -1), (cls_pos, 1)),
-    ):
+    for (xv, xg), ((yv, yg), ey) in ((cls_pos, (cls_neg, -1)), (cls_pos, (cls_pos, 1))):
         hit = first_hit(xv, yv, e12)
         if hit is False:
             return False
         if hit is not None:
-            emit_two(xg[hit[0]], ex, yg[hit[1]], ey)
+            emit_two(xg[hit[0]], yg[hit[1]], ey)
             assert _support(b.g) == [(1, 2)]
             return True
+    if len(cls_neg[0]) * len(cls_pos[0]) > budget - checked:
+        return False
+    checked += len(cls_neg[0]) * len(cls_pos[0])
 
     # Which elements can be conjugated into E12 \ {1}, with a witness: the
     # first s^-1 t s, over t = E12(a) by a and then s by index.
@@ -889,8 +868,9 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
     (xv, xg), (yv, yg) = cls_pos, cls_neg
     w = scan(xv, yv)
     for k in np.flatnonzero((mats[w, 1, 0] == 0) & (w != 0)):
-        if (zmat := _upgrade(*element(w[k]).row(1), q)) is not None:
-            emit_two(xg[k // len(yv)], 1, yg[k % len(yv)], -1)
+        (v, qprime), (_, vinv) = element(w[k]).rows
+        if (zmat := _upper_eta(v, qprime, [vinv], q)) is not None:
+            emit_two(xg[k // len(yv)], yg[k % len(yv)], -1)
             b.record(COMM_RIGHT, zmat, "sl2.pair.comm")
             assert _support(b.g) == [(1, 2)]
             return True
@@ -910,8 +890,9 @@ def sl2_unit_reduction(
 
     Search spaces: the units u = 1 mod q per ring kind (Z: {1,-1}; Z/m: the
     unit group; Z[1/p]: ±p^k for |k| <= 8; F_p[x]: nonzero constants), the
-    upper entries z over 0, ±q0, ..., ±8 q0 for the canonical generator q0 of
-    q, and over finite rings products of at most four conjugates (at most
+    upper entries z in {0, q0} for the canonical generator q0 of q (a
+    commutator's corner is linear in z, so z = k q0 helps only if q0 does),
+    and over finite rings products of at most four conjugates (at most
     pair_budget of them).  Exhaustion raises NoUnitFound.
     """
     b = _Builder(sigma, q, "sl2", seed)

@@ -229,6 +229,11 @@ def test_norm_config_missing_key(tmp_path, capsys, config, key):
     ("tag=padic-sup\nring=F2[x]\nideal=1,1\np=2\n", "the p-adic sup norm needs an ideal of Z, not of F2[x]"),
     ("tag=z2mixed\np=2\nsamples=0\n", "samples must be >= 1, got 0"),
     ("tag=z2mixed\np=2\nsamples=-5\n", "samples must be >= 1, got -5"),
+    ("tag=padic-sup\nideal=0\np=2\n", "ideal pair domain needs a nonzero ideal"),
+    ("tag=dirac\nradius=-1\n", "radius must be >= 0, got -1"),
+    ("tag=filtration\nideal=2\nradius=-3\n", "radius must be >= 0, got -3"),
+    ("tag=z2mixed\np=2\nbox=-1\n", "box must be >= 0, got -1"),
+    ("tag=padic-sup\nideal=2\np=2\nbox=-64\n", "box must be >= 0, got -64"),
 ])
 def test_norm_config_bad_value(tmp_path, capsys, config, message):
     cfg = tmp_path / "norm.cfg"

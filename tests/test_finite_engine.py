@@ -31,7 +31,6 @@ from congwidth.reduction import (
     COMM_LEFT,
     COMM_RIGHT,
     CONJUGATE,
-    _z_candidates,
     serialize_trace,
     sl2_unit_reduction,
 )
@@ -119,6 +118,13 @@ def _is_e12_nontrivial(m):
     (a, bb), (c, d) = m.rows
     one = m.ring.one
     return c.is_zero and a == d == one and not bb.is_zero
+
+
+def _z_candidates(q):
+    """The upper entries the matrix-level search tried, in order: 0, q0, -q0,
+    ..., 8 q0, -8 q0 for the canonical generator q0 of q."""
+    q0, ring = q.canonical, q.ring
+    return [ring.zero] + [x for k in range(1, 9) for x in (q0 * ring.el(k), -(q0 * ring.el(k)))]
 
 
 def _reference_try_pair_search(b, q, budget):
@@ -287,6 +293,17 @@ def test_pair_search_matches_the_reference_outcome_by_outcome(m, q0, monkeypatch
     theirs = _outcomes(m, q0)
     assert ours == theirs
     assert _digest(theirs) == REFERENCE_DIGESTS[(m, q0, None, 1, ())]
+
+
+def test_pair_search_charges_the_pattern_it_skips(monkeypatch):
+    # phase A's (-1, +1) pattern is not scanned, but its products still cost
+    # budget, as the reference's scan of them does: at pair_budget 1200 the
+    # tenth non-central element of SL_2(F5) then runs out in phase B, where
+    # an uncharged pattern would leave room for a three-letter product
+    ours = _outcomes(5, 1, 10, pair_budget=1200)
+    assert ours[18].startswith("NoUnitFound") and ours[19].startswith("NoUnitFound")
+    monkeypatch.setattr(reduction, "_try_pair_search", _reference_try_pair_search)
+    assert ours == _outcomes(5, 1, 10, pair_budget=1200)
 
 
 def test_pair_search_makes_no_matrix_products(sl2_f5, ring_f5, monkeypatch):

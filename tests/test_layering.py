@@ -11,10 +11,12 @@
 - Only the trace builder's methods construct a QOperation or a TraceStep,
   so every recorded step passes its checks.
 - Every defaulted parameter of a public function, public method or
-  ``__init__`` is passed, by keyword or by position, by some call in the
-  package source or in perfbench/: no setting that no caller sets.  A call to
-  a class counts as a call to its ``__init__``; a function's call to itself
-  does not count.  KNOBS_WITHOUT_CALLER lists the exceptions, with reasons.
+  ``__init__``, and every defaulted public field of a dataclass that its
+  ``__init__`` takes, is passed, by keyword or by position, by some call in
+  the package source or in perfbench/: no setting that no caller sets.  A
+  call to a class counts as a call to its ``__init__``; a function's call to
+  itself does not count.  KNOBS_WITHOUT_CALLER lists the exceptions, with
+  reasons.
 
 Each file is parsed once.
 """
@@ -36,6 +38,7 @@ KNOBS_WITHOUT_CALLER = {
     ("sl2_unit_reduction", "pair_budget"): "the pair-search cap; tests pin the outcomes of lowered budgets",
     ("shrink_ideal", "max_candidates"): "the cap that ends the search with NoSmallVector; tests lower it",
     ("shrink_ideal", "seed"): "seeds the violation sampler, as axiom_harness's seed does; tests set it",
+    ("FiltrationChain", "values"): "a value sequence other than 2^-i; tests set it, the CLI offers none",
 }
 
 
@@ -119,15 +122,39 @@ def test_only_the_builder_records_steps(path):
     assert not outside, f"{path.name} builds trace records outside _Builder: {', '.join(outside)}"
 
 
+def _dataclass_fields(cls: ast.ClassDef):
+    """(class name, field name, positional index or None, line) for every
+    defaulted public field that the dataclass's __init__ takes; [] if cls is
+    no dataclass."""
+    if not any("dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+               for d in cls.decorator_list):
+        return []
+    out, position = [], 0
+    for f in cls.body:
+        if not isinstance(f, ast.AnnAssign) or not isinstance(f.target, ast.Name) or "ClassVar" in ast.unparse(f.annotation):
+            continue
+        call = f.value if getattr(getattr(f.value, "func", None), "id", None) == "field" else None
+        opts = {kw.arg: getattr(kw.value, "value", None) for kw in call.keywords} if call else {}
+        if opts.get("init") is False:
+            continue
+        defaulted = f.value is not None and (call is None or {"default", "default_factory"} & opts.keys())
+        if defaulted and not f.target.id.startswith("_"):
+            out.append((cls.name, f.target.id, None if opts.get("kw_only") else position, f.lineno))
+        position += not opts.get("kw_only")
+    return out
+
+
 def _defaulted_params(tree: ast.AST):
     """(function name, parameter name, positional index or None, line) for
     every defaulted parameter of a public function, public method or
-    __init__; a class's __init__ is keyed by the class name, and positional
-    indices skip a method's self."""
+    __init__, and every _dataclass_fields entry; a class's __init__ is keyed
+    by the class name, and positional indices skip a method's self."""
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef) and node is not tree:
             continue
+        if isinstance(node, ast.ClassDef):
+            out += _dataclass_fields(node)
         for f in node.body:
             if not isinstance(f, ast.FunctionDef) or (f.name.startswith("_") and f.name != "__init__"):
                 continue

@@ -13,6 +13,7 @@ from congwidth.errors import (
     NoSmallVector,
     NotCentral,
     UnsupportedRing,
+    ZeroIdeal,
 )
 import congwidth.matrices as matrices
 import congwidth.norms as norms
@@ -630,6 +631,24 @@ def test_shrink_ideal_dirac_exhausts(ring_z):
     with pytest.raises(NoSmallVector) as info:
         shrink_ideal(dirac, Fraction(1, 4), max_candidates=500)
     assert info.value.candidates_tried == 500
+
+
+def test_pair_domain_refuses_the_zero_ideal(ring_z):
+    # every sample of 0 + 0 is (0, 0): the harness would pass vacuously, and
+    # shrink_ideal would return the zero ideal from the witness (0, 0)
+    zero = Ideal.of(ring_z, 0)
+    with pytest.raises(ZeroIdeal):
+        IdealPairDomain(zero)
+    with pytest.raises(ZeroIdeal):
+        padic_sup_norm(zero, 2)
+
+
+def test_sampler_sizes_may_be_zero(ring_z):
+    # only a negative radius or box is refused
+    rng = random.Random(0)
+    assert MatrixGroupDomain(ring_z, 2, [elementary(ring_z, 2, 1, 2, 1)], 0).sample(rng) == identity(ring_z, 2)
+    assert z2_mixed_norm(2, box=0).domain.sample(rng) == (0, 0)
+    assert padic_sup_norm(Ideal.of(ring_z, 2), 2, box=0).domain.sample(rng) == (ring_z.zero, ring_z.zero)
 
 
 def test_padic_sup_harness(ring_z):

@@ -22,6 +22,8 @@ from congwidth.matrices import (
     mat_inv,
 )
 from congwidth.reduction import (
+    _congruent_units,
+    _upper_eta,
     expand_trace_word,
     reduce_full,
     reduce_to_affine,
@@ -34,7 +36,7 @@ from congwidth.reduction import (
     unimodular_square_shift,
     word_product,
 )
-from congwidth.rings import Ideal, RingSpec, is_unimodular
+from congwidth.rings import Ideal, RingElement, RingSpec, is_unimodular, unit_check
 
 ALL_TARGETS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
 
@@ -510,6 +512,69 @@ def test_sl2_pair_search_upgrade_branch():
     assert word_product(trace) == trace.output == elementary(Z9, 2, 1, 2, 6)
 
 
+def _reference_upper_eta(a, beta, units, q):
+    """The scan _upper_eta replaces: u over units, then z over 0, q0, -q0,
+    ..., 8 q0, -8 q0; the first eta = [[u, z], [0, u^-1]] whose commutator
+    entry z (a - a^-1) + beta (u^-1 - u) is nonzero."""
+    ring, q0, ainv = q.ring, q.canonical, unit_check(a)
+    zs = [ring.zero] + [x for k in range(1, 9) for x in (q0 * ring.el(k), -(q0 * ring.el(k)))]
+    for u in units:
+        uinv = unit_check(u)
+        for z in zs:
+            if not (z * (a - ainv) + beta * (uinv - u)).is_zero:
+                return SqMatrix.from_raw(ring, ((u, z), (0, uinv)))
+    return None
+
+
+def _check_upper_eta(a, beta, q, units):
+    """_upper_eta against the reference over all the units and over each
+    alone; returns, per unit alone, the z of its eta (0 or q0) or None."""
+    assert _upper_eta(a, beta, units, q) == _reference_upper_eta(a, beta, units, q)
+    zs = []
+    for u in units:
+        got = _upper_eta(a, beta, [u], q)
+        assert got == _reference_upper_eta(a, beta, [u], q), (a, beta, q, u)
+        zs.append(None if got is None else got.e(1, 2))
+    assert set(zs) <= {None, q.ring.zero, q.canonical}
+    return zs
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_upper_eta_is_the_first_hit_of_the_z_scan_mod_m(m):
+    # every upper-triangular (a, beta) of SL_2(Z/m), every nonzero ideal (d)
+    # and its congruent units, all together and one at a time
+    ring = RingSpec.integers_mod(m)
+    for d in (d for d in range(1, m) if m % d == 0):
+        q = Ideal.of(ring, d)
+        units = _congruent_units(q)
+        for a in _congruent_units(Ideal.of(ring, 1)):
+            for beta in ring.residues():
+                _check_upper_eta(a, beta, q, units)
+
+
+@pytest.mark.parametrize("ring, draw", [
+    (RingSpec.integers(), lambda rng: rng.randint(-40, 40)),
+    (RingSpec.poly_over_fp(2), lambda rng: [rng.randint(0, 1) for _ in range(rng.randint(1, 4))]),
+    (RingSpec.poly_over_fp(3), lambda rng: [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]),
+    (RingSpec.localized_integers(5), lambda rng: (rng.randint(-40, 40), rng.randint(-3, 3))),
+], ids=["Z", "F2[x]", "F3[x]", "Z[1/5]"])
+def test_upper_eta_is_the_first_hit_of_the_z_scan_at_random(ring, draw):
+    rng = random.Random(21)
+    all_units = [RingElement(ring, u) for u in ring.kernel.units()]
+    kinds = set()
+    for _ in range(60):
+        q0 = ring.el(draw(rng))
+        if q0.is_zero:
+            continue
+        q = Ideal(ring, (q0,))
+        beta = ring.el(draw(rng)) if rng.random() < 0.8 else ring.zero
+        zs = _check_upper_eta(rng.choice(all_units), beta, q, _congruent_units(q))
+        kinds |= {"none" if z is None else "zero" if z.is_zero else "q0" for z in zs}
+    # where every unit is its own inverse (Z, F2[x], F3[x]) c = d = 0: no eta
+    involutive = all(unit_check(u) == u for u in all_units)
+    assert kinds == ({"none"} if involutive else {"none", "zero", "q0"})
+
+
 @pytest.mark.parametrize("m, q0", [(4, 2), (9, 3)])
 def test_sl2_square_zero_corner_is_a_domain_outcome(m, q0):
     # the corner c of [[1, 3], [0, 1]]^theta over Z/9 is nonzero with c^2 = 0;
@@ -657,8 +722,12 @@ def test_unit_path_closed_forms_symbolic():
     sigma = sympy.Matrix([[a, beta], [c, d]])
     W = sympy.Matrix([[1, t], [0, 1]])
     D = sympy.Matrix([[u**2, 0], [0, u**-2]])
-    E_dense, S_dense = W.inv() * D, W * sigma.inv()
-    Y_dense = S_dense * (E_dense * sigma * E_dense.inv() * sigma.inv()) * S_dense.inv()
+
+    def inv(m):  # a determinant-1 2 x 2 matrix's inverse is its adjugate
+        return sympy.Matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+    E_dense, S_dense = inv(W) * D, W * inv(sigma)
+    Y_dense = S_dense * (E_dense * sigma * inv(E_dense) * inv(sigma)) * inv(S_dense)
     E = sympy.Matrix([[u**2, -t * u**-2], [0, u**-2]])
     S = sympy.Matrix([[d - t * c, t * a - beta], [-c, a]])
     Y = sympy.Matrix([[u**-4, c * w * s * (a * u**4 - d)], [0, u**4]])
