@@ -217,6 +217,14 @@ def _unit_elementaries(ring: RingSpec, n: int) -> list[SqMatrix]:
     return [elementary(ring, n, i, j, 1) for i, j in permutations(range(1, n + 1), 2)]
 
 
+def _sampler_size(cfg: _Config, key: str, default: str) -> int:
+    """A radius= or box=; 0 would sample only the identity, on which every norm passes."""
+    size = int(cfg.get(key, default))
+    if size == 0:
+        raise CongwidthError(f"norm config {key}=0 samples only the identity")
+    return size
+
+
 def _cmd_norm(args) -> int:
     cfg = _parse_config(args.config)
     tag = cfg.get("tag")
@@ -225,19 +233,19 @@ def _cmd_norm(args) -> int:
     if tag == "dirac":
         ring = RingSpec.parse(cfg.get("ring", "Z"))
         n = int(cfg.get("n", "2"))
-        norm = dirac_norm(MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), int(cfg.get("radius", "8"))))
+        norm = dirac_norm(MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), _sampler_size(cfg, "radius", "8")))
     elif tag == "filtration":
         ring = RingSpec.parse(cfg.get("ring", "Z"))
         n = int(cfg.get("n", "3"))
         ideal = parse_ideal(ring, cfg["ideal"])
-        dom = MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), int(cfg.get("radius", "8")))
+        dom = MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), _sampler_size(cfg, "radius", "8"))
         norm = filtration_norm(FiltrationChain(dom, ideal, int(cfg.get("cap", "64"))))
     elif tag == "z2mixed":
-        norm = z2_mixed_norm(int(cfg["p"]), int(cfg.get("box", "1000")))
+        norm = z2_mixed_norm(int(cfg["p"]), _sampler_size(cfg, "box", "1000"))
     elif tag == "padic-sup":
         ring = RingSpec.parse(cfg.get("ring", "Z"))
         ideal = parse_ideal(ring, cfg["ideal"])
-        norm = padic_sup_norm(ideal, int(cfg["p"]), int(cfg.get("box", "64")))
+        norm = padic_sup_norm(ideal, int(cfg["p"]), _sampler_size(cfg, "box", "64"))
     elif tag == "word":
         n, ring = _parse_group(cfg["group"])
         table = enumerate_sl(n, ring, budget=int(cfg.get("budget", "1000000")))

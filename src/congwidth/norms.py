@@ -7,18 +7,19 @@ Everything is checked with exact rational arithmetic; the axiom harness
 samples tuples and reports any violating tuple verbatim.
 
 A group domain is any object with mul(a, b), inv(a), is_identity(a) and
-sample(rng).  Four domains are given directly: a matrix group with a bounded
+sample(rng).  Three domains are given directly: a matrix group with a bounded
 random-product sampler over designated generators, a finite group table (its
-elements are indices), and Z^2 and the pairs of an ideal, both with box
-samplers.  Two more are built by the constructions: the direct product of
-two domains and the quotient by a finite central subgroup, which compares
-elements by value (matrices, ring-element pairs and ints all hash by value).
+elements are indices), and the pairs of an ideal with a box sampler (Z^2 is
+the pairs of the unit ideal of Z).  Two more are built by the constructions:
+the direct product of two domains and the quotient by a finite central
+subgroup, which compares elements by value (matrices, ring-element pairs and
+ints all hash by value).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .errors import (
     ZeroIdeal,
 )
 from .matrices import SqMatrix, _off_identity, congruence_level, identity, mat_inv
-from .rings import Ideal, RingElement, RingSpec, is_prime
+from .rings import Ideal, RingSpec, is_prime
 
 
 # -- group domains ------------------------------------------------------------
@@ -93,27 +94,6 @@ class FiniteGroupDomain:
 
     def sample(self, rng: random.Random):
         return rng.randrange(len(self.table))
-
-
-class Z2Domain:
-    """The additive group Z^2 with a box sampler."""
-
-    def __init__(self, box: int = 1000):
-        if box < 0:
-            raise ValueError(f"box must be >= 0, got {box}")
-        self.box = box
-
-    def mul(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def inv(self, a):
-        return (-a[0], -a[1])
-
-    def is_identity(self, a) -> bool:
-        return a == (0, 0)
-
-    def sample(self, rng: random.Random):
-        return (rng.randint(-self.box, self.box), rng.randint(-self.box, self.box))
 
 
 class IdealPairDomain:
@@ -192,10 +172,7 @@ class NormEval:
     """A conjugation-invariant norm: a group domain and an exact value function."""
 
     domain: object
-    fn: object  # element -> Fraction
-
-    def value(self, g) -> Fraction:
-        return self.fn(g)
+    value: Callable[[object], Fraction]
 
 
 # -- constructions ----------------------------------------------------------------
@@ -212,32 +189,15 @@ def dirac_norm(domain) -> NormEval:
 
 @dataclass(frozen=True)
 class FiltrationChain:
-    """Descending chain of principal congruence subgroups with value sequence.
-
-    Values default to 2^-i and must be strictly decreasing and positive.
-    """
+    """Descending chain of principal congruence subgroups, levels 0 to cap."""
 
     domain: MatrixGroupDomain
     ideal: Ideal
     cap: int = 64
-    values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if self.ideal.is_zero:
             raise ZeroIdeal("filtration chain needs a nonzero ideal")
-        if self.values is not None:
-            vals = self.values
-            if any(v <= 0 for v in vals) or any(
-                vals[i + 1] >= vals[i] for i in range(len(vals) - 1)
-            ):
-                raise ValueError("value sequence must be strictly decreasing and positive")
-
-    def value_at(self, level: int) -> Fraction:
-        if self.values is not None:
-            if level >= len(self.values):
-                raise CapAmbiguous(f"no value configured for level {level}")
-            return self.values[level]
-        return Fraction(1, 2**level)
 
 
 def filtration_norm(chain: FiltrationChain) -> NormEval:
@@ -251,7 +211,7 @@ def filtration_norm(chain: FiltrationChain) -> NormEval:
             raise CapAmbiguous(
                 f"non-identity element beyond level cap {chain.cap}"
             )
-        return chain.value_at(datum.level)
+        return Fraction(1, 2**datum.level)
 
     return NormEval(chain.domain, fn)
 
@@ -345,22 +305,15 @@ def product_sum_norm(norm_left: NormEval, norm_right: NormEval) -> NormEval:
 # -- p-adic flavored norms ---------------------------------------------------------
 
 
-def _p_valuation(x: int, p: int) -> int | None:
-    if x == 0:
-        return None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def p_abs(x: int, p: int) -> Fraction:
     """p-adic absolute value on Z with |0| = 0."""
-    v = _p_valuation(x, p)
-    if v is None:
+    if x == 0:
         return Fraction(0)
-    return Fraction(1, p**v)
+    scale = 1
+    while x % p == 0:
+        x //= p
+        scale *= p
+    return Fraction(1, scale)
 
 
 def _check_prime(p: int):
@@ -369,20 +322,15 @@ def _check_prime(p: int):
 
 
 def z2_mixed_norm(p: int, box: int = 1000) -> NormEval:
-    """max(|x|_p / 2, |y|) on Z^2: non-discrete, unbounded, invariant under
-    the shear (x, y) -> (x + y, y)."""
+    """max(|x|_p / 2, |y|) on Z^2, the pairs of the unit ideal of Z:
+    non-discrete, unbounded, invariant under the shear (x, y) -> (x + y, y)."""
     _check_prime(p)
 
     def fn(g):
         x, y = g
-        return max(p_abs(x, p) / 2, Fraction(abs(y)))
+        return max(p_abs(x.payload, p) / 2, Fraction(abs(y.payload)))
 
-    return NormEval(Z2Domain(box), fn)
-
-
-def element_p_abs(e: RingElement, p: int) -> Fraction:
-    """p-adic absolute value of an integer ring element."""
-    return p_abs(e.payload, p)
+    return NormEval(IdealPairDomain(Ideal.of(RingSpec.integers(), 1), box), fn)
 
 
 def padic_sup_norm(ideal: Ideal, p: int, box: int = 64) -> NormEval:
@@ -393,26 +341,19 @@ def padic_sup_norm(ideal: Ideal, p: int, box: int = 64) -> NormEval:
         raise UnsupportedRing(f"the p-adic sup norm needs an ideal of Z, not of {ideal.ring.descriptor()}")
 
     def fn(g):
-        return max(element_p_abs(g[0], p), element_p_abs(g[1], p))
+        return max(p_abs(g[0].payload, p), p_abs(g[1].payload, p))
 
     return NormEval(IdealPairDomain(ideal, box), fn)
 
 
-def shrink_ideal(
-    norm: NormEval,
-    epsilon: Fraction,
-    *,
-    max_candidates: int = 10**5,
-    seed: int = 0,
-):
+def shrink_ideal(norm: NormEval, epsilon: Fraction, *, seed: int = 0):
     """Find (x, y) in the pair domain with 6*norm((x, y)) <= epsilon and return
     the principal ideal generated by x^3 together with the witness and the
     number of violations in 1000 seeded samples of the x^3-multiples, which
     should stay inside the epsilon ball.
 
     Candidates (x, y) = d * (i, j) with i != 0, d the ideal's canonical
-    generator, are tried by growing max(|i|, |j|) up to 128, at most
-    max_candidates of them.
+    generator, are tried by growing max(|i|, |j|) up to 128: 65,792 of them.
 
     Exhaustion raises NoSmallVector: at desk scale this signals discreteness
     at the search scale, not an error in the norm.
@@ -421,10 +362,10 @@ def shrink_ideal(
     ring = dom.ring
     d = dom.ideal.canonical
     shells = ((d * ring.el(i), d * ring.el(j))
-              for shell in range(1, 129) for i in range(-shell, shell + 1) for j in range(-shell, shell + 1)
-              if max(abs(i), abs(j)) == shell and i != 0)
+              for shell in range(1, 129) for i in range(-shell, shell + 1) if i
+              for j in (range(-shell, shell + 1) if abs(i) == shell else (-shell, shell)))
     tried = 0
-    for tried, witness in enumerate(itertools.islice(shells, max_candidates), start=1):
+    for tried, witness in enumerate(shells, start=1):
         if 6 * norm.value(witness) <= epsilon:
             break
     else:
@@ -446,13 +387,6 @@ def shrink_ideal(
 # -- word norms ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Unreached:
-    """BFS exhausted the generated subgroup without reaching the element."""
-
-    explored: int
-
-
 def conjugation_closure(table: FiniteGroupTable, seeds: list[int]) -> list[int]:
     """Close a set of element indices under conjugation and inversion: the
     conjugates g f g^-1 of the seeds and their inverses, by every g (a
@@ -460,19 +394,6 @@ def conjugation_closure(table: FiniteGroupTable, seeds: list[int]) -> list[int]:
     mul, inv = table.mul, table.inv
     starts = list(seeds) + [inv[s] for s in seeds]
     return sorted(set(mul[mul[:, starts], inv[:, None]].ravel().tolist()))
-
-
-def word_norm(table: FiniteGroupTable, generators: list[int], g: SqMatrix | int):
-    """Minimal generator count expressing g over the given set, by BFS.
-
-    Returns the exact integer, or Unreached when the closure of the set is
-    exhausted without meeting g; a g outside the table raises NotInGroup.
-    """
-    gidx = table.idx(g)
-    dist = table.word_distances(generators)
-    if dist[gidx] < 0:
-        return Unreached(explored=int((dist >= 0).sum()))
-    return int(dist[gidx])
 
 
 def word_norm_eval(table: FiniteGroupTable, generators: list[int]) -> NormEval:

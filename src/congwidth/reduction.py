@@ -432,8 +432,6 @@ def unimodular_square_shift(alpha: list[RingElement], bound: int = 10**4) -> SRW
 
 def _tuples_with_max_shell(pool, new, width):
     """All width-tuples over pool using at least one element of new."""
-    if not new:
-        return
     new_keys = {id(x) for x in new}
     for combo in itertools.product(pool, repeat=width):
         if any(id(x) in new_keys for x in combo):
@@ -571,8 +569,6 @@ def _single_stage(b: _Builder):
         b0 = min(i for (i, _) in sup if i != 1)
         b.record(COMM_RIGHT, [(1, b0, q0)], "single.col")
     elif all(i == 1 and j > 1 for (i, j) in sup):
-        if sup == [(1, n)]:
-            return
         j0 = min(j for (_, j) in sup if j != n)
         b.record(COMM_RIGHT, [(j0, n, q0)], "single.row")
     elif all(i == n and j < n for (i, j) in sup):

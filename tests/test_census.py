@@ -29,7 +29,7 @@ from congwidth.errors import (
     ZeroIdeal,
 )
 from congwidth.matrices import SqMatrix, elementary, identity, mat_inv
-from congwidth.norms import word_norm
+from congwidth.norms import word_norm_eval
 from congwidth.rings import Ideal, RingSpec
 
 
@@ -410,7 +410,7 @@ def test_non_elements_are_rejected(sl2_f3, ring_f3, bad):
     with pytest.raises(NotInGroup):
         width_bfs(sl2_f3, bad, Ideal.of(ring_f3, 1))
     with pytest.raises(NotInGroup):
-        word_norm(sl2_f3, gens, bad)
+        word_norm_eval(sl2_f3, gens).value(bad)
 
 
 def test_idx_accepts_elements_and_indices(sl2_f3):

@@ -234,6 +234,12 @@ def test_norm_config_missing_key(tmp_path, capsys, config, key):
     ("tag=filtration\nideal=2\nradius=-3\n", "radius must be >= 0, got -3"),
     ("tag=z2mixed\np=2\nbox=-1\n", "box must be >= 0, got -1"),
     ("tag=padic-sup\nideal=2\np=2\nbox=-64\n", "box must be >= 0, got -64"),
+    # 0 samples only the identity, where every norm passes
+    ("tag=dirac\nradius=0\n", "norm config radius=0 samples only the identity"),
+    ("tag=filtration\nideal=2\nradius=0\n", "norm config radius=0 samples only the identity"),
+    ("tag=z2mixed\np=2\nbox=0\n", "norm config box=0 samples only the identity"),
+    ("tag=padic-sup\nideal=2\np=2\nbox=0\n", "norm config box=0 samples only the identity"),
+    ("tag=bogus\n", "unknown norm tag 'bogus'"),
 ])
 def test_norm_config_bad_value(tmp_path, capsys, config, message):
     cfg = tmp_path / "norm.cfg"
@@ -416,3 +422,34 @@ def test_norm_config_unknown_keys(tmp_path, capsys):
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 1
     assert _one_line_error(capsys) == "error: norm config tag=dirac has unknown keys sample=, sede=\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--ring", "Z", "--ideal", "2", "--in", "m.txt", "--target", "1-2"],
+     "argument --target: target must be 'i,j', got '1-2'"),
+    (["census", "--group", "SL2,F2", "--budget", "x"], "argument --budget: expected an integer, got 'x'"),
+])
+def test_usage_errors_print_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    # argparse's usage lines, then exactly one error line, and no traceback
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [err.splitlines()[-1]], err
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
+
+
+def test_reduce_refuses_a_matrix_over_another_ring(tmp_path, capsys):
+    infile = tmp_path / "m.txt"
+    write_matrix(infile, elementary(RingSpec.integers_mod(4), 3, 1, 2, 2))
+    assert main(["reduce", "--ring", "Z", "--ideal", "2", "--in", str(infile), "--target", "1,2"]) == 1
+    assert _one_line_error(capsys) == "error: matrix ring does not match --ring\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sumid", "--tuple", "1,2,3"], "--tuple needs five integers m,a,b,c,d"),
+    (["sumid"], "supply --tuple or --random"),
+])
+def test_sumid_domain_errors(capsys, argv, message):
+    assert main(argv) == 1
+    assert _one_line_error(capsys) == f"error: {message}\n"

@@ -36,9 +36,7 @@ PERFBENCH = SRC.parent.parent / "perfbench"
 KNOBS_WITHOUT_CALLER = {
     ("unimodular_square_shift", "bound"): "the cap that ends the shift search with SearchExhausted; tests lower it",
     ("sl2_unit_reduction", "pair_budget"): "the pair-search cap; tests pin the outcomes of lowered budgets",
-    ("shrink_ideal", "max_candidates"): "the cap that ends the search with NoSmallVector; tests lower it",
     ("shrink_ideal", "seed"): "seeds the violation sampler, as axiom_harness's seed does; tests set it",
-    ("FiltrationChain", "values"): "a value sequence other than 2^-i; tests set it, the CLI offers none",
 }
 
 

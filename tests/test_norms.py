@@ -10,6 +10,7 @@ from congwidth.errors import (
     BadTransversal,
     BudgetExceeded,
     CapAmbiguous,
+    InnerUnbounded,
     NoSmallVector,
     NotCentral,
     UnsupportedRing,
@@ -25,24 +26,23 @@ from congwidth.norms import (
     IdealPairDomain,
     MatrixGroupDomain,
     NormEval,
-    Unreached,
     axiom_harness,
     average_norm,
     bounded_transform,
     conjugation_closure,
     dirac_norm,
-    element_p_abs,
     filtration_norm,
     padic_sup_norm,
     product_sum_norm,
     quotient_norm,
     shrink_ideal,
     singular_extension,
-    word_norm,
     word_norm_eval,
     z2_mixed_norm,
 )
 from congwidth.rings import Ideal, RingSpec
+
+Z = RingSpec.integers()
 
 
 def sl_domain(ring, n, radius=6):
@@ -82,6 +82,89 @@ def test_planted_failure_is_reported(sl2_f3):
     assert report.violations["definiteness"] > 0
     assert "definiteness" in report.examples
     assert "axiom=definiteness" in report.render()
+
+
+# -- the harness records each axiom ------------------------------------------------
+
+
+class _Cyclic:
+    """Z/m written additively."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def mul(self, a, b):
+        return (a + b) % self.m
+
+    def inv(self, a):
+        return -a % self.m
+
+    def is_identity(self, a):
+        return a == 0
+
+
+class _Drawn:
+    """A group domain whose sampler draws the listed elements in turn: a
+    harness run of k samples checks exactly the pairs (draws[0], draws[1]),
+    ..., (draws[2k - 2], draws[2k - 1])."""
+
+    def __init__(self, base, draws):
+        self.mul, self.inv, self.is_identity = base.mul, base.inv, base.is_identity
+        self.draws = iter(draws)
+
+    def sample(self, rng):
+        return next(self.draws)
+
+
+def _only(axiom, count):
+    return {a: count if a == axiom else 0
+            for a in ("positivity", "definiteness", "symmetry", "triangle", "conjugation")}
+
+
+def test_harness_records_positivity():
+    # -1 off the identity, drawn only with h = 0: h = g^-1 would break the triangle too
+    dom = _Drawn(_Cyclic(4), [1, 0, 2, 0, 3, 0, 0, 0, 1, 0])
+    report = axiom_harness(NormEval(dom, value=lambda g: Fraction(-1 if g else 0)), 5)
+    assert report.violations == _only("positivity", 4)
+    assert report.examples == {"positivity": ["1", "2", "3"]}
+    assert "  violating tuple: 3\n" in report.render()
+
+
+def test_harness_records_symmetry():
+    # g itself on Z/3: |1| = 1 but |1^-1| = |2| = 2, and |a + b| <= a + b always
+    dom = _Drawn(_Cyclic(3), [1, 0, 2, 1, 1, 1, 0, 2, 2, 2])
+    report = axiom_harness(NormEval(dom, value=Fraction), 5)
+    assert report.violations == _only("symmetry", 4)
+    assert report.examples == {"symmetry": ["1", "2", "1"]}
+
+
+def test_harness_records_the_triangle():
+    # |±1| = 1 and |±2| = 3 on Z/5: |1 + 1| = 3 > 2, the one kind of failure
+    values = [0, 1, 3, 3, 1]
+    dom = _Drawn(_Cyclic(5), [1, 1, 4, 4, 1, 1, 4, 4, 2, 3])
+    report = axiom_harness(NormEval(dom, value=lambda g: Fraction(values[g])), 5)
+    assert report.violations == _only("triangle", 4)
+    assert report.examples == {"triangle": ["(1, 1)", "(4, 4)", "(1, 1)"]}
+
+
+def test_harness_records_conjugation(sl2_f3):
+    # 2 at a = E12(1) and its inverse, 1 elsewhere off the identity: symmetric
+    # and subadditive (two non-identity values sum to at least 2), but the
+    # conjugate of a by b = E21(1) is neither a nor a^-1
+    ring = sl2_f3.ring
+    a, b = (sl2_f3.idx(elementary(ring, 2, i, j, 1)) for i, j in ((1, 2), (2, 1)))
+    table = FiniteGroupDomain(sl2_f3)
+    a_inv = table.inv(a)
+    assert table.mul(table.mul(b, a), table.inv(b)) not in (a, a_inv)
+
+    dom = _Drawn(table, [a, b, a_inv, b, a, b, a_inv, b, 0, b])
+
+    def value(g):
+        return Fraction(0 if g == 0 else 2 if g in (a, a_inv) else 1)
+
+    report = axiom_harness(NormEval(dom, value=value), 5)
+    assert report.violations == _only("conjugation", 4)
+    assert report.examples == {"conjugation": [repr((a, b)), repr((a_inv, b)), repr((a, b))]}
 
 
 def test_finite_group_domain_against_matrix_arithmetic(sl2_f3, sl2_z4):
@@ -286,11 +369,9 @@ def test_filtration_cap_raises(ring_z):
         norm.value(elementary(ring_z, 3, 1, 2, 2**9))
 
 
-def test_filtration_custom_values_must_decrease(ring_z):
-    dom = sl_domain(ring_z, 3)
-    q = Ideal.of(ring_z, 2)
-    with pytest.raises(ValueError):
-        FiltrationChain(dom, q, values=(Fraction(1), Fraction(1)))
+def test_filtration_chain_refuses_the_zero_ideal(ring_z):
+    with pytest.raises(ZeroIdeal, match="^filtration chain needs a nonzero ideal$"):
+        FiltrationChain(sl_domain(ring_z, 3), Ideal.of(ring_z, 0))
 
 
 # -- singular extension ------------------------------------------------------------
@@ -321,6 +402,28 @@ def test_singular_extension_triangle_across_boundary(ring_z):
         g = inner_dom.sample(rng)
         h = ambient.sample(rng)
         assert norm.value(g * h) <= norm.value(g) + norm.value(h)
+
+
+def test_singular_extension_refuses_an_inner_value_above_one(ring_z):
+    q = Ideal.of(ring_z, 2)
+    member = lambda g: in_congruence_subgroup(g, q)
+    doubled = NormEval(gamma_domain(ring_z, 3, 2), value=lambda g: 2 * Fraction(not g.is_identity))
+    with pytest.raises(InnerUnbounded, match="^inner norm value 2 exceeds 1$"):
+        singular_extension(doubled, sl_domain(ring_z, 3), member)
+    # a domain of radius 0 samples only the identity: the construction's
+    # checks pass, and the first value off the identity is refused
+    blind = NormEval(gamma_domain(ring_z, 3, 2, radius=0), value=doubled.value)
+    norm = singular_extension(blind, sl_domain(ring_z, 3), member)
+    assert norm.value(elementary(ring_z, 3, 1, 2, 1)) == 1  # outside the subgroup
+    with pytest.raises(InnerUnbounded, match="^inner norm value 2 exceeds 1$"):
+        norm.value(elementary(ring_z, 3, 1, 2, 2))
+
+
+def test_singular_extension_refuses_a_non_invariant_inner_norm(sl2_z4, ring_z4):
+    _, hamming, _ = _hamming_norm_on_gamma2(sl2_z4, ring_z4)  # at most 1, not SL_2-invariant
+    q = Ideal.of(ring_z4, 2)
+    with pytest.raises(InnerUnbounded, match="not invariant"):
+        singular_extension(hamming, sl_domain(ring_z4, 2), lambda g: in_congruence_subgroup(g, q))
 
 
 # -- bounded transform ----------------------------------------------------------------
@@ -488,6 +591,13 @@ def test_average_norm_rejects_bad_transversal(sl2_z4, ring_z4):
         average_norm(inner, reps, 2, member)
 
 
+def test_average_norm_refuses_a_wrong_number_of_representatives(sl2_z4, ring_z4):
+    _, inner, _ = _hamming_norm_on_gamma2(sl2_z4, ring_z4)
+    q = Ideal.of(ring_z4, 2)
+    with pytest.raises(BadTransversal, match="^expected 6 representatives, got 1$"):
+        average_norm(inner, [identity(ring_z4, 2)], 6, lambda g: in_congruence_subgroup(g, q))
+
+
 # -- product sum ----------------------------------------------------------------------------
 
 
@@ -514,35 +624,36 @@ def test_product_sum_values_and_harness(sl2_f3):
 def test_word_norm_examples(sl2_f3):
     ring = sl2_f3.ring
     seeds = [sl2_f3.idx(elementary(ring, 2, 1, 2, 1)), sl2_f3.idx(elementary(ring, 2, 2, 1, 1))]
-    letters = conjugation_closure(sl2_f3, seeds)
-    assert word_norm(sl2_f3, letters, identity(ring, 2)) == 0
-    assert word_norm(sl2_f3, letters, elementary(ring, 2, 1, 2, 1)) == 1
-    values = [
-        word_norm(sl2_f3, letters, g) for g in sl2_f3.elements
-    ]
-    assert all(isinstance(v, int) for v in values)
-    assert max(values) >= 2  # some element genuinely needs more than one letter
+    dist = sl2_f3.word_distances(conjugation_closure(sl2_f3, seeds))
+    assert dist[sl2_f3.idx(identity(ring, 2))] == 0
+    assert dist[sl2_f3.idx(elementary(ring, 2, 1, 2, 1))] == 1
+    assert (dist >= 0).all()
+    assert dist.max() >= 2  # some element genuinely needs more than one letter
 
 
 def test_word_norm_subadditive(sl2_f3):
     rng = random.Random(16)
     ring = sl2_f3.ring
     seeds = [sl2_f3.idx(elementary(ring, 2, 1, 2, 1)), sl2_f3.idx(elementary(ring, 2, 2, 1, 1))]
-    letters = conjugation_closure(sl2_f3, seeds)
-    dist = {g.key(): word_norm(sl2_f3, letters, g) for g in sl2_f3.elements}
+    dist = sl2_f3.word_distances(conjugation_closure(sl2_f3, seeds))
     for _ in range(100):
         g = sl2_f3.elements[rng.randrange(24)]
         h = sl2_f3.elements[rng.randrange(24)]
-        assert dist[(g * h).key()] <= dist[g.key()] + dist[h.key()]
+        assert dist[sl2_f3.idx(g * h)] <= dist[sl2_f3.idx(g)] + dist[sl2_f3.idx(h)]
 
 
 def test_word_norm_unreached(sl2_f3):
     ring = sl2_f3.ring
     minus = SqMatrix.from_raw(ring, [[2, 0], [0, 2]])
-    letters = conjugation_closure(sl2_f3, [sl2_f3.idx(minus)])
-    res = word_norm(sl2_f3, letters, elementary(ring, 2, 1, 2, 1))
-    assert isinstance(res, Unreached)
-    assert res.explored == 2  # the center only
+    dist = sl2_f3.word_distances(conjugation_closure(sl2_f3, [sl2_f3.idx(minus)]))
+    assert dist[sl2_f3.idx(elementary(ring, 2, 1, 2, 1))] == -1
+    assert (dist >= 0).sum() == 2  # the center only
+
+
+def test_word_norm_eval_needs_a_generating_set(sl2_f3):
+    minus = SqMatrix.from_raw(sl2_f3.ring, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="does not generate"):
+        word_norm_eval(sl2_f3, conjugation_closure(sl2_f3, [sl2_f3.idx(minus)]))
 
 
 def test_word_norm_eval_harness(sl2_f3):
@@ -555,12 +666,16 @@ def test_word_norm_eval_harness(sl2_f3):
 # -- Z^2 mixed norm -----------------------------------------------------------------------------
 
 
+def _z2(x, y):
+    return (Z.el(x), Z.el(y))
+
+
 def test_z2_mixed_values():
     norm = z2_mixed_norm(2)
-    assert norm.value((0, 0)) == 0
-    assert norm.value((2, 0)) == Fraction(1, 4)  # |2|_2 = 1/2, halved
-    assert norm.value((0, 3)) == 3
-    assert norm.value((3, 0)) == Fraction(1, 2)  # |3|_2 = 1
+    assert norm.value(_z2(0, 0)) == 0
+    assert norm.value(_z2(2, 0)) == Fraction(1, 4)  # |2|_2 = 1/2, halved
+    assert norm.value(_z2(0, 3)) == 3
+    assert norm.value(_z2(3, 0)) == Fraction(1, 2)  # |3|_2 = 1
 
 
 def test_z2_mixed_shear_invariance():
@@ -568,7 +683,7 @@ def test_z2_mixed_shear_invariance():
     norm = z2_mixed_norm(2)
     for _ in range(300):
         x, y = rng.randint(-500, 500), rng.randint(-500, 500)
-        assert norm.value((x + y, y)) == norm.value((x, y))
+        assert norm.value(_z2(x + y, y)) == norm.value(_z2(x, y))
 
 
 def test_z2_mixed_harness():
@@ -629,8 +744,9 @@ def test_shrink_ideal_dirac_exhausts(ring_z):
     dom = IdealPairDomain(q, box=64)
     dirac = NormEval(dom, lambda g: Fraction(0) if dom.is_identity(g) else Fraction(1))
     with pytest.raises(NoSmallVector) as info:
-        shrink_ideal(dirac, Fraction(1, 4), max_candidates=500)
-    assert info.value.candidates_tried == 500
+        shrink_ideal(dirac, Fraction(1, 4))
+    # every pair of the box max(|i|, |j|) <= 128 but the 257 with i = 0
+    assert info.value.candidates_tried == 65_792
 
 
 def test_pair_domain_refuses_the_zero_ideal(ring_z):
@@ -647,7 +763,7 @@ def test_sampler_sizes_may_be_zero(ring_z):
     # only a negative radius or box is refused
     rng = random.Random(0)
     assert MatrixGroupDomain(ring_z, 2, [elementary(ring_z, 2, 1, 2, 1)], 0).sample(rng) == identity(ring_z, 2)
-    assert z2_mixed_norm(2, box=0).domain.sample(rng) == (0, 0)
+    assert z2_mixed_norm(2, box=0).domain.sample(rng) == (ring_z.zero, ring_z.zero)
     assert padic_sup_norm(Ideal.of(ring_z, 2), 2, box=0).domain.sample(rng) == (ring_z.zero, ring_z.zero)
 
 
@@ -678,29 +794,13 @@ def test_harness_refuses_fewer_than_one_sample(samples):
         axiom_harness(z2_mixed_norm(2), samples)
 
 
-def test_element_p_abs(ring_z):
-    assert element_p_abs(ring_z.el(0), 2) == 0
-    assert element_p_abs(ring_z.el(12), 2) == Fraction(1, 4)
-    assert element_p_abs(ring_z.el(5), 2) == 1
-
-
 def test_z2_mixed_nondiscrete_and_unbounded_at_scale():
     # values 2^-k / 2 march to zero along (2^k, 0); values |y| grow along (0, y)
     norm = z2_mixed_norm(2)
-    values = [norm.value((2**k, 0)) for k in range(10)]
+    values = [norm.value(_z2(2**k, 0)) for k in range(10)]
     assert all(values[i + 1] < values[i] for i in range(9))
     assert values[-1] == Fraction(1, 1024)
-    assert norm.value((0, 10**6)) == 10**6
-
-
-def test_filtration_custom_value_sequence(ring_z):
-    dom = sl_domain(ring_z, 3)
-    q = Ideal.of(ring_z, 2)
-    vals = tuple(Fraction(1, 3**i) for i in range(6))
-    norm = filtration_norm(FiltrationChain(dom, q, cap=5, values=vals))
-    assert norm.value(elementary(ring_z, 3, 1, 2, 4)) == Fraction(1, 9)
-    with pytest.raises(CapAmbiguous):
-        norm.value(elementary(ring_z, 3, 1, 2, 2**40))
+    assert norm.value(_z2(0, 10**6)) == 10**6
 
 
 # -- value streams ---------------------------------------------------------------------------------

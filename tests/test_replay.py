@@ -18,8 +18,11 @@ from congwidth.errors import (
     NotSL,
     ReplayMismatch,
     TraceFormatError,
+    UnsupportedRing,
+    ZeroIdeal,
 )
-from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
+from congwidth.factorization import ElemFactor, ElemFactorization
+from congwidth.matrices import SqMatrix, conjugate, elementary, identity, is_central, mat_inv
 from congwidth.reduction import (
     APPEND,
     CONJUGATE,
@@ -123,6 +126,66 @@ def test_sl2_appended_letter_is_sigma_to_plus_or_minus_one():
     assert replay_trace(append(1)).output == sigma * sigma
     with pytest.raises(ReplayMismatch, match="step 1"):
         replay_trace(append(2))
+
+
+# -- budgets, checked when the trace is taken -----------------------------------------------
+
+
+def test_reduce_replay_refuses_a_tenth_step():
+    # ten conjugations by E21(2), each recorded with its correct result: the
+    # ledger stays at one letter, so only the step budget is exceeded
+    q = Ideal.of(Z, 2)
+    sigma = elementary(Z, 3, 1, 3, 2)
+    fac = ElemFactorization.of(Z, 3, (ElemFactor(2, 1, Z.el(2)),))
+    steps, g = [], sigma
+    for _ in range(10):
+        g = conjugate(g, fac.target)
+        steps.append(TraceStep(QOperation(CONJUGATE, fac.target, fac), g, 1, "affine.split.conj"))
+    text = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), tuple(steps), 0))
+    with pytest.raises(ReplayMismatch, match=r"^10 steps exceed the budget 9$"):
+        replay_trace(text)
+    # nine of them pass the budget and stop at the next invariant
+    nine = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), tuple(steps[:9]), 0))
+    with pytest.raises(ReplayMismatch, match="^stage affine used 9 operations$"):
+        replay_trace(nine)
+
+
+def test_sl2_replay_refuses_a_fifth_letter():
+    # sigma times four appended letters sigma: the word sigma^5 has five letters
+    q = Ideal.of(Z, 2)
+    sigma = SqMatrix.from_raw(Z, [[1, 2], [0, 1]])
+    steps = tuple(TraceStep(QOperation(APPEND, identity(Z, 2), None, 1), sigma ** (k + 1), k + 1, "sl2.square")
+                  for k in range(1, 5))
+    with pytest.raises(ReplayMismatch, match="^word length 5 exceeds 4$"):
+        replay_trace(serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps, 0)))
+    assert replay_trace(serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps[:3], 0))).word_length == 4
+
+
+# -- refusals of the reduction entry points ------------------------------------------------
+
+
+def test_reductions_refuse_the_zero_ideal():
+    zero = Ideal.of(Z, 0)
+    with pytest.raises(ZeroIdeal, match="^reduction ideal must be nonzero$"):
+        reduce_full(elementary(Z, 3, 1, 3, 2), zero, (1, 2))
+    with pytest.raises(ZeroIdeal, match="^reduction ideal must be nonzero$"):
+        sl2_unit_reduction(elementary(Z, 2, 1, 2, 2), zero, "E12")
+
+
+def test_the_unit_shortcut_is_for_dimension_two():
+    with pytest.raises(UnsupportedRing, match="dimension-2"):
+        sl2_unit_reduction(elementary(Z, 3, 1, 3, 2), Ideal.of(Z, 2), "E12")
+
+
+@pytest.mark.parametrize("target", [(1, 1), (0, 2), (1, 4)])
+def test_reduce_full_refuses_a_bad_target(target):
+    with pytest.raises(ValueError, match=rf"^bad target \({target[0]}, {target[1]}\)$"):
+        reduce_full(elementary(Z, 3, 1, 3, 2), Ideal.of(Z, 2), target)
+
+
+def test_sl2_unit_reduction_refuses_a_bad_side():
+    with pytest.raises(ValueError, match="^side must be 'E12' or 'E21'$"):
+        sl2_unit_reduction(elementary(Z, 2, 1, 2, 2), Ideal.of(Z, 2), "E13")
 
 
 # -- malformed files ------------------------------------------------------------------
