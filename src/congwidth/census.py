@@ -11,8 +11,12 @@ its elements' matrices and a code -> index array, and multiplies broadcast
 index arrays through them; every search over a group is a closure_bfs whose
 step maps a frontier of indices (or, for sum sets, codes) to its neighbours.
 Each table also keeps, once per ideal q, the targets E_ij(q), the elementary
-subgroup E(q) and a table of conjugation by E(q), so a width census does no
-per-sigma set-up.  A SqMatrix enters a table through idx and leaves through element.
+subgroup E(q), a table of conjugation by E(q) and the E(q)-classes it sorts
+the group into, so a width census does no per-sigma set-up.  Both width
+searches commute with conjugation by E(q): each step moves over classes, not
+over E(q), and a census searches once per class.  The product table is built
+along the enumeration tree, one gathered row per element.  A SqMatrix enters
+a table through idx and leaves through element.
 """
 
 from __future__ import annotations
@@ -101,11 +105,18 @@ def _decode(codes: np.ndarray, m: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CongruenceContext:
-    """The sigma-independent data of a width census over one ideal q."""
+    """The sigma-independent data of a width census over one ideal q.
 
-    targets: dict  # (i, j) -> indices of the nontrivial elements of E_ij(q)
+    The E(q)-class of g is the column conj[:, g] as a set.  Classes are
+    numbered by their least member; members[cls[g]] lists g's class in index
+    order, padded to a common width by repeating its last member.
+    """
+
+    targets: np.ndarray  # one row per (i, j), i != j, in sorted order: the nontrivial elements of E_ij(q)
     esub: np.ndarray  # indices of E(q), the group the targets generate
     conj: np.ndarray  # conj[e, g]: int32 index of s g s^-1, for s = esub[e]
+    cls: np.ndarray  # class number of every element
+    members: np.ndarray  # one row per class: its members, padded
 
 
 @dataclass
@@ -126,6 +137,7 @@ class FiniteGroupTable:
     center: list[int] = field(repr=False)
     mats: np.ndarray = field(repr=False)
     code_index: np.ndarray = field(repr=False)
+    tree: np.ndarray = field(repr=False)  # tree[a]: int32 indices of a parent and a generator whose product is a
     _mul: np.ndarray | None = field(default=None, repr=False)
     _elements: list[SqMatrix] | None = field(default=None, repr=False)
     _congruence: dict = field(default_factory=dict, repr=False)
@@ -152,7 +164,13 @@ class FiniteGroupTable:
             size = len(self)
             if size * size > _TABLE_ENTRY_CAP:
                 raise BudgetExceeded(f"product table of {size}^2 entries over the cap of {_TABLE_ENTRY_CAP}")
-            self._mul = self.product(np.arange(size)[:, None], np.arange(size))
+            # row a is a x = parent (gen x), along the enumeration tree: parents come first
+            mul = np.empty((size, size), dtype=np.int32)
+            gens = np.flatnonzero(self.tree[:, 0] == 0)  # the identity's children: itself and the generators
+            mul[gens] = self.product(gens[:, None], np.arange(size))
+            for a, (parent, gen) in enumerate(self.tree.tolist()):
+                np.take(mul[parent], mul[gen], out=mul[a])
+            self._mul = mul
         return self._mul
 
     def element(self, k: int) -> SqMatrix:
@@ -203,12 +221,18 @@ class FiniteGroupTable:
         if ctx is None:
             if ideal.is_zero:
                 raise ZeroIdeal("width census needs a nonzero ideal")
-            targets = {p: np.array(self.target_elementaries(*p, ideal), dtype=np.int64)
-                       for p in permutations(range(1, self.n + 1), 2)}
+            pairs = permutations(range(1, self.n + 1), 2)
+            targets = np.array([self.target_elementaries(*p, ideal) for p in pairs], dtype=np.int64)
             # E(q): the closure of every nontrivial elementary matrix in q
-            esub = np.flatnonzero(self.word_distances(np.concatenate(list(targets.values()))) >= 0)
+            esub = np.flatnonzero(self.word_distances(targets.ravel()) >= 0)
             conj = self.mul[self.mul[esub], self.inv[esub][:, None]]
-            ctx = self._congruence[ideal.canonical] = CongruenceContext(targets, esub, conj)
+            least = conj.min(axis=0)  # of each element's class
+            cls = (np.cumsum(least == np.arange(len(self))) - 1)[least]
+            counts = np.bincount(cls)
+            start = np.cumsum(counts) - counts
+            pad = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+            members = np.argsort(cls, kind="stable").astype(np.int32)[start[:, None] + pad]
+            ctx = self._congruence[ideal.canonical] = CongruenceContext(targets, esub, conj, cls, members)
         return ctx
 
 
@@ -244,6 +268,7 @@ def _enumerate_sl(n: int, ring: RingSpec, expected: int) -> FiniteGroupTable:
 
     mats = np.empty((expected, n, n), dtype=np.int64)
     invs = np.empty_like(mats)
+    tree = np.zeros((expected, 2), dtype=np.int32)
     code_index = np.full(m ** (n * n), -1, dtype=np.int32)
     mats[0] = invs[0] = eye
     code_index[_encode(eye, m)] = 0
@@ -259,14 +284,16 @@ def _enumerate_sl(n: int, ring: RingSpec, expected: int) -> FiniteGroupTable:
         parent, gen = np.divmod(new, len(gens))
         mats[size:size + new.size] = prods[new]
         invs[size:size + new.size] = gens_inv[gen] @ invs[lo + parent] % m
+        tree[size:size + new.size] = np.column_stack((lo + parent, gen))
         code_index[codes[new]] = np.arange(size, size + new.size)
         size += new.size
         lo = hi
 
     assert size == expected, f"closure found {size} elements, formula gives {expected}"
     inv = code_index[_encode(invs, m)]
+    tree[1:, 1] = code_index[_encode(gens, m)][tree[1:, 1]]
     center = np.flatnonzero((mats == mats[:, :1, :1] * eye).all(axis=(1, 2))).tolist()
-    return FiniteGroupTable(ring, n, inv, center, mats, code_index)
+    return FiniteGroupTable(ring, n, inv, center, mats, code_index, tree)
 
 
 @dataclass(frozen=True)
@@ -288,47 +315,66 @@ def width_bfs(table: FiniteGroupTable, sigma: SqMatrix | int, ideal: Ideal) -> d
       nontrivial element of E_ij(ideal);
     - minimum word length over conjugates of sigma^{±1} reaching the same set.
 
-    The targets, E(q) and its conjugation table come from the table's
-    congruence context, built once per ideal; per sigma, only the two
-    searches run.  A sigma outside the table raises NotInGroup.
+    The targets, E(q) and its classes come from the table's congruence
+    context, built once per ideal; per sigma, only the two searches run.
+    A sigma outside the table raises NotInGroup.
     """
     sidx = table.idx(sigma)
     if sidx in table.center:
         raise CentralInput("width census needs a non-central element")
     cong = table.congruence(ideal)
+    ops, word = (_least(dist[cong.targets]).tolist() for dist in _searches(table, cong, sidx))
+    pairs = permutations(range(1, table.n + 1), 2)
+    return {p: WidthResult(p, None if o < 0 else o, None if w < 0 else w) for p, o, w in zip(pairs, ops, word)}
 
-    mul, inv, conj = table.mul, table.inv, cong.conj
+
+def _searches(table: FiniteGroupTable, cong: CongruenceContext, sidx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Operation and word distances from sigma, each search stepping over E(q)-classes."""
+    mul, inv, cls, members = table.mul, table.inv, cong.cls, cong.members
 
     def operations(f):
-        # s g s^-1, [g, s] = g (s g^-1 s^-1) and [s, g] = (s g s^-1) g^-1
-        gi, c = inv[f], conj[:, f]
-        return np.stack((c, mul[f, conj[:, gi]], mul[c, gi]))
+        # the s f s^-1 are f's class; [s, f] = (s f s^-1) f^-1 and [f, s] = [s, f]^-1
+        c = members[cls[f]]
+        comm = mul[c, inv[f][:, None]]
+        return np.stack((c, comm, inv[comm]))
 
-    # operation count from sigma over the q-operation graph
-    dist_ops = closure_bfs(operations, [sidx], len(table))
-    # word length over the conjugates of sigma^{±1}
+    # operation count from sigma over the q-operation graph, and word length
+    # over the conjugates of sigma^{±1}
     letters = np.zeros(len(table), dtype=bool)
-    letters[conj[:, [sidx, inv[sidx]]]] = True
-    dist_word = table.word_distances(letters.nonzero()[0])
-
-    results = {}
-    for p, t in cong.targets.items():
-        ops, word = dist_ops[t], dist_word[t]
-        results[p] = WidthResult(p, _least(ops[ops >= 0]), _least(word[word > 0]))
-    return results
+    letters[members[cls[[sidx, inv[sidx]]]]] = True
+    return closure_bfs(operations, [sidx], len(table)), table.word_distances(np.flatnonzero(letters))
 
 
-def _least(dist: np.ndarray) -> int | None:
-    return int(dist.min()) if dist.size else None
+def _least(dist: np.ndarray) -> np.ndarray:
+    """Least non-negative int32 distance along the last axis, -1 where none is.
+
+    Read as unsigned, -1 is the largest value.  A target is never the
+    identity, so its word distance is never 0.
+    """
+    return dist.view(np.uint32).min(axis=-1).view(np.int32)
 
 
 def width_census_csv(table: FiniteGroupTable, ideal: Ideal) -> str:
     """CSV census over every non-central element and every target.
 
-    Unreachable targets (the generated subgroup misses the elementary group
-    entirely, possible in dimension 2) appear as "unreachable" rows and are
-    counted separately in the summary.
+    Both searches commute with conjugation by E(q), so they run once per
+    non-central E(q)-class, from its least member r.  A member g = t r t^-1
+    shares r's word minima, and its distance to a target x is r's distance
+    to t^-1 x t.  Unreachable targets (the generated subgroup misses the
+    elementary group entirely, possible in dimension 2) appear as
+    "unreachable" rows and are counted separately in the summary.
     """
+    cong = table.congruence(ideal)
+    minima = np.full((2, len(table), len(cong.targets)), -1)  # min_ops and min_len by element and target; -1: none
+    for r in cong.members[:, 0].tolist():
+        if r in table.center:
+            continue
+        dist_ops, dist_word = _searches(table, cong, r)
+        # each member g = t r t^-1, t at g's first occurrence in conj[:, r], and the position of t^-1 in E(q)
+        group, first = np.unique(cong.conj[:, r], return_index=True)
+        back = np.searchsorted(cong.esub, table.inv[cong.esub[first]])
+        minima[0, group] = _least(dist_ops[cong.conj[back[:, None, None], cong.targets]])
+        minima[1, group] = _least(dist_word[cong.targets])
     lines = ["sigma_index,min_ops,min_len,target"]
     all_ops = []
     all_words = []
@@ -336,16 +382,14 @@ def width_census_csv(table: FiniteGroupTable, ideal: Ideal) -> str:
     for k in range(len(table)):
         if k in table.center:
             continue
-        res = width_bfs(table, k, ideal)
-        for (i, j) in sorted(res):
-            r = res[(i, j)]
-            if r.unreachable:
+        for (i, j), ops, word in zip(permutations(range(1, table.n + 1), 2), *minima[:, k].tolist()):
+            if ops < 0 or word < 0:
                 unreachable += 1
                 lines.append(f"{k},unreachable,unreachable,{i}{j}")
                 continue
-            lines.append(f"{k},{r.min_ops},{r.min_word},{i}{j}")
-            all_ops.append(r.min_ops)
-            all_words.append(r.min_word)
+            lines.append(f"{k},{ops},{word},{i}{j}")
+            all_ops.append(ops)
+            all_words.append(word)
     lines.append("summary {")
     lines.append(f"  group_order={len(table)}")
     lines.append(f"  noncentral={len(table) - len(table.center)}")
