@@ -13,10 +13,10 @@ step maps a frontier of indices (or, for sum sets, codes) to its neighbours.
 Each table also keeps, once per ideal q, the targets E_ij(q), the elementary
 subgroup E(q), a table of conjugation by E(q) and the E(q)-classes it sorts
 the group into, so a width census does no per-sigma set-up.  Both width
-searches commute with conjugation by E(q): each step moves over classes, not
-over E(q), and a census searches once per class.  The product table is built
-along the enumeration tree, one gathered row per element.  A SqMatrix enters
-a table through idx and leaves through element.
+searches commute with conjugation by E(q), so each step moves over classes,
+not over the elements of E(q).  The product table is built along the
+enumeration tree, one gathered row per element.  A SqMatrix enters a table
+through idx and leaves through element.
 """
 
 from __future__ import annotations
@@ -316,20 +316,13 @@ def width_bfs(table: FiniteGroupTable, sigma: SqMatrix | int, ideal: Ideal) -> d
     - minimum word length over conjugates of sigma^{±1} reaching the same set.
 
     The targets, E(q) and its classes come from the table's congruence
-    context, built once per ideal; per sigma, only the two searches run.
-    A sigma outside the table raises NotInGroup.
+    context, built once per ideal; per sigma, only the two searches run, and
+    each steps over E(q)-classes.  A sigma outside the table raises NotInGroup.
     """
     sidx = table.idx(sigma)
     if sidx in table.center:
         raise CentralInput("width census needs a non-central element")
     cong = table.congruence(ideal)
-    ops, word = (_least(dist[cong.targets]).tolist() for dist in _searches(table, cong, sidx))
-    pairs = permutations(range(1, table.n + 1), 2)
-    return {p: WidthResult(p, None if o < 0 else o, None if w < 0 else w) for p, o, w in zip(pairs, ops, word)}
-
-
-def _searches(table: FiniteGroupTable, cong: CongruenceContext, sidx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Operation and word distances from sigma, each search stepping over E(q)-classes."""
     mul, inv, cls, members = table.mul, table.inv, cong.cls, cong.members
 
     def operations(f):
@@ -338,11 +331,16 @@ def _searches(table: FiniteGroupTable, cong: CongruenceContext, sidx: int) -> tu
         comm = mul[c, inv[f][:, None]]
         return np.stack((c, comm, inv[comm]))
 
-    # operation count from sigma over the q-operation graph, and word length
-    # over the conjugates of sigma^{±1}
+    # operation count from sigma over the q-operation graph
+    dist_ops = closure_bfs(operations, [sidx], len(table))
+    # word length over the conjugates of sigma^{±1}
     letters = np.zeros(len(table), dtype=bool)
     letters[members[cls[[sidx, inv[sidx]]]]] = True
-    return closure_bfs(operations, [sidx], len(table)), table.word_distances(np.flatnonzero(letters))
+    dist_word = table.word_distances(np.flatnonzero(letters))
+
+    ops, word = (_least(dist[cong.targets]).tolist() for dist in (dist_ops, dist_word))
+    pairs = permutations(range(1, table.n + 1), 2)
+    return {p: WidthResult(p, None if o < 0 else o, None if w < 0 else w) for p, o, w in zip(pairs, ops, word)}
 
 
 def _least(dist: np.ndarray) -> np.ndarray:
@@ -357,24 +355,10 @@ def _least(dist: np.ndarray) -> np.ndarray:
 def width_census_csv(table: FiniteGroupTable, ideal: Ideal) -> str:
     """CSV census over every non-central element and every target.
 
-    Both searches commute with conjugation by E(q), so they run once per
-    non-central E(q)-class, from its least member r.  A member g = t r t^-1
-    shares r's word minima, and its distance to a target x is r's distance
-    to t^-1 x t.  Unreachable targets (the generated subgroup misses the
-    elementary group entirely, possible in dimension 2) appear as
-    "unreachable" rows and are counted separately in the summary.
+    Unreachable targets (the generated subgroup misses the elementary group
+    entirely, possible in dimension 2) appear as "unreachable" rows and are
+    counted separately in the summary.
     """
-    cong = table.congruence(ideal)
-    minima = np.full((2, len(table), len(cong.targets)), -1)  # min_ops and min_len by element and target; -1: none
-    for r in cong.members[:, 0].tolist():
-        if r in table.center:
-            continue
-        dist_ops, dist_word = _searches(table, cong, r)
-        # each member g = t r t^-1, t at g's first occurrence in conj[:, r], and the position of t^-1 in E(q)
-        group, first = np.unique(cong.conj[:, r], return_index=True)
-        back = np.searchsorted(cong.esub, table.inv[cong.esub[first]])
-        minima[0, group] = _least(dist_ops[cong.conj[back[:, None, None], cong.targets]])
-        minima[1, group] = _least(dist_word[cong.targets])
     lines = ["sigma_index,min_ops,min_len,target"]
     all_ops = []
     all_words = []
@@ -382,14 +366,16 @@ def width_census_csv(table: FiniteGroupTable, ideal: Ideal) -> str:
     for k in range(len(table)):
         if k in table.center:
             continue
-        for (i, j), ops, word in zip(permutations(range(1, table.n + 1), 2), *minima[:, k].tolist()):
-            if ops < 0 or word < 0:
+        res = width_bfs(table, k, ideal)
+        for (i, j) in sorted(res):
+            r = res[(i, j)]
+            if r.unreachable:
                 unreachable += 1
                 lines.append(f"{k},unreachable,unreachable,{i}{j}")
                 continue
-            lines.append(f"{k},{ops},{word},{i}{j}")
-            all_ops.append(ops)
-            all_words.append(word)
+            lines.append(f"{k},{r.min_ops},{r.min_word},{i}{j}")
+            all_ops.append(r.min_ops)
+            all_words.append(r.min_word)
     lines.append("summary {")
     lines.append(f"  group_order={len(table)}")
     lines.append(f"  noncentral={len(table) - len(table.center)}")
