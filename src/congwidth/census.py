@@ -10,13 +10,13 @@ residues, coded by its entries read as base-m digits.  A group table holds
 its elements' matrices and a code -> index array, and multiplies broadcast
 index arrays through them; every search over a group is a closure_bfs whose
 step maps a frontier of indices (or, for sum sets, codes) to its neighbours.
-Each table also keeps, once per ideal q, the targets E_ij(q), the elementary
-subgroup E(q), a table of conjugation by E(q) and the E(q)-classes it sorts
-the group into, so a width census does no per-sigma set-up.  Both width
-searches commute with conjugation by E(q), so each step moves over classes,
-not over the elements of E(q).  The product table is built along the
-enumeration tree, one gathered row per element.  A SqMatrix enters a table
-through idx and leaves through element.
+Each table also keeps, once per ideal q, the targets E_ij(q) and the
+E(q)-classes of the group, each closed from its least member under
+conjugation by the targets (they generate E(q)), so a width census does no
+per-sigma set-up.  Both width searches commute with conjugation by E(q), so
+each step moves over classes, not over the elements of E(q).  The product
+table is built along the enumeration tree, one gathered row per element.  A
+SqMatrix enters a table through idx and leaves through element.
 """
 
 from __future__ import annotations
@@ -107,14 +107,14 @@ def _decode(codes: np.ndarray, m: int, n: int) -> np.ndarray:
 class CongruenceContext:
     """The sigma-independent data of a width census over one ideal q.
 
-    The E(q)-class of g is the column conj[:, g] as a set.  Classes are
-    numbered by their least member; members[cls[g]] lists g's class in index
-    order, padded to a common width by repeating its last member.
+    The E(q)-class of g is {s g s^-1 : s in E(q)}, the closure of g under
+    conjugation by the targets, which generate E(q).  Classes are numbered
+    by their least member; members[cls[g]] lists g's class in index order,
+    padded to a common width by repeating its last member.  With q = (1),
+    E(q) is all of SL_n and the classes are its conjugacy classes.
     """
 
     targets: np.ndarray  # one row per (i, j), i != j, in sorted order: the nontrivial elements of E_ij(q)
-    esub: np.ndarray  # indices of E(q), the group the targets generate
-    conj: np.ndarray  # conj[e, g]: int32 index of s g s^-1, for s = esub[e]
     cls: np.ndarray  # class number of every element
     members: np.ndarray  # one row per class: its members, padded
 
@@ -216,23 +216,26 @@ class FiniteGroupTable:
         return self.code_index[eye + place * np.array(residues, dtype=np.int64)].tolist()
 
     def congruence(self, ideal: Ideal) -> CongruenceContext:
-        """Targets, E(q) and conjugation by E(q), built once per nonzero ideal q."""
+        """Targets and E(q)-classes, built once per nonzero ideal q: one
+        closure_bfs per class under conjugation by the targets."""
         ctx = self._congruence.get(ideal.canonical)
         if ctx is None:
             if ideal.is_zero:
                 raise ZeroIdeal("width census needs a nonzero ideal")
             pairs = permutations(range(1, self.n + 1), 2)
             targets = np.array([self.target_elementaries(*p, ideal) for p in pairs], dtype=np.int64)
-            # E(q): the closure of every nontrivial elementary matrix in q
-            esub = np.flatnonzero(self.word_distances(targets.ravel()) >= 0)
-            conj = self.mul[self.mul[esub], self.inv[esub][:, None]]
-            least = conj.min(axis=0)  # of each element's class
-            cls = (np.cumsum(least == np.arange(len(self))) - 1)[least]
+            # the targets generate E(q), so a class is the closure of any member
+            # under conjugation by them; each closure starts at the least unclassed element
+            t = targets.ravel()
+            tconj = self.mul[self.mul[t], self.inv[t][:, None]]  # tconj[k, g]: t_k g t_k^-1
+            cls = np.full(len(self), -1)
+            while (unclassed := np.flatnonzero(cls < 0)).size:
+                cls[closure_bfs(lambda f: tconj[:, f], unclassed[:1], len(self)) >= 0] = cls.max() + 1
             counts = np.bincount(cls)
             start = np.cumsum(counts) - counts
             pad = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
             members = np.argsort(cls, kind="stable").astype(np.int32)[start[:, None] + pad]
-            ctx = self._congruence[ideal.canonical] = CongruenceContext(targets, esub, conj, cls, members)
+            ctx = self._congruence[ideal.canonical] = CongruenceContext(targets, cls, members)
         return ctx
 
 
@@ -315,7 +318,7 @@ def width_bfs(table: FiniteGroupTable, sigma: SqMatrix | int, ideal: Ideal) -> d
       nontrivial element of E_ij(ideal);
     - minimum word length over conjugates of sigma^{±1} reaching the same set.
 
-    The targets, E(q) and its classes come from the table's congruence
+    The targets and the E(q)-classes come from the table's congruence
     context, built once per ideal; per sigma, only the two searches run, and
     each steps over E(q)-classes.  A sigma outside the table raises NotInGroup.
     """

@@ -296,27 +296,6 @@ def congruence_level(g: SqMatrix, ideal: Ideal, cap: int = 64) -> CongruenceDatu
     return CongruenceDatum(ideal, None, False)
 
 
-def embed_affine(gamma: SqMatrix, v, side: str, n: int) -> SqMatrix:
-    """Block embedding of (gamma, v) into dimension n.
-
-    side="column": [[gamma, v], [0, 1]]; side="row": [[1, v^T], [0, gamma]].
-    """
-    if gamma.n != n - 1:
-        raise DimensionMismatch(f"gamma must have dimension {n - 1}")
-    ring = gamma.ring
-    v = [ring.el(x).payload for x in v]
-    if len(v) != n - 1:
-        raise DimensionMismatch(f"v must have {n - 1} entries")
-    zero, one = ring.kernel.zero, ring.kernel.one
-    if side == "column":
-        rows = [r + (x,) for r, x in zip(gamma.payload, v)] + [(zero,) * (n - 1) + (one,)]
-    elif side == "row":
-        rows = [(one, *v)] + [(zero,) + r for r in gamma.payload]
-    else:
-        raise ValueError("side must be 'column' or 'row'")
-    return SqMatrix(ring, n, payload=rows)
-
-
 # -- text format ----------------------------------------------------------------
 
 

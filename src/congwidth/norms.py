@@ -30,6 +30,7 @@ from .errors import (
     InnerUnbounded,
     NoSmallVector,
     NotCentral,
+    TrivialInput,
     UnsupportedRing,
     ZeroIdeal,
 )
@@ -231,15 +232,17 @@ def singular_extension(inner: NormEval, ambient, member) -> NormEval:
 
     Requires inner bounded by 1 (checked on 64 seeded samples at
     construction and again on every evaluation) and invariance of inner
-    under ambient conjugation (checked on the same samples).
+    under ambient conjugation (checked on the same samples).  Samples that
+    are all the identity check nothing and raise TrivialInput.
     """
     rng = random.Random(0)
-    for _ in range(64):
-        n = inner.domain.sample(rng)
+    samples = [(inner.domain.sample(rng), ambient.sample(rng)) for _ in range(64)]
+    if all(inner.domain.is_identity(n) for n, _ in samples):
+        raise TrivialInput("singular extension: no check sample is off the identity")
+    for n, h in samples:
         v = inner.value(n)
         if v > 1:
             raise InnerUnbounded(f"inner norm value {v} exceeds 1")
-        h = ambient.sample(rng)
         conj = ambient.mul(ambient.mul(h, n), ambient.inv(h))
         if member(conj) and inner.value(conj) != v:
             raise InnerUnbounded("inner norm is not invariant under ambient conjugation")
@@ -258,15 +261,17 @@ def singular_extension(inner: NormEval, ambient, member) -> NormEval:
 def quotient_norm(norm: NormEval, central: list) -> NormEval:
     """min over the central coset: a norm on the quotient group.
 
-    Centrality is checked against 32 seeded samples per element of central.
+    Centrality is checked against 32 seeded samples per element of central;
+    samples that are all the identity check nothing and raise TrivialInput.
     """
     dom = norm.domain
     rng = random.Random(0)
-    for a in central:
-        for _ in range(32):
-            s = dom.sample(rng)
-            if dom.mul(s, a) != dom.mul(a, s):
-                raise NotCentral("supplied subgroup is not central")
+    samples = [(a, dom.sample(rng)) for a in central for _ in range(32)]
+    if all(dom.is_identity(s) for _, s in samples):
+        raise TrivialInput("quotient: no check sample is off the identity")
+    for a, s in samples:
+        if dom.mul(s, a) != dom.mul(a, s):
+            raise NotCentral("supplied subgroup is not central")
 
     def fn(g):
         return min(norm.value(dom.mul(g, a)) for a in central)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from collections import deque
 from itertools import permutations
 
@@ -264,6 +265,20 @@ def sl3_z3():
     return census._enumerate_sl.__wrapped__(3, ring, sl_order(3, ring))
 
 
+def test_congruence_context_on_sl3_z3_stays_small(sl3_z3):
+    # no |E(q)| x |G| table: the classes need a small fraction of mul's 126 MB
+    ring = RingSpec.integers_mod(3)
+    sl3_z3.mul
+    table = dataclasses.replace(sl3_z3, _congruence={})
+    tracemalloc.start()
+    try:
+        table.congruence(Ideal.of(ring, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_product_table_rows_on_sl3_z3(sl3_z3):
     rows = np.sort(np.random.default_rng(23).choice(len(sl3_z3), 200, replace=False))
     expected = sl3_z3.product(rows[:, None], np.arange(len(sl3_z3)))
@@ -439,17 +454,6 @@ def test_idx_accepts_elements_and_indices(sl2_f3):
         assert type(sl2_f3.idx(np.int32(k))) is int
 
 
-@pytest.mark.parametrize("n, m, q", [(2, 4, 2), (3, 2, 1), (2, 8, 2)])
-def test_conjugation_table_matches_matrix_products(n, m, q):
-    ring = RingSpec.integers_mod(m)
-    table = enumerate_sl(n, ring)
-    cong = table.congruence(Ideal.of(ring, q))
-    assert cong.conj.dtype == np.int32 and cong.conj.shape == (len(cong.esub), len(table))
-    for e, s in enumerate(cong.esub):
-        gs, gs_inv = table.elements[s], mat_inv(table.elements[s])
-        assert cong.conj[e].tolist() == [table.idx(gs * g * gs_inv) for g in table.elements]
-
-
 def test_congruence_context_is_keyed_by_the_ideal():
     ring = RingSpec.integers_mod(8)
     table = dataclasses.replace(enumerate_sl(2, ring), _congruence={})
@@ -472,9 +476,10 @@ def test_congruence_context_is_keyed_by_the_ideal():
 
 
 def test_census_builds_each_congruence_context_once(monkeypatch):
-    # one census over SL_2(Z/8) with q = (2) builds each target set once and
-    # runs one E(q) closure; per sigma only the operation and word searches
+    # over SL_2(Z/8) with q = (2), the context makes one closure per E(q)-class;
+    # the census then reuses it and runs only the operation and word searches
     ring = RingSpec.integers_mod(8)
+    ideal = Ideal.of(ring, 2)
     table = dataclasses.replace(enumerate_sl(2, ring), _congruence={})
     calls = {"targets": 0, "closure": 0}
     target_elementaries = census.FiniteGroupTable.target_elementaries
@@ -490,10 +495,12 @@ def test_census_builds_each_congruence_context_once(monkeypatch):
 
     monkeypatch.setattr(census.FiniteGroupTable, "target_elementaries", counted_targets)
     monkeypatch.setattr(census, "closure_bfs", counted_closure)
-    width_census_csv(table, Ideal.of(ring, 2))
+    cong = table.congruence(ideal)
+    assert calls == {"targets": 2, "closure": len(cong.members)}
+    calls.update(targets=0, closure=0)
+    width_census_csv(table, ideal)
     noncentral = len(table) - len(table.center)
-    assert calls["targets"] <= 2
-    assert calls["closure"] == 1 + 2 * noncentral
+    assert calls == {"targets": 0, "closure": 2 * noncentral}
 
 
 def test_table_cache_evicts_the_least_recently_used():
@@ -575,12 +582,19 @@ def test_enumeration_and_census_build_no_matrices(monkeypatch):
 # -- E(q)-classes ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, m, q", [(3, 2, 1), (2, 8, 2), (2, 8, 4), (2, 9, 3)])
+@pytest.mark.parametrize("n, m, q", [(3, 2, 1), (2, 8, 2), (2, 8, 4), (2, 9, 3), (2, 16, 8)])
 def test_class_layer_matches_the_orbits(n, m, q):
+    # orbits under all of E(q), the closure of the target elementaries: the
+    # context closes each class under the targets alone
     ring = RingSpec.integers_mod(m)
-    table = enumerate_sl(n, ring)
-    cong = table.congruence(Ideal.of(ring, q))
-    esub = [(table.element(s), mat_inv(table.element(s))) for s in cong.esub.tolist()]
+    table, ideal = enumerate_sl(n, ring), Ideal.of(ring, q)
+    cong = table.congruence(ideal)
+    gens = [elementary(ring, n, i, j, a) for i, j in permutations(range(1, n + 1), 2)
+            for a in ring.residues() if not a.is_zero and ideal.contains(a)]
+    group = frontier = {identity(ring, n)}
+    while frontier := {g * s for g in frontier for s in gens} - group:
+        group = group | frontier
+    esub = [(s, mat_inv(s)) for s in group]
     orbits, seen = [], set()
     for g in range(len(table)):  # the least unseen element starts the next orbit
         if g not in seen:

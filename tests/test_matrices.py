@@ -14,7 +14,6 @@ from congwidth.matrices import (
     conjugate,
     determinant,
     elementary,
-    embed_affine,
     format_matrix,
     identity,
     in_congruence_subgroup,
@@ -208,7 +207,7 @@ def test_block_commutator_instance(ring_z):
     x = identity(ring_z, 2)
     y = elementary(ring_z, 2, 1, 2, 1)
     g = SqMatrix.from_raw(ring_z, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    h = embed_affine(y, [0, 0], "row", n)
+    h = SqMatrix.from_raw(ring_z, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
     got = commutator(g, h)
     # expected top-right block: (v y - v)(y x)^-1, bottom block [x, y] = I
     vy = [sum((v[k] * y.rows[k][c] for k in range(2)), ring_z.zero) for c in range(2)]
@@ -352,21 +351,6 @@ def test_central_iff_scalar_exhaustive(sl2_f3):
     group = sl2_f3.elements
     for g in group:
         assert is_central(g) == all(g * h == h * g for h in group)
-
-
-def test_embed_affine_examples(ring_z):
-    assert embed_affine(identity(ring_z, 2), [0, 0], "column", 3) == identity(ring_z, 3)
-    got = embed_affine(identity(ring_z, 2), [1, 0], "column", 3)
-    assert got == elementary(ring_z, 3, 1, 3, 1)
-    rng = random.Random(8)
-    for _ in range(10):
-        gamma = identity(ring_z, 2)
-        for _ in range(5):
-            i, j = rng.sample([1, 2], 2)
-            gamma = gamma * elementary(ring_z, 2, i, j, rng.randint(-3, 3))
-        v = [rng.randint(-5, 5), rng.randint(-5, 5)]
-        for side in ("column", "row"):
-            assert determinant(embed_affine(gamma, v, side, 3)) == ring_z.one
 
 
 def test_text_format_round_trip():

@@ -13,6 +13,7 @@ from congwidth.errors import (
     InnerUnbounded,
     NoSmallVector,
     NotCentral,
+    TrivialInput,
     UnsupportedRing,
     ZeroIdeal,
 )
@@ -410,13 +411,10 @@ def test_singular_extension_refuses_an_inner_value_above_one(ring_z):
     doubled = NormEval(gamma_domain(ring_z, 3, 2), value=lambda g: 2 * Fraction(not g.is_identity))
     with pytest.raises(InnerUnbounded, match="^inner norm value 2 exceeds 1$"):
         singular_extension(doubled, sl_domain(ring_z, 3), member)
-    # a domain of radius 0 samples only the identity: the construction's
-    # checks pass, and the first value off the identity is refused
+    # a domain of radius 0 samples only the identity, which checks nothing
     blind = NormEval(gamma_domain(ring_z, 3, 2, radius=0), value=doubled.value)
-    norm = singular_extension(blind, sl_domain(ring_z, 3), member)
-    assert norm.value(elementary(ring_z, 3, 1, 2, 1)) == 1  # outside the subgroup
-    with pytest.raises(InnerUnbounded, match="^inner norm value 2 exceeds 1$"):
-        norm.value(elementary(ring_z, 3, 1, 2, 2))
+    with pytest.raises(TrivialInput, match="^singular extension: no check sample is off the identity$"):
+        singular_extension(blind, sl_domain(ring_z, 3), member)
 
 
 def test_singular_extension_refuses_a_non_invariant_inner_norm(sl2_z4, ring_z4):
@@ -491,6 +489,10 @@ def test_quotient_rejects_noncentral(ring_z):
     base = filtration_norm(FiltrationChain(dom, q))
     with pytest.raises(NotCentral):
         quotient_norm(base, [elementary(ring_z, 2, 1, 2, 1)])
+    # a domain of radius 0 samples only the identity, which commutes with anything
+    blind = NormEval(sl_domain(ring_z, 2, radius=0), value=base.value)
+    with pytest.raises(TrivialInput, match="^quotient: no check sample is off the identity$"):
+        quotient_norm(blind, [elementary(ring_z, 2, 1, 2, 1)])
 
 
 # -- average ------------------------------------------------------------------------------
