@@ -14,7 +14,7 @@ Indices are 1-based throughout the public API and the text formats, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 from .errors import (
     BadIndices,
@@ -46,6 +46,12 @@ class SqMatrix:
         if len(payload) != self.n or not all(map(self.n.__eq__, map(len, payload))):
             raise DimensionMismatch("ragged matrix")
         object.__setattr__(self, "payload", payload)
+
+    @staticmethod
+    def _of(ring: RingSpec, n: int, payload: tuple) -> "SqMatrix":
+        """Unchecked: for kernel outputs, already n tuples of n canonical payloads."""
+        (m := object.__new__(SqMatrix)).__dict__.update(ring=ring, n=n, payload=payload)
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -82,7 +88,7 @@ class SqMatrix:
 
     def __mul__(self, other: "SqMatrix") -> "SqMatrix":
         self._check(other)
-        return SqMatrix(self.ring, self.n, payload=_mul_rows(self.ring.kernel, self.payload, other.payload))
+        return SqMatrix._of(self.ring, self.n, _mul_rows(self.ring.kernel, self.payload, other.payload))
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
         self._check(other)
@@ -154,12 +160,61 @@ def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
 # Products, determinants, inverses and elementary row and column operations
 # on payload rows, combined by the ring's kernel.  _add_row and _add_col
 # work in place on lists of row lists.  Indices here are 0-based.
+# Up to KERNEL_MAX, straight-line code built once per n from n alone (as
+# dataclasses builds __init__) does the loops' row-by-column sums and
+# first-row cofactor expansion, each minor formed once.  That code grows
+# combinatorially with n, so larger n keep the loops.
+
+KERNEL_MAX = 4
 
 
-def _mul_rows(k, a, b) -> list[list]:
+def _tup(items) -> str:
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+def _compile(ops: str, mats: str, n: int, lines: list[str], ret: str):
+    """def kernel(*ops, *mats), each n x n matrix x unpacked to locals x{i}_{j}."""
+    unpack = [f"{_tup(_tup(f'{x}{i}_{j}' for j in range(n)) for i in range(n))} = {x}" for x in mats]
+    exec("\n    ".join([f"def kernel({ops}, {', '.join(mats)}):", *unpack, *lines, f"return {ret}"]), ns := {})
+    return ns["kernel"]
+
+
+@cache
+def _mul_kernel(n: int):
+    """(add, mul, a, b) -> the rows of a b, as tuples."""
+    rows = [[reduce(lambda acc, t: f"add({acc}, mul(a{i}_{t}, b{t}_{j}))", range(1, n), f"mul(a{i}_0, b0_{j})")
+             for j in range(n)] for i in range(n)]
+    return _compile("add, mul", "ab", n, [], _tup(map(_tup, rows)))
+
+
+@cache
+def _cofactor_kernel(n: int, adjugate: bool):
+    """(add, mul, neg, a) -> det a, or (det a, the rows of its adjugate)."""
+    lines = []
+
+    @cache  # so each minor is assigned once
+    def minor(rows, cols):  # first-row expansion
+        if len(rows) == 1:
+            return f"a{rows[0]}_{cols[0]}"
+        terms = [f"{'neg' * (t % 2)}(mul(a{rows[0]}_{c}, {minor(rows[1:], cols[:t] + cols[t + 1:])}))"
+                 for t, c in enumerate(cols)]
+        lines.append(f"m{len(lines)} = " + reduce(lambda acc, t: f"add({acc}, {t})", terms[1:], terms[0]))
+        return f"m{len(lines) - 1}"
+
+    full = tuple(range(n))
+    ret = minor(full, full)
+    if adjugate:  # row j of the adjugate holds the cofactors of column j
+        ret += ", " + _tup(_tup(f"{'neg' * ((i + j) % 2)}({minor(full[:i] + full[i + 1:], full[:j] + full[j + 1:])})"
+                                for i in full) for j in full)
+    return _compile("add, mul, neg", "a", n, lines, ret)
+
+
+def _mul_rows(k, a, b) -> tuple[tuple, ...]:
+    if len(a) <= KERNEL_MAX:
+        return _mul_kernel(len(a))(k.add, k.mul, a, b)
     add, mul = k.add, k.mul
     cols = list(zip(*b))
-    return [[reduce(add, map(mul, r, c)) for c in cols] for r in a]
+    return tuple(tuple(reduce(add, map(mul, r, c)) for c in cols) for r in a)
 
 
 def _add_row(k, rows, i: int, j: int, a):
@@ -196,30 +251,33 @@ def _det_cofactor(k, rows):
 def determinant(m: SqMatrix) -> RingElement:
     """Exact determinant by cofactor expansion, which divides by nothing and
     so holds over every ring, domain or not."""
-    return RingElement(m.ring, _det_cofactor(m.ring.kernel, m.payload))
+    k = m.ring.kernel
+    d = _cofactor_kernel(m.n, False)(k.add, k.mul, k.neg, m.payload) if m.n <= KERNEL_MAX else _det_cofactor(k, m.payload)
+    return RingElement(m.ring, d)
 
 
 def mat_inv(m: SqMatrix) -> SqMatrix:
     """Exact inverse via the adjugate; requires the determinant to be a unit.
 
-    Each column is struck once, and a cofactor's minor drops one row of that.
     The determinant is the first-row expansion over the same cofactors; a
     determinant whose inverse is one (every SL_n input) scales nothing."""
     k = m.ring.kernel
     n = m.n
-    struck = [[r[:j] + r[j + 1:] for r in m.payload] for j in range(n)]
+    if n <= KERNEL_MAX:
+        d, adj = _cofactor_kernel(n, True)(k.add, k.mul, k.neg, m.payload)
+    else:
+        struck = [[r[:j] + r[j + 1:] for r in m.payload] for j in range(n)]  # a minor drops one row of these
 
-    def cofactor(i, j):
-        c = _det_cofactor(k, struck[j][:i] + struck[j][i + 1:])
-        return k.neg(c) if (i + j) % 2 else c
+        def cofactor(i, j):
+            c = _det_cofactor(k, struck[j][:i] + struck[j][i + 1:])
+            return k.neg(c) if (i + j) % 2 else c
 
-    cof = [[cofactor(i, j) for j in range(n)] for i in range(n)]
-    d = reduce(k.add, map(k.mul, m.payload[0], cof[0]))
+        cof = [[cofactor(i, j) for j in range(n)] for i in range(n)]
+        d, adj = reduce(k.add, map(k.mul, m.payload[0], cof[0])), tuple(zip(*cof))
     dinv = k.inverse(d)
     if dinv is None:
         raise NotInvertible(f"determinant {k.format(d)} is not a unit")
-    adj = zip(*cof)
-    return SqMatrix(m.ring, n, payload=adj if dinv == k.one else [[k.mul(dinv, c) for c in r] for r in adj])
+    return SqMatrix._of(m.ring, n, adj if dinv == k.one else tuple(tuple(k.mul(dinv, c) for c in r) for r in adj))
 
 
 def commutator(g: SqMatrix, h: SqMatrix) -> SqMatrix:

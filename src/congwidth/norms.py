@@ -73,7 +73,7 @@ class MatrixGroupDomain:
                 old = row[:]
                 for r, c, x in entries:
                     row[c] = add(row[c], mul(old[r], x))
-        return SqMatrix(one.ring, one.n, payload=rows)
+        return SqMatrix._of(one.ring, one.n, tuple(map(tuple, rows)))
 
 
 class FiniteGroupDomain:
@@ -202,7 +202,8 @@ class FiltrationChain:
 
 
 def filtration_norm(chain: FiltrationChain) -> NormEval:
-    """2^-i on the i-th congruence layer, 0 at the identity."""
+    """2^-i on the i-th congruence layer, 0 at the identity; one Fraction per layer."""
+    values = {}
 
     def fn(g):
         datum = congruence_level(g, chain.ideal, chain.cap)
@@ -212,7 +213,7 @@ def filtration_norm(chain: FiltrationChain) -> NormEval:
             raise CapAmbiguous(
                 f"non-identity element beyond level cap {chain.cap}"
             )
-        return Fraction(1, 2**datum.level)
+        return values.get(datum.level) or values.setdefault(datum.level, Fraction(1, 2**datum.level))
 
     return NormEval(chain.domain, fn)
 
@@ -407,10 +408,11 @@ def word_norm_eval(table: FiniteGroupTable, generators: list[int]) -> NormEval:
     dist = table.word_distances(generators)
     if (dist < 0).any():
         raise ValueError("generator set does not generate the whole group")
+    values = [Fraction(d) for d in range(int(dist.max()) + 1)]
     dist = dist.tolist()
 
     def fn(g):
-        return Fraction(dist[table.idx(g)])
+        return values[dist[table.idx(g)]]
 
     return NormEval(FiniteGroupDomain(table), fn)
 

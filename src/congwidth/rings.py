@@ -100,16 +100,18 @@ class _Kernel:
     def xgcd(self, elems):
         """(g, coeffs) with g = sum coeffs[i] * elems[i] the canonical gcd:
         extended Euclid on quotient, folded over elems one at a time."""
-        add, mul, neg = self.add, self.mul, self.neg
+        add, mul, neg, quotient, is_zero, one = self.add, self.mul, self.neg, self.quotient, self.is_zero, self.one
         g, coeffs = self.zero, []
         for e in elems:
-            # rows (r, s, t) with r = s g + t e; take the quotient times the newer row
-            old, new = (g, self.one, self.zero), (e, self.zero, self.one)
-            while not self.is_zero(new[0]):
-                q = neg(self.quotient(old[0], new[0]))
-                old, new = new, [add(x, mul(q, y)) for x, y in zip(old, new)]
-            u = self.normal(old[0])
-            g, s, t = [mul(v, u) for v in old]
+            # rows (r, s, t) with r = s g + t e; a first step from a zero g only swaps them
+            r0, s0, t0, r1, s1, t1 = g, one, self.zero, e, self.zero, one
+            if is_zero(g) and not is_zero(e):
+                r0, s0, t0, r1, s1, t1 = r1, s1, t1, r0, s0, t0
+            while not is_zero(r1):
+                q = neg(quotient(r0, r1))
+                r0, s0, t0, r1, s1, t1 = r1, s1, t1, add(r0, mul(q, r1)), add(s0, mul(q, s1)), add(t0, mul(q, t1))
+            u = self.normal(r0)
+            g, s, t = (r0, s0, t0) if u == one else (mul(r0, u), mul(s0, u), mul(t0, u))
             coeffs = [mul(c, s) for c in coeffs] + [t]
         return g, coeffs
 
@@ -135,8 +137,7 @@ class _ZKernel(_Kernel):
     def norm(self, a) -> int:
         return abs(a)
 
-    def quotient(self, a, b):
-        return self.el(a // b)
+    quotient = operator.floordiv  # Z/m inherits it: a // b of residues is a residue
 
     def normal(self, a):
         return -1 if a < 0 else 1

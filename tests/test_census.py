@@ -565,13 +565,18 @@ def test_width_bfs_refuses_the_zero_ideal(m, q):
 def test_enumeration_and_census_build_no_matrices(monkeypatch):
     # a table build and a width census stay on the table's integer form
     built = []
-    post_init = SqMatrix.__post_init__
+    post_init, of = SqMatrix.__post_init__, SqMatrix._of
 
     def counted(self):
         built.append(self)
         post_init(self)
 
+    def counted_of(*args):  # the unchecked constructor of kernel outputs
+        built.append(args)
+        return of(*args)
+
     monkeypatch.setattr(SqMatrix, "__post_init__", counted)
+    monkeypatch.setattr(SqMatrix, "_of", staticmethod(counted_of))
     census._enumerate_sl.cache_clear()
     assert len(enumerate_sl(2, RingSpec.integers_mod(27))) == 17496
     ring = RingSpec.integers_mod(8)

@@ -258,13 +258,31 @@ def test_filtration_harness_inverts_only_for_its_axioms(monkeypatch, ring_z):
     assert len(calls) == 2 * samples  # symmetry and conjugation
 
 
+def test_filtration_harness_work_runs_on_the_kernels(monkeypatch, ring_z):
+    """One 25-sample harness call on the benchmark's filtration norm (Z, n = 3,
+    ideal 2, cap 64) makes 2 inverses and 3 products per sample, all through
+    the straight-line kernels: the loop cofactor expansion never runs."""
+    norm = filtration_norm(FiltrationChain(sl_domain(ring_z, 3, radius=8), Ideal.of(ring_z, 2), 64))
+    calls = []
+    mul, det_cofactor = SqMatrix.__mul__, matrices._det_cofactor
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(norms, "mat_inv", counted("mat_inv", mat_inv))
+    monkeypatch.setattr(SqMatrix, "__mul__", counted("__mul__", mul))
+    monkeypatch.setattr(matrices, "_det_cofactor", counted("_det_cofactor", det_cofactor))
+    assert axiom_harness(norm, 25, seed=0).passed
+    assert (calls.count("mat_inv"), calls.count("__mul__"), calls.count("_det_cofactor")) == (50, 75, 0)
+
+
 def test_filtration_sampler_builds_one_matrix_and_no_product(monkeypatch, ring_z):
     """The sampler multiplies by column updates from the entries of
     letter - I: no SqMatrix product, no dense _mul_rows call, and one
-    SqMatrix built per sample."""
+    SqMatrix built per sample, checked or through the unchecked SqMatrix._of."""
     dom = sl_domain(ring_z, 3, radius=8)
     calls = []
-    mul, mul_rows, post_init = SqMatrix.__mul__, matrices._mul_rows, SqMatrix.__post_init__
+    mul, mul_rows, post_init, of = SqMatrix.__mul__, matrices._mul_rows, SqMatrix.__post_init__, SqMatrix._of
 
     def counted_mul(a, b):
         calls.append("__mul__")
@@ -280,7 +298,12 @@ def test_filtration_sampler_builds_one_matrix_and_no_product(monkeypatch, ring_z
 
     monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
     monkeypatch.setattr(matrices, "_mul_rows", counted_mul_rows)
+    def counted_of(*args):
+        calls.append("SqMatrix")
+        return of(*args)
+
     monkeypatch.setattr(SqMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(SqMatrix, "_of", staticmethod(counted_of))
     rng = random.Random(0)
     for _ in range(200):
         dom.sample(rng)

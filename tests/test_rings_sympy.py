@@ -235,6 +235,38 @@ def test_extended_gcd_generates_sympy_gcd(model, data):
         assert g == Ideal(model.ring, tuple(elems)).canonical
 
 
+def reference_xgcd(k, elems):
+    """The extended Euclid as first written on the kernel: rows as lists, a
+    step even from a zero gcd, and every row scaled by its normal."""
+    add, mul, neg = k.add, k.mul, k.neg
+    g, coeffs = k.zero, []
+    for e in elems:
+        old, new = (g, k.one, k.zero), (e, k.zero, k.one)
+        while not k.is_zero(new[0]):
+            q = neg(k.quotient(old[0], new[0]))
+            old, new = new, [add(x, mul(q, y)) for x, y in zip(old, new)]
+        u = k.normal(old[0])
+        g, s, t = [mul(v, u) for v in old]
+        coeffs = [mul(c, s) for c in coeffs] + [t]
+    return g, coeffs
+
+
+XGCD_ENTRIES = {
+    RingSpec.integers(): st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**9), 10**9)),
+    RingSpec.integers_mod(12): st.integers(0, 11),
+    RingSpec.poly_over_fp(2): st.one_of(st.just([]), st.lists(st.integers(0, 1), max_size=8)),
+    RingSpec.poly_over_fp(3): st.one_of(st.just([]), st.lists(st.integers(0, 2), max_size=8)),
+}
+
+
+@pytest.mark.parametrize("ring", XGCD_ENTRIES, ids=[r.descriptor() for r in XGCD_ENTRIES])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_xgcd_matches_the_reference_loop(ring, data):
+    elems = [ring.kernel.el(x) for x in data.draw(st.lists(XGCD_ENTRIES[ring], max_size=5))]
+    assert ring.kernel.xgcd(elems) == reference_xgcd(ring.kernel, elems)
+
+
 
 # -- F_p[x] sums and products over long operands ---------------------------------
 #

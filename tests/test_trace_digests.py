@@ -266,9 +266,11 @@ def test_reduce_and_replay_make_no_dense_products(monkeypatch):
     78.7 and 177.9 with two dense products per commutator."""
     inputs = [(args, CLASSES[name][1]) for name in CLASSES for args in _reduce_inputs(name)]
     dense, muls = [], [0]
-    real_rows = matrices._mul_rows
+    real_rows, real_kernel = matrices._mul_rows, matrices._mul_kernel
     for module in (matrices, reduction):
         monkeypatch.setattr(module, "_mul_rows", lambda *a: dense.append(a) or real_rows(*a))
+    # the straight-line product kernels, however they are reached
+    monkeypatch.setattr(matrices, "_mul_kernel", lambda n: lambda *a: dense.append(a) or real_kernel(n)(*a))
     for kernel in {CLASSES[name][0].kernel for name in CLASSES}:
         def counted(a, b, real=kernel.mul):
             muls[0] += 1
