@@ -160,10 +160,10 @@ def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
 # Products, determinants, inverses and elementary row and column operations
 # on payload rows, combined by the ring's kernel.  _add_row and _add_col
 # work in place on lists of row lists.  Indices here are 0-based.
-# Up to KERNEL_MAX, straight-line code built once per n from n alone (as
-# dataclasses builds __init__) does the loops' row-by-column sums and
-# first-row cofactor expansion, each minor formed once.  That code grows
-# combinatorially with n, so larger n keep the loops.
+# Up to KERNEL_MAX, products and inverses run straight-line code built once
+# per n from n alone (as dataclasses builds __init__): the loops' row-by-
+# column sums and first-row cofactor expansion, each minor formed once.
+# That code grows combinatorially with n, so larger n keep the loops.
 
 KERNEL_MAX = 4
 
@@ -188,8 +188,8 @@ def _mul_kernel(n: int):
 
 
 @cache
-def _cofactor_kernel(n: int, adjugate: bool):
-    """(add, mul, neg, a) -> det a, or (det a, the rows of its adjugate)."""
+def _cofactor_kernel(n: int):
+    """(add, mul, neg, a) -> (det a, the rows of its adjugate)."""
     lines = []
 
     @cache  # so each minor is assigned once
@@ -202,11 +202,10 @@ def _cofactor_kernel(n: int, adjugate: bool):
         return f"m{len(lines) - 1}"
 
     full = tuple(range(n))
-    ret = minor(full, full)
-    if adjugate:  # row j of the adjugate holds the cofactors of column j
-        ret += ", " + _tup(_tup(f"{'neg' * ((i + j) % 2)}({minor(full[:i] + full[i + 1:], full[:j] + full[j + 1:])})"
-                                for i in full) for j in full)
-    return _compile("add, mul, neg", "a", n, lines, ret)
+    det = minor(full, full)  # row j of the adjugate below holds the cofactors of column j
+    adj = _tup(_tup(f"{'neg' * ((i + j) % 2)}({minor(full[:i] + full[i + 1:], full[:j] + full[j + 1:])})"
+                    for i in full) for j in full)
+    return _compile("add, mul, neg", "a", n, lines, f"{det}, {adj}")
 
 
 def _mul_rows(k, a, b) -> tuple[tuple, ...]:
@@ -251,9 +250,7 @@ def _det_cofactor(k, rows):
 def determinant(m: SqMatrix) -> RingElement:
     """Exact determinant by cofactor expansion, which divides by nothing and
     so holds over every ring, domain or not."""
-    k = m.ring.kernel
-    d = _cofactor_kernel(m.n, False)(k.add, k.mul, k.neg, m.payload) if m.n <= KERNEL_MAX else _det_cofactor(k, m.payload)
-    return RingElement(m.ring, d)
+    return RingElement(m.ring, _det_cofactor(m.ring.kernel, m.payload))
 
 
 def mat_inv(m: SqMatrix) -> SqMatrix:
@@ -264,7 +261,7 @@ def mat_inv(m: SqMatrix) -> SqMatrix:
     k = m.ring.kernel
     n = m.n
     if n <= KERNEL_MAX:
-        d, adj = _cofactor_kernel(n, True)(k.add, k.mul, k.neg, m.payload)
+        d, adj = _cofactor_kernel(n)(k.add, k.mul, k.neg, m.payload)
     else:
         struck = [[r[:j] + r[j + 1:] for r in m.payload] for j in range(n)]  # a minor drops one row of these
 

@@ -1,14 +1,13 @@
 """The straight-line matrix kernels against the loops they stand in for.
 
-For n <= KERNEL_MAX, products, determinants and inverses run through code
-generated once per n; above it the loops run.  The loops are the reference:
-with KERNEL_MAX lowered to 1 the same public functions take the loop path,
-and every payload must come out identical, over domains and non-domains
-alike.  The generator sees only n, so a large matrix from outside (a trace
+For n <= KERNEL_MAX, products and inverses run through code generated once
+per n; above it the loops run.  The loops are the reference: with
+KERNEL_MAX lowered to 1 the same public functions take the loop path, and
+every payload must come out identical, over domains and non-domains alike;
+the inverse kernel's determinant must equal determinant(), which always
+runs the loop.  The generator sees only n, so a large matrix from outside (a trace
 header may name any n) must take the loops and generate nothing.
 """
-
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +68,7 @@ def test_kernels_match_the_loops(ring, n, data):
     assert (a * b).payload == on_loops(a.__mul__, b).payload
     checked = SqMatrix(ring, n, payload=(a * b).payload)  # the unchecked form equals and hashes as the checked one
     assert a * b == checked and hash(a * b) == hash(checked)
-    assert determinant(a) == on_loops(determinant, a)
+    assert matrices._cofactor_kernel(n)(k.add, k.mul, k.neg, a.payload)[0] == determinant(a).payload
     assert inverse_or_error(a) == on_loops(inverse_or_error, a)
 
 
@@ -89,11 +88,9 @@ def test_large_n_takes_the_loops_and_generates_nothing():
         kernel.cache_clear()
     n = 12
     s = elementary(Z, n, 1, 2, 2) * elementary(Z, n, 3, 1, 4) * elementary(Z, n, 12, 5, 6) * elementary(Z, n, 2, 12, 2)
-    start = time.perf_counter()
     assert (s * mat_inv(s)).is_identity and determinant(s) == Z.one
     replay_trace(serialize_trace(reduce_full(s, Ideal.of(Z, 2), (1, 2))))
-    assert time.perf_counter() - start < 0.5
     assert matrices._mul_kernel.cache_info().currsize == 0
     assert matrices._cofactor_kernel.cache_info().currsize == 0
     mat_inv(elementary(Z, 3, 1, 2, 2))
-    assert matrices._cofactor_kernel.cache_info().currsize == 1  # (3, adjugate)
+    assert matrices._cofactor_kernel.cache_info().currsize == 1  # n = 3
