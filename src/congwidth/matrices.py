@@ -332,23 +332,33 @@ class CongruenceDatum:
 def congruence_level(g: SqMatrix, ideal: Ideal, cap: int = 64) -> CongruenceDatum:
     """Largest i <= cap with all entries of g - I in ideal^i.
 
-    d^i (d the canonical generator) is built once per level, and each nonzero
-    entry of g - I is tested by kernel division; a zero d^i (Z/m only)
-    divides no nonzero entry.  A chain that stabilises still runs to the cap."""
+    Each nonzero entry of g - I, walked in place, is divided by d, d^2, ... (d
+    the canonical generator, each power built once, on first reach) up to the
+    lowest level seen so far; the first entry outside the ideal gives level 0.
+    A zero d^i (Z/m only) divides no nonzero entry.  A chain that stabilises
+    still runs to the cap."""
     if ideal.is_zero:
         raise ZeroIdeal("congruence level against the zero ideal")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     k = g.ring.kernel
-    diff = [e for _, _, e in _off_identity(g)]
-    if not diff:
-        return CongruenceDatum(ideal, None, True)
-    d, di = ideal.canonical.payload, k.one
-    for i in range(1, cap + 1):
-        di = k.mul(di, d)
-        if any(k.div(e, di) is None for e in diff):
-            return CongruenceDatum(ideal, i - 1, False)
-    return CongruenceDatum(ideal, None, False)
+    add, is_zero, div, minus_one = k.add, k.is_zero, k.div, k.neg(k.one)
+    d, powers, level = ideal.canonical.payload, [k.one, ideal.canonical.payload], None  # powers[i] = d^i
+    for i, r in enumerate(g.payload):
+        for j, x in enumerate(r):
+            if is_zero(e := add(x, minus_one) if i == j else x):
+                continue
+            t, top = 0, cap if level is None else level
+            while t < top:
+                if t + 1 == len(powers):
+                    powers.append(k.mul(powers[t], d))
+                if div(e, powers[t + 1]) is None:
+                    break
+                t += 1
+            if t == 0:
+                return CongruenceDatum(ideal, 0, False)
+            level = t
+    return CongruenceDatum(ideal, None if level in (None, cap) else level, level is None)
 
 
 # -- text format ----------------------------------------------------------------

@@ -69,6 +69,11 @@ class MatrixGroupDomain:
         for _ in range(rng.randint(0, self.radius)):
             g, ginv = rng.choice(self.letters)
             entries = ginv if rng.random() < 0.5 else g
+            if len(entries) == 1:  # row[r] is read before the one write: old is row itself
+                (r, c, x), = entries
+                for row in rows:
+                    row[c] = add(row[c], mul(row[r], x))
+                continue
             for row in rows:
                 old = row[:]
                 for r, c, x in entries:
@@ -83,12 +88,13 @@ class FiniteGroupDomain:
     def __init__(self, table: FiniteGroupTable):
         self.table = table
         self.products = table.mul
+        self.inverses = table.inv.tolist()  # |G| ints, |G| <= 2^13 under the table cap
 
     def mul(self, a, b):
-        return int(self.products[a, b])
+        return self.products.item(a, b)
 
     def inv(self, a):
-        return int(self.table.inv[a])
+        return self.inverses[a]
 
     def is_identity(self, a) -> bool:
         return a == 0

@@ -5,7 +5,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congwidth.errors import MismatchedRings, NotInvertible, ZeroIdeal
+from congwidth.errors import DimensionMismatch, MismatchedRings, NotInvertible, ZeroIdeal
 from congwidth.matrices import (
     CongruenceDatum,
     SqMatrix,
@@ -332,6 +332,49 @@ def test_congruence_level_identity_and_cap_one(ring, gen):
     assert congruence_level(g, q, cap=1) == reference_level(g, q, 1)
     with pytest.raises(ValueError):
         congruence_level(g, q, cap=0)
+
+
+def test_congruence_level_stops_at_the_first_entry_outside_the_ideal(monkeypatch):
+    """With (1, 1) = 1 and (1, 2) odd, level 0 against (2) is decided on the
+    second entry of g - I; a walk that lists all nine entries first fails."""
+    Z = RingSpec.integers()
+    q = Ideal.of(Z, 2)
+    g = SqMatrix.from_raw(Z, [[1, 3, 2], [4, 13, 8], [6, 18, 13]])
+    k, reads, divs = Z.kernel, [], []
+    is_zero, div = k.is_zero, k.div
+    monkeypatch.setitem(vars(k), "is_zero", lambda a: reads.append(a) or is_zero(a))
+    monkeypatch.setitem(vars(k), "div", lambda a, b: divs.append((a, b)) or div(a, b))
+    assert congruence_level(g, q) == CongruenceDatum(q, 0, False)
+    # the first read is the ideal's zero check on its generator; the rest are entries of g - I
+    assert len(reads) - 1 <= 2 and divs == [(3, 2)]
+
+
+@pytest.mark.parametrize(
+    "diff, cap, level",
+    [
+        pytest.param([[0, 16, 0], [12, 0, 0], [0, 0, 8]], 64, 2, id="level-2-after-a-higher-entry"),
+        pytest.param([[0, 2**70, 0], [0, 0, 2**65], [0, 0, 0]], 64, None, id="beyond-cap"),
+        pytest.param([[8, 0, 0], [0, 0, 16], [0, 0, 0]], 3, None, id="at-the-cap"),
+    ],
+)
+def test_congruence_level_pinned_cases(diff, cap, level):
+    Z = RingSpec.integers()
+    q = Ideal.of(Z, 2)
+    g = identity(Z, 3) + SqMatrix.from_raw(Z, diff)
+    assert congruence_level(g, q, cap) == reference_level(g, q, cap) == CongruenceDatum(q, level, False)
+
+
+@pytest.mark.parametrize(
+    "n, payload, message",
+    [
+        pytest.param(1, ((1,),), "dimension must be >= 2", id="n-1"),
+        pytest.param(2, ((1, 0), (0,)), "ragged matrix", id="ragged"),
+        pytest.param(2, ((1, 0), (0, 1), (0, 0)), "ragged matrix", id="row-count"),
+    ],
+)
+def test_sqmatrix_refuses_a_bad_shape(n, payload, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        SqMatrix(RingSpec.integers(), n, payload=payload)
 
 
 def test_congruence_level_zero_ideal(ring_z):

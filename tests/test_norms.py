@@ -334,10 +334,14 @@ SAMPLER_RINGS = {
 def test_sampler_matches_dense_products(ring, seed, radius):
     # diag(-1, -1, 1) and dense SL_3 letters: each entry (r, c) of letter - I
     # has c among the rows of another, so an update that read a row it has
-    # already changed would differ from the dense product
+    # already changed would differ from the dense product.  The elementary
+    # letter and diag(-1, 1, 1) (diag(5, 1, 1) over Z/6, its one entry with
+    # r == c; the identity over F2[x]) take the one-entry update in place
     diag = SqMatrix.from_raw(ring, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
     dense = SqMatrix.from_raw(ring, [[2, 3, 1], [1, 2, 1], [1, 1, 1]])
-    gens = [diag, dense, elementary(ring, 3, 3, 1, SAMPLER_RINGS[ring]) * dense]
+    unit = SqMatrix.from_raw(ring, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    gens = [diag, dense, elementary(ring, 3, 3, 1, SAMPLER_RINGS[ring]) * dense,
+            elementary(ring, 3, 1, 3, SAMPLER_RINGS[ring]), unit]
     dom = MatrixGroupDomain(ring, 3, gens, radius)
     letters = [(g, mat_inv(g)) for g in gens]
     fast, slow = random.Random(seed), random.Random(seed)

@@ -128,6 +128,40 @@ def test_sl2_appended_letter_is_sigma_to_plus_or_minus_one():
         replay_trace(append(2))
 
 
+# Self-consistent forgeries: every recorded result is what the builder computes
+# once the one check they break is switched off, and such a builder accepts them.
+
+
+def test_reduce_witness_factor_outside_the_ideal_is_refused(tmp_path, capsys):
+    # a first conjugator E12(1) over Z with ideal 2, then a genuine reduction of
+    # its result: replay ok steps=3 word_length=4 without the entry check
+    q = Ideal.of(Z, 2)
+    sigma = elementary(Z, 3, 2, 3, 2)
+    fac = ElemFactorization.of(Z, 3, (ElemFactor(1, 2, Z.el(1)),))
+    h = conjugate(sigma, fac.target)
+    first = TraceStep(QOperation(CONJUGATE, fac.target, fac), h, 1, "affine.split.conj")
+    text = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), (first,) + reduce_full(h, q, (1, 2)).steps, 0))
+    message = "step 1: witness factor entry 1 not a nonzero ideal element"
+    with pytest.raises(ReplayMismatch, match=f"^{message}$"):
+        replay_trace(text)
+    assert _replay_cli(tmp_path, text, capsys) == (1, f"error: {message}\n")
+
+
+def test_sl2_appended_exponent_two_is_refused(tmp_path, capsys):
+    # sigma^2, then an exp=2 letter recorded as sigma^2 sigma^-1, the result a
+    # builder that read any exponent other than 1 as -1 computes
+    q = Ideal.of(Z, 2)
+    sigma = SqMatrix.from_raw(Z, [[1, 2], [0, 1]])
+    steps = tuple(TraceStep(QOperation(APPEND, identity(Z, 2), None, exp), out, wl, "sl2.square")
+                  for exp, out, wl in ((1, sigma * sigma, 2), (2, sigma, 3)))
+    text = serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps, 0))
+    message = "step 2: an appended letter conjugates sigma^1 or sigma^-1, not sigma^2"
+    with pytest.raises(ReplayMismatch) as refusal:
+        replay_trace(text)
+    assert str(refusal.value) == message
+    assert _replay_cli(tmp_path, text, capsys) == (1, f"error: {message}\n")
+
+
 # -- budgets, checked when the trace is taken -----------------------------------------------
 
 
