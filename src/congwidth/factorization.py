@@ -40,7 +40,7 @@ class ElemFactorization:
         for f in reversed(factors):
             _check_position(n, f.i, f.j)
             _add_row(k, rows, f.i - 1, f.j - 1, ring.el(f.a).payload)
-        return ElemFactorization(factors, SqMatrix(ring, n, payload=rows))
+        return ElemFactorization(factors, SqMatrix._of(ring, n, tuple(map(tuple, rows))))
 
     def product(self) -> SqMatrix:
         return ElemFactorization.of(self.target.ring, self.target.n, self.factors).target

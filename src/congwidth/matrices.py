@@ -159,7 +159,7 @@ def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
 #
 # Products, determinants, inverses and elementary row and column operations
 # on payload rows, combined by the ring's kernel.  _add_row and _add_col
-# work in place on lists of row lists.  Indices here are 0-based.
+# work in place, skipping zero entries of the source.  Indices here are 0-based.
 # Up to KERNEL_MAX, products and inverses run straight-line code built once
 # per n from n alone (as dataclasses builds __init__): the loops' row-by-
 # column sums and first-row cofactor expansion, each minor formed once.
@@ -216,17 +216,18 @@ def _mul_rows(k, a, b) -> tuple[tuple, ...]:
     return tuple(tuple(reduce(add, map(mul, r, c)) for c in cols) for r in a)
 
 
-def _add_row(k, rows, i: int, j: int, a):
-    """row_i += a * row_j, in place."""
-    add, mul = k.add, k.mul
-    rows[i] = [add(x, mul(a, y)) for x, y in zip(rows[i], rows[j])]
+def _add_row(k, rows, i: int, j: int, a, src=None):
+    """row_i += a * row_j, row_j read from src (default rows), in place."""
+    add, mul, is_zero = k.add, k.mul, k.is_zero
+    rows[i] = [x if is_zero(y) else add(x, mul(a, y)) for x, y in zip(rows[i], (src or rows)[j])]
 
 
-def _add_col(k, rows, i: int, j: int, a):
-    """col_j += col_i * a, in place."""
-    add, mul = k.add, k.mul
-    for r in rows:
-        r[j] = add(r[j], mul(r[i], a))
+def _add_col(k, rows, i: int, j: int, a, src=None):
+    """col_j += col_i * a, col_i read from src (default rows), in place."""
+    add, mul, is_zero = k.add, k.mul, k.is_zero
+    for r, s in zip(rows, src or rows):
+        if not is_zero(y := s[i]):
+            r[j] = add(r[j], mul(y, a))
 
 
 def _det_cofactor(k, rows):

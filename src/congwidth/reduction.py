@@ -25,11 +25,13 @@ the trace is taken.  Replay is a fresh builder fed the input and the
 witnesses a serialized trace records; the trace is accepted only if the
 rebuilt one serializes to the same bytes.
 
-The builder carries (g, g^-1) and inverts only the input.  A witness acts
-by row and column operations (elementary factors) or by 2 x 2 products (a
-congruence conjugator), and a commutator is one low-rank update of I for
-both: with one elementary factor a rank-one update, about n^2 + 3n ring
-products.
+The builder carries (g, g^-1).  A witness s acts by sparse row and column
+updates with the nonzero entries of S = s - I and S' = s^-1 - I, and a
+commutator is one low-rank update of I: with one elementary factor a
+rank-one update, about n^2 + 3n ring products.  S' = -S whenever S^2 = 0,
+which holds for elementary factors that share a column or a row, so for
+every reduce step; the builder inverts the input, and a congruence
+conjugator only when S^2 != 0.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .matrices import (
     _add_col,
     _add_row,
     _mul_rows,
+    _off_identity,
     determinant,
     format_matrix,
     identity,
@@ -252,28 +255,64 @@ _POLICIES = {
 }
 
 
-def _action(k, op: QOperation, n: int):
-    """How the witness s of a checked op acts on payload rows: the maps
-    x -> s x, x -> x s and x -> x s^-1, and the columns where x s can differ
-    from x.  Elementary factors s = E_1 ... E_r act by row and column
-    operations on their own columns; a congruence conjugator by products."""
-    if op.s_factors is None:
-        s, sinv = op.s.payload, mat_inv(op.s).payload
-        return (lambda x: _mul_rows(k, s, x), lambda x: _mul_rows(k, x, s),
-                lambda x: _mul_rows(k, x, sinv), range(n))
-    ops = [(f.i - 1, f.j - 1, f.a.payload) for f in op.s_factors.factors]
-    inv_ops = [(i, j, k.neg(a)) for i, j, a in reversed(ops)]
+def _by_column(entries) -> list:
+    """(row, column, x) entries as [(t, [(r, x), ...]), ...], by column t."""
+    cols: dict = {}
+    for r, t, x in entries:
+        cols.setdefault(t, []).append((r, x))
+    return list(cols.items())
 
-    def acting(add, ops):  # x -> x with ops applied in order, on a copy
-        def act(x):
-            x = [list(r) for r in x]
-            for i, j, a in ops:
-                add(k, x, i, j, a)
-            return x
-        return act
 
-    cols = list(dict.fromkeys(j for _, j, _ in ops))
-    return acting(_add_row, ops[::-1]), acting(_add_col, ops), acting(_add_col, inv_ops), cols
+def _witness(k, op: QOperation):
+    """A checked op's witness s = I + S, s^-1 = I + S' as (S, S', flat,
+    opposite), S and S' by their nonzero columns.  Opposite: S' = -S, which
+    holds when S^2 = 0; else S' comes from the inverse factors or mat_inv(s).
+    Flat: no column S reads is a row it writes, so S^2 = 0 and both act in place."""
+    s, fac = op.s, op.s_factors
+    fs = () if fac is None else fac.factors
+    if len(fs) == 1:  # S = a e_ij: every reduce commutator
+        (f,) = fs
+        return [(f.j - 1, [(f.i - 1, f.a.payload)])], [(f.j - 1, [(f.i - 1, k.neg(f.a.payload))])], True, True
+    entries, square = _off_identity(s), {}  # S^2 from the products S[r][t] S[t][c]
+    for (r, t, a), (u, c, b) in itertools.product(entries, repeat=2):
+        if u == t:
+            square[r, c] = k.add(square.get((r, c), k.zero), k.mul(a, b))
+    if opposite := all(map(k.is_zero, square.values())):
+        inv = [(r, t, k.neg(a)) for r, t, a in entries]
+    else:
+        inv = _off_identity(mat_inv(s) if fac is None else ElemFactorization.of(
+            s.ring, s.n, tuple(ElemFactor(f.i, f.j, -f.a) for f in reversed(fs))).target)
+    return _by_column(entries), _by_column(inv), not square, opposite
+
+
+def _apply(k, x, left, right, flat: bool) -> list:
+    """x -> (I + L) x (I + R) in place on row lists, L and R by their nonzero
+    columns; unless flat, each pass reads x's entries from before it."""
+    for cols, add in ((left, _add_row), (right, _add_col)):
+        src = x if flat or not cols else [tuple(r) for r in x]
+        for t, entries in cols:
+            for r, a in entries:
+                add(k, x, r, t, a, src)
+    return x
+
+
+def _outer(k, g, ginv, cols) -> list:
+    """The rows of W = (g S) g^-1, the sum over the columns t of S of
+    (g S)[:, t] (x) g^-1[t], as lists; no zero operand is multiplied."""
+    add, mul, is_zero, zero = k.add, k.mul, k.is_zero, k.zero
+    out = []
+    for gq in g:
+        w = None
+        for t, entries in cols:
+            d = None
+            for r, a in entries:
+                if not is_zero(x := gq[r]):
+                    d = mul(x, a) if d is None else add(d, mul(x, a))
+            if d is not None and not is_zero(d):
+                w = ([zero if is_zero(z) else mul(d, z) for z in ginv[t]] if w is None
+                     else [e if is_zero(z) else add(e, mul(d, z)) for e, z in zip(w, ginv[t])])
+        out.append([zero] * len(gq) if w is None else w)
+    return out
 
 
 class _Builder:
@@ -327,45 +366,33 @@ class _Builder:
         length to the step's: kept by a conjugation, doubled by a commutator,
         one more after an appended letter.
 
-        A commutator is one low-rank update for every witness: h = g s g^-1
-        is I + W with W = (g s - g) g^-1, and g s - g is zero off the columns
-        the witness acts on; then [g, s] = h s^-1 and [g, s]^-1 = s h^-1."""
+        The witness acts as s = I + S and s^-1 = I + S' (_witness).  A
+        commutator is one low-rank update for every witness: h = g s g^-1 is
+        I + W with W = (g S) g^-1, and h^-1 is I - W when S' = -S, else I + W'
+        with W' = (g S') g^-1; then [g, s] = h s^-1 and [g, s]^-1 = s h^-1."""
         ring, n = self.sigma.ring, self.sigma.n
         k = ring.kernel
         g, ginv = self.g.payload, self.ginv.payload
-        left, right, right_inv, cols = _action(k, op, n)
-
-        def conj(x):
-            return right_inv(left(x))
-
-        def update(gs):  # W = (gs - g) g^-1, where gs - g is zero off cols
-            w = [[k.zero] * n for _ in range(n)]
-            for t in cols:
-                for r, (x, y) in enumerate(zip(gs, g)):
-                    if not k.is_zero(d := k.add(x[t], k.neg(y[t]))):
-                        w[r] = [e if k.is_zero(v) else k.add(e, k.mul(d, v)) for e, v in zip(w[r], ginv[t])]
-            return w
-
-        if op.kind == CONJUGATE:
-            g, ginv = conj(g), conj(ginv)
+        cols, inv_cols, flat, opposite = _witness(k, op)
+        if op.kind == CONJUGATE:  # s x s^-1 = (I + S) x (I + S') on fresh rows
+            g, ginv = (_apply(k, [list(r) for r in x], cols, inv_cols, flat) for x in (g, ginv))
         elif op.kind in (COMM_RIGHT, COMM_LEFT):
-            w = update(right(g))
-            # s - I in one column j is v e_j^T with 1 + v_j = det s = 1, so
-            # (s - I)^2 = 0, W^2 = 0 and h^-1 = I - W; otherwise h^-1 = g s^-1 g^-1
-            winv = [list(map(k.neg, r)) for r in w] if len(cols) == 1 else update(right_inv(g))
-            h, hinv = ([[k.add(x, k.one) if r == c else x for c, x in enumerate(row)] for r, row in enumerate(m)]
-                       for m in (w, winv))
-            g, ginv = right_inv(h), left(hinv)
-            if op.kind == COMM_LEFT:  # [s, g] = [g, s]^-1: the pair swapped
-                g, ginv = ginv, g
+            h = _outer(k, g, ginv, cols)
+            hinv = [list(map(k.neg, w)) for w in h] if opposite else _outer(k, g, ginv, inv_cols)
+            for q, (w, wi) in enumerate(zip(h, hinv)):  # I + W and I + W'
+                w[q], wi[q] = k.add(w[q], k.one), k.add(wi[q], k.one)
+            _apply(k, h, (), inv_cols, flat)
+            _apply(k, hinv, cols, (), flat)
+            g, ginv = (h, hinv) if op.kind == COMM_RIGHT else (hinv, h)  # [s, g] = [g, s]^-1
             self.wl *= 2
         elif op.kind == APPEND:  # g (s sigma^e s^-1), inverse (s sigma^-e s^-1) g^-1
             pos, neg = (self.sigma, self.sigma_inv) if op.exp == 1 else (self.sigma_inv, self.sigma)
-            g, ginv = _mul_rows(k, g, conj(pos.payload)), _mul_rows(k, conj(neg.payload), ginv)
+            pos, neg = (_apply(k, [list(r) for r in x.payload], cols, inv_cols, flat) for x in (pos, neg))
+            g, ginv = _mul_rows(k, g, pos), _mul_rows(k, neg, ginv)
             self.wl += 1
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
-        self.g, self.ginv = SqMatrix(ring, n, payload=g), SqMatrix(ring, n, payload=ginv)
+        self.g, self.ginv = SqMatrix._of(ring, n, tuple(map(tuple, g))), SqMatrix._of(ring, n, tuple(map(tuple, ginv)))
 
     def trace(self, target) -> ReductionTrace:
         trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
@@ -548,9 +575,7 @@ def _translate_stage(b: _Builder, loc: str):
 
 def _support(g: SqMatrix) -> list[tuple[int, int]]:
     """The positions where g differs from the identity."""
-    k = g.ring.kernel
-    return [(i + 1, j + 1) for i, r in enumerate(g.payload) for j, x in enumerate(r)
-            if x != (k.one if i == j else k.zero)]
+    return [(i + 1, j + 1) for i, j, _ in _off_identity(g)]
 
 
 def _single_stage(b: _Builder):

@@ -5,6 +5,7 @@ trace invariants moved into the builder.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from congwidth.reduction import (
     sl2_unit_reduction,
 )
 from congwidth.rings import Ideal, RingSpec
+from test_trace_digests import CLASSES, _reduce_inputs
 
 Z = RingSpec.integers()
 L5 = RingSpec.localized_integers(5)
@@ -278,6 +280,27 @@ def test_only_canonical_bytes_replay(old, new, error, tmp_path, capsys):
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "trace, entry, message",
+    [
+        pytest.param(lambda: reduce_full(*_reduce_inputs("l5")[0]), "2*3^1",
+                     "literal base 3 does not match ring prime 5", id="loc-literal-base"),
+        pytest.param(lambda: sl2_unit_reduction(SqMatrix.from_raw(RingSpec.integers_mod(5), [[3, 1], [2, 1]]),
+                                                Ideal.of(RingSpec.integers_mod(5), 1), "E12"), "7",
+                     "residue 7 out of range for Z/5", id="zmod-residue"),
+    ],
+)
+def test_input_literal_outside_the_ring_is_a_format_error(trace, entry, message, tmp_path, capsys):
+    # the input's first entry rewritten: the ring's kernel refuses the literal
+    lines = serialize_trace(trace()).split("\n")
+    row = lines.index("M0") + 2
+    lines[row] = " ".join([entry] + lines[row].split(" ")[1:])
+    bad = "\n".join(lines)
+    with pytest.raises(TraceFormatError, match=f"^malformed trace: {re.escape(message)}$"):
+        replay_trace(bad)
+    assert _replay_cli(tmp_path, bad, capsys) == (1, f"error: malformed trace: {message}\n")
+
+
 def test_format_error_names_the_first_differing_line():
     lines = _golden_text().split("\n")
     lines[2] = "seed +0"
@@ -287,6 +310,48 @@ def test_format_error_names_the_first_differing_line():
         replay_trace(_golden_text() + "\n")
     with pytest.raises(TraceFormatError, match=r"line 27: expected 'end\\n'"):
         replay_trace(_golden_text()[:-1])
+
+
+def _matrix_lines(text: str, n: int):
+    """The lines of a reduce trace and the line index of each matrix label Mm."""
+    lines = text.split("\n")
+    steps = sum(ln.startswith("step ") for ln in lines)
+    return lines, steps, [10 + steps + m * (n + 2) for m in range(2 * steps + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_changed_witness_matrix_is_a_replay_mismatch_at_its_step(name):
+    """Replay reads no elementary witness matrix: a changed entry of the
+    witness M(2k - 1) of step k is found by the byte comparison, which
+    reports it at step k, wherever the entry is."""
+    ring, n = CLASSES[name][:2]
+    k = ring.kernel
+    for args in _reduce_inputs(name):
+        text = serialize_trace(reduce_full(*args))
+        lines, steps, labels = _matrix_lines(text, n)
+        for step in range(1, steps + 1):
+            bad = list(lines)
+            row, col = labels[2 * step - 1] + 2 + step % n, (step + 1) % n  # one entry of M(2 step - 1)
+            entries = bad[row].split(" ")
+            entries[col] = k.format(k.add(k.parse(entries[col]), k.one))
+            bad[row] = " ".join(entries)
+            with pytest.raises(ReplayMismatch, match=f"^replay mismatch at step {step}$"):
+                replay_trace("\n".join(bad))
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_changed_matrix_label_is_a_format_error_at_its_line(name):
+    """Replay locates matrices by position, not by label: a changed label
+    line is a format error that names the line and the label expected."""
+    n = CLASSES[name][1]
+    for args in _reduce_inputs(name)[:2]:
+        lines, _, labels = _matrix_lines(serialize_trace(reduce_full(*args)), n)
+        for m, line in enumerate(labels):
+            assert lines[line] == f"M{m}"
+            bad = lines[:line] + [f"M{m + 1}"] + lines[line + 1:]
+            message = f"line {line + 1}: expected {repr(f'M{m}' + chr(10))}"
+            with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+                replay_trace("\n".join(bad))
 
 
 def test_replay_stops_at_the_first_step_whose_result_differs(monkeypatch):

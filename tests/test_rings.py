@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from congwidth.errors import MismatchedRings
+from congwidth.errors import MismatchedRings, UnsupportedRing
 from congwidth.rings import (
     Ideal,
     RingSpec,
@@ -182,3 +182,22 @@ def test_unimodularity_helper():
     assert coeffs[0] * Z.el(2) + coeffs[1] * Z.el(3) == Z.one
     ok, _ = is_unimodular([Z.el(2), Z.el(4)])
     assert not ok
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: RingSpec.integers().x(), UnsupportedRing, "x only exists in polynomial rings", id="x-of-Z"),
+        pytest.param(lambda: RingSpec("Q"), ValueError, "unknown ring kind 'Q'", id="unknown-kind"),
+        pytest.param(lambda: RingSpec.integers().residues(), UnsupportedRing, "Z is not finite", id="residues-of-Z"),
+        pytest.param(lambda: extended_gcd([]), ValueError, "extended_gcd needs a nonempty list", id="empty-gcd"),
+        pytest.param(lambda: Ideal(RingSpec.integers(), ()), ValueError, "ideal needs at least one generator",
+                     id="no-generator"),
+        pytest.param(lambda: Ideal(RingSpec.integers(), (RingSpec.integers_mod(5).el(1),)), MismatchedRings,
+                     "generator outside the parent ring", id="foreign-generator"),
+    ],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as refusal:
+        call()
+    assert type(refusal.value) is error and str(refusal.value) == message

@@ -4,12 +4,14 @@ The digests were recorded before the trace checks moved into the builder;
 any change to the trace bytes (steps, witnesses, case tags, matrix table)
 shows up here.  The same traces also check the builder's carried inverse
 against the defining formula of each step, and gate its inverse count, its
-dense matrix products and ring products, the elementary products it forms,
+dense matrix products and ring products (none with a zero operand in a step
+or a row or column operation), the elementary products it forms,
 the RingElements made per step, the matrices replay parses and the matrices
 serialize and replay render to text.  The dimension-2 shortcut's inputs over
 Z and Z[1/5] gate its matrix products and inversions.
 """
 
+import collections
 import hashlib
 import random
 import sys
@@ -125,13 +127,20 @@ def _sl2_outcomes(name):
     return out
 
 
+def _square_is_zero(s: SqMatrix, mul) -> bool:
+    """Whether (s - I)^2 = 0, by the product mul."""
+    d = s - identity(s.ring, s.n)
+    return mul(d, d) == d - d
+
+
 def test_sl2_shortcut_decides_on_entries(monkeypatch):
     """Over an infinite ring the shortcut's searches read entries: the only
     matrix product is sigma * sigma in _try_square, and the only inversions
-    are the builder's, of its input and of each congruence witness."""
+    are the builder's, of its input and of each congruence witness s with
+    (s - I)^2 != 0 (otherwise s^-1 = 2I - s)."""
     products, inversions = [], []
     real_mul, real_inv = SqMatrix.__mul__, reduction.mat_inv
-    builder = (reduction._Builder.__init__.__code__, reduction._action.__code__)
+    builder = (reduction._Builder.__init__.__code__, reduction._witness.__code__)
 
     def counted_mul(self, other):
         products.append(sys._getframe(1).f_code.co_name)
@@ -144,7 +153,7 @@ def test_sl2_shortcut_decides_on_entries(monkeypatch):
     inputs = _sl2_inputs("z") + _sl2_inputs("l5")
     monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
     monkeypatch.setattr(reduction, "mat_inv", counted_inv)
-    cases = set()
+    cases, witnesses = set(), [0, 0]
     for g, q in inputs:
         for side in ("E12", "E21"):
             products.clear()
@@ -156,8 +165,12 @@ def test_sl2_shortcut_decides_on_entries(monkeypatch):
                 steps = ()
             cases.update(st.case.rpartition("|")[2] for st in steps)
             assert products in ([], ["_try_square"]), products
-            assert all(inversions) and len(inversions) == builders * (1 + len(steps))
+            inverted = sum(not _square_is_zero(st.op.s, real_mul) for st in steps)
+            assert all(inversions) and len(inversions) == builders * (1 + inverted)
+            witnesses[0] += inverted
+            witnesses[1] += len(steps) - inverted
     assert {"sl2.unit", "sl2.unit.comm", "sl2.comm-upper", "sl2.square"} <= cases
+    assert all(witnesses), witnesses  # steps that invert their witness, and steps that do not
 
 
 def _reduce_inputs(name):
@@ -262,7 +275,7 @@ def test_reduce_and_replay_make_no_dense_products(monkeypatch):
     """Every reduce commutator has one elementary factor and is a rank-one
     update, so neither run multiplies two matrices.  The ring products per
     step, the input's determinant and inverse included, stay under 5 n^2:
-    on these inputs at most 31.9 (n = 3) and 62.0 (n = 4), against at least
+    on these inputs at most 26.0 (n = 3) and 44.2 (n = 4), against at least
     78.7 and 177.9 with two dense products per commutator."""
     inputs = [(args, CLASSES[name][1]) for name in CLASSES for args in _reduce_inputs(name)]
     dense, muls = [], [0]
@@ -286,6 +299,33 @@ def test_reduce_and_replay_make_no_dense_products(monkeypatch):
         assert len(dense) == 0, f"{len(dense)} dense products in {steps} steps"
         assert made <= 5 * n * n * steps, f"reduce_full made {made} ring products in {steps} steps (n = {n})"
         assert muls[0] <= 5 * n * n * steps, f"replay_trace made {muls[0]} ring products in {steps} steps (n = {n})"
+
+
+def test_reduce_and_replay_multiply_no_zero_operand(monkeypatch):
+    """The builder's steps (every function of reduction.py) and the row and
+    column operations _add_row and _add_col make no ring product with a zero
+    operand; each product's caller is read from the frame, a comprehension's
+    as the function around it."""
+    row_ops = {matrices._add_row.__code__: "_add_row", matrices._add_col.__code__: "_add_col"}
+    products, zero_operand = collections.Counter(), collections.Counter()
+    for kernel in {CLASSES[name][0].kernel for name in CLASSES}:
+        def counted(a, b, real=kernel.mul, is_zero=kernel.is_zero):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            code = frame.f_code
+            caller = row_ops.get(code, "reduction" if code.co_filename == reduction.__file__ else None)
+            if caller:
+                products[caller] += 1
+                zero_operand[caller] += is_zero(a) or is_zero(b)
+            return real(a, b)
+
+        monkeypatch.setitem(vars(kernel), "mul", counted)
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            replay_trace(serialize_trace(reduce_full(*args)))
+    assert set(products) == {"_add_row", "_add_col", "reduction"}, products
+    assert not +zero_operand, f"zero-operand products {dict(zero_operand)} of {dict(products)}"
 
 
 def test_reduce_and_replay_multiply_each_witness_once(monkeypatch):
