@@ -11,7 +11,7 @@ its elements' matrices and a code -> index array, and multiplies broadcast
 index arrays through them; every search over a group is a closure_bfs whose
 step maps a frontier of indices (or, for sum sets, codes) to its neighbours.
 Each table also keeps, once per ideal q, the targets E_ij(q) and the
-E(q)-classes of the group, each closed from its least member under
+E(q)-classes of the group, each labelled by its least member under
 conjugation by the targets (they generate E(q)), so a width census does no
 per-sigma set-up.  Both width searches commute with conjugation by E(q), so
 each step moves over classes, not over the elements of E(q).  The product
@@ -107,7 +107,7 @@ def _decode(codes: np.ndarray, m: int, n: int) -> np.ndarray:
 class CongruenceContext:
     """The sigma-independent data of a width census over one ideal q.
 
-    The E(q)-class of g is {s g s^-1 : s in E(q)}, the closure of g under
+    The E(q)-class of g is {s g s^-1 : s in E(q)}, the orbit of g under
     conjugation by the targets, which generate E(q).  Classes are numbered
     by their least member; members[cls[g]] lists g's class in index order,
     padded to a common width by repeating its last member.  With q = (1),
@@ -216,21 +216,21 @@ class FiniteGroupTable:
         return self.code_index[eye + place * np.array(residues, dtype=np.int64)].tolist()
 
     def congruence(self, ideal: Ideal) -> CongruenceContext:
-        """Targets and E(q)-classes, built once per nonzero ideal q: one
-        closure_bfs per class under conjugation by the targets."""
+        """Targets and E(q)-classes, built once per nonzero ideal q: labels
+        fall to their class's least member under conjugation by the targets."""
         ctx = self._congruence.get(ideal.canonical)
         if ctx is None:
             if ideal.is_zero:
                 raise ZeroIdeal("width census needs a nonzero ideal")
             pairs = permutations(range(1, self.n + 1), 2)
             targets = np.array([self.target_elementaries(*p, ideal) for p in pairs], dtype=np.int64)
-            # the targets generate E(q), so a class is the closure of any member
-            # under conjugation by them; each closure starts at the least unclassed element
+            # the targets generate E(q) and permute G: labels settle on each orbit's least member
             t = targets.ravel()
             tconj = self.mul[self.mul[t], self.inv[t][:, None]]  # tconj[k, g]: t_k g t_k^-1
-            cls = np.full(len(self), -1)
-            while (unclassed := np.flatnonzero(cls < 0)).size:
-                cls[closure_bfs(lambda f: tconj[:, f], unclassed[:1], len(self)) >= 0] = cls.max() + 1
+            least = np.arange(len(self), dtype=np.int32)
+            while ((low := np.minimum(least, least[tconj].min(axis=0))) < least).any():
+                least = low
+            cls = np.cumsum(least == np.arange(len(self)))[least] - 1  # numbered by least member
             counts = np.bincount(cls)
             start = np.cumsum(counts) - counts
             pad = np.minimum(np.arange(counts.max()), counts[:, None] - 1)

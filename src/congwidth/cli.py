@@ -15,7 +15,7 @@ from itertools import permutations
 
 from .census import enumerate_sl, sum_set_census, verify_sum_identity, width_census_csv
 from .factorization import census_csv, decompose_elementary, factor_count_census
-from .errors import CongwidthError
+from .errors import CongwidthError, NoUnitFound
 from .matrices import SqMatrix, elementary, parse_matrix
 from .norms import (
     FiltrationChain,
@@ -92,9 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--ring", type=_arg(RingSpec.parse), required=True)
     pr.add_argument("--ideal", required=True, help=_IDEAL_HELP)
     pr.add_argument("--in", dest="infile", required=True)
-    pr.add_argument("--target", type=_target_type, required=True)
-    pr.add_argument("--side", choices=["E12", "E21"], default=None,
-                    help="dimension-2 mode: use the unit shortcut for this side")
+    pr.add_argument("--target", type=_target_type, required=True,
+                    help="i,j; in dimension 2, 1,2 or 2,1 runs the unit shortcut for E12 or E21")
     pr.add_argument("--seed", type=int, default=0, help="echoed on the trace's seed line only; nothing is random")
     pr.add_argument("--out", default=None)
 
@@ -149,15 +148,23 @@ def _read_matrix(path: str) -> SqMatrix:
         return parse_matrix(fh.read())
 
 
+_SL2_SIDES = {(1, 2): "E12", (2, 1): "E21"}
+
+
 def _cmd_reduce(args) -> int:
     sigma = _read_matrix(args.infile)
     if sigma.ring != args.ring:
         raise CongwidthError("matrix ring does not match --ring")
     q = parse_ideal(args.ring, args.ideal)
-    if args.side is not None:
-        trace = sl2_unit_reduction(sigma, q, args.side, seed=args.seed)
-    else:
+    if sigma.n != 2:
         trace = reduce_full(sigma, q, args.target, seed=args.seed)
+    elif (side := _SL2_SIDES.get(args.target)) is None:
+        raise CongwidthError("dimension 2 reduces to target 1,2 or 2,1, got {},{}".format(*args.target))
+    else:
+        try:
+            trace = sl2_unit_reduction(sigma, q, side, seed=args.seed)
+        except NoUnitFound as exc:  # the E21 search runs on the mirror image, so it names E12
+            raise NoUnitFound(str(exc).replace("E12", side)) from None
     _emit(serialize_trace(trace), args.out)
     return 0
 

@@ -338,6 +338,8 @@ def congruence_level(g: SqMatrix, ideal: Ideal, cap: int = 64) -> CongruenceDatu
     lowest level seen so far; the first entry outside the ideal gives level 0.
     A zero d^i (Z/m only) divides no nonzero entry.  A chain that stabilises
     still runs to the cap."""
+    if g.ring is not ideal.ring and g.ring != ideal.ring:
+        raise MismatchedRings("element outside the ideal's ring")
     if ideal.is_zero:
         raise ZeroIdeal("congruence level against the zero ideal")
     if cap < 1:

@@ -401,11 +401,11 @@ def shrink_ideal(norm: NormEval, epsilon: Fraction, *, seed: int = 0):
 
 def conjugation_closure(table: FiniteGroupTable, seeds: list[int]) -> list[int]:
     """Close a set of element indices under conjugation and inversion: the
-    conjugates g f g^-1 of the seeds and their inverses, by every g (a
-    conjugation orbit is already closed)."""
-    mul, inv = table.mul, table.inv
-    starts = list(seeds) + [inv[s] for s in seeds]
-    return sorted(set(mul[mul[:, starts], inv[:, None]].ravel().tolist()))
+    conjugacy classes of the seeds and their inverses, read as the table's
+    E(q)-classes for q = (1), where E(q) is all of SL_n."""
+    cong = table.congruence(Ideal.of(table.ring, 1))
+    starts = [*seeds, *table.inv[list(seeds)].tolist()]
+    return sorted(set(cong.members[cong.cls[starts]].ravel().tolist()))
 
 
 def word_norm_eval(table: FiniteGroupTable, generators: list[int]) -> NormEval:

@@ -3,8 +3,9 @@ import hashlib
 import pytest
 
 from congwidth.cli import main
-from congwidth.matrices import elementary, format_matrix
-from congwidth.rings import RingSpec
+from congwidth.matrices import SqMatrix, elementary, format_matrix
+from congwidth.reduction import serialize_trace, sl2_unit_reduction
+from congwidth.rings import Ideal, RingSpec
 
 
 def write_matrix(path, m):
@@ -68,19 +69,40 @@ def test_reduce_deterministic_bytes(tmp_path):
 
 
 def test_reduce_sl2_side(tmp_path):
+    # in dimension 2 the target picks the unit shortcut's side
     L5 = RingSpec.localized_integers(5)
-    from congwidth.matrices import SqMatrix
-
+    q = Ideal.of(L5, 2)
+    sigma = SqMatrix.from_raw(L5, [[1, 2], [2, 5]])
     infile = tmp_path / "m.txt"
-    write_matrix(infile, SqMatrix.from_raw(L5, [[1, 0], [2, 1]]))
+    write_matrix(infile, sigma)
     out = tmp_path / "t.txt"
-    rc = main([
-        "reduce", "--ring", "Z[1/5]", "--ideal", "2", "--in", str(infile),
-        "--target", "1,2", "--side", "E12", "--out", str(out),
-    ])
-    assert rc == 0
-    assert "kind sl2" in out.read_text()
-    assert main(["replay", "--in", str(out)]) == 0
+    for target, side in (("1,2", "E12"), ("2,1", "E21")):
+        rc = main([
+            "reduce", "--ring", "Z[1/5]", "--ideal", "2", "--in", str(infile),
+            "--target", target, "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_bytes() == serialize_trace(sl2_unit_reduction(sigma, q, side)).encode()
+        assert main(["replay", "--in", str(out)]) == 0
+
+
+def test_reduce_sl2_refusals(tmp_path, capsys):
+    Z9 = RingSpec.integers_mod(9)
+    infile = tmp_path / "m.txt"
+    write_matrix(infile, SqMatrix.from_raw(Z9, [[4, 3], [0, 7]]))  # conjugation collapses: no unit
+    args = ["reduce", "--ring", "Z/9", "--ideal", "3", "--in", str(infile), "--target"]
+    for target, side in (("1,2", "E12"), ("2,1", "E21")):
+        assert main(args + [target]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no unit in the configured search space produces a nontrivial {side} element\n"
+        )
+    for target in ("1,3", "2,2"):
+        assert main(args + [target]) == 1
+        assert capsys.readouterr().err == f"error: dimension 2 reduces to target 1,2 or 2,1, got {target}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["1,2", "--side", "E12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --side E12" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path):
@@ -128,6 +150,14 @@ def test_norm_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "axiom=positivity samples=120 violations=0" in out
     assert "axiom=conjugation samples=120 violations=0" in out
+
+
+def test_norm_config_skips_blank_lines_and_comments(tmp_path):
+    # the same report bytes as the pinned z2mixed config without them
+    cfg, out = tmp_path / "norm.cfg", tmp_path / "report.txt"
+    cfg.write_text("# a z2mixed norm\ntag=z2mixed\n\n   \n  # p is the prime\np=2\n")
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NORM_REPORT_SHA256["tag=z2mixed\np=2\n"]
 
 
 def test_norm_config_z2(tmp_path, capsys):

@@ -249,6 +249,16 @@ def test_congruence_level_examples(ring_z):
     assert congruence_level(elementary(ring_z, 3, 2, 1, 6), q).level == 1
 
 
+def test_congruence_level_refuses_another_rings_ideal(ring_z, ring_p2):
+    # as in_congruence_subgroup: (2) in Z/8 used to give level 2, (x) in F2[x] a TypeError
+    g = elementary(ring_z, 2, 1, 2, 4)
+    for ideal in (Ideal.of(RingSpec.integers_mod(8), 2), Ideal(ring_p2, (ring_p2.x(),))):
+        with pytest.raises(MismatchedRings, match="^element outside the ideal's ring$"):
+            congruence_level(g, ideal)
+        with pytest.raises(MismatchedRings, match="^element outside the ideal's ring$"):
+            in_congruence_subgroup(g, ideal)
+
+
 def test_congruence_level_cap_flag(ring_z):
     q = Ideal.of(ring_z, 2)
     g = elementary(ring_z, 3, 1, 2, 2**70)

@@ -11,6 +11,7 @@ from congwidth.errors import (
     BudgetExceeded,
     CapAmbiguous,
     InnerUnbounded,
+    MismatchedRings,
     NoSmallVector,
     NotCentral,
     TrivialInput,
@@ -402,6 +403,12 @@ def test_filtration_chain_refuses_the_zero_ideal(ring_z):
         FiltrationChain(sl_domain(ring_z, 3), Ideal.of(ring_z, 0))
 
 
+def test_filtration_norm_refuses_a_chain_over_another_ring(ring_z):
+    norm = filtration_norm(FiltrationChain(sl_domain(ring_z, 3), Ideal.of(RingSpec.integers_mod(8), 2)))
+    with pytest.raises(MismatchedRings, match="^element outside the ideal's ring$"):
+        norm.value(elementary(ring_z, 3, 1, 2, 4))
+
+
 # -- singular extension ------------------------------------------------------------
 
 
@@ -442,6 +449,18 @@ def test_singular_extension_refuses_an_inner_value_above_one(ring_z):
     blind = NormEval(gamma_domain(ring_z, 3, 2, radius=0), value=doubled.value)
     with pytest.raises(TrivialInput, match="^singular extension: no check sample is off the identity$"):
         singular_extension(blind, sl_domain(ring_z, 3), member)
+
+
+def test_singular_extension_refuses_an_inner_value_above_one_when_evaluated(ring_z):
+    # the construction's 64 samples never meet far, so only its evaluation refuses
+    q = Ideal.of(ring_z, 2)
+    far = elementary(ring_z, 3, 1, 2, 2**80)
+    filtration = filtration_norm(FiltrationChain(gamma_domain(ring_z, 3, 2), q))
+    inner = NormEval(filtration.domain, value=lambda g: Fraction(2) if g == far else filtration.value(g))
+    norm = singular_extension(inner, sl_domain(ring_z, 3), lambda g: in_congruence_subgroup(g, q))
+    assert norm.value(elementary(ring_z, 3, 1, 2, 2)) == Fraction(1, 2)
+    with pytest.raises(InnerUnbounded, match="^inner norm value 2 exceeds 1$"):
+        norm.value(far)
 
 
 def test_singular_extension_refuses_a_non_invariant_inner_norm(sl2_z4, ring_z4):
@@ -692,6 +711,22 @@ def test_word_norm_eval_harness(sl2_f3):
     assert axiom_harness(norm, 300, seed=17).passed
 
 
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (2, 8)])
+def test_conjugation_closure_matches_brute_force(n, m):
+    # {g s g^-1, g s^-1 g^-1 : g in G}, by matrix products over every g
+    table = enumerate_sl(n, RingSpec.integers_mod(m))
+    els = table.elements
+    conjugators = [(g, mat_inv(g)) for g in els]
+    rng = random.Random(29)
+    seed_sets = [[], [0], table.center, [1, 2], rng.sample(range(len(table)), 4)]
+    for seeds in seed_sets:
+        expected = set()
+        for s in seeds:
+            for x in (els[s], mat_inv(els[s])):
+                expected.update(table.idx(g * x * gi) for g, gi in conjugators)
+        assert conjugation_closure(table, seeds) == sorted(expected), seeds
+
+
 # -- Z^2 mixed norm -----------------------------------------------------------------------------
 
 
@@ -766,6 +801,15 @@ def test_shrink_ideal_immediate_witness(ring_z):
     shrunk, (x, y), violations = shrink_ideal(norm, Fraction(3), seed=23)
     assert abs(x.payload) == 2
     assert violations == 0
+
+
+def test_shrink_ideal_counts_violations():
+    # the first pair with 6 * norm <= 1/2 is (-8, 0), and multiples of 8^3 = 512
+    # stay large in the mixed norm: all but one of the 1000 samples violate
+    shrunk, witness, violations = shrink_ideal(z2_mixed_norm(2), Fraction(1, 2))
+    assert witness == (Z.el(-8), Z.zero)
+    assert shrunk.canonical == Z.el(512)
+    assert violations == 999
 
 
 def test_shrink_ideal_dirac_exhausts(ring_z):

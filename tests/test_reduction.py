@@ -10,6 +10,7 @@ from congwidth.errors import (
     NotCongruent,
     ReplayMismatch,
     SearchExhausted,
+    TrivialInput,
     UnsupportedRing,
 )
 from congwidth.matrices import (
@@ -82,6 +83,13 @@ def test_shift_exhaustion(ring_z):
     # (2, 4, 2): every shift stays even, so the bounded search must report out
     with pytest.raises(SearchExhausted):
         unimodular_square_shift([ring_z.el(2), ring_z.el(4), ring_z.el(2)], bound=60)
+
+
+def test_shift_exhaustion_over_a_finite_ring():
+    # over Z/4 a shift adds t * 2^2 = 0, so (2, 2) stays; Z/4's shells run out first
+    Z4 = RingSpec.integers_mod(4)
+    with pytest.raises(SearchExhausted, match=r"^no unimodular shift found \(search bound 10000\)$"):
+        unimodular_square_shift([Z4.el(2)] * 3)
 
 
 # -- stage 1 -------------------------------------------------------------------
@@ -193,6 +201,15 @@ def test_translate_upper_trivial(ring_z):
     assert len(trace.steps) == 0
 
 
+def test_translate_refusals(ring_z):
+    q = Ideal.of(ring_z, 2)
+    g = SqMatrix.from_raw(ring_z, [[1, 0, 4], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^unknown affine location 'sideways'$"):
+        strip_to_translation(g, q, "sideways")
+    with pytest.raises(CentralInput, match="^translation stage needs a non-central input$"):
+        strip_to_translation(identity(ring_z, 3), q, "upper")
+
+
 def test_translate_lower(ring_z):
     q = Ideal.of(ring_z, 2)
     g = SqMatrix.from_raw(ring_z, [[1, 2, 4], [0, 1, 2], [0, 2, 5]])
@@ -248,6 +265,15 @@ def test_single_entry_already_single(ring_z):
     assert len(trace.steps) == 0
 
 
+def test_single_entry_bottom_already_single(ring_z):
+    q = Ideal.of(ring_z, 2)
+    g = elementary(ring_z, 3, 3, 1, 2)
+    trace = translation_to_elementary(g, q)
+    assert len(trace.steps) == 0 and trace.output == g
+    with pytest.raises(CentralInput, match="^single-entry stage needs a non-central input$"):
+        translation_to_elementary(identity(ring_z, 3), q)
+
+
 # -- stage 4 -------------------------------------------------------------------
 
 
@@ -289,6 +315,19 @@ def test_relocate_same_position(ring_z):
     q = Ideal.of(ring_z, 2)
     trace = relocate_elementary(elementary(ring_z, 3, 1, 2, 2), q, (1, 2))
     assert len(trace.steps) == 0
+
+
+def test_relocate_refuses_two_entries(ring_z):
+    g = elementary(ring_z, 3, 1, 2, 2) * elementary(ring_z, 3, 1, 3, 2)
+    with pytest.raises(TrivialInput, match="^relocation needs a single nonzero entry$"):
+        relocate_elementary(g, Ideal.of(ring_z, 2), (1, 2))
+
+
+def test_partial_traces_do_not_serialize(ring_z):
+    trace = relocate_elementary(elementary(ring_z, 3, 1, 3, 2), Ideal.of(ring_z, 2), (1, 2))
+    assert trace.kind == "partial"
+    with pytest.raises(ValueError, match="^only full reduce/sl2 traces serialize$"):
+        serialize_trace(trace)
 
 
 # -- full pipeline ---------------------------------------------------------------
