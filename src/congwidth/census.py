@@ -149,12 +149,12 @@ class FiniteGroupTable:
         """Indices of element(a) * element(b), for broadcast index arrays a, b."""
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         out = np.empty(shape or (1,), dtype=np.int32)
-        a, b = (self.mats[np.reshape(x, (1,) * (out.ndim - np.ndim(x)) + np.shape(x))] for x in (a, b))
-        # slices of the leading axis; an operand broadcast along it is not sliced
+        a, b = (np.reshape(x, (1,) * (out.ndim - np.ndim(x)) + np.shape(x)) for x in (a, b))
+        a, b = (self.mats[z] if len(z) == 1 else z for z in (a, b))  # broadcast along the leading axis: gathered once
         step = max(1, _PRODUCT_SLICE * len(out) // max(1, out.size))
         m = self.ring.modulus
-        for lo in range(0, len(out), step):
-            x, y = (z[lo:lo + step] if len(z) > 1 else z for z in (a, b))
+        for lo in range(0, len(out), step):  # the other operands are gathered slice by slice
+            x, y = (z if len(z) == 1 else self.mats[z[lo:lo + step]] for z in (a, b))
             out[lo:lo + step] = self.code_index[_encode(x @ y % m, m)]
         return out.reshape(shape)
 

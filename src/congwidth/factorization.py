@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSL, UnsupportedRing
-from .matrices import SqMatrix, _add_row, _check_position, _identity_rows, determinant
+from .matrices import SqMatrix, _add_row, _check_position, _identity_payload, _unchecked, determinant
 from .rings import RingElement, RingSpec
 
 
@@ -34,13 +34,17 @@ class ElemFactorization:
 
     @staticmethod
     def of(ring: RingSpec, n: int, factors: tuple[ElemFactor, ...]) -> "ElemFactorization":
-        """The factorization of E_1 (E_2 (... E_k)), built by row operations on the identity."""
+        """The factorization of E_1 (E_2 (... E_k)): with no i a j, I + sum a e_ij; else by row operations."""
         k = ring.kernel
-        rows = _identity_rows(k, n)
+        rows = list(map(list, _identity_payload(k, n)))
+        flat = len(factors) == 1 or {f.i for f in factors}.isdisjoint(f.j for f in factors)
         for f in reversed(factors):
             _check_position(n, f.i, f.j)
-            _add_row(k, rows, f.i - 1, f.j - 1, ring.el(f.a).payload)
-        return ElemFactorization(factors, SqMatrix._of(ring, n, tuple(map(tuple, rows))))
+            if flat:
+                rows[f.i - 1][f.j - 1] = k.add(rows[f.i - 1][f.j - 1], ring.el(f.a).payload)
+            else:
+                _add_row(k, rows, f.i - 1, f.j - 1, ring.el(f.a).payload)
+        return _unchecked(ElemFactorization, factors=factors, target=SqMatrix._of(ring, n, tuple(map(tuple, rows))))
 
     def product(self) -> SqMatrix:
         return ElemFactorization.of(self.target.ring, self.target.n, self.factors).target
@@ -116,7 +120,7 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
         ):
             add_row(i, j, a)
 
-    assert rows == _identity_rows(k, n), "row reduction did not reach the identity"
+    assert tuple(map(tuple, rows)) == _identity_payload(k, n), "row reduction did not reach the identity"
 
     # L_k ... L_1 g = I, hence g = L_1^-1 ... L_k^-1 (ops in original order).
     factors = tuple(ElemFactor(i + 1, j + 1, RingElement(ring, k.neg(a))) for (i, j, a) in ops)

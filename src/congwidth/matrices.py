@@ -14,7 +14,7 @@ Indices are 1-based throughout the public API and the text formats, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
 from .errors import (
     BadIndices,
@@ -134,12 +134,19 @@ class SqMatrix:
         return f"SqMatrix[{entries} over {self.ring.descriptor()}]"
 
 
-def _identity_rows(k, n: int) -> list[list]:
-    return [[k.one if i == j else k.zero for j in range(n)] for i in range(n)]
+def _unchecked(cls, **fields):
+    """A frozen dataclass without its __init__, as SqMatrix._of: for fields already checked."""
+    (obj := object.__new__(cls)).__dict__.update(fields)
+    return obj
+
+
+@lru_cache(maxsize=16)
+def _identity_payload(k, n: int) -> tuple[tuple, ...]:
+    return tuple(tuple(k.one if i == j else k.zero for j in range(n)) for i in range(n))
 
 
 def identity(ring: RingSpec, n: int) -> SqMatrix:
-    return SqMatrix(ring, n, payload=_identity_rows(ring.kernel, n))
+    return SqMatrix(ring, n, payload=_identity_payload(ring.kernel, n))
 
 
 def _check_position(n: int, i: int, j: int):
@@ -150,7 +157,7 @@ def _check_position(n: int, i: int, j: int):
 def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
     """I + a*e_ij with i != j (1-based indices)."""
     _check_position(n, i, j)
-    rows = _identity_rows(ring.kernel, n)
+    rows = list(map(list, _identity_payload(ring.kernel, n)))
     rows[i - 1][j - 1] = ring.el(a).payload
     return SqMatrix(ring, n, payload=rows)
 
@@ -254,28 +261,28 @@ def determinant(m: SqMatrix) -> RingElement:
     return RingElement(m.ring, _det_cofactor(m.ring.kernel, m.payload))
 
 
+def _cofactors(k, rows) -> tuple:
+    """(det, the adjugate's rows) by first-row expansion: the kernel up to KERNEL_MAX, else the loops."""
+    n = len(rows)
+    if n <= KERNEL_MAX:
+        return _cofactor_kernel(n)(k.add, k.mul, k.neg, rows)
+    struck = [[r[:j] + r[j + 1:] for r in rows] for j in range(n)]  # a minor drops one row of these
+    cof = [[_det_cofactor(k, struck[j][:i] + struck[j][i + 1:]) for j in range(n)] for i in range(n)]
+    cof = [[k.neg(c) if (i + j) % 2 else c for j, c in enumerate(r)] for i, r in enumerate(cof)]
+    return reduce(k.add, map(k.mul, rows[0], cof[0])), tuple(zip(*cof))
+
+
 def mat_inv(m: SqMatrix) -> SqMatrix:
     """Exact inverse via the adjugate; requires the determinant to be a unit.
 
     The determinant is the first-row expansion over the same cofactors; a
     determinant whose inverse is one (every SL_n input) scales nothing."""
     k = m.ring.kernel
-    n = m.n
-    if n <= KERNEL_MAX:
-        d, adj = _cofactor_kernel(n)(k.add, k.mul, k.neg, m.payload)
-    else:
-        struck = [[r[:j] + r[j + 1:] for r in m.payload] for j in range(n)]  # a minor drops one row of these
-
-        def cofactor(i, j):
-            c = _det_cofactor(k, struck[j][:i] + struck[j][i + 1:])
-            return k.neg(c) if (i + j) % 2 else c
-
-        cof = [[cofactor(i, j) for j in range(n)] for i in range(n)]
-        d, adj = reduce(k.add, map(k.mul, m.payload[0], cof[0])), tuple(zip(*cof))
+    d, adj = _cofactors(k, m.payload)
     dinv = k.inverse(d)
     if dinv is None:
         raise NotInvertible(f"determinant {k.format(d)} is not a unit")
-    return SqMatrix._of(m.ring, n, adj if dinv == k.one else tuple(tuple(k.mul(dinv, c) for c in r) for r in adj))
+    return SqMatrix._of(m.ring, m.n, adj if dinv == k.one else tuple(tuple(k.mul(dinv, c) for c in r) for r in adj))
 
 
 def commutator(g: SqMatrix, h: SqMatrix) -> SqMatrix:

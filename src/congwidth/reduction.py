@@ -18,20 +18,20 @@ policy: "reduce" (elementary witnesses, 9 steps, 512 letters, stage bounds),
 "sl2" (witnesses in the congruence subgroup of SL_2, 4 letters) and "partial"
 (the stage entry points: elementary witnesses only).  Every step enters the
 builder one way, record(kind, witness, case): the witness is the conjugator
-s itself or the elementary factors of s, which the builder multiplies out
-once.  The builder checks the input's preconditions when it starts, each
-witness as it records a step, and the budgets and single-entry output when
-the trace is taken.  Replay is a fresh builder fed the input and the
-witnesses a serialized trace records; the trace is accepted only if the
-rebuilt one serializes to the same bytes.
+s itself or the elementary factors of s, whose product it forms once (I
+with their entries set when no factor's column is another's row).  It checks
+the input's preconditions when it starts, each witness as it records a step,
+and the budgets and single-entry output when the trace is taken.  Replay is a
+fresh builder fed the input and the witnesses a serialized trace records; the
+trace is accepted only if the rebuilt one serializes to the same bytes.
 
 The builder carries (g, g^-1).  A witness s acts by sparse row and column
 updates with the nonzero entries of S = s - I and S' = s^-1 - I, and a
 commutator is one low-rank update of I: with one elementary factor a
 rank-one update, about n^2 + 3n ring products.  S' = -S whenever S^2 = 0,
 which holds for elementary factors that share a column or a row, so for
-every reduce step; the builder inverts the input, and a congruence
-conjugator only when S^2 != 0.
+every reduce step.  The input's cofactors, expanded once, give its determinant
+and sigma^-1 (the adjugate); a congruence conjugator is inverted only when S^2 != 0.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ from .matrices import (
     SqMatrix,
     _add_col,
     _add_row,
+    _cofactors,
     _mul_rows,
     _off_identity,
+    _unchecked,
     determinant,
     format_matrix,
     identity,
@@ -210,24 +212,24 @@ def word_product(trace: ReductionTrace) -> SqMatrix:
 # -- preconditions, per-kind policy and the checking builder ----------------------
 
 
-def _check_reduce_preconditions(sigma: SqMatrix, q: Ideal):
+def _check_reduce_preconditions(sigma: SqMatrix, q: Ideal, det):
     if sigma.n < 3:
         raise UnsupportedRing("the full reduction needs dimension >= 3")
     if not sigma.ring.is_domain:
         raise UnsupportedRing("the full reduction needs an integral domain")
-    _check_congruence_input(sigma, q)
+    _check_congruence_input(sigma, q, det)
 
 
-def _check_sl2_preconditions(sigma: SqMatrix, q: Ideal):
+def _check_sl2_preconditions(sigma: SqMatrix, q: Ideal, det):
     if sigma.n != 2:
         raise UnsupportedRing("the unit shortcut is a dimension-2 tool")
-    _check_congruence_input(sigma, q)
+    _check_congruence_input(sigma, q, det)
 
 
-def _check_congruence_input(sigma: SqMatrix, q: Ideal):
+def _check_congruence_input(sigma: SqMatrix, q: Ideal, det):
     if q.is_zero:
         raise ZeroIdeal("reduction ideal must be nonzero")
-    if determinant(sigma) != sigma.ring.one:
+    if det != sigma.ring.kernel.one:
         raise NotSL("input must have determinant 1")
     if not in_congruence_subgroup(sigma, q):
         raise NotCongruent("input is not congruent to I modulo the ideal")
@@ -244,7 +246,7 @@ class _Policy:
     max_word: int | None
     stage_bounds: dict[str, int] | None
     position: Callable[[object], tuple[int, int] | None] | None  # target -> output entry
-    preconditions: Callable[[SqMatrix, Ideal], None] | None
+    preconditions: Callable[[SqMatrix, Ideal, object], None] | None  # (sigma, q, det payload)
 
 
 _SL2_TARGETS = {"E12": (1, 2), "E21": (2, 1)}
@@ -286,8 +288,8 @@ def _witness(k, op: QOperation):
 
 
 def _apply(k, x, left, right, flat: bool) -> list:
-    """x -> (I + L) x (I + R) in place on row lists, L and R by their nonzero
-    columns; unless flat, each pass reads x's entries from before it."""
+    """x -> (I + L) x (I + R) in place on the rows x (lists where R acts), L and R by
+    their nonzero columns; unless flat, each pass reads x's entries from before it."""
     for cols, add in ((left, _add_row), (right, _add_col)):
         src = x if flat or not cols else [tuple(r) for r in x]
         for t, entries in cols:
@@ -296,12 +298,12 @@ def _apply(k, x, left, right, flat: bool) -> list:
     return x
 
 
-def _outer(k, g, ginv, cols) -> list:
-    """The rows of W = (g S) g^-1, the sum over the columns t of S of
-    (g S)[:, t] (x) g^-1[t], as lists; no zero operand is multiplied."""
-    add, mul, is_zero, zero = k.add, k.mul, k.is_zero, k.zero
-    out = []
-    for gq in g:
+def _commutator(k, g, ginv, cols, inv_cols, flat: bool, opposite: bool) -> tuple[tuple, tuple]:
+    """The rows of [g, s] = (I + W)(I + S') and [g, s]^-1 = (I + S)(I + W'), W = (g S) g^-1, W' = -W if
+    opposite, else (g S') g^-1: each row of I + W built once, then S' applied.  No zero operand is multiplied."""
+    add, mul, neg, is_zero, zero, one = k.add, k.mul, k.neg, k.is_zero, k.zero, k.one
+
+    def w_row(gq, cols) -> list:  # row q of (g S) g^-1: (g S)[q, t] g^-1[t] over the columns t of S
         w = None
         for t, entries in cols:
             d = None
@@ -311,8 +313,23 @@ def _outer(k, g, ginv, cols) -> list:
             if d is not None and not is_zero(d):
                 w = ([zero if is_zero(z) else mul(d, z) for z in ginv[t]] if w is None
                      else [e if is_zero(z) else add(e, mul(d, z)) for e, z in zip(w, ginv[t])])
-        out.append([zero] * len(gq) if w is None else w)
-    return out
+        return w
+
+    out, hinv = [], []
+    for q, gq in enumerate(g):
+        if (h := w_row(gq, cols)) is None:  # row q of g S is zero, and so of g S' = -(g S) s^-1
+            hi = tuple(h := [one if c == q else zero for c in range(len(gq))])
+        else:
+            hi = list(map(neg, h)) if opposite else w_row(gq, inv_cols)
+            h[q], hi[q] = add(h[q], one), add(hi[q], one)
+        src = h if flat else tuple(h)
+        for t, entries in inv_cols:
+            for r, a in entries:
+                if not is_zero(x := src[r]):
+                    h[t] = add(h[t], mul(x, a))
+        out.append(tuple(h))
+        hinv.append(tuple(hi))
+    return tuple(out), tuple(map(tuple, _apply(k, hinv, cols, (), flat)))  # (I + S) h^-1
 
 
 class _Builder:
@@ -324,10 +341,12 @@ class _Builder:
 
     def __init__(self, sigma: SqMatrix, q: Ideal, kind: str, seed: int):
         self.policy = _POLICIES[kind]
+        det, adj = _cofactors(sigma.ring.kernel, sigma.payload)  # the one expansion of the input
         if self.policy.preconditions:
-            self.policy.preconditions(sigma, q)
+            self.policy.preconditions(sigma, q, det)
         self.sigma = self.g = sigma
-        self.sigma_inv = self.ginv = mat_inv(sigma)
+        self.sigma_inv = SqMatrix._of(sigma.ring, sigma.n, adj) if det == sigma.ring.kernel.one else mat_inv(sigma)
+        self._ginv = self.sigma_inv.payload  # g^-1, as payload rows
         self.q = q
         self.kind = kind
         self.seed = seed
@@ -340,11 +359,9 @@ class _Builder:
         whose product is s; either is checked against the policy first."""
         k = len(self.steps) + 1
         ring = self.sigma.ring
-        if isinstance(witness, SqMatrix):
-            op = QOperation(kind, witness, None, exp)
-        else:
-            fac = ElemFactorization.of(ring, self.sigma.n, tuple(ElemFactor(i, j, ring.el(a)) for i, j, a in witness))
-            op = QOperation(kind, fac.target, fac, exp)
+        fac = None if isinstance(witness, SqMatrix) else ElemFactorization.of(ring, self.sigma.n, tuple(
+            _unchecked(ElemFactor, i=i, j=j, a=ring.el(a)) for i, j, a in witness))
+        op = _unchecked(QOperation, kind=kind, s=witness if fac is None else fac.target, s_factors=fac, exp=exp)
         member = self.policy.member
         if op.s_member != member:
             raise ReplayMismatch(f"step {k}: {self.kind} steps need {member!r} witnesses")
@@ -359,7 +376,9 @@ class _Builder:
         if kind == APPEND and exp not in (1, -1):
             raise ReplayMismatch(f"step {k}: an appended letter conjugates sigma^1 or sigma^-1, not sigma^{exp}")
         self._step(op)
-        self.steps.append(TraceStep(op, self.g, self.wl, case))
+        self.steps.append(_unchecked(TraceStep, op=op, result=self.g, word_length=self.wl, case=case))
+
+    ginv = property(lambda self: SqMatrix._of(self.sigma.ring, self.sigma.n, self._ginv))  # g^-1, a matrix
 
     def _step(self, op: QOperation):
         """Map (g, g^-1) to the step's image and its inverse, and the word
@@ -372,18 +391,13 @@ class _Builder:
         with W' = (g S') g^-1; then [g, s] = h s^-1 and [g, s]^-1 = s h^-1."""
         ring, n = self.sigma.ring, self.sigma.n
         k = ring.kernel
-        g, ginv = self.g.payload, self.ginv.payload
+        g, ginv = self.g.payload, self._ginv
         cols, inv_cols, flat, opposite = _witness(k, op)
         if op.kind == CONJUGATE:  # s x s^-1 = (I + S) x (I + S') on fresh rows
-            g, ginv = (_apply(k, [list(r) for r in x], cols, inv_cols, flat) for x in (g, ginv))
+            g, ginv = (tuple(map(tuple, _apply(k, [list(r) for r in x], cols, inv_cols, flat))) for x in (g, ginv))
         elif op.kind in (COMM_RIGHT, COMM_LEFT):
-            h = _outer(k, g, ginv, cols)
-            hinv = [list(map(k.neg, w)) for w in h] if opposite else _outer(k, g, ginv, inv_cols)
-            for q, (w, wi) in enumerate(zip(h, hinv)):  # I + W and I + W'
-                w[q], wi[q] = k.add(w[q], k.one), k.add(wi[q], k.one)
-            _apply(k, h, (), inv_cols, flat)
-            _apply(k, hinv, cols, (), flat)
-            g, ginv = (h, hinv) if op.kind == COMM_RIGHT else (hinv, h)  # [s, g] = [g, s]^-1
+            g, ginv = _commutator(k, g, ginv, cols, inv_cols, flat, opposite)
+            g, ginv = (g, ginv) if op.kind == COMM_RIGHT else (ginv, g)  # [s, g] = [g, s]^-1
             self.wl *= 2
         elif op.kind == APPEND:  # g (s sigma^e s^-1), inverse (s sigma^-e s^-1) g^-1
             pos, neg = (self.sigma, self.sigma_inv) if op.exp == 1 else (self.sigma_inv, self.sigma)
@@ -392,7 +406,7 @@ class _Builder:
             self.wl += 1
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
-        self.g, self.ginv = SqMatrix._of(ring, n, tuple(map(tuple, g))), SqMatrix._of(ring, n, tuple(map(tuple, ginv)))
+        self.g, self._ginv = SqMatrix._of(ring, n, g), ginv
 
     def trace(self, target) -> ReductionTrace:
         trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
@@ -433,7 +447,7 @@ def unimodular_square_shift(alpha: list[RingElement], bound: int = 10**4) -> SRW
     ring = alpha[0].ring
     n = len(alpha)
     prefix = list(alpha[: n - 1])
-    an2 = alpha[n - 1] * alpha[n - 1]
+    an2 = an if (an := alpha[n - 1]).is_zero else an * an
     tried = 0
     pool: list[RingElement] = []
     shell = 0
@@ -447,7 +461,7 @@ def unimodular_square_shift(alpha: list[RingElement], bound: int = 10**4) -> SRW
         # tuples whose maximal shell is the current one
         for t in _tuples_with_max_shell(pool, new, n - 1):
             tried += 1
-            shifted = tuple(p + ti * an2 for p, ti in zip(prefix, t))
+            shifted = tuple(p if ti.is_zero or an2.is_zero else p + ti * an2 for p, ti in zip(prefix, t))
             ok, coeffs = is_unimodular(list(shifted))
             if ok:
                 return SRWitness(tuple(t), shifted, tuple(coeffs))
@@ -536,12 +550,12 @@ def _affine_stage(b: _Builder) -> str:
     alpha = g.column(1)
     an = alpha[n - 1]
     wit = unimodular_square_shift(alpha)
-    shift = [(i + 1, n, an * t) for i, t in enumerate(wit.t) if not (an * t).is_zero]
+    shift = [] if an.is_zero else [(i + 1, n, an * t) for i, t in enumerate(wit.t) if not t.is_zero]
     if shift:
         b.record(CONJUGATE, shift, "affine.split.shift")
     # the shift adds t_i a_n times row n to row i and leaves row n alone
     assert b.g.column(1)[: n - 1] == wit.shifted, "shift witness must match the shifted prefix"
-    lam_fac = [(n, k + 1, -(an * dk)) for k, dk in enumerate(wit.bezout) if not (an * dk).is_zero]
+    lam_fac = [] if an.is_zero else [(n, k + 1, -(an * dk)) for k, dk in enumerate(wit.bezout) if not dk.is_zero]
     b.record(COMM_RIGHT, tau_fac, "affine.split.comm")
     if lam_fac:
         b.record(CONJUGATE, lam_fac, "affine.split.conj")
@@ -641,7 +655,7 @@ def _relocate_stage(b: _Builder, target: tuple[int, int]):
 
 def reduce_to_affine(sigma: SqMatrix, q: Ideal):
     """Stage 1 as a standalone call: returns (partial trace, location)."""
-    _check_reduce_preconditions(sigma, q)
+    _check_reduce_preconditions(sigma, q, determinant(sigma).payload)
     b = _Builder(sigma, q, "partial", 0)
     loc = _affine_stage(b)
     return b.trace(("affine", loc)), loc

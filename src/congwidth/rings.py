@@ -462,7 +462,7 @@ class RingSpec:
     def el(self, raw) -> "RingElement":
         """Coerce an int, coefficient list, or (n, k) pair into this ring."""
         if isinstance(raw, RingElement):
-            if raw.ring != self:
+            if raw.ring is not self and raw.ring != self:
                 raise MismatchedRings(f"{raw} not in {self.descriptor()}")
             return raw
         return RingElement(self, self.kernel.el(raw))

@@ -9,17 +9,24 @@ witnesses of one to three factors, or conjugators in the congruence
 subgroup of SL_2 for the "sl2" builder), and compare every recorded step
 with g s g^-1 s^-1 (or s g s^-1 g^-1) formed by SqMatrix products and
 inverses.  The reduce pipeline only records one-factor commutators, so the
-multi-factor ones are covered here alone.
+multi-factor ones are covered here alone.  A recorded elementary witness s,
+formed from its factors without a product when no factor's column is
+another's row, is checked against the dense product of its factors, and the
+step records the builder makes without their __init__ against those
+__init__ makes.
 """
 
+import dataclasses
 import operator
 from functools import reduce
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from congwidth.factorization import ElemFactor, ElemFactorization
 from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
-from congwidth.reduction import COMM_LEFT, COMM_RIGHT, _Builder, _commutes
+from congwidth.reduction import COMM_LEFT, COMM_RIGHT, CONJUGATE, QOperation, TraceStep, _Builder, _commutes
 from congwidth.rings import Ideal, RingSpec, unit_check
 
 Z = RingSpec.integers()
@@ -133,6 +140,60 @@ def test_commutator_steps_match_dense_products(case):
         b.record(kind, witness, "test")
         assert b.g == g
         assert (b.g * b.ginv).is_identity
+
+
+WITNESS_RINGS = {
+    Z: st.integers(-4, 4),
+    Z8: st.integers(1, 7),
+    P2: st.lists(st.integers(0, 1), max_size=3),
+    L5: st.tuples(st.integers(-4, 4), st.integers(-1, 1)),
+}
+
+
+@st.composite
+def _elementary_witnesses(draw):
+    """A ring, n and one to three factors (i, j, a), a nonzero."""
+    ring = draw(st.sampled_from(list(WITNESS_RINGS)))
+    n = draw(st.integers(3, 4))
+    witness = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = ring.el(draw(WITNESS_RINGS[ring]))
+        assume(not a.is_zero)
+        witness.append((*_position(draw, n), a))
+    return ring, n, witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elementary_witnesses())
+@example((Z, 3, [(1, 2, Z.el(3)), (2, 3, Z.el(5))]))  # a factor's column is another's row
+@example((P2, 4, [(2, 3, P2.x()), (1, 2, P2.el([1, 1])), (3, 4, P2.one)]))
+@example((Z8, 3, [(1, 3, Z8.el(4)), (2, 3, Z8.el(4))]))  # a flat list, one column
+@example((L5, 4, [(1, 2, L5.el((2, -1))), (1, 2, L5.el((-2, -1)))]))  # entries that cancel
+def test_builder_witness_is_the_dense_product_of_its_factors(case):
+    # record sets the entries of a flat factor list into I and multiplies
+    # out any other; either way op.s is E_1 E_2 ... E_k
+    ring, n, witness = case
+    b = _Builder(identity(ring, n), Ideal.of(ring, 1), "partial", 0)
+    b.record(CONJUGATE, witness, "test")
+    op = b.steps[-1].op
+    assert op.s == reduce(operator.mul, (elementary(ring, n, i, j, a) for i, j, a in witness))
+    assert op.s_factors == ElemFactorization(tuple(ElemFactor(i, j, a) for i, j, a in witness), op.s)
+
+
+def test_step_records_stay_frozen_and_compare_as_before():
+    # the builder makes its records without their __init__; they equal and
+    # hash as the ones __init__ makes, and stay frozen
+    q = Ideal.of(Z, 2)
+    b = _Builder(elementary(Z, 3, 2, 3, 2), q, "partial", 0)
+    b.record(COMM_RIGHT, [(1, 2, 2)], "test")
+    step = b.steps[-1]
+    fac = ElemFactorization((ElemFactor(1, 2, Z.el(2)),), elementary(Z, 3, 1, 2, 2))
+    made = TraceStep(QOperation(COMM_RIGHT, fac.target, fac, 1), step.result, 2, "test")
+    for record, built in ((step, made), (step.op, made.op), (step.op.s_factors, fac), (fac.factors[0], made.op.s_factors.factors[0])):
+        assert record == built and hash(record) == hash(built) and vars(record) == vars(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, next(iter(vars(record))), None)
+    assert step.op.s_member == "elem"
 
 
 @st.composite

@@ -9,14 +9,15 @@
   definition, in perfbench/ or in README.md: no public wrapper that nothing
   calls.  An ``__init__`` export alone is not a use.
 - Only the trace builder's methods construct a QOperation or a TraceStep,
-  so every recorded step passes its checks.
+  by its class or through ``_unchecked``, so every recorded step passes its
+  checks.
 - Every defaulted parameter of a public function, public method or
   ``__init__``, and every defaulted public field of a dataclass that its
   ``__init__`` takes, is passed, by keyword or by position, by some call in
   the package source or in perfbench/: no setting that no caller sets.  A
-  call to a class counts as a call to its ``__init__``; a function's call to
-  itself does not count.  KNOBS_WITHOUT_CALLER lists the exceptions, with
-  reasons.
+  call to a class counts as a call to its ``__init__``, and so does
+  ``_unchecked(cls, **fields)``; a function's call to itself does not
+  count.  KNOBS_WITHOUT_CALLER lists the exceptions, with reasons.
 
 Each file is parsed once.
 """
@@ -65,6 +66,8 @@ def _names(tree: ast.AST):
             spans.append((node.name, node.lineno, node.end_lineno))
         elif isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "_unchecked" and node.args:  # built without its __init__: _unchecked(cls, **fields)
+                name = getattr(node.args[0], "id", None)
             if name in TRACE_RECORDS:
                 records.append((name, node.lineno))
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
@@ -177,7 +180,10 @@ def _passed(paths):
         if isinstance(node, ast.FunctionDef):
             own = node.name
         elif isinstance(node, ast.Call) and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)):
-            args = ["*" if isinstance(a, ast.Starred) else k for k, a in enumerate(node.args)]
+            args = node.args
+            if name == "_unchecked" and args:  # _unchecked(cls, **fields) builds cls from the fields it names
+                name, args = getattr(args[0], "id", None), args[1:]
+            args = ["*" if isinstance(a, ast.Starred) else k for k, a in enumerate(args)]
             for arg in args + [kw.arg or "*" for kw in node.keywords]:
                 passed.setdefault((name, arg), set()).add((path, own))
         for child in ast.iter_child_nodes(node):

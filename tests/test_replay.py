@@ -186,6 +186,15 @@ def test_reduce_replay_refuses_a_tenth_step():
         replay_trace(nine)
 
 
+def test_reduce_replay_refuses_an_output_off_the_target():
+    # a genuine reduction to (1, 2) whose target line names (1, 3): every step
+    # and budget holds, and only the output's position is refused
+    text = serialize_trace(reduce_full(elementary(Z, 3, 1, 3, 2), Ideal.of(Z, 2), (1, 2)))
+    assert "\ntarget 1 2\n" in text
+    with pytest.raises(ReplayMismatch, match=r"^output is not supported exactly at \(1, 3\)$"):
+        replay_trace(text.replace("\ntarget 1 2\n", "\ntarget 1 3\n"))
+
+
 def test_sl2_replay_refuses_a_fifth_letter():
     # sigma times four appended letters sigma: the word sigma^5 has five letters
     q = Ideal.of(Z, 2)

@@ -3,11 +3,12 @@
 The digests were recorded before the trace checks moved into the builder;
 any change to the trace bytes (steps, witnesses, case tags, matrix table)
 shows up here.  The same traces also check the builder's carried inverse
-against the defining formula of each step, and gate its inverse count, its
-dense matrix products and ring products (none with a zero operand in a step
-or a row or column operation), the elementary products it forms,
-the RingElements made per step, the matrices replay parses and the matrices
-serialize and replay render to text.  The dimension-2 shortcut's inputs over
+against the defining formula of each step, and gate its inversions (one
+cofactor expansion of the input, no loop determinant), its dense matrix
+products and ring products (none with a zero operand in a step, a row or
+column operation or a stage's RingElement product), the elementary
+products it forms, the RingElements made per step, the matrices replay
+parses and the matrices serialize and replay render to text.  The dimension-2 shortcut's inputs over
 Z and Z[1/5] gate its matrix products and inversions.
 """
 
@@ -33,7 +34,7 @@ from congwidth.reduction import (
     serialize_trace,
     sl2_unit_reduction,
 )
-from congwidth.rings import Ideal, RingSpec, unit_check
+from congwidth.rings import Ideal, RingElement, RingSpec, unit_check
 
 Z = RingSpec.integers()
 P2 = RingSpec.poly_over_fp(2)
@@ -136,23 +137,27 @@ def _square_is_zero(s: SqMatrix, mul) -> bool:
 def test_sl2_shortcut_decides_on_entries(monkeypatch):
     """Over an infinite ring the shortcut's searches read entries: the only
     matrix product is sigma * sigma in _try_square, and the only inversions
-    are the builder's, of its input and of each congruence witness s with
-    (s - I)^2 != 0 (otherwise s^-1 = 2I - s)."""
+    are the builder's, of its input (the adjugate of its one cofactor
+    expansion) and of each congruence witness s with (s - I)^2 != 0
+    (otherwise s^-1 = 2I - s)."""
     products, inversions = [], []
-    real_mul, real_inv = SqMatrix.__mul__, reduction.mat_inv
+    real_mul, real_inv, real_cofactors = SqMatrix.__mul__, reduction.mat_inv, reduction._cofactors
     builder = (reduction._Builder.__init__.__code__, reduction._witness.__code__)
 
     def counted_mul(self, other):
         products.append(sys._getframe(1).f_code.co_name)
         return real_mul(self, other)
 
-    def counted_inv(m):
-        inversions.append(sys._getframe(1).f_code in builder)
-        return real_inv(m)
+    def counted(real):
+        def inverting(*args):
+            inversions.append(sys._getframe(1).f_code in builder)
+            return real(*args)
+        return inverting
 
     inputs = _sl2_inputs("z") + _sl2_inputs("l5")
     monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
-    monkeypatch.setattr(reduction, "mat_inv", counted_inv)
+    monkeypatch.setattr(reduction, "mat_inv", counted(real_inv))
+    monkeypatch.setattr(reduction, "_cofactors", counted(real_cofactors))
     cases, witnesses = set(), [0, 0]
     for g, q in inputs:
         for side in ("E12", "E21"):
@@ -258,17 +263,34 @@ def test_reduce_and_replay_make_few_ring_elements_per_step(ring_element_count):
 
 
 def test_reduce_and_replay_invert_once(monkeypatch):
+    """The builder inverts its input by its one cofactor expansion (the
+    adjugate of a determinant-1 input), and nothing calls mat_inv."""
     calls = []
-    real = reduction.mat_inv
-    monkeypatch.setattr(reduction, "mat_inv", lambda m: calls.append(m) or real(m))
+    real_inv, real_cofactors = reduction.mat_inv, reduction._cofactors
+    monkeypatch.setattr(reduction, "mat_inv", lambda m: calls.append("mat_inv") or real_inv(m))
+    monkeypatch.setattr(reduction, "_cofactors", lambda k, rows: calls.append("_cofactors") or real_cofactors(k, rows))
     for name in CLASSES:
         for args in _reduce_inputs(name):
             calls.clear()
             text = serialize_trace(reduce_full(*args))
-            assert len(calls) <= 1, f"reduce_full on {name} inverted {len(calls)} matrices"
+            assert calls == ["_cofactors"], f"reduce_full on {name} inverted by {calls}"
             calls.clear()
             replay_trace(text)
-            assert len(calls) <= 1, f"replay_trace on {name} inverted {len(calls)} matrices"
+            assert calls == ["_cofactors"], f"replay_trace on {name} inverted by {calls}"
+
+
+def test_reduce_and_replay_expand_no_loop_determinant(monkeypatch):
+    """For n <= 4 the NotSL check reads the determinant of the builder's
+    cofactor kernel: the zero-skipping loop _det_cofactor never runs."""
+    calls = []
+    real = matrices._det_cofactor
+    monkeypatch.setattr(matrices, "_det_cofactor", lambda k, rows: calls.append(rows) or real(k, rows))
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            text = serialize_trace(reduce_full(*args))
+            assert not calls, f"reduce_full on {name} ran {len(calls)} loop determinants"
+            replay_trace(text)
+            assert not calls, f"replay_trace on {name} ran {len(calls)} loop determinants"
 
 
 def test_reduce_and_replay_make_no_dense_products(monkeypatch):
@@ -325,6 +347,31 @@ def test_reduce_and_replay_multiply_no_zero_operand(monkeypatch):
         for args in _reduce_inputs(name):
             replay_trace(serialize_trace(reduce_full(*args)))
     assert set(products) == {"_add_row", "_add_col", "reduction"}, products
+    assert not +zero_operand, f"zero-operand products {dict(zero_operand)} of {dict(products)}"
+
+
+def test_reduce_and_replay_multiply_no_zero_ring_element(monkeypatch):
+    """The stages' RingElement products (the affine stage's shift and Bezout
+    multipliers, the stable-range shift's t_i a_n^2) skip zero operands too;
+    each product's caller is read from the frame, a comprehension's as the
+    function around it."""
+    products, zero_operand = collections.Counter(), collections.Counter()
+    real = RingElement.__mul__
+
+    def counted(a, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        if frame.f_code.co_filename == reduction.__file__:
+            products[frame.f_code.co_name] += 1
+            zero_operand[frame.f_code.co_name] += a.is_zero or b.is_zero
+        return real(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    for name in CLASSES:
+        for args in _reduce_inputs(name):
+            replay_trace(serialize_trace(reduce_full(*args)))
+    assert products, "no RingElement product from reduction.py was seen"
     assert not +zero_operand, f"zero-operand products {dict(zero_operand)} of {dict(products)}"
 
 
