@@ -15,7 +15,7 @@ from itertools import permutations
 
 from .census import enumerate_sl, sum_set_census, verify_sum_identity, width_census_csv
 from .factorization import census_csv, decompose_elementary, factor_count_census
-from .errors import CongwidthError, NoUnitFound
+from .errors import CongwidthError
 from .matrices import SqMatrix, elementary, parse_matrix
 from .norms import (
     FiltrationChain,
@@ -161,10 +161,7 @@ def _cmd_reduce(args) -> int:
     elif (side := _SL2_SIDES.get(args.target)) is None:
         raise CongwidthError("dimension 2 reduces to target 1,2 or 2,1, got {},{}".format(*args.target))
     else:
-        try:
-            trace = sl2_unit_reduction(sigma, q, side, seed=args.seed)
-        except NoUnitFound as exc:  # the E21 search runs on the mirror image, so it names E12
-            raise NoUnitFound(str(exc).replace("E12", side)) from None
+        trace = sl2_unit_reduction(sigma, q, side, seed=args.seed)
     _emit(serialize_trace(trace), args.out)
     return 0
 

@@ -717,6 +717,19 @@ def _theta(m: SqMatrix) -> SqMatrix:
     return SqMatrix(m.ring, 2, payload=((d, neg(c)), (neg(bb), a)))
 
 
+class _Mirror:
+    """An E21 builder as the E12 searches see it: sigma, g and each recorded
+    witness through theta, and each case tagged "sl2.mirror|"."""
+
+    def __init__(self, b: _Builder):
+        self.b, self.sigma = b, _theta(b.sigma)
+
+    g = property(lambda self: _theta(self.b.g))
+
+    def record(self, kind: str, witness: SqMatrix, case: str, exp: int = 1):
+        self.b.record(kind, _theta(witness), "sl2.mirror|" + case, exp)
+
+
 def _congruent_units(q: Ideal) -> list[RingElement]:
     """The units u = 1 mod q among those the ring's kernel offers, in its order."""
     ring = q.ring
@@ -740,7 +753,7 @@ def _upper_eta(a: RingElement, beta: RingElement, units, q: Ideal) -> SqMatrix |
     return None
 
 
-def _try_upper_commutator(b: _Builder, q: Ideal) -> bool:
+def _try_upper_commutator(b: _Builder | _Mirror, q: Ideal) -> bool:
     """sigma = [[a, beta], [0, a^-1]]: one commutator with an _upper_eta."""
     if (eta := _upper_eta(*b.sigma.row(1), _congruent_units(q), q)) is None:
         return False
@@ -748,7 +761,7 @@ def _try_upper_commutator(b: _Builder, q: Ideal) -> bool:
     return True
 
 
-def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
+def _try_unit_conjugates(b: _Builder | _Mirror, q: Ideal) -> bool:
     """The unit-conjugation path, for sigma = [[a, beta], [c, d]] with c != 0.
     With u - 1 = w c^2, s = 1 + u + u^2 + u^3 and t = a c w s (so t c = a(u^4 - 1)),
     the witnesses E = [[u^2, -t u^-2], [0, u^-2]] and S = [[d - t c, t a - beta],
@@ -786,7 +799,7 @@ def _try_unit_conjugates(b: _Builder, q: Ideal) -> bool:
     return False
 
 
-def _try_square(b: _Builder) -> bool:
+def _try_square(b: _Builder | _Mirror) -> bool:
     """sigma^2 can be a nontrivial E12 element (e.g. -I times a unipotent)."""
     if _support(b.sigma * b.sigma) != [(1, 2)]:
         return False
@@ -794,7 +807,7 @@ def _try_square(b: _Builder) -> bool:
     return True
 
 
-def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
+def _try_pair_search(b: _Builder | _Mirror, q: Ideal, budget: int) -> bool:
     """Finite rings only: search short products of congruence-subgroup
     conjugates of sigma^{±1} that land in E12, shortest first.
 
@@ -806,8 +819,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
     Elements are indices into the SL_2 table, multiplied by its product
     primitive (not its full product table, which large groups cannot have).
     Each phase scans its products in row-major order and takes the first
-    hit; every product scanned costs one unit of budget, and so does every
-    product of the one two-letter pattern that cannot hit and is not scanned.
+    hit; the budget counts the products scanned.
     """
     sigma = b.sigma
     ring = sigma.ring
@@ -819,7 +831,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
 
     from .census import enumerate_sl  # noqa: PLC0415
 
-    table = enumerate_sl(2, ring, budget=budget)
+    table = enumerate_sl(2, ring)
     prod, inv, mats, element = table.product, table.inv, table.mats, table.element
     conjugators = table.congruent(q)
     sig = table.idx(sigma)
@@ -862,8 +874,7 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
     # and E12 is inversion-closed.  A (-1,+1) product A^-1 B = X in E12 \ {1}
     # (A, B conjugates of sigma) is never new either: sigma is in Gamma(q),
     # so X is, so C = X^-1 A X is a conjugate of sigma too, and the (+1,-1)
-    # product B C^-1 = X.  Its products are still charged, so the budget
-    # counts every two-letter product.
+    # product B C^-1 = X is a hit in the pattern scanned first.
     e12 = (mats[:, 1, 0] == 0) & (mats[:, 0, 0] == 1) & (mats[:, 1, 1] == 1) & (mats[:, 0, 1] != 0)
     for (xv, xg), ((yv, yg), ey) in ((cls_pos, (cls_neg, -1)), (cls_pos, (cls_pos, 1))):
         hit = first_hit(xv, yv, e12)
@@ -873,9 +884,6 @@ def _try_pair_search(b: _Builder, q: Ideal, budget: int) -> bool:
             emit_two(xg[hit[0]], yg[hit[1]], ey)
             assert _support(b.g) == [(1, 2)]
             return True
-    if len(cls_neg[0]) * len(cls_pos[0]) > budget - checked:
-        return False
-    checked += len(cls_neg[0]) * len(cls_pos[0])
 
     # Which elements can be conjugated into E12 \ {1}, with a witness: the
     # first s^-1 t s, over t = E12(a) by a and then s by index.
@@ -927,29 +935,23 @@ def sl2_unit_reduction(
     unit group; Z[1/p]: ±p^k for |k| <= 8; F_p[x]: nonzero constants), the
     upper entries z in {0, q0} for the canonical generator q0 of q (a
     commutator's corner is linear in z, so z = k q0 helps only if q0 does),
-    and over finite rings products of at most four conjugates (at most
-    pair_budget of them).  Exhaustion raises NoUnitFound.
+    and over finite rings products of at most four conjugates, scanning at
+    most pair_budget products.  Exhaustion raises NoUnitFound.  E21 runs the
+    E12 searches on theta(sigma) through a _Mirror of the one builder.
     """
     b = _Builder(sigma, q, "sl2", seed)
     if side not in _SL2_TARGETS:
         raise ValueError("side must be 'E12' or 'E21'")
-    if side == "E21":
-        inner = sl2_unit_reduction(_theta(sigma), q, "E12", pair_budget=pair_budget, seed=seed)
-        for st in inner.steps:
-            b.record(st.op.kind, _theta(st.op.s), "sl2.mirror|" + st.case, st.op.exp)
-        return b.trace("E21")
-
+    view = b if side == "E12" else _Mirror(b)
     found = (
-        _support(sigma) == [(1, 2)]  # already a nontrivial element of E12(q): a one-letter word
-        or (_try_upper_commutator(b, q) if sigma.e(2, 1).is_zero else _try_unit_conjugates(b, q))
-        or _try_square(b)
-        or _try_pair_search(b, q, pair_budget)
+        _support(view.sigma) == [(1, 2)]  # already a nontrivial element of E12(q): a one-letter word
+        or (_try_upper_commutator(view, q) if view.sigma.e(2, 1).is_zero else _try_unit_conjugates(view, q))
+        or _try_square(view)
+        or _try_pair_search(view, q, pair_budget)
     )
     if not found:
-        raise NoUnitFound(
-            "no unit in the configured search space produces a nontrivial E12 element"
-        )
-    return b.trace("E12")
+        raise NoUnitFound(f"no unit in the configured search space produces a nontrivial {side} element")
+    return b.trace(side)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -543,16 +543,6 @@ def exact_div(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(a.ring, q)
 
 
-def divides(b: RingElement, a: RingElement) -> bool:
-    """True iff b divides a (b nonzero), or a = 0."""
-    if a.is_zero:
-        return True
-    if b.is_zero:
-        return False
-    a._check(b)
-    return a.ring.kernel.div(a.payload, b.payload) is not None
-
-
 def extended_gcd(elems: list[RingElement]) -> tuple[RingElement, list[RingElement]]:
     """Return (g, coeffs) with g = sum coeffs[i]*elems[i] generating (elems)."""
     if not elems:
@@ -596,7 +586,9 @@ class Ideal:
             if g.ring != self.ring:
                 raise MismatchedRings("generator outside the parent ring")
         gens = [g.payload for g in self.generators]
-        object.__setattr__(self, "canonical", RingElement(self.ring, self.ring.kernel.canonical(gens)))
+        canonical = RingElement(self.ring, self.ring.kernel.canonical(gens))
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "_divisor", None if canonical.is_zero else canonical.payload)
 
     @staticmethod
     def of(ring: RingSpec, *raw) -> "Ideal":
@@ -607,12 +599,12 @@ class Ideal:
         return self.canonical.is_zero
 
     def contains(self, e: RingElement) -> bool:
-        """Ideal membership, decided via canonical-generator divisibility."""
+        """Ideal membership: one division of e by the canonical generator
+        (_divisor, its payload); the zero ideal, with none, holds only 0."""
         if e.ring is not self.ring and e.ring != self.ring:
             raise MismatchedRings("element outside the ideal's ring")
-        if self.is_zero:
-            return e.is_zero
-        return divides(self.canonical, e)
+        d = self._divisor
+        return e.is_zero if d is None else self.ring.kernel.div(e.payload, d) is not None
 
 
 def parse_ideal(ring: RingSpec, text: str) -> Ideal:

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from congwidth.cli import main
+from congwidth.errors import NoUnitFound
 from congwidth.matrices import SqMatrix, elementary, format_matrix
 from congwidth.reduction import serialize_trace, sl2_unit_reduction
 from congwidth.rings import Ideal, RingSpec
@@ -103,6 +104,23 @@ def test_reduce_sl2_refusals(tmp_path, capsys):
         main(args + ["1,2", "--side", "E12"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --side E12" in capsys.readouterr().err
+
+
+def test_sl2_refusal_names_its_side_in_the_api_and_the_cli(tmp_path, capsys):
+    # the E21 side searches through theta in the one builder, so the API's
+    # refusal names E21 and the CLI prints it as it is
+    Z, Z9 = RingSpec.integers(), RingSpec.integers_mod(9)
+    cases = ((SqMatrix.from_raw(Z, [[3, 2], [4, 3]]), "2"), (SqMatrix.from_raw(Z9, [[4, 3], [0, 7]]), "3"))
+    infile = tmp_path / "m.txt"
+    for sigma, ideal in cases:
+        write_matrix(infile, sigma)
+        for target, side in (("1,2", "E12"), ("2,1", "E21")):
+            with pytest.raises(NoUnitFound) as exc:
+                sl2_unit_reduction(sigma, Ideal.of(sigma.ring, int(ideal)), side)
+            assert str(exc.value) == f"no unit in the configured search space produces a nontrivial {side} element"
+            args = ["reduce", "--ring", sigma.ring.descriptor(), "--ideal", ideal, "--in", str(infile)]
+            assert main(args + ["--target", target]) == 1
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_usage_errors(tmp_path):

@@ -16,7 +16,7 @@ import congwidth.census as census
 import congwidth.cli as cli
 import congwidth.reduction as reduction
 from congwidth.census import enumerate_sl, sum_set_census
-from congwidth.errors import BudgetExceeded, CongwidthError, DimensionMismatch
+from congwidth.errors import BudgetExceeded, CongwidthError, DimensionMismatch, NoUnitFound
 from congwidth.matrices import (
     SqMatrix,
     determinant,
@@ -28,9 +28,9 @@ from congwidth.matrices import (
 )
 from congwidth.reduction import (
     APPEND,
-    COMM_LEFT,
     COMM_RIGHT,
     CONJUGATE,
+    replay_trace,
     serialize_trace,
     sl2_unit_reduction,
 )
@@ -128,13 +128,15 @@ def _z_candidates(q):
 
 
 def _reference_try_pair_search(b, q, budget):
-    """The pair search on SqMatrix products, one candidate at a time."""
+    """The pair search on SqMatrix products, one candidate at a time.  It
+    reads what the production search reads of the builder: sigma, g and
+    record."""
     sigma = b.sigma
     ring = sigma.ring
     if not ring.is_finite:
         return False
 
-    table = enumerate_sl(2, ring, budget=budget)
+    table = enumerate_sl(2, ring)
     conjugators = [s for s in table.elements if in_congruence_subgroup(s, q)]
 
     def class_of(base):
@@ -146,39 +148,30 @@ def _reference_try_pair_search(b, q, budget):
                 seen[v.key()] = (v, s)
         return list(seen.values())
 
-    sig_inv = b.sigma_inv
     cls_pos = class_of(sigma)
-    cls_neg = class_of(sig_inv)
+    cls_neg = class_of(mat_inv(sigma))
 
-    def emit_two(gx, ex, gy, ey):
-        """Ops realizing (gx sigma^ex gx^-1)(gy sigma^ey gy^-1)."""
+    def emit_two(gx, gy, ey):
+        """Ops realizing (gx sigma gx^-1)(gy sigma^ey gy^-1)."""
         eta = mat_inv(gx) * gy
-        if ex == 1:
-            if ey == -1:
-                b.record(COMM_RIGHT, eta, "sl2.pair")
-            else:
-                b.record(APPEND, eta, "sl2.pair", exp=1)
+        if ey == -1:
+            b.record(COMM_RIGHT, eta, "sl2.pair")
         else:
-            assert ey == 1, "(-1, -1) pairs are found through their inverses"
-            b.record(COMM_LEFT, eta, "sl2.pair")
-            b.record(CONJUGATE, gx * sig_inv, "sl2.pair.conj")
-            return
+            b.record(APPEND, eta, "sl2.pair", exp=1)
         if not gx.is_identity:
             b.record(CONJUGATE, gx, "sl2.pair.conj")
 
+    # (-1, -1) pairs are inverses of (+1, +1) ones, and a (-1, +1) hit
+    # A^-1 B = X is the (+1, -1) hit B (X^-1 A X)^-1, so neither is scanned
     checked = 0
-    for (xs, ex), (ys, ey) in (
-        ((cls_pos, 1), (cls_neg, -1)),
-        ((cls_pos, 1), (cls_pos, 1)),
-        ((cls_neg, -1), (cls_pos, 1)),
-    ):
-        for xv, gx in xs:
+    for ys, ey in ((cls_neg, -1), (cls_pos, 1)):
+        for xv, gx in cls_pos:
             for yv, gy in ys:
                 checked += 1
                 if checked > budget:
                     return False
                 if _is_e12_nontrivial(xv * yv):
-                    emit_two(gx, ex, gy, ey)
+                    emit_two(gx, gy, ey)
                     assert _is_e12_nontrivial(b.g)
                     return True
 
@@ -230,7 +223,7 @@ def _reference_try_pair_search(b, q, budget):
                 zmat = SqMatrix.from_raw(ring, ((vinv, z), (ring.zero, v)))
                 if not in_congruence_subgroup(zmat, q):
                     continue
-                emit_two(gx, 1, gy, -1)
+                emit_two(gx, gy, -1)
                 b.record(COMM_RIGHT, zmat, "sl2.pair.comm")
                 assert _is_e12_nontrivial(b.g)
                 return True
@@ -263,17 +256,17 @@ def _digest(outcomes):
 # table cap, and the outcomes are 49 traces and 13 NoUnitFound, never
 # BudgetExceeded (as over all 728 inputs: 1084 traces, 372 NoUnitFound).
 REFERENCE_DIGESTS = {
-    (4, 2, None, 1, ()): "7db01341972811b8f5492560314d043b62f7765cb611a8c3b4bc90a9e2e86d7c",
-    (6, 2, None, 1, ()): "83fab054a3ff5e10b68e28108b125bd92c079f131d112d345a5905800c3fde97",
-    (6, 3, None, 1, ()): "60be158e4c62fbe2918efff5f207fe62b2b6d20b1cc66535ca2a686c0fa43425",
-    (8, 2, None, 1, ()): "485ea4b3a240317f47bc8334a6796e01294b1295d7497c284b0d51554ffcfa4c",
-    (9, 3, None, 1, ()): "59f4c168218bda691c31654bb380b249f256ffd4003250d73e46e705291d2c99",
-    (12, 2, 80, 1, ()): "88b527bad7bc802f3b2fac3d7a515614545021d983c8e440c956b8147cd86340",
-    (27, 3, None, 24, ()): "357e36f761a43402aec794f1e530a40fa78af1aa217eb8d36464d67d6b2f424a",
-    (5, 1, None, 1, (("pair_budget", 119),)): "e596e1d1aa77f3f40ff54bc18fb5d0120b40b8b001a8bedd9d33b20665191c97",
-    (5, 1, None, 1, (("pair_budget", 120),)): "4899da35ae39ca5b54748bbe4edc12c2f96606c240deaba58ecd0833014e8e4c",
-    (5, 1, None, 1, (("pair_budget", 200),)): "462b99f7d51fc6f8dc0c82c898603a0b240c5ee0b7ec1e763e8ec6e6d8f76e9c",
-    (5, 1, None, 1, (("pair_budget", 1000),)): "e0c05252bb213721d183c9aa642d464e290fc3c9d98a9473d0ac79c0decee0d4",
+    (4, 2, None, 1, ()): "a1dc1011c3bc483e0e4369899c0db25befaae6ccd24e97a36eb509a14ee6aee4",
+    (6, 2, None, 1, ()): "ba85bd99c6ea932a7d4f2e6bba55d380c9b79e44b83445c6305f67da6ca5313f",
+    (6, 3, None, 1, ()): "e7f9e00732099e962bfd83e158d9181fb66fac62ea4f65ac72b1046443995bae",
+    (8, 2, None, 1, ()): "a69de5f87e7f7c5821295f8f1debae252e0b4fb6b2d2d591bd3523b912944465",
+    (9, 3, None, 1, ()): "08774dfda38cbeafc614d76f8f6880b0e097153dcbfa8cdc0763da946d046e82",
+    (12, 2, 80, 1, ()): "a6971ed79351c64403e9b260ffb7f7283487ead1198cdc5c4ce00fb664a72602",
+    (27, 3, None, 24, ()): "f4e219bcc3393f043568b6dd8dc3917f35f95b5ba0fa9531f52497b124ed425a",
+    (5, 1, None, 1, (("pair_budget", 119),)): "1632cb6c82e71a2a5d86329000d56394bf77fe4bd8d254d1ffaa1d38f57ec247",
+    (5, 1, None, 1, (("pair_budget", 120),)): "1632cb6c82e71a2a5d86329000d56394bf77fe4bd8d254d1ffaa1d38f57ec247",
+    (5, 1, None, 1, (("pair_budget", 200),)): "e5f415a8dbe1d51b8208cd85091fe4f211d88624770a0f2dd6468a368032e31a",
+    (5, 1, None, 1, (("pair_budget", 1000),)): "2d1d1767dd5f73ea1b5b6734a4d1b522a40423c36179dc48b4bacc7d748310d1",
     (5, 1, None, 1, (("pair_budget", 1500),)): "2d1d1767dd5f73ea1b5b6734a4d1b522a40423c36179dc48b4bacc7d748310d1",
 }
 
@@ -295,15 +288,29 @@ def test_pair_search_matches_the_reference_outcome_by_outcome(m, q0, monkeypatch
     assert _digest(theirs) == REFERENCE_DIGESTS[(m, q0, None, 1, ())]
 
 
-def test_pair_search_charges_the_pattern_it_skips(monkeypatch):
-    # phase A's (-1, +1) pattern is not scanned, but its products still cost
-    # budget, as the reference's scan of them does: at pair_budget 1200 the
-    # tenth non-central element of SL_2(F5) then runs out in phase B, where
-    # an uncharged pattern would leave room for a three-letter product
-    ours = _outcomes(5, 1, 10, pair_budget=1200)
-    assert ours[18].startswith("NoUnitFound") and ours[19].startswith("NoUnitFound")
-    monkeypatch.setattr(reduction, "_try_pair_search", _reference_try_pair_search)
-    assert ours == _outcomes(5, 1, 10, pair_budget=1200)
+def test_pair_search_budget_counts_scanned_products():
+    # the budget counts the products the search scans, and nothing caps the
+    # table: 1000 products finish every search over SL_2(F5), and a budget
+    # below |SL_2(F5)| = 120 refuses for want of products, not of a table
+    traces = _outcomes(5, 1, pair_budget=1000)
+    assert len(traces) == 236 and all(t.startswith("congwidth-trace") for t in traces)
+    assert [serialize_trace(replay_trace(t)) for t in traces] == traces
+    low = _outcomes(5, 1, pair_budget=119)
+    assert not any(t.startswith("BudgetExceeded") for t in low)
+    assert low == _outcomes(5, 1, pair_budget=120)
+
+
+def test_pair_search_refuses_when_the_budget_runs_out_in_phase_b():
+    # phase A scans every two-letter product of this element without a hit;
+    # 800 products then end the three-letter scan before its first hit,
+    # which 1200 reach
+    F5 = RingSpec.integers_mod(5)
+    sigma, q = SqMatrix.from_raw(F5, [[3, 1], [2, 1]]), Ideal.of(F5, 1)
+    refusal = "^no unit in the configured search space produces a nontrivial E12 element$"
+    with pytest.raises(NoUnitFound, match=refusal):
+        sl2_unit_reduction(sigma, q, pair_budget=800)
+    steps = sl2_unit_reduction(sigma, q, pair_budget=1200).steps
+    assert [st.case for st in steps][:2] == ["sl2.pair.append"] * 2
 
 
 def test_pair_search_makes_no_matrix_products(sl2_f5, ring_f5, monkeypatch):

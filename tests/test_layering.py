@@ -36,7 +36,7 @@ PERFBENCH = SRC.parent.parent / "perfbench"
 # (function, parameter) -> why the default stays settable although no call sets it
 KNOBS_WITHOUT_CALLER = {
     ("unimodular_square_shift", "bound"): "the cap that ends the shift search with SearchExhausted; tests lower it",
-    ("sl2_unit_reduction", "pair_budget"): "the pair-search cap; tests pin the outcomes of lowered budgets",
+    ("sl2_unit_reduction", "pair_budget"): "the number of products the pair search may scan",
     ("shrink_ideal", "seed"): "seeds the violation sampler, as axiom_harness's seed does; tests set it",
 }
 

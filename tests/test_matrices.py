@@ -21,7 +21,7 @@ from congwidth.matrices import (
     mat_inv,
     parse_matrix,
 )
-from congwidth.rings import Ideal, RingSpec, divides, unit_check
+from congwidth.rings import Ideal, RingSpec, unit_check
 
 
 def rand_sl3(ring, rng, nfac=8, scale=3):
@@ -286,7 +286,7 @@ def test_congruence_level_matches_ideal_powers():
 
 def reference_level(g: SqMatrix, ideal: Ideal, cap: int) -> CongruenceDatum:
     """Power by power: q^i rebuilt with i products, every entry of g - I
-    tested with divides."""
+    tested for membership in the ideal (q^i)."""
     ring = g.ring
     if g == identity(ring, g.n):
         return CongruenceDatum(ideal, None, True)
@@ -295,7 +295,7 @@ def reference_level(g: SqMatrix, ideal: Ideal, cap: int) -> CongruenceDatum:
         di = ring.one
         for _ in range(i):
             di = di * ideal.canonical
-        if not all(divides(di, e) for e in diff):
+        if not all(Ideal(ring, (di,)).contains(e) for e in diff):
             return CongruenceDatum(ideal, i - 1, False)
     return CongruenceDatum(ideal, None, False)
 
