@@ -13,10 +13,12 @@ step maps a frontier of indices (or, for sum sets, codes) to its neighbours.
 Each table also keeps, once per ideal q, the targets E_ij(q) and the
 E(q)-classes of the group, each labelled by its least member under
 conjugation by the targets (they generate E(q)), so a width census does no
-per-sigma set-up.  Both width searches commute with conjugation by E(q), so
-each step moves over classes, not over the elements of E(q).  The product
-table is built along the enumeration tree, one gathered row per element.  A
-SqMatrix enters a table through idx and leaves through element.
+per-sigma set-up.  Both width searches commute with conjugation by E(q): the
+operation search steps from each node to its class, not to each element of
+E(q), and stops at the layer that settles its last target position; the word
+search walks the classes themselves, on which word length is constant.  The
+product table is built along the enumeration tree, one gathered row per
+element.  A SqMatrix enters a table through idx and leaves through element.
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ def sl_order(n: int, ring: RingSpec) -> int:
     return total
 
 
-def closure_bfs(step, starts, size: int) -> np.ndarray:
+def closure_bfs(step, starts, size: int, goal=None) -> np.ndarray:
     """Breadth-first closure over the nodes 0..size-1, one layer at a time.
 
     step maps a 1-D array of frontier nodes to an array, of any shape, of
     their neighbours.  Returns the int32 distance of every node from the
-    nearest start, -1 for nodes never reached.
+    nearest start, -1 for nodes never reached.  With goal, a 2-D index
+    array, the search stops once every row of goal holds a reached node,
+    before expanding that layer: nodes past it read -1.
 
     step sees at most _BFS_SLICE // size nodes at a time, so a step that
     yields a few neighbours per node and group element keeps its
@@ -81,8 +85,10 @@ def closure_bfs(step, starts, size: int) -> np.ndarray:
     fresh[np.asarray(starts, dtype=np.int64)] = True
     width = max(1, _BFS_SLICE // size)
     depth = 0
-    while (frontier := np.flatnonzero(fresh)).size:
+    while (frontier := fresh.nonzero()[0]).size:
         dist[frontier] = depth
+        if goal is not None and dist[goal].max(axis=-1).min() >= 0:
+            break
         fresh[:] = False
         for lo in range(0, frontier.size, width):
             cand = step(frontier[lo:lo + width]).ravel()
@@ -319,8 +325,10 @@ def width_bfs(table: FiniteGroupTable, sigma: SqMatrix | int, ideal: Ideal) -> d
     - minimum word length over conjugates of sigma^{±1} reaching the same set.
 
     The targets and the E(q)-classes come from the table's congruence
-    context, built once per ideal; per sigma, only the two searches run, and
-    each steps over E(q)-classes.  A sigma outside the table raises NotInGroup.
+    context, built once per ideal; per sigma, only the two searches run: the
+    operation search over elements, one class per node and step, up to the
+    layer that settles the last position, and the word search over classes,
+    at most |G| neighbours per class.  A sigma outside the table raises NotInGroup.
     """
     sidx = table.idx(sigma)
     if sidx in table.center:
@@ -332,16 +340,18 @@ def width_bfs(table: FiniteGroupTable, sigma: SqMatrix | int, ideal: Ideal) -> d
         # the s f s^-1 are f's class; [s, f] = (s f s^-1) f^-1 and [f, s] = [s, f]^-1
         c = members[cls[f]]
         comm = mul[c, inv[f][:, None]]
-        return np.stack((c, comm, inv[comm]))
+        return np.concatenate((c, comm, inv[comm]))
 
-    # operation count from sigma over the q-operation graph
-    dist_ops = closure_bfs(operations, [sidx], len(table))
-    # word length over the conjugates of sigma^{±1}
+    # operation count from sigma over the q-operation graph, up to the last target position
+    dist_ops = closure_bfs(operations, [sidx], len(table), goal=cong.targets)
+    # word length over the conjugates of sigma^{±1}, per class: the classes
+    # of C L are those of rep(C) L, as the letters L are closed under E(q)
     letters = np.zeros(len(table), dtype=bool)
     letters[members[cls[[sidx, inv[sidx]]]]] = True
-    dist_word = table.word_distances(np.flatnonzero(letters))
+    letters = letters.nonzero()[0]
+    dist_word = closure_bfs(lambda f: cls[mul[members[f, 0][:, None], letters]], [cls[0]], len(members))
 
-    ops, word = (_least(dist[cong.targets]).tolist() for dist in (dist_ops, dist_word))
+    ops, word = (_least(dist).tolist() for dist in (dist_ops[cong.targets], dist_word[cls[cong.targets]]))
     pairs = permutations(range(1, table.n + 1), 2)
     return {p: WidthResult(p, None if o < 0 else o, None if w < 0 else w) for p, o, w in zip(pairs, ops, word)}
 

@@ -186,6 +186,8 @@ class _ZmodKernel(_ZKernel):
 
     def div(self, a, b):
         # solve q*b = a in Z/m; a solution exists iff gcd(b, m) | a
+        if b and self.m % b == 0:  # b = gcd(b, m), as for an ideal's canonical generator
+            return None if a % b else a // b
         g, (s, _) = _Z.xgcd([b, self.m])
         return None if a % g else a // g * s % self.m
 

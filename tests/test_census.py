@@ -374,13 +374,15 @@ def _reference_width_bfs(table, sidx, ideal, targets):
     return out
 
 
-@pytest.mark.parametrize("n, m, q", [(2, 3, 1), (2, 4, 2), (3, 2, 1)])
+@pytest.mark.parametrize("n, m, q", [(2, 3, 1), (2, 4, 2), (3, 2, 1), (2, 5, 1), (2, 9, 3)])
 def test_width_bfs_matches_reference(n, m, q):
+    # every non-central element, but every 7th of the 648 of SL_2(Z/9), where
+    # the proper ideal (3) puts two target elements at each position
     ring = RingSpec.integers_mod(m)
     table = enumerate_sl(n, ring)
     ideal = Ideal.of(ring, q)
     targets = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    for k in range(len(table)):
+    for k in range(0, len(table), 7 if len(table) > 500 else 1):
         if k in table.center:
             continue
         got = width_bfs(table, k, ideal)
@@ -406,6 +408,67 @@ def test_closure_bfs_matches_set_bfs(sl2_z4, letters, starts):
         layer = {sl2_z4.idx(els[g] * els[s]) for g in layer for s in letters} - want.keys()
         want.update(dict.fromkeys(layer, depth))
     assert {k: int(d) for k, d in enumerate(dist) if d >= 0} == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.integers(0, 47), max_size=5),
+    st.sets(st.integers(0, 47), min_size=1, max_size=3),
+    st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(st.integers(0, 47), min_size=k, max_size=k), min_size=1, max_size=4)),
+)
+def test_closure_bfs_stops_at_the_goal(sl2_z4, letters, starts, goal):
+    # the search stops at the largest, over goal rows, of each row's least
+    # distance in the full closure, before expanding that layer; with an
+    # unreachable row it runs to the full closure
+    mul = sl2_z4.mul
+    let = np.array(sorted(letters), dtype=np.int32)
+    expanded = []
+
+    def step(f):
+        expanded.extend(f.tolist())
+        return mul[f[:, None], let]
+
+    full = closure_bfs(step, sorted(starts), len(mul))
+    expanded.clear()
+    dist = closure_bfs(step, sorted(starts), len(mul), goal=np.array(goal))
+    least = [min((full[g] for g in row if full[g] >= 0), default=None) for row in goal]
+    stop = full.max() if None in least else max(least)
+    assert np.array_equal(dist, np.where(full <= stop, full, -1))
+    assert sorted(expanded) == np.flatnonzero((full >= 0) & ((full < stop) | (None in least))).tolist()
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (2, 5)])
+def test_width_searches_stop_at_their_answer(monkeypatch, n, m):
+    # the word search steps over E(q)-classes, so it expands at most one node
+    # per class; when every position is reachable, the operation search stops
+    # at the layer that settles its last position and expands none of it
+    ring = RingSpec.integers_mod(m)
+    table, ideal = enumerate_sl(n, ring), Ideal.of(ring, 1)
+    classes = len(table.congruence(ideal).members)
+    closure = census.closure_bfs
+    searches = []
+
+    def counted_closure(step, *args, **kwargs):
+        expanded = []
+
+        def counted_step(f):
+            expanded.extend(f.tolist())
+            return step(f)
+
+        dist = closure(counted_step, *args, **kwargs)
+        searches.append((expanded, dist))
+        return dist
+
+    monkeypatch.setattr(census, "closure_bfs", counted_closure)
+    for k in range(len(table)):
+        if k in table.center:
+            continue
+        searches.clear()
+        res = width_bfs(table, k, ideal)
+        (ops_nodes, ops_dist), (word_nodes, _) = searches
+        assert len(word_nodes) <= classes, k
+        assert not any(r.unreachable for r in res.values())
+        assert ops_dist[ops_nodes].max() < max(r.min_ops for r in res.values()), k
 
 
 def test_width_bfs_ops_minimum_is_minimal(sl2_f3, ring_f3):

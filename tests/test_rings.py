@@ -145,6 +145,17 @@ def test_ideal_membership_generators():
             assert ideal.contains(ideal.canonical)
 
 
+def test_zmod_div_matches_the_xgcd_route():
+    # every a and b in Z/m, m <= 64: b = 0, divisors of m (divided directly)
+    # and the rest, against the extended-Euclid solution q = a/g * s
+    xgcd = RingSpec.integers().kernel.xgcd
+    for m in range(2, 65):
+        div = RingSpec.integers_mod(m).kernel.div
+        for b in range(m):
+            g, (s, _) = xgcd([b, m])
+            assert [div(a, b) for a in range(m)] == [None if a % g else a // g * s % m for a in range(m)], (m, b)
+
+
 def test_unit_check_examples():
     Z = RingSpec.integers()
     assert unit_check(Z.el(-1)) == Z.el(-1)
