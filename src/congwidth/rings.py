@@ -6,12 +6,14 @@ values hash safely:
 
   Z       arbitrary-precision int
   Z/m     residue int in [0, m)
-  F_p[x]  tuple of coefficients in [0, p), ascending degree, no trailing zeros
+  F_p[x]  p odd: tuple of coefficients in [0, p), ascending degree, no trailing zeros
+  F_2[x]  int >= 0 whose bit i is the coefficient of x^i
   Z[1/p]  pair (n, k) meaning n * p**k with p not dividing n; zero is (0, 0)
 
 Each ring kind has one kernel class, which holds all of the kind's
 payload-level code: arithmetic, coercion, the text format, units, division,
-and the per-kind helpers of factorization and reduction.  The extended gcd
+and the per-kind helpers of factorization and reduction; F_2[x], with its
+bitmask payload, has a kernel of its own, picked from p.  The extended gcd
 is written once, on the base kernel: a Euclidean kernel supplies quotient
 and normal (the unit that makes an element canonical), and Z[1/p] rescales
 the integer gcd of its numerators.  Kernels are stateless, so all equal
@@ -219,7 +221,7 @@ class _PolyKernel(_Kernel):
         return self._kronecker(operator.add, a, b, 2 * (self.p - 1), max(len(a), len(b)))
 
     def neg(self, a):
-        return a if self.p == 2 else tuple(-c % self.p for c in a)
+        return tuple(-c % self.p for c in a)
 
     def mul(self, a, b):
         if not a or not b:
@@ -293,6 +295,71 @@ class _PolyKernel(_Kernel):
 
     def units(self):
         return [(c,) for c in range(1, self.p)]
+
+
+_PARITY = bytes(48 + (v & 1) for v in range(256))  # bytes.translate: a slot's low byte to "0"/"1"
+_SHIFT_XOR_BITS = 30  # an F2[x] product shifts and XORs up to this many bits in its shorter operand
+
+
+class _F2Kernel(_PolyKernel):
+    """F_2[x] as a bitmask: a sum is one XOR, a product carry-less."""
+
+    add = operator.xor
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        if a.bit_length() > b.bit_length():
+            a, b = b, a
+        n = a.bit_length()
+        if n <= _SHIFT_XOR_BITS:  # one shift-XOR of b per set bit of a
+            r = 0
+            while a:
+                low = a & -a
+                r ^= b * low
+                a ^= low
+            return r
+        # Kronecker substitution on bits: each bit in a k-byte slot that holds
+        # n, the most products a slot can add up; a slot's parity is its bit
+        k = (n.bit_length() + 7) // 8
+        zero, one = bytes(k), bytes(k - 1) + b"\1"
+        r = 1
+        for v in (a, b):
+            r *= int.from_bytes(f"{v:b}".encode().replace(b"0", zero).replace(b"1", one), "big")
+        return int(r.to_bytes(k * (n + b.bit_length() - 1), "big")[k - 1::k].translate(_PARITY), 2)
+
+    def el(self, raw):
+        return raw & 1 if isinstance(raw, int) else sum((int(c) & 1) << i for i, c in enumerate(raw))
+
+    def x(self):
+        return 2
+
+    def format(self, a) -> str:
+        return ",".join(f"{a:b}"[::-1]) if a else "0"
+
+    def inverse(self, a):
+        return 1 if a == 1 else None
+
+    def divmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by ring zero")
+        q, n = 0, b.bit_length()
+        while (s := a.bit_length() - n) >= 0:
+            q ^= 1 << s
+            a ^= b << s
+        return q, a
+
+    norm = staticmethod(int.bit_length)
+
+    def normal(self, a):
+        return 1
+
+    def shell(self, s):
+        return [s]
+
+    def units(self):
+        return [1]
 
 
 class _ZinvKernel(_Kernel):
@@ -379,7 +446,7 @@ _KERNELS = {KIND_Z: _ZKernel, KIND_ZMOD: _ZmodKernel, KIND_POLY: _PolyKernel, KI
 @cache
 def _kernel(kind: str, modulus: int, prime: int) -> _Kernel:
     """The one kernel of each ring; a constructor that raises caches nothing."""
-    return _KERNELS[kind](modulus, prime)
+    return (_F2Kernel if kind == KIND_POLY and prime == 2 else _KERNELS[kind])(modulus, prime)
 
 
 _Z = _kernel(KIND_Z, 0, 0)  # the integer Euclid of Z/m division and Z[1/p] gcds

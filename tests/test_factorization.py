@@ -66,12 +66,14 @@ def test_dimension_four(ring_z):
 
 
 def test_polynomial_ring(ring_p2):
+    # F2[x] on its bitmask kernel, F3[x] on the coefficient-tuple one
     rng = random.Random(31)
-    x = ring_p2.x()
-    coeffs = [ring_p2.zero, ring_p2.one, x, x + ring_p2.one, x * x]
-    for _ in range(10):
-        g = rand_sl(ring_p2, 3, rng, 8, lambda r: r.choice(coeffs))
-        assert decompose_elementary(g).product() == g
+    for ring in (ring_p2, RingSpec.poly_over_fp(3)):
+        x = ring.x()
+        coeffs = [ring.zero, ring.one, x, x + ring.one, x * x]
+        for _ in range(10):
+            g = rand_sl(ring, 3, rng, 8, lambda r: r.choice(coeffs))
+            assert decompose_elementary(g).product() == g
 
 
 def test_zmod_composite(ring_z4):

@@ -290,6 +290,26 @@ def test_only_canonical_bytes_replay(old, new, error, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "line, error, message",
+    [
+        pytest.param(17, TraceFormatError, "line 18: expected '1 0,1,1 0,1,1\\n'", id="input-entry"),
+        pytest.param(22, ReplayMismatch, "replay mismatch at step 1", id="step-entry"),
+    ],
+)
+def test_f2_entry_with_a_trailing_zero_is_refused(line, error, message, tmp_path, capsys):
+    # 1,0 parses as the element 1 of F2[x]; only the byte comparison refuses it
+    lines = serialize_trace(reduce_full(*_reduce_inputs("p2")[0])).split("\n")
+    assert lines[line].startswith("1 ")
+    lines[line] = "1,0" + lines[line][1:]
+    bad = "\n".join(lines)
+    with pytest.raises(error) as refusal:
+        replay_trace(bad)
+    assert str(refusal.value) == message
+    rc, err = _replay_cli(tmp_path, bad, capsys)
+    assert rc == 1 and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "trace, entry, message",
     [
         pytest.param(lambda: reduce_full(*_reduce_inputs("l5")[0]), "2*3^1",

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congwidth.errors import MismatchedRings, UnsupportedRing
 from congwidth.rings import (
@@ -206,9 +208,56 @@ def test_unimodularity_helper():
                      id="no-generator"),
         pytest.param(lambda: Ideal(RingSpec.integers(), (RingSpec.integers_mod(5).el(1),)), MismatchedRings,
                      "generator outside the parent ring", id="foreign-generator"),
+        # no caller divides by zero, yet the bitmask loop must not run forever
+        pytest.param(lambda: RingSpec.poly_over_fp(2).kernel.div(1, 0), ZeroDivisionError, "division by ring zero",
+                     id="f2-kernel-zero-divisor"),
     ],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as refusal:
         call()
     assert type(refusal.value) is error and str(refusal.value) == message
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_poly_norm_and_shells_on_either_payload_form(p):
+    # the Euclidean norm is the number of coefficients, and shell s holds the
+    # one polynomial whose coefficients are the base-p digits of s
+    k = RingSpec.poly_over_fp(p).kernel
+    for s in range(1, 200):
+        digits, v = [], s
+        while v:
+            digits.append(v % p)
+            v //= p
+        assert k.shell(s) == [k.el(digits)]
+        assert k.norm(k.el(digits)) == len(digits) and k.norm(k.zero) == 0
+
+
+# tokens as a trace's F2[x] entry may hold them: residues, negatives, values
+# >= 2, big values, and text int() refuses
+F2_TOKENS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["", "x", "1.0", "0x1", "--1", " 1", "+1", "1_0", "1e3"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(F2_TOKENS, min_size=1, max_size=12), zeros=st.integers(0, 3))
+def test_f2_parse_reads_coefficients_as_int_mod_2(tokens, zeros):
+    # the bitmask kernel parses as the coefficient rule int(c) % 2, trailing
+    # zeros trimmed, and refuses what int() refuses with int()'s message
+    text = ",".join(tokens + ["0"] * zeros)
+    k = RingSpec.poly_over_fp(2).kernel
+    try:
+        want = [int(c) % 2 for c in text.split(",")]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refusal:
+            k.parse(text)
+        assert str(refusal.value) == str(exc)
+        return
+    while want and want[-1] == 0:
+        want.pop()
+    got = k.parse(text)
+    assert got == sum(c << i for i, c in enumerate(want))
+    assert k.format(got) == (",".join(map(str, want)) or "0")

@@ -5,9 +5,14 @@ F_p[x] to a Poly over GF(p), Z[1/p] to a Rational.  Each model states the
 ring's arithmetic, divisibility, units and ideals in sympy's terms, and
 maps sympy values back, so that a result is also checked to be the
 canonical element for its value.
+
+An F_p[x] payload is a coefficient tuple for odd p and a bitmask for
+p = 2, so polynomial payloads cross the test boundary as coefficient
+tuples, read and written through the kernel's own format and el.
 """
 
 import operator
+import random
 from functools import reduce
 
 import pytest
@@ -17,9 +22,15 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul
 
+import congwidth.rings as rings
 from congwidth.rings import Ideal, RingSpec, exact_div, extended_gcd, unit_check
 
 X = sp.Symbol("x")
+
+
+def coefficients(k, a) -> tuple:
+    """The ascending coefficients of the F_p[x] payload a, read from its text."""
+    return tuple(map(int, k.format(a).split(","))) if a != k.zero else ()
 
 
 class Integers:
@@ -91,7 +102,7 @@ class Polynomials:
         return st.lists(st.integers(0, self.p - 1), max_size=6).map(self.ring.el)
 
     def to_sympy(self, e):
-        return sp.Poly(list(reversed(e.payload)) or [0], X, modulus=self.p)
+        return sp.Poly(list(reversed(coefficients(self.ring.kernel, e.payload))) or [0], X, modulus=self.p)
 
     def from_sympy(self, v):
         return self.ring.el([int(c) for c in reversed(v.all_coeffs())])
@@ -270,14 +281,17 @@ def test_xgcd_matches_the_reference_loop(ring, data):
 
 # -- F_p[x] sums and products over long operands ---------------------------------
 #
-# The kernel packs each coefficient into a slot of k bytes, k set by the
-# largest value a slot can reach (min(len) * (p-1)**2 for a product, 2*(p-1)
-# for a sum).  The primes sit on both sides of each k boundary, and lengths
-# run to 300, past the 255 at which an F2[x] product needs two-byte slots.
-# sympy's dense GF(p) arithmetic is the oracle here: Poly products this long
-# take tens of milliseconds each.
+# For odd p the kernel packs each coefficient into a slot of k bytes, k set by
+# the largest value a slot can reach (min(len) * (p-1)**2 for a product,
+# 2*(p-1) for a sum).  The primes sit on both sides of each k boundary.  For
+# p = 2 a sum is one XOR, and a product shifts and XORs while its shorter
+# operand is at most _SHIFT_XOR_BITS long, above which it spreads one bit per
+# k-byte slot, k set by min(len); at 256 that needs two-byte slots.  Lengths
+# run to 300 and 320.  sympy's dense GF(p) arithmetic is the oracle here:
+# Poly products this long take tens of milliseconds each.
 
 SLOT_PRIMES = [2, 3, 13, 17, 251, 257, 65537]
+SWITCH = rings._SHIFT_XOR_BITS
 
 
 def schoolbook_add(p, a, b):
@@ -307,13 +321,18 @@ def schoolbook_mul(p, a, b):
 
 
 def sympy_gf(op, p, a, b):
-    """op (gf_add or gf_mul) on ascending payloads, through sympy's descending lists."""
+    """op (gf_add or gf_mul) on ascending coefficients, through sympy's descending lists."""
     return tuple(reversed(op(list(reversed(a)), list(reversed(b)), p, ZZ)))
+
+
+def kernel_op(k, op, a, b):
+    """The kernel's op (add or mul) on coefficient tuples a and b, as a coefficient tuple."""
+    return coefficients(k, getattr(k, op)(k.el(a), k.el(b)))
 
 
 @st.composite
 def long_polys(draw, p, max_len=300):
-    """A canonical F_p[x] payload of a uniformly drawn length 0..max_len."""
+    """Canonical F_p[x] coefficients of a uniformly drawn length 0..max_len."""
     n = draw(st.integers(0, max_len))
     rnd = draw(st.randoms(use_true_random=False))
     return tuple(rnd.randrange(p) for _ in range(n - 1)) + ((rnd.randrange(1, p),) if n else ())
@@ -325,8 +344,12 @@ def long_polys(draw, p, max_len=300):
 def test_long_sums_and_products_match_sympy_and_schoolbook(p, data):
     k = RingSpec.poly_over_fp(p).kernel
     a, b = data.draw(long_polys(p)), data.draw(long_polys(p))
-    assert k.add(a, b) == schoolbook_add(p, a, b) == sympy_gf(gf_add, p, a, b)
-    assert k.mul(a, b) == schoolbook_mul(p, a, b) == sympy_gf(gf_mul, p, a, b)
+    assert kernel_op(k, "add", a, b) == schoolbook_add(p, a, b) == sympy_gf(gf_add, p, a, b)
+    assert kernel_op(k, "mul", a, b) == schoolbook_mul(p, a, b) == sympy_gf(gf_mul, p, a, b)
+
+
+EDGE_LENGTHS = [(1, 1), (1, 300), (2, 2), (63, 63), (64, 64), (255, 255), (256, 256), (300, 320)] + [
+    (SWITCH - 1, SWITCH - 1), (SWITCH, SWITCH + 5), (SWITCH + 1, SWITCH + 1)]
 
 
 @pytest.mark.parametrize("p", SLOT_PRIMES)
@@ -334,10 +357,10 @@ def test_extreme_coefficients_fill_every_slot_size(p):
     # all coefficients p-1: the middle slot of a product reaches its bound
     # min(len) * (p-1)**2 exactly, so a slot one byte too narrow would carry
     k = RingSpec.poly_over_fp(p).kernel
-    for la, lb in [(1, 1), (1, 300), (2, 2), (63, 63), (64, 64), (255, 255), (256, 256), (300, 320)]:
+    for la, lb in EDGE_LENGTHS:
         a, b = (p - 1,) * la, (p - 1,) * lb
-        assert k.mul(a, b) == schoolbook_mul(p, a, b)
-        assert k.add(a, b) == schoolbook_add(p, a, b)
+        assert kernel_op(k, "mul", a, b) == schoolbook_mul(p, a, b)
+        assert kernel_op(k, "add", a, b) == schoolbook_add(p, a, b)
 
 
 def test_f2_product_past_one_byte_slots():
@@ -346,4 +369,19 @@ def test_f2_product_past_one_byte_slots():
     a = tuple(i % 3 % 2 for i in range(299)) + (1,)
     b = (1,) * 320
     for x, y in [(a, b), (b, b), (a, a)]:
-        assert k.mul(x, y) == schoolbook_mul(2, x, y) == sympy_gf(gf_mul, 2, x, y)
+        assert kernel_op(k, "mul", x, y) == schoolbook_mul(2, x, y) == sympy_gf(gf_mul, 2, x, y)
+
+
+@pytest.mark.parametrize("switch", [-1, 10**6], ids=["spread", "shift-xor"])
+def test_f2_each_product_path_at_every_edge(switch, monkeypatch):
+    # each path alone, at the lengths where either of them changes: the
+    # switch between them (one bit each side), one- to two-byte slots (255,
+    # 256) and 300 x 320; all ones fills every slot, a mixed operand does not
+    monkeypatch.setattr(rings, "_SHIFT_XOR_BITS", switch)
+    k = RingSpec.poly_over_fp(2).kernel
+    rnd = random.Random(SWITCH)
+    for la, lb in EDGE_LENGTHS + [(SWITCH - 1, SWITCH), (255, 300), (256, 300)]:
+        mixed = tuple(rnd.randrange(2) for _ in range(la - 1)) + (1,)
+        for a in ((1,) * la, mixed):
+            b = (1,) * lb
+            assert kernel_op(k, "mul", a, b) == kernel_op(k, "mul", b, a) == schoolbook_mul(2, a, b)
