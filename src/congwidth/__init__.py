@@ -1,5 +1,8 @@
 """congwidth: exact conjugacy-width reductions, conjugation-invariant norms,
-and brute-force finite censuses for special linear groups over rings."""
+and brute-force finite censuses for special linear groups over rings.
+
+The package root loads no numpy: the finite engine is imported from its
+modules, congwidth.census and congwidth.norms."""
 
 from .errors import CongwidthError
 from .rings import Ideal, RingElement, RingSpec, extended_gcd, unit_check
@@ -15,47 +18,38 @@ from .matrices import (
     is_central,
     mat_inv,
 )
-from .factorization import ElemFactorization, decompose_elementary, factor_count_census
+from .certificate import ElemFactorization, QOperation, ReductionTrace, replay_trace, serialize_trace
+from .factorization import decompose_elementary, factor_count_census
 from .reduction import (
-    QOperation,
-    ReductionTrace,
     expand_trace_word,
     reduce_full,
     reduce_to_affine,
     relocate_elementary,
-    replay_trace,
-    serialize_trace,
     sl2_unit_reduction,
     strip_to_translation,
     translation_to_elementary,
     unimodular_square_shift,
 )
-from .norms import NormEval, axiom_harness, filtration_norm, z2_mixed_norm
-from .census import enumerate_sl, sum_set_census, verify_sum_identity, width_bfs
 
 __all__ = [
     "CongwidthError",
     "CongruenceDatum",
     "ElemFactorization",
     "Ideal",
-    "NormEval",
     "QOperation",
     "ReductionTrace",
     "RingElement",
     "RingSpec",
     "SqMatrix",
-    "axiom_harness",
     "commutator",
     "congruence_level",
     "conjugate",
     "decompose_elementary",
     "determinant",
     "elementary",
-    "enumerate_sl",
     "expand_trace_word",
     "extended_gcd",
     "factor_count_census",
-    "filtration_norm",
     "identity",
     "is_central",
     "mat_inv",
@@ -66,11 +60,7 @@ __all__ = [
     "serialize_trace",
     "sl2_unit_reduction",
     "strip_to_translation",
-    "sum_set_census",
     "translation_to_elementary",
     "unimodular_square_shift",
     "unit_check",
-    "verify_sum_identity",
-    "width_bfs",
-    "z2_mixed_norm",
 ]

@@ -134,7 +134,7 @@ class FiniteGroupTable:
     (-1 off the group).  product(a, b) multiplies broadcast index arrays
     through them; mul is its full |G|^2 table, built on first access and
     refused with BudgetExceeded past the cap, where product still works.
-    element(k) wraps one element as a SqMatrix; elements, all of them, is built on first use.
+    element(k) wraps one element as a SqMatrix.
     """
 
     ring: RingSpec
@@ -145,7 +145,6 @@ class FiniteGroupTable:
     code_index: np.ndarray = field(repr=False)
     tree: np.ndarray = field(repr=False)  # tree[a]: int32 indices of a parent and a generator whose product is a
     _mul: np.ndarray | None = field(default=None, repr=False)
-    _elements: list[SqMatrix] | None = field(default=None, repr=False)
     _congruence: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -185,10 +184,9 @@ class FiniteGroupTable:
 
     @property
     def elements(self) -> list[SqMatrix]:
-        """Every element as a SqMatrix, in index order, built on first access."""
-        if self._elements is None:
-            self._elements = [self.element(k) for k in range(len(self))]
-        return self._elements
+        """Every element as a SqMatrix, in index order, built on each access;
+        only perfbench/traced.py reads it."""
+        return [self.element(k) for k in range(len(self))]
 
     def idx(self, g: SqMatrix | int) -> int:
         """Index of g, an element of the table or already an index into it."""

@@ -13,6 +13,7 @@ import random
 import sys
 from itertools import permutations
 
+from .certificate import replay_trace, serialize_trace
 from .census import enumerate_sl, sum_set_census, verify_sum_identity, width_census_csv
 from .factorization import census_csv, decompose_elementary, factor_count_census
 from .errors import CongwidthError
@@ -28,7 +29,7 @@ from .norms import (
     word_norm_eval,
     z2_mixed_norm,
 )
-from .reduction import reduce_full, replay_trace, serialize_trace, sl2_unit_reduction
+from .reduction import reduce_full, sl2_unit_reduction
 from .rings import RingSpec, format_element, is_prime, parse_ideal
 
 

@@ -7,47 +7,10 @@ No attempt is made to minimize the factor count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .certificate import ElemFactor, ElemFactorization
 from .errors import NotSL, UnsupportedRing
-from .matrices import SqMatrix, _add_row, _check_position, _identity_payload, _unchecked, determinant
+from .matrices import SqMatrix, _add_row, _identity_payload, determinant
 from .rings import RingElement, RingSpec
-
-
-@dataclass(frozen=True)
-class ElemFactor:
-    i: int
-    j: int
-    a: RingElement
-
-
-@dataclass(frozen=True)
-class ElemFactorization:
-    """An ordered product of elementary matrices equal to target."""
-
-    factors: tuple[ElemFactor, ...]
-    target: SqMatrix
-
-    @property
-    def count(self) -> int:
-        return len(self.factors)
-
-    @staticmethod
-    def of(ring: RingSpec, n: int, factors: tuple[ElemFactor, ...]) -> "ElemFactorization":
-        """The factorization of E_1 (E_2 (... E_k)): with no i a j, I + sum a e_ij; else by row operations."""
-        k = ring.kernel
-        rows = list(map(list, _identity_payload(k, n)))
-        flat = len(factors) == 1 or {f.i for f in factors}.isdisjoint(f.j for f in factors)
-        for f in reversed(factors):
-            _check_position(n, f.i, f.j)
-            if flat:
-                rows[f.i - 1][f.j - 1] = k.add(rows[f.i - 1][f.j - 1], ring.el(f.a).payload)
-            else:
-                _add_row(k, rows, f.i - 1, f.j - 1, ring.el(f.a).payload)
-        return _unchecked(ElemFactorization, factors=factors, target=SqMatrix._of(ring, n, tuple(map(tuple, rows))))
-
-    def product(self) -> SqMatrix:
-        return ElemFactorization.of(self.target.ring, self.target.n, self.factors).target
 
 
 def decompose_elementary(g: SqMatrix) -> ElemFactorization:

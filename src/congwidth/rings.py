@@ -378,8 +378,12 @@ class _ZinvKernel(_Kernel):
             return b
         if n2 == 0:
             return a
-        p, k0 = self.p, min(k1, k2)
-        return self.el((n1 * p ** (k1 - k0) + n2 * p ** (k2 - k0), k0))
+        # with k1 != k2 the sum is congruent mod p to the n of the lower power, which p does not divide
+        if k1 < k2:
+            return (n1 + n2 * self.p ** (k2 - k1), k1)
+        if k2 < k1:
+            return (n1 * self.p ** (k1 - k2) + n2, k2)
+        return self.el((n1 + n2, k1))
 
     def neg(self, a):
         return (-a[0], a[1])

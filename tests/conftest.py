@@ -4,6 +4,11 @@ from congwidth.census import enumerate_sl
 from congwidth.rings import RingElement, RingSpec
 
 
+def elements(table) -> list:
+    """Every element of a finite table as a SqMatrix, in index order."""
+    return [table.element(k) for k in range(len(table))]
+
+
 @pytest.fixture
 def ring_element_count(monkeypatch):
     """A callable returning how many RingElements were made since its last call

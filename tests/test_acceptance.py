@@ -48,6 +48,7 @@ from congwidth.reduction import (
     word_product,
 )
 from congwidth.rings import Ideal, RingSpec
+from conftest import elements
 
 ALL_TARGETS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
 
@@ -85,7 +86,7 @@ def test_criterion_1_exhaustive_width_bounds(sl3_f2, ring_f2):
         q = Ideal.of(ring_f2, 1)
         checked = 0
         max_ops = max_word = 0
-        for k in range(len(sl3_f2.elements)):
+        for k in range(len(sl3_f2)):
             if k in sl3_f2.center:
                 continue
             res = width_bfs(sl3_f2, k, q)
@@ -98,7 +99,7 @@ def test_criterion_1_exhaustive_width_bounds(sl3_f2, ring_f2):
                 max_word = max(max_word, r.min_word)
                 checked += 1
         elapsed = time.time() - t0
-        assert checked == (len(sl3_f2.elements) - len(sl3_f2.center)) * 6
+        assert checked == (len(sl3_f2) - len(sl3_f2.center)) * 6
         assert elapsed < 120, f"census took {elapsed:.1f}s"
         ok = True
     finally:
@@ -294,7 +295,7 @@ def test_criterion_5_norm_axioms(ring_z, sl2_f3, sl2_z4, ring_z4):
 
         # averaged norm over a transversal of the congruence layer of SL_2(Z/4)
         qz4 = Ideal.of(ring_z4, 2)
-        members = [g for g in sl2_z4.elements if in_congruence_subgroup(g, qz4)]
+        members = [g for g in elements(sl2_z4) if in_congruence_subgroup(g, qz4)]
 
         class _LayerDomain:
             def mul(self, a, b):
@@ -317,7 +318,7 @@ def test_criterion_5_norm_axioms(ring_z, sl2_f3, sl2_z4, ring_z4):
 
         inner4 = NormEval(layer, hamming)
         reps = []
-        for g in sl2_z4.elements:
+        for g in elements(sl2_z4):
             if all(not in_congruence_subgroup(g * mat_inv(r), qz4) for r in reps):
                 reps.append(g)
         norms["average"] = average_norm(
@@ -381,7 +382,7 @@ def test_criterion_7_decomposition(ring_z, sl2_f3, ring_f2, ring_f3):
                 g = g * elementary(ring_z, 3, i, j, rng.randint(-4, 4))
             fac = decompose_elementary(g)
             assert fac.product() == g
-        for g in sl2_f3.elements:
+        for g in elements(sl2_f3):
             assert decompose_elementary(g).product() == g
         hist2, _, order2 = factor_count_census(2, ring_f2)
         assert order2 == 2 * (2**2 - 1) and sum(hist2.values()) == order2
@@ -400,7 +401,7 @@ def test_criterion_8_oracle_consistency(sl3_f2, ring_f2, sl2_f5, ring_f5):
     try:
         q = Ideal.of(ring_f2, 1)
         pairs = 0
-        for k, g in enumerate(sl3_f2.elements):
+        for k, g in enumerate(elements(sl3_f2)):
             if k in sl3_f2.center:
                 continue
             res = width_bfs(sl3_f2, k, q)
@@ -414,7 +415,7 @@ def test_criterion_8_oracle_consistency(sl3_f2, ring_f2, sl2_f5, ring_f5):
 
         q5 = Ideal.of(ring_f5, 1)
         sl2_pairs = 0
-        for k, g in enumerate(sl2_f5.elements):
+        for k, g in enumerate(elements(sl2_f5)):
             if k in sl2_f5.center:
                 continue
             res = width_bfs(sl2_f5, k, q5)

@@ -32,29 +32,30 @@ from congwidth.errors import (
 from congwidth.matrices import SqMatrix, elementary, identity, mat_inv
 from congwidth.norms import word_norm_eval
 from congwidth.rings import Ideal, RingSpec
+from conftest import elements
 
 
 def test_group_orders(sl2_f2, sl3_f2, sl2_z4):
-    assert len(sl2_f2.elements) == 2 * (2 * 2 - 1)  # q(q^2-1) = 6
-    assert len(sl3_f2.elements) == 168
+    assert len(sl2_f2) == 2 * (2 * 2 - 1)  # q(q^2-1) = 6
+    assert len(sl3_f2) == 168
     # |SL_2(Z/4)| = 4^3 * (1 - 1/4) = 48, computed independently
-    assert len(sl2_z4.elements) == 48
+    assert len(sl2_z4) == 48
 
 
 def test_order_formula_against_enumeration():
     for m, n in ((2, 2), (3, 2), (5, 2), (4, 2), (2, 3)):
         ring = RingSpec.integers_mod(m)
-        assert sl_order(n, ring) == len(enumerate_sl(n, ring).elements)
+        assert sl_order(n, ring) == len(enumerate_sl(n, ring))
 
 
 def test_enumeration_closure(sl2_f3):
-    for a in range(len(sl2_f3.elements)):
+    for a in range(len(sl2_f3)):
         assert sl2_f3.mul[a][sl2_f3.inv[a]] == sl2_f3.idx(identity(sl2_f3.ring, 2))
 
 
 def test_enumeration_no_duplicates(sl2_z4):
-    keys = {g.key() for g in sl2_z4.elements}
-    assert len(keys) == len(sl2_z4.elements)
+    keys = {g.key() for g in elements(sl2_z4)}
+    assert len(keys) == len(sl2_z4)
 
 
 def test_budget_exceeded():
@@ -89,16 +90,16 @@ def test_width_bfs_rejects_central(sl2_f3, ring_f3):
 def test_width_bfs_minima_are_minimal(sl2_f5, ring_f5):
     # spot-check the word minimum by brute-force products of letters
     q = Ideal.of(ring_f5, 1)
-    sigma = sl2_f5.elements[7]
+    sigma = sl2_f5.element(7)
     if sl2_f5.idx(sigma) in sl2_f5.center:
-        sigma = sl2_f5.elements[8]
+        sigma = sl2_f5.element(8)
     res = width_bfs(sl2_f5, sigma, q)
     r = res[(1, 2)]
     letters = set()
-    for s in sl2_f5.elements:
+    for s in elements(sl2_f5):
         letters.add((s * sigma * mat_inv(s)).key())
         letters.add((s * mat_inv(sigma) * mat_inv(s)).key())
-    lookup = {g.key(): g for g in sl2_f5.elements}
+    lookup = {g.key(): g for g in elements(sl2_f5)}
     targets = {
         elementary(ring_f5, 2, 1, 2, a).key() for a in range(1, 5)
     }
@@ -138,7 +139,7 @@ def test_width_census_csv(sl2_f2, ring_f2):
     # 4 non-central elements (center of SL_2(F_2) is trivial, 6 elements,
     # the identity is central), 2 targets each
     rows = [l for l in lines if "," in l and not l.startswith("sigma")]
-    noncentral = len(sl2_f2.elements) - len(sl2_f2.center)
+    noncentral = len(sl2_f2) - len(sl2_f2.center)
     assert len(rows) == noncentral * 2
 
 
@@ -227,7 +228,7 @@ def test_large_product_table():
     # SL_2(Z/16) has 3072 elements: a 9.4M-entry table
     ring = RingSpec.integers_mod(16)
     table = enumerate_sl(2, ring)
-    assert len(table.elements) == sl_order(2, ring) == 3072
+    assert len(table) == sl_order(2, ring) == 3072
     e = table.idx(identity(ring, 2))
     a = table.idx(elementary(ring, 2, 1, 2, 3))
     assert table.mul[a][table.inv[a]] == e
@@ -258,8 +259,9 @@ def test_product_table_matches_matrix_products(n, m):
     assert np.array_equal(mul, table.product(np.arange(size)[:, None], np.arange(size)))
     if size > 200:
         return
-    for a, ga in enumerate(table.elements):
-        assert mul[a].tolist() == [table.idx(ga * gb) for gb in table.elements]
+    els = elements(table)
+    for a, ga in enumerate(els):
+        assert mul[a].tolist() == [table.idx(ga * gb) for gb in els]
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +399,7 @@ def test_width_bfs_matches_reference(n, m, q):
 def test_closure_bfs_matches_set_bfs(sl2_z4, letters, starts):
     # right multiplication by random letters of SL_2(Z/4), against a BFS
     # over matrix products
-    els = sl2_z4.elements
+    els = elements(sl2_z4)
     mul = sl2_z4.mul
     let = np.array(sorted(letters), dtype=np.int32)
     dist = closure_bfs(lambda f: mul[f[:, None], let], sorted(starts), len(els))
@@ -475,19 +477,20 @@ def test_width_bfs_ops_minimum_is_minimal(sl2_f3, ring_f3):
     # independent brute force over the operation graph for one element
     q = Ideal.of(ring_f3, 1)
     sigma = next(
-        g for k, g in enumerate(sl2_f3.elements)
+        g for k, g in enumerate(elements(sl2_f3))
         if k not in sl2_f3.center and width_bfs(sl2_f3, k, q)[(1, 2)].min_ops
     )
     r = width_bfs(sl2_f3, sigma, q)[(1, 2)]
     targets = {elementary(ring_f3, 2, 1, 2, a).key() for a in (1, 2)}
     frontier = {sigma.key()}
-    lookup = {g.key(): g for g in sl2_f3.elements}
+    els = elements(sl2_f3)
+    lookup = {g.key(): g for g in els}
     depth_found = None
     for depth in range(1, r.min_ops + 1):
         nxt = set()
         for gk in frontier:
             g = lookup[gk]
-            for s in sl2_f3.elements:
+            for s in els:
                 nxt.add((s * g * mat_inv(s)).key())
                 nxt.add((g * s * mat_inv(g) * mat_inv(s)).key())
                 nxt.add((s * g * mat_inv(s) * mat_inv(g)).key())
@@ -534,7 +537,7 @@ def test_non_elements_are_rejected(sl2_f3, ring_f3, bad):
 
 
 def test_idx_accepts_elements_and_indices(sl2_f3):
-    for k, g in enumerate(sl2_f3.elements):
+    for k, g in enumerate(elements(sl2_f3)):
         assert sl2_f3.idx(g) == sl2_f3.idx(k) == sl2_f3.idx(np.int32(k)) == k
         assert type(sl2_f3.idx(np.int32(k))) is int
 
@@ -601,8 +604,8 @@ def test_table_cache_evicts_the_least_recently_used():
     assert all(table(*groups[i]) is tables[i] for i in [0, *range(2, size)])
     old, again = tables[1], table(*groups[1])
     assert again is not old
-    assert again.elements == old.elements
-    assert [again.idx(g) for g in old.elements] == list(range(len(old.elements)))
+    assert elements(again) == elements(old)
+    assert [again.idx(g) for g in elements(old)] == list(range(len(old)))
     assert again.center == old.center
     assert np.array_equal(again.inv, old.inv) and np.array_equal(again.mul, old.mul)
 

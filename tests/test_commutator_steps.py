@@ -24,9 +24,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from congwidth.factorization import ElemFactor, ElemFactorization
+from congwidth.certificate import (
+    COMM_LEFT,
+    COMM_RIGHT,
+    CONJUGATE,
+    ElemFactor,
+    ElemFactorization,
+    QOperation,
+    TraceStep,
+    _Builder,
+)
 from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
-from congwidth.reduction import COMM_LEFT, COMM_RIGHT, CONJUGATE, QOperation, TraceStep, _Builder, _commutes
+from congwidth.reduction import _commutes
 from congwidth.rings import Ideal, RingSpec, unit_check
 
 Z = RingSpec.integers()

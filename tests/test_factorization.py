@@ -7,6 +7,7 @@ from congwidth.factorization import census_csv, decompose_elementary, factor_cou
 from congwidth.errors import NotSL, UnsupportedRing
 from congwidth.matrices import SqMatrix, elementary, identity, mat_inv
 from congwidth.rings import RingSpec
+from conftest import elements
 
 
 def rand_sl(ring, n, rng, nfac, coeff):
@@ -55,7 +56,7 @@ def test_inverse_factor_list(ring_z):
 
 
 def test_exhaustive_sl2_z3(sl2_f3):
-    for g in sl2_f3.elements:
+    for g in elements(sl2_f3):
         assert decompose_elementary(g).product() == g
 
 

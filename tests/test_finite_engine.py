@@ -35,6 +35,7 @@ from congwidth.reduction import (
     sl2_unit_reduction,
 )
 from congwidth.rings import Ideal, RingSpec, unit_check
+from conftest import elements
 
 # -- enumeration -----------------------------------------------------------------
 
@@ -68,10 +69,10 @@ def test_enumeration_matches_the_matrix_closure(n, m):
     ring = RingSpec.integers_mod(m)
     table = enumerate_sl(n, ring)
     elements, index, inv, center = _reference_enumerate_sl(n, ring)
-    assert table.elements == elements
+    assert table.elements == elements  # the list perfbench/traced.py reads
     assert [table.idx(g) for g in elements] == [index[g.key()] for g in elements] == list(range(len(elements)))
     assert table.inv.tolist() == inv and table.center == center
-    assert table.elements[0].is_identity
+    assert table.element(0).is_identity
     assert table.mats.tolist() == [list(map(list, g.key())) for g in elements]
     codes = census._encode(table.mats, m)
     assert table.code_index[codes].tolist() == list(range(len(table)))
@@ -92,7 +93,7 @@ def test_product_is_the_matrix_product_on_broadcast_indices(sl3_f2):
     assert got.dtype == np.int32 and got.shape == (7, 9)
     for r in range(7):
         for c in range(9):
-            assert got[r, c] == table.idx(table.elements[a[r, 0]] * table.elements[b[0, c]])
+            assert got[r, c] == table.idx(table.element(a[r, 0]) * table.element(b[0, c]))
     assert table.product(a[3, 0], b[0, 4]) == got[3, 4]
     assert table.product(a[:0], b).shape == (0, 9)
     assert np.array_equal(table.mul, table.product(np.arange(len(table))[:, None], np.arange(len(table))))
@@ -107,7 +108,7 @@ def test_product_works_past_the_table_cap():
         table.mul
     ks = [1, 500, 9000, 17495]
     got = table.product(np.array(ks)[:, None], np.array(ks))
-    assert got.tolist() == [[table.idx(table.elements[x] * table.elements[y]) for y in ks] for x in ks]
+    assert got.tolist() == [[table.idx(table.element(x) * table.element(y)) for y in ks] for x in ks]
     assert (table.product(ks, table.inv[ks]) == 0).all()
 
 
@@ -137,7 +138,7 @@ def _reference_try_pair_search(b, q, budget):
         return False
 
     table = enumerate_sl(2, ring)
-    conjugators = [s for s in table.elements if in_congruence_subgroup(s, q)]
+    conjugators = [s for s in elements(table) if in_congruence_subgroup(s, q)]
 
     def class_of(base):
         # (conjugate value, witness s) over congruence-subgroup conjugators
@@ -236,7 +237,7 @@ def _outcomes(m, q0, stop=None, step=1, **kw):
     or the exception's type and message."""
     ring = RingSpec.integers_mod(m)
     q = Ideal.of(ring, q0)
-    inputs = [g for g in enumerate_sl(2, ring).elements if not is_central(g) and in_congruence_subgroup(g, q)]
+    inputs = [g for g in elements(enumerate_sl(2, ring)) if not is_central(g) and in_congruence_subgroup(g, q)]
     out = []
     for g in inputs[:stop:step]:
         for side in ("E12", "E21"):
@@ -334,7 +335,7 @@ def test_pair_search_makes_no_matrix_products(sl2_f5, ring_f5, monkeypatch):
     monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
     monkeypatch.setattr(reduction, "_try_pair_search", counted_search)
     q = Ideal.of(ring_f5, 1)
-    for k, g in enumerate(sl2_f5.elements):
+    for k, g in enumerate(elements(sl2_f5)):
         if k not in sl2_f5.center:
             for side in ("E12", "E21"):
                 sl2_unit_reduction(g, q, side)

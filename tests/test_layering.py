@@ -2,6 +2,10 @@
 
 - No module imports a name it never uses (``__init__.py``, which re-exports,
   is exempt).  A name used only inside a string annotation counts as used.
+  REEXPORTS lists the exceptions, with reasons.
+- certificate.py, the trust path, imports nothing from the searches
+  (reduction.py), the finite engine (census.py, norms.py),
+  factorization.py or the CLI.
 - Only rings.py names the ring-kind constants KIND_*: everything else asks a
   ring's kernel, so no module dispatches on the kind.
 - Every public method or property of a class, and every public top-level
@@ -10,7 +14,7 @@
   calls.  An ``__init__`` export alone is not a use.
 - Only the trace builder's methods construct a QOperation or a TraceStep,
   by its class or through ``_unchecked``, so every recorded step passes its
-  checks.
+  checks; the builder lives in certificate.py.
 - Every defaulted parameter of a public function, public method or
   ``__init__``, and every defaulted public field of a dataclass that its
   ``__init__`` takes, is passed, by keyword or by position, by some call in
@@ -19,11 +23,17 @@
   ``_unchecked(cls, **fields)``; a function's call to itself does not
   count.  KNOBS_WITHOUT_CALLER lists the exceptions, with reasons.
 
-Each file is parsed once.
+Each file is parsed once.  Besides the static checks, importing the
+certificate core or the searches loads no numpy, and the trust path stays
+under a committed ceiling of executable lines.
 """
 
 import ast
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,7 +51,19 @@ KNOBS_WITHOUT_CALLER = {
 }
 
 
+# (module, name) -> why the module imports a name it never uses
+REEXPORTS = {
+    ("reduction.py", "replay_trace"): "perfbench/jobs.py and traced.py import it from congwidth.reduction",
+    ("reduction.py", "serialize_trace"): "perfbench/jobs.py and traced.py import it from congwidth.reduction",
+}
+
 TRACE_RECORDS = ("QOperation", "TraceStep")
+
+# the modules that certificate.py may not import from
+OFF_THE_TRUST_PATH = {"reduction", "census", "norms", "factorization", "cli"}
+
+# executable lines of certificate.py, counted by tools/uncovered_lines.py's rule
+TRUST_PATH_CEILING = 318
 
 
 def _names(tree: ast.AST):
@@ -94,8 +116,36 @@ def _scan(path: Path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     imports, used = _scan(path)[:2]
-    unused = [f"{name} (line {line})" for name, line in imports if name not in used]
+    unused = [f"{name} (line {line})" for name, line in imports
+              if name not in used and (path.name, name) not in REEXPORTS]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+    stale = [name for module, name in REEXPORTS if module == path.name and name not in dict(imports)]
+    assert not stale, f"exceptions that name no import of {path.name}: {stale}"
+
+
+def test_certificate_imports_no_search():
+    modules = set()
+    for node in ast.walk(_tree(SRC / "certificate.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            modules.update(name.rpartition(".")[2] for name in names)
+    assert not modules & OFF_THE_TRUST_PATH, f"certificate.py imports from {sorted(modules & OFF_THE_TRUST_PATH)}"
+
+
+@pytest.mark.parametrize("module", ["congwidth.certificate", "congwidth.reduction"])
+def test_import_loads_no_numpy(module):
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False", f"import {module} loads numpy"
+
+
+def test_trust_path_stays_under_its_ceiling():
+    spec = importlib.util.spec_from_file_location("uncovered_lines", SRC.parent.parent / "tools" / "uncovered_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = len(tool.executable_lines(SRC / "certificate.py"))
+    assert lines <= TRUST_PATH_CEILING, f"certificate.py has {lines} executable lines, over {TRUST_PATH_CEILING}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rings.py"], ids=lambda p: p.name)
@@ -116,7 +166,7 @@ def test_public_methods_are_named():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_builder_records_steps(path):
     records, spans = _scan(path)[4:6]
-    assert records or path.name != "reduction.py", "the builder's own constructions went unseen"
+    assert records or path.name != "certificate.py", "the builder's own constructions went unseen"
     inside = [(first, last) for cls, first, last in spans if cls == "_Builder"]
     outside = [f"{name} (line {line})" for name, line in records
                if not any(first <= line <= last for first, last in inside)]

@@ -22,6 +22,7 @@ from congwidth.matrices import (
     parse_matrix,
 )
 from congwidth.rings import Ideal, RingSpec, unit_check
+from conftest import elements
 
 
 def rand_sl3(ring, rng, nfac=8, scale=3):
@@ -401,7 +402,7 @@ def test_is_central_examples(ring_z):
 
 def test_central_iff_scalar_exhaustive(sl2_f3):
     # central by definition: g commutes with every element of SL2(F3)
-    group = sl2_f3.elements
+    group = elements(sl2_f3)
     for g in group:
         assert is_central(g) == all(g * h == h * g for h in group)
 

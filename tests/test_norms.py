@@ -43,6 +43,7 @@ from congwidth.norms import (
     z2_mixed_norm,
 )
 from congwidth.rings import Ideal, RingSpec
+from conftest import elements
 
 Z = RingSpec.integers()
 
@@ -187,7 +188,7 @@ def test_finite_group_domain_samples_as_the_matrix_sampler(sl2_f5):
     rng, old = random.Random(3), random.Random(3)
     for _ in range(50):
         # the SqMatrix sampler the index domain replaced
-        assert sl2_f5.element(dom.sample(rng)) == sl2_f5.elements[old.randrange(len(sl2_f5.elements))]
+        assert sl2_f5.element(dom.sample(rng)) == sl2_f5.element(old.randrange(len(sl2_f5)))
 
 
 def test_finite_group_domain_needs_the_product_table():
@@ -548,7 +549,7 @@ def _hamming_norm_on_gamma2(table, ring):
     """Entry-count norm on the congruence layer of SL_2(Z/4): N-invariant
     (the layer is abelian) but visibly not invariant under the full group."""
     q = Ideal.of(ring, 2)
-    members = [g for g in table.elements if in_congruence_subgroup(g, q)]
+    members = [g for g in elements(table) if in_congruence_subgroup(g, q)]
 
     class _ListDomain:
         def mul(self, a, b):
@@ -607,7 +608,7 @@ def test_average_norm_full_invariance(sl2_z4, ring_z4):
     from congwidth.matrices import mat_inv
 
     broken = False
-    for s in sl2_z4.elements:
+    for s in elements(sl2_z4):
         for n in members:
             if inner.value(s * n * mat_inv(s)) != inner.value(n):
                 broken = True
@@ -618,13 +619,13 @@ def test_average_norm_full_invariance(sl2_z4, ring_z4):
 
     # transversal of the congruence layer inside SL_2(Z/4)
     reps = []
-    for g in sl2_z4.elements:
+    for g in elements(sl2_z4):
         if all(not member(g * mat_inv(r)) for r in reps):
             reps.append(g)
     assert len(reps) == 6
     avg = average_norm(inner, reps, 6, member)
     # averaged norm is invariant under conjugation by the whole group
-    for s in sl2_z4.elements:
+    for s in elements(sl2_z4):
         for n in members:
             assert avg.value(s * n * mat_inv(s)) == avg.value(n)
     assert axiom_harness(avg, 300, seed=14).passed
@@ -661,7 +662,7 @@ def test_product_sum_values_and_harness(sl2_f3):
     norm = product_sum_norm(left, right)
     e = (0, 0)
     assert norm.value(e) == 0
-    g = sl2_f3.elements[5]
+    g = sl2_f3.element(5)
     assert norm.value((g, 0)) == left.value(g)
     assert axiom_harness(norm, 300, seed=15).passed
 
@@ -685,8 +686,8 @@ def test_word_norm_subadditive(sl2_f3):
     seeds = [sl2_f3.idx(elementary(ring, 2, 1, 2, 1)), sl2_f3.idx(elementary(ring, 2, 2, 1, 1))]
     dist = sl2_f3.word_distances(conjugation_closure(sl2_f3, seeds))
     for _ in range(100):
-        g = sl2_f3.elements[rng.randrange(24)]
-        h = sl2_f3.elements[rng.randrange(24)]
+        g = sl2_f3.element(rng.randrange(24))
+        h = sl2_f3.element(rng.randrange(24))
         assert dist[sl2_f3.idx(g * h)] <= dist[sl2_f3.idx(g)] + dist[sl2_f3.idx(h)]
 
 
@@ -715,7 +716,7 @@ def test_word_norm_eval_harness(sl2_f3):
 def test_conjugation_closure_matches_brute_force(n, m):
     # {g s g^-1, g s^-1 g^-1 : g in G}, by matrix products over every g
     table = enumerate_sl(n, RingSpec.integers_mod(m))
-    els = table.elements
+    els = elements(table)
     conjugators = [(g, mat_inv(g)) for g in els]
     rng = random.Random(29)
     seed_sets = [[], [0], table.center, [1, 2], rng.sample(range(len(table)), 4)]
@@ -907,7 +908,7 @@ def _value_stream_norms(ring_z, sl2_f3, sl2_z4, ring_z4):
     qz4 = Ideal.of(ring_z4, 2)
     member4 = lambda g: in_congruence_subgroup(g, qz4)
     reps = []
-    for g in sl2_z4.elements:
+    for g in elements(sl2_z4):
         if all(not member4(g * mat_inv(r)) for r in reps):
             reps.append(g)
     seeds = [sl2_f3.idx(elementary(sl2_f3.ring, 2, i, j, 1)) for i, j in ((1, 2), (2, 1))]

@@ -38,6 +38,7 @@ from congwidth.reduction import (
     word_product,
 )
 from congwidth.rings import Ideal, RingElement, RingSpec, is_unimodular, unit_check
+from conftest import elements
 
 ALL_TARGETS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
 
@@ -531,7 +532,7 @@ def test_sl2_no_solution_when_conjugation_collapses():
 
 def test_sl2_exhaustive_z5(sl2_f5, ring_f5):
     q = Ideal.of(ring_f5, 1)
-    for k, g in enumerate(sl2_f5.elements):
+    for k, g in enumerate(elements(sl2_f5)):
         if k in sl2_f5.center:
             continue
         for side in ("E12", "E21"):
@@ -621,7 +622,7 @@ def test_sl2_square_zero_corner_is_a_domain_outcome(m, q0):
     ring = RingSpec.integers_mod(m)
     q = Ideal.of(ring, q0)
     outcomes = {}
-    for g in enumerate_sl(2, ring).elements:
+    for g in elements(enumerate_sl(2, ring)):
         if is_central(g) or not in_congruence_subgroup(g, q):
             continue
         for side in ("E12", "E21"):

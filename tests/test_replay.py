@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import congwidth.reduction as reduction
+import congwidth.certificate as certificate
 from congwidth.cli import main
 from congwidth.errors import (
     CongwidthError,
@@ -22,20 +22,19 @@ from congwidth.errors import (
     UnsupportedRing,
     ZeroIdeal,
 )
-from congwidth.factorization import ElemFactor, ElemFactorization
-from congwidth.matrices import SqMatrix, conjugate, elementary, identity, is_central, mat_inv
-from congwidth.reduction import (
+from congwidth.certificate import (
     APPEND,
     CONJUGATE,
+    ElemFactor,
+    ElemFactorization,
     QOperation,
     ReductionTrace,
     TraceStep,
-    reduce_full,
-    relocate_elementary,
     replay_trace,
     serialize_trace,
-    sl2_unit_reduction,
 )
+from congwidth.matrices import SqMatrix, conjugate, elementary, identity, is_central, mat_inv
+from congwidth.reduction import reduce_full, relocate_elementary, sl2_unit_reduction
 from congwidth.rings import Ideal, RingSpec
 from test_trace_digests import CLASSES, _reduce_inputs
 
@@ -390,14 +389,14 @@ def test_replay_stops_at_the_first_step_whose_result_differs(monkeypatch):
     k = next(k for k, ln in enumerate(lines) if ln.startswith("step kind=CommRight"))
     bad = "\n".join(lines[: k + 1] + [lines[k]] * 30 + lines[k + 1:])
     recorded = []
-    real = reduction._Builder.record
+    real = certificate._Builder.record
 
     def record(self, kind, witness, case, exp=1):
         recorded.append(case)
         assert len(recorded) <= k - 6, "the rebuild went past the first repeated step"
         real(self, kind, witness, case, exp)
 
-    monkeypatch.setattr(reduction._Builder, "record", record)
+    monkeypatch.setattr(certificate._Builder, "record", record)
     with pytest.raises(ReplayMismatch, match=f"replay mismatch at step {k - 6}$"):
         replay_trace(bad)
 

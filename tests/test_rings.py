@@ -158,6 +158,25 @@ def test_zmod_div_matches_the_xgcd_route():
             assert [div(a, b) for a in range(m)] == [None if a % g else a // g * s % m for a in range(m)], (m, b)
 
 
+ZINV_TERM = st.tuples(st.integers(-(10**6), 10**6), st.integers(-6, 6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), a=ZINV_TERM, b=ZINV_TERM, mode=st.sampled_from(["free", "same", "opposite"]))
+def test_zinv_add_matches_the_el_route(p, a, b, mode):
+    # a sum of terms at different powers of p skips el's search for factors
+    # of p; it must equal el's normal form, as must sums at one power (mode
+    # "same") and sums that cancel (mode "opposite")
+    k = RingSpec.localized_integers(p).kernel
+    a, b = k.el(a), k.el(b)
+    if mode == "same" and b[0]:
+        b = (b[0], a[1])
+    elif mode == "opposite":
+        b = k.neg(a)
+    k0 = min(a[1], b[1])
+    assert k.add(a, b) == k.el((a[0] * p ** (a[1] - k0) + b[0] * p ** (b[1] - k0), k0))
+
+
 def test_unit_check_examples():
     Z = RingSpec.integers()
     assert unit_check(Z.el(-1)) == Z.el(-1)
@@ -211,6 +230,8 @@ def test_unimodularity_helper():
         # no caller divides by zero, yet the bitmask loop must not run forever
         pytest.param(lambda: RingSpec.poly_over_fp(2).kernel.div(1, 0), ZeroDivisionError, "division by ring zero",
                      id="f2-kernel-zero-divisor"),
+        pytest.param(lambda: parse_element(RingSpec.localized_integers(5), "1*5"), ValueError,
+                     "bad Z[1/p] literal '1*5'", id="zinv-bad-literal"),
     ],
 )
 def test_refusals(call, error, message):

@@ -19,22 +19,15 @@ import sys
 
 import pytest
 
+import congwidth.certificate as certificate
 import congwidth.matrices as matrices
 import congwidth.reduction as reduction
+from congwidth.certificate import APPEND, COMM_LEFT, COMM_RIGHT, CONJUGATE, _Builder, replay_trace, serialize_trace
 from congwidth.errors import CongwidthError, ReplayMismatch
 from congwidth.matrices import SqMatrix, elementary, identity, is_central, mat_inv
-from congwidth.reduction import (
-    APPEND,
-    COMM_LEFT,
-    COMM_RIGHT,
-    CONJUGATE,
-    _Builder,
-    reduce_full,
-    replay_trace,
-    serialize_trace,
-    sl2_unit_reduction,
-)
+from congwidth.reduction import reduce_full, sl2_unit_reduction
 from congwidth.rings import Ideal, RingElement, RingSpec, unit_check
+from conftest import elements
 
 Z = RingSpec.integers()
 P2 = RingSpec.poly_over_fp(2)
@@ -141,8 +134,8 @@ def test_sl2_shortcut_decides_on_entries(monkeypatch):
     expansion) and of each congruence witness s with (s - I)^2 != 0
     (otherwise s^-1 = 2I - s)."""
     products, inversions = [], []
-    real_mul, real_inv, real_cofactors = SqMatrix.__mul__, reduction.mat_inv, reduction._cofactors
-    builder = (reduction._Builder.__init__.__code__, reduction._witness.__code__)
+    real_mul, real_inv, real_cofactors = SqMatrix.__mul__, certificate.mat_inv, certificate._cofactors
+    builder = (certificate._Builder.__init__.__code__, certificate._witness.__code__)
 
     def counted_mul(self, other):
         products.append(sys._getframe(1).f_code.co_name)
@@ -156,8 +149,9 @@ def test_sl2_shortcut_decides_on_entries(monkeypatch):
 
     inputs = _sl2_inputs("z") + _sl2_inputs("l5")
     monkeypatch.setattr(SqMatrix, "__mul__", counted_mul)
-    monkeypatch.setattr(reduction, "mat_inv", counted(real_inv))
-    monkeypatch.setattr(reduction, "_cofactors", counted(real_cofactors))
+    for module in (certificate, reduction):
+        monkeypatch.setattr(module, "mat_inv", counted(real_inv))
+    monkeypatch.setattr(certificate, "_cofactors", counted(real_cofactors))
     cases, witnesses = set(), [0, 0]
     for g, q in inputs:
         for side in ("E12", "E21"):
@@ -195,7 +189,7 @@ def sl2_f5_traces(sl2_f5, ring_f5):
     q = Ideal.of(ring_f5, 1)
     return [
         sl2_unit_reduction(g, q, side)
-        for k, g in enumerate(sl2_f5.elements)
+        for k, g in enumerate(elements(sl2_f5))
         if k not in sl2_f5.center
         for side in ("E12", "E21")
     ]
@@ -265,9 +259,10 @@ def test_reduce_and_replay_invert_once(monkeypatch):
     """The builder inverts its input by its one cofactor expansion (the
     adjugate of a determinant-1 input), and nothing calls mat_inv."""
     calls = []
-    real_inv, real_cofactors = reduction.mat_inv, reduction._cofactors
-    monkeypatch.setattr(reduction, "mat_inv", lambda m: calls.append("mat_inv") or real_inv(m))
-    monkeypatch.setattr(reduction, "_cofactors", lambda k, rows: calls.append("_cofactors") or real_cofactors(k, rows))
+    real_inv, real_cofactors = certificate.mat_inv, certificate._cofactors
+    for module in (certificate, reduction):
+        monkeypatch.setattr(module, "mat_inv", lambda m: calls.append("mat_inv") or real_inv(m))
+    monkeypatch.setattr(certificate, "_cofactors", lambda k, rows: calls.append("_cofactors") or real_cofactors(k, rows))
     for name in CLASSES:
         for args in _reduce_inputs(name):
             calls.clear()
@@ -301,7 +296,7 @@ def test_reduce_and_replay_make_no_dense_products(monkeypatch):
     inputs = [(args, CLASSES[name][1]) for name in CLASSES for args in _reduce_inputs(name)]
     dense, muls = [], [0]
     real_rows, real_kernel = matrices._mul_rows, matrices._mul_kernel
-    for module in (matrices, reduction):
+    for module in (matrices, certificate):
         monkeypatch.setattr(module, "_mul_rows", lambda *a: dense.append(a) or real_rows(*a))
     # the straight-line product kernels, however they are reached
     monkeypatch.setattr(matrices, "_mul_kernel", lambda n: lambda *a: dense.append(a) or real_kernel(n)(*a))
@@ -323,11 +318,13 @@ def test_reduce_and_replay_make_no_dense_products(monkeypatch):
 
 
 def test_reduce_and_replay_multiply_no_zero_operand(monkeypatch):
-    """The builder's steps (every function of reduction.py) and the row and
-    column operations _add_row and _add_col make no ring product with a zero
-    operand; each product's caller is read from the frame, a comprehension's
-    as the function around it."""
+    """The builder's steps (every function of certificate.py), the searches
+    of reduction.py and the row and column operations _add_row and _add_col
+    make no ring product with a zero operand, and the searches make none
+    through the kernel; each product's caller is read from the frame, a
+    comprehension's as the function around it."""
     row_ops = {matrices._add_row.__code__: "_add_row", matrices._add_col.__code__: "_add_col"}
+    files = {certificate.__file__: "certificate", reduction.__file__: "reduction"}
     products, zero_operand = collections.Counter(), collections.Counter()
     for kernel in {CLASSES[name][0].kernel for name in CLASSES}:
         def counted(a, b, real=kernel.mul, is_zero=kernel.is_zero):
@@ -335,7 +332,7 @@ def test_reduce_and_replay_multiply_no_zero_operand(monkeypatch):
             while frame.f_code.co_name.startswith("<"):
                 frame = frame.f_back
             code = frame.f_code
-            caller = row_ops.get(code, "reduction" if code.co_filename == reduction.__file__ else None)
+            caller = row_ops.get(code, files.get(code.co_filename))
             if caller:
                 products[caller] += 1
                 zero_operand[caller] += is_zero(a) or is_zero(b)
@@ -345,7 +342,7 @@ def test_reduce_and_replay_multiply_no_zero_operand(monkeypatch):
     for name in CLASSES:
         for args in _reduce_inputs(name):
             replay_trace(serialize_trace(reduce_full(*args)))
-    assert set(products) == {"_add_row", "_add_col", "reduction"}, products
+    assert set(products) == {"_add_row", "_add_col", "certificate"}, products
     assert not +zero_operand, f"zero-operand products {dict(zero_operand)} of {dict(products)}"
 
 
@@ -361,7 +358,7 @@ def test_reduce_and_replay_multiply_no_zero_ring_element(monkeypatch):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):
             frame = frame.f_back
-        if frame.f_code.co_filename == reduction.__file__:
+        if frame.f_code.co_filename in (certificate.__file__, reduction.__file__):
             products[frame.f_code.co_name] += 1
             zero_operand[frame.f_code.co_name] += a.is_zero or b.is_zero
         return real(a, b)
@@ -370,14 +367,14 @@ def test_reduce_and_replay_multiply_no_zero_ring_element(monkeypatch):
     for name in CLASSES:
         for args in _reduce_inputs(name):
             replay_trace(serialize_trace(reduce_full(*args)))
-    assert products, "no RingElement product from reduction.py was seen"
+    assert products, "no RingElement product from reduction.py or certificate.py was seen"
     assert not +zero_operand, f"zero-operand products {dict(zero_operand)} of {dict(products)}"
 
 
 def test_reduce_and_replay_multiply_each_witness_once(monkeypatch):
     calls = []
-    real = reduction.ElemFactorization.of
-    monkeypatch.setattr(reduction.ElemFactorization, "of", staticmethod(lambda *a: calls.append(a) or real(*a)))
+    real = certificate.ElemFactorization.of
+    monkeypatch.setattr(certificate.ElemFactorization, "of", staticmethod(lambda *a: calls.append(a) or real(*a)))
     for name in CLASSES:
         for args in _reduce_inputs(name):
             calls.clear()
@@ -392,8 +389,8 @@ def test_reduce_and_replay_multiply_each_witness_once(monkeypatch):
 
 def test_replay_parses_the_input_and_congruence_witnesses_only(monkeypatch, sl2_f5_traces):
     calls = []
-    real = reduction.parse_matrix
-    monkeypatch.setattr(reduction, "parse_matrix", lambda text: calls.append(text) or real(text))
+    real = certificate.parse_matrix
+    monkeypatch.setattr(certificate, "parse_matrix", lambda text: calls.append(text) or real(text))
     for name in CLASSES:
         for args in _reduce_inputs(name):
             text = serialize_trace(reduce_full(*args))
