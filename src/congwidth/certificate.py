@@ -445,14 +445,13 @@ def replay_trace(text: str) -> ReductionTrace:
     per step, its kind, case, witness tag and exponent with the witness (the
     sfac factors of an elem step, the conjugator of a congruence step).  The
     builder re-checks the input, every witness and the finished trace; the
-    byte comparison covers the rest, recorded results and ledger included.
-    A first difference inside a recorded step matrix is a replay mismatch at
-    that step; any other is a format error naming the line.
+    byte comparison covers the rest, the ledger included, and a first
+    difference there is a format error naming the line.
 
-    The rebuild stops with a replay mismatch at the first step whose result
-    differs from the matrix the file records for it, so the work stays
-    bounded by the file (a repeated commutator step doubles the length of
-    the entries)."""
+    The rebuild stops with a replay mismatch at the first step whose witness
+    or result differs from the text the file records for it, so the work
+    stays bounded by the file (a repeated commutator step doubles the length
+    of the entries)."""
     try:
         trace = _rebuild(text.split("\n"))
         again = serialize_trace(trace)
@@ -463,12 +462,6 @@ def replay_trace(text: str) -> ReductionTrace:
     # lines with their terminating newline, so a missing or extra one differs too
     want, got = (re.findall(r"[^\n]*\n|[^\n]+", t) for t in (again, text))
     k = next(k for k, (a, b) in enumerate(itertools.zip_longest(want, got)) if a != b)
-    steps = len(trace.steps)
-    # eight header lines, a line per step, output and count lines, then each
-    # matrix as its label and the n + 1 lines of format_matrix
-    block, row = divmod(k - 10 - steps, trace.input.n + 2)
-    if row and 1 <= block <= 2 * steps:
-        raise ReplayMismatch(f"replay mismatch at step {(block + 1) // 2}")
     expected = repr(want[k]) if k < len(want) else "the end of the file"
     raise TraceFormatError(f"line {k + 1}: expected {expected}")
 
@@ -506,7 +499,8 @@ def _rebuild(lines: list[str]) -> ReductionTrace:
         else:
             witness = matrix(2 * k - 1)
         b.record(attrs.get("kind", ""), witness, attrs.get("case", ""), int(attrs.get("exp", 1)))
-        if format_matrix(b.g) != recorded(2 * k):  # fills the text serialize_trace reuses
+        # fills the texts serialize_trace reuses
+        if format_matrix(b.steps[-1].op.s) != recorded(2 * k - 1) or format_matrix(b.g) != recorded(2 * k):
             raise ReplayMismatch(f"replay mismatch at step {k}")
     return b.trace(target)
 

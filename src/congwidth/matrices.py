@@ -167,10 +167,11 @@ def elementary(ring: RingSpec, n: int, i: int, j: int, a) -> SqMatrix:
 # Products, determinants, inverses and elementary row and column operations
 # on payload rows, combined by the ring's kernel.  _add_row and _add_col
 # work in place, skipping zero entries of the source.  Indices here are 0-based.
-# Up to KERNEL_MAX, products and inverses run straight-line code built once
+# Up to KERNEL_MAX, products and cofactors run straight-line code built once
 # per n from n alone (as dataclasses builds __init__): the loops' row-by-
 # column sums and first-row cofactor expansion, each minor formed once.
-# That code grows combinatorially with n, so larger n keep the loops.
+# That code grows combinatorially with n, so larger n keep the loops for
+# products and take the characteristic polynomial for cofactors.
 
 KERNEL_MAX = 4
 
@@ -237,46 +238,52 @@ def _add_col(k, rows, i: int, j: int, a, src=None):
             r[j] = add(r[j], mul(y, a))
 
 
-def _det_cofactor(k, rows):
-    """Cofactor expansion along the first row, skipping zero entries."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return k.add(k.mul(rows[0][0], rows[1][1]), k.neg(k.mul(rows[0][1], rows[1][0])))
-    acc = k.zero
-    for j, piv in enumerate(rows[0]):
-        if not k.is_zero(piv):
-            term = k.mul(piv, _det_cofactor(k, [r[:j] + r[j + 1:] for r in rows[1:]]))
-            acc = k.add(acc, term if j % 2 == 0 else k.neg(term))
-    return acc
+def _charpoly(k, rows) -> list:
+    """[1, c_1, ..., c_n] with det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n, by
+    Berkowitz's division-free recursion over the leading minors A_r: with
+    A_(r+1) = [[A_r, C], [R, a]], its polynomial is A_r's convolved with
+    (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C).  About n^4 / 4 ring products."""
+    add, mul, neg = k.add, k.mul, k.neg
+    poly = [k.one]
+    for r, row in enumerate(rows):
+        col, vec = [k.one, neg(row[r])], [rows[i][r] for i in range(r)]  # vec: A_r^t C
+        for _ in range(r):
+            col.append(neg(reduce(add, map(mul, row, vec))))  # map stops row at R
+            vec = [reduce(add, map(mul, rows[i], vec)) for i in range(r)]
+        poly = [reduce(add, (mul(col[i - j], poly[j]) for j in range(min(i, r) + 1))) for i in range(r + 2)]
+    return poly
 
 
 # -- determinant and inverse ---------------------------------------------------
 
 
 def determinant(m: SqMatrix) -> RingElement:
-    """Exact determinant by cofactor expansion, which divides by nothing and
-    so holds over every ring, domain or not."""
-    return RingElement(m.ring, _det_cofactor(m.ring.kernel, m.payload))
+    """Exact determinant from _cofactors, which divides by nothing and so
+    holds over every ring, domain or not."""
+    return RingElement(m.ring, _cofactors(m.ring.kernel, m.payload)[0])
 
 
 def _cofactors(k, rows) -> tuple:
-    """(det, the adjugate's rows) by first-row expansion: the kernel up to KERNEL_MAX, else the loops."""
+    """(det, the adjugate's rows): the kernel up to KERNEL_MAX, else from the
+    characteristic polynomial.  By Cayley-Hamilton, B = A^(n-1) + c_1 A^(n-2)
+    + ... + c_(n-1) I, by Horner's rule, has A B = -c_n I; det A and the
+    adjugate are (-1)^(n-1) times -c_n and B."""
     n = len(rows)
     if n <= KERNEL_MAX:
         return _cofactor_kernel(n)(k.add, k.mul, k.neg, rows)
-    struck = [[r[:j] + r[j + 1:] for r in rows] for j in range(n)]  # a minor drops one row of these
-    cof = [[_det_cofactor(k, struck[j][:i] + struck[j][i + 1:]) for j in range(n)] for i in range(n)]
-    cof = [[k.neg(c) if (i + j) % 2 else c for j, c in enumerate(r)] for i, r in enumerate(cof)]
-    return reduce(k.add, map(k.mul, rows[0], cof[0])), tuple(zip(*cof))
+    *c, cn = _charpoly(k, rows)
+    adj = _identity_payload(k, n)
+    for ci in c[1:]:
+        adj = tuple(tuple(k.add(x, ci) if i == j else x for j, x in enumerate(r))
+                    for i, r in enumerate(_mul_rows(k, adj, rows)))
+    return (k.neg(cn), adj) if n % 2 else (cn, tuple(tuple(map(k.neg, r)) for r in adj))
 
 
 def mat_inv(m: SqMatrix) -> SqMatrix:
     """Exact inverse via the adjugate; requires the determinant to be a unit.
 
-    The determinant is the first-row expansion over the same cofactors; a
-    determinant whose inverse is one (every SL_n input) scales nothing."""
+    Determinant and adjugate come from one _cofactors call; a determinant
+    whose inverse is one (every SL_n input) scales nothing."""
     k = m.ring.kernel
     d, adj = _cofactors(k, m.payload)
     dinv = k.inverse(d)

@@ -297,10 +297,6 @@ class _PolyKernel(_Kernel):
         return [(c,) for c in range(1, self.p)]
 
 
-_PARITY = bytes(48 + (v & 1) for v in range(256))  # bytes.translate: a slot's low byte to "0"/"1"
-_SHIFT_XOR_BITS = 30  # an F2[x] product shifts and XORs up to this many bits in its shorter operand
-
-
 class _F2Kernel(_PolyKernel):
     """F_2[x] as a bitmask: a sum is one XOR, a product carry-less."""
 
@@ -310,24 +306,15 @@ class _F2Kernel(_PolyKernel):
         return a
 
     def mul(self, a, b):
+        """One shift-XOR of the longer operand per set bit of the shorter."""
         if a.bit_length() > b.bit_length():
             a, b = b, a
-        n = a.bit_length()
-        if n <= _SHIFT_XOR_BITS:  # one shift-XOR of b per set bit of a
-            r = 0
-            while a:
-                low = a & -a
-                r ^= b * low
-                a ^= low
-            return r
-        # Kronecker substitution on bits: each bit in a k-byte slot that holds
-        # n, the most products a slot can add up; a slot's parity is its bit
-        k = (n.bit_length() + 7) // 8
-        zero, one = bytes(k), bytes(k - 1) + b"\1"
-        r = 1
-        for v in (a, b):
-            r *= int.from_bytes(f"{v:b}".encode().replace(b"0", zero).replace(b"1", one), "big")
-        return int(r.to_bytes(k * (n + b.bit_length() - 1), "big")[k - 1::k].translate(_PARITY), 2)
+        r = 0
+        while a:
+            low = a & -a
+            r ^= b * low
+            a ^= low
+        return r
 
     def el(self, raw):
         return raw & 1 if isinstance(raw, int) else sum((int(c) & 1) << i for i, c in enumerate(raw))

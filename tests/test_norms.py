@@ -263,19 +263,19 @@ def test_filtration_harness_inverts_only_for_its_axioms(monkeypatch, ring_z):
 def test_filtration_harness_work_runs_on_the_kernels(monkeypatch, ring_z):
     """One 25-sample harness call on the benchmark's filtration norm (Z, n = 3,
     ideal 2, cap 64) makes 2 inverses and 3 products per sample, all through
-    the straight-line kernels: the loop cofactor expansion never runs."""
+    the straight-line kernels: the characteristic polynomial never runs."""
     norm = filtration_norm(FiltrationChain(sl_domain(ring_z, 3, radius=8), Ideal.of(ring_z, 2), 64))
     calls = []
-    mul, det_cofactor = SqMatrix.__mul__, matrices._det_cofactor
+    mul, charpoly = SqMatrix.__mul__, matrices._charpoly
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
     monkeypatch.setattr(norms, "mat_inv", counted("mat_inv", mat_inv))
     monkeypatch.setattr(SqMatrix, "__mul__", counted("__mul__", mul))
-    monkeypatch.setattr(matrices, "_det_cofactor", counted("_det_cofactor", det_cofactor))
+    monkeypatch.setattr(matrices, "_charpoly", counted("_charpoly", charpoly))
     assert axiom_harness(norm, 25, seed=0).passed
-    assert (calls.count("mat_inv"), calls.count("__mul__"), calls.count("_det_cofactor")) == (50, 75, 0)
+    assert (calls.count("mat_inv"), calls.count("__mul__"), calls.count("_charpoly")) == (50, 75, 0)
 
 
 def test_filtration_sampler_builds_one_matrix_and_no_product(monkeypatch, ring_z):

@@ -4,11 +4,12 @@ and the one matrix representation.
 The reference functions below are the element-by-element implementations
 that SqMatrix products, determinants and inverses used before the payload
 core: every ring operation goes through RingElement arithmetic.  Each test
-draws matrices over Z, Z/4, Z/12, F2[x], F7[x] and Z[1/5] and checks the
-core against them.  A SqMatrix stores payload rows only: the representation
-tests check that boxing at the accessors round-trips, and a counter gate
-checks that arithmetic, comparison, the text format and congruence-subgroup
-membership box no entry.
+draws matrices over Z, Z/4, Z/8, Z/12, F2[x], F7[x] and Z[1/5] and checks
+the core against them; determinants and inverses up to n = 6, past the
+kernels to the characteristic polynomial.  A SqMatrix stores payload rows
+only: the representation tests check that boxing at the accessors
+round-trips, and a counter gate checks that arithmetic, comparison, the
+text format and congruence-subgroup membership box no entry.
 """
 
 import pytest
@@ -34,6 +35,7 @@ from congwidth.rings import Ideal, RingSpec, unit_check
 RINGS = {
     RingSpec.integers(): st.integers(-9, 9),
     RingSpec.integers_mod(4): st.integers(0, 3),
+    RingSpec.integers_mod(8): st.integers(0, 7),
     RingSpec.integers_mod(12): st.integers(0, 11),
     RingSpec.poly_over_fp(2): st.lists(st.integers(0, 1), max_size=3),
     RingSpec.poly_over_fp(7): st.lists(st.integers(0, 6), max_size=3),
@@ -125,14 +127,14 @@ def test_product_matches_reference(args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ring_and_matrices(1, sizes=(2, 3, 4, 5)))
+@given(ring_and_matrices(1, sizes=(2, 3, 4, 5, 6)))
 def test_determinant_matches_reference(args):
     ring, m = args
     assert determinant(m) == reference_det(m.rows, ring)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ring_and_matrices(1))
+@given(ring_and_matrices(1, sizes=(2, 3, 4, 5, 6)))
 def test_inverse_matches_reference(args):
     _, m = args
     try:

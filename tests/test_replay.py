@@ -349,9 +349,9 @@ def _matrix_lines(text: str, n: int):
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_changed_witness_matrix_is_a_replay_mismatch_at_its_step(name):
-    """Replay reads no elementary witness matrix: a changed entry of the
-    witness M(2k - 1) of step k is found by the byte comparison, which
-    reports it at step k, wherever the entry is."""
+    """Replay parses no elementary witness matrix: a changed entry of the
+    witness M(2k - 1) of step k differs from the text of the witness the
+    rebuild forms, which reports it at step k, wherever the entry is."""
     ring, n = CLASSES[name][:2]
     k = ring.kernel
     for args in _reduce_inputs(name):
@@ -364,6 +364,24 @@ def test_changed_witness_matrix_is_a_replay_mismatch_at_its_step(name):
             entries[col] = k.format(k.add(k.parse(entries[col]), k.one))
             bad[row] = " ".join(entries)
             with pytest.raises(ReplayMismatch, match=f"^replay mismatch at step {step}$"):
+                replay_trace("\n".join(bad))
+
+
+def test_two_changed_step_matrices_are_refused_at_the_earlier_step():
+    """The rebuild checks each step's witness text before the next step's
+    result: a changed witness of step 1 is reported at step 1, not at the
+    changed result of a later step."""
+    ring, n = CLASSES["z3"][:2]
+    k = ring.kernel
+    for args in _reduce_inputs("z3"):
+        lines, steps, labels = _matrix_lines(serialize_trace(reduce_full(*args)), n)
+        for later in range(2, steps + 1):
+            bad = list(lines)
+            for m in (1, 2 * later):  # the witness M1 of step 1, the result of step `later`
+                entries = bad[labels[m] + 2].split(" ")
+                entries[0] = k.format(k.add(k.parse(entries[0]), k.one))
+                bad[labels[m] + 2] = " ".join(entries)
+            with pytest.raises(ReplayMismatch, match="^replay mismatch at step 1$"):
                 replay_trace("\n".join(bad))
 
 

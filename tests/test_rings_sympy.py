@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul
 
-import congwidth.rings as rings
 from congwidth.rings import Ideal, RingSpec, exact_div, extended_gcd, unit_check
 
 X = sp.Symbol("x")
@@ -284,14 +283,13 @@ def test_xgcd_matches_the_reference_loop(ring, data):
 # For odd p the kernel packs each coefficient into a slot of k bytes, k set by
 # the largest value a slot can reach (min(len) * (p-1)**2 for a product,
 # 2*(p-1) for a sum).  The primes sit on both sides of each k boundary.  For
-# p = 2 a sum is one XOR, and a product shifts and XORs while its shorter
-# operand is at most _SHIFT_XOR_BITS long, above which it spreads one bit per
-# k-byte slot, k set by min(len); at 256 that needs two-byte slots.  Lengths
-# run to 300 and 320.  sympy's dense GF(p) arithmetic is the oracle here:
-# Poly products this long take tens of milliseconds each.
+# p = 2 a sum is one XOR and a product one shift-XOR per set bit of the
+# shorter operand, at every length.  Lengths run to 300 and 320.  sympy's
+# dense GF(p) arithmetic is the oracle here: Poly products this long take
+# tens of milliseconds each.
 
 SLOT_PRIMES = [2, 3, 13, 17, 251, 257, 65537]
-SWITCH = rings._SHIFT_XOR_BITS
+SWITCH = 30  # bits: where bit packing would overtake shift-XOR in an F2[x] product
 
 
 def schoolbook_add(p, a, b):
@@ -364,7 +362,7 @@ def test_extreme_coefficients_fill_every_slot_size(p):
 
 
 def test_f2_product_past_one_byte_slots():
-    # min(len) >= 300 > 255: an F2[x] product needs two-byte slots
+    # min(len) >= 300 > 255: past the one-byte slots of the odd primes
     k = RingSpec.poly_over_fp(2).kernel
     a = tuple(i % 3 % 2 for i in range(299)) + (1,)
     b = (1,) * 320
@@ -372,12 +370,12 @@ def test_f2_product_past_one_byte_slots():
         assert kernel_op(k, "mul", x, y) == schoolbook_mul(2, x, y) == sympy_gf(gf_mul, 2, x, y)
 
 
-@pytest.mark.parametrize("switch", [-1, 10**6], ids=["spread", "shift-xor"])
-def test_f2_each_product_path_at_every_edge(switch, monkeypatch):
-    # each path alone, at the lengths where either of them changes: the
-    # switch between them (one bit each side), one- to two-byte slots (255,
-    # 256) and 300 x 320; all ones fills every slot, a mixed operand does not
-    monkeypatch.setattr(rings, "_SHIFT_XOR_BITS", switch)
+@pytest.mark.parametrize("path", ["shift-xor"])
+def test_f2_each_product_path_at_every_edge(path):
+    # each F2[x] product path by name (shift-XOR is the one path, at every
+    # length) at the lengths where a bit-packed product would change: 30 bits
+    # (one bit each side), one- to two-byte slots (255, 256) and 300 x 320;
+    # all ones sets every bit, a mixed operand does not
     k = RingSpec.poly_over_fp(2).kernel
     rnd = random.Random(SWITCH)
     for la, lb in EDGE_LENGTHS + [(SWITCH - 1, SWITCH), (255, 300), (256, 300)]:

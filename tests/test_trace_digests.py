@@ -4,8 +4,8 @@ The digests were recorded before the trace checks moved into the builder;
 any change to the trace bytes (steps, witnesses, case tags, matrix table)
 shows up here.  The same traces also check the builder's carried inverse
 against the defining formula of each step, and gate its inversions (one
-cofactor expansion of the input, no loop determinant), its dense matrix
-products and ring products (none with a zero operand in a step, a row or
+cofactor expansion of the input, no characteristic polynomial), its dense
+matrix products and ring products (none with a zero operand in a step, a row or
 column operation or a stage's RingElement product), the elementary
 products it forms, the RingElements made per step, the matrices replay
 parses and the matrices serialize and replay render to text.  The dimension-2 shortcut's inputs over
@@ -275,16 +275,16 @@ def test_reduce_and_replay_invert_once(monkeypatch):
 
 def test_reduce_and_replay_expand_no_loop_determinant(monkeypatch):
     """For n <= 4 the NotSL check reads the determinant of the builder's
-    cofactor kernel: the zero-skipping loop _det_cofactor never runs."""
+    cofactor kernel: the characteristic polynomial _charpoly never runs."""
     calls = []
-    real = matrices._det_cofactor
-    monkeypatch.setattr(matrices, "_det_cofactor", lambda k, rows: calls.append(rows) or real(k, rows))
+    real = matrices._charpoly
+    monkeypatch.setattr(matrices, "_charpoly", lambda k, rows: calls.append(rows) or real(k, rows))
     for name in CLASSES:
         for args in _reduce_inputs(name):
             text = serialize_trace(reduce_full(*args))
-            assert not calls, f"reduce_full on {name} ran {len(calls)} loop determinants"
+            assert not calls, f"reduce_full on {name} ran {len(calls)} characteristic polynomials"
             replay_trace(text)
-            assert not calls, f"replay_trace on {name} ran {len(calls)} loop determinants"
+            assert not calls, f"replay_trace on {name} ran {len(calls)} characteristic polynomials"
 
 
 def test_reduce_and_replay_make_no_dense_products(monkeypatch):
