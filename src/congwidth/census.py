@@ -67,14 +67,14 @@ def sl_order(n: int, ring: RingSpec) -> int:
     return total
 
 
-def closure_bfs(step, starts, size: int, goal=None) -> np.ndarray:
+def closure_bfs(step, starts, size: int, stop=None) -> np.ndarray:
     """Breadth-first closure over the nodes 0..size-1, one layer at a time.
 
     step maps a 1-D array of frontier nodes to an array, of any shape, of
     their neighbours.  Returns the int32 distance of every node from the
-    nearest start, -1 for nodes never reached.  With goal, a 2-D index
-    array, the search stops once every row of goal holds a reached node,
-    before expanding that layer: nodes past it read -1.
+    nearest start, -1 for nodes never reached.  With stop, a function of the
+    distances so far and the depth just reached, the search ends once it
+    returns true, before expanding that layer: nodes past it read -1.
 
     step sees at most _BFS_SLICE // size nodes at a time, so a step that
     yields a few neighbours per node and group element keeps its
@@ -87,7 +87,7 @@ def closure_bfs(step, starts, size: int, goal=None) -> np.ndarray:
     depth = 0
     while (frontier := fresh.nonzero()[0]).size:
         dist[frontier] = depth
-        if goal is not None and dist[goal].max(axis=-1).min() >= 0:
+        if stop is not None and stop(dist, depth):
             break
         fresh[:] = False
         for lo in range(0, frontier.size, width):
@@ -341,7 +341,8 @@ def width_bfs(table: FiniteGroupTable, sigma: SqMatrix | int, ideal: Ideal) -> d
         return np.concatenate((c, comm, inv[comm]))
 
     # operation count from sigma over the q-operation graph, up to the last target position
-    dist_ops = closure_bfs(operations, [sidx], len(table), goal=cong.targets)
+    dist_ops = closure_bfs(operations, [sidx], len(table),
+                           lambda dist, _: dist[cong.targets].max(axis=-1).min() >= 0)
     # word length over the conjugates of sigma^{±1}, per class: the classes
     # of C L are those of rep(C) L, as the letters L are closed under E(q)
     letters = np.zeros(len(table), dtype=bool)
@@ -459,33 +460,17 @@ def sum_set_census(
     a, b, c, d = ((1 + reach) % m)[:, None, None, None], reach[:, None, None], reach[:, None], (1 + reach) % m
     target_arr = (((a * m + b) * m + c) * m + d)[(a * d - b * c) % m == 1]
 
-    covered = np.zeros(m**4, dtype=bool)
-    covered[gamma] = True
-    frontier = gamma
-    sizes = [int(covered.sum())]
-    covered_at = 1 if covered[target_arr].all() else None
-    for l in range(2, max_terms + 1):
-        if covered_at is not None:
-            break
-        fd = _decode(frontier, m, 2)
-        cand = np.unique(np.concatenate([_encode((fd + gd) % m, m) for gd in gamma_mats]))
-        frontier = cand[~covered[cand]]
-        covered[frontier] = True
-        sizes.append(int(covered.sum()))
-        if covered[target_arr].all():
-            covered_at = l
+    # a sum of l subgroup elements lies at distance l - 1 from the subgroup:
+    # the search stops once every target is covered, or at l = max_terms
+    dist = closure_bfs(lambda f: _encode((_decode(f, m, 2)[:, None] + gamma_mats) % m, m), gamma, m**4,
+                       lambda dist, depth: depth >= max_terms - 1 or dist[target_arr].min() >= 0)
+    covered_at = None if (far := dist[target_arr]).min() < 0 else int(far.max()) + 1
+    # cumulative layer sizes; once the sums close, the last size repeats up to max_terms
+    sizes = np.cumsum(np.bincount(dist[dist >= 0], minlength=covered_at or max(max_terms, 1))).tolist()
     return SumSetReport(m, gamma.size, tuple(sizes), covered_at, target_level, target_arr.size)
 
 
 # -- the explicit five-term identity ------------------------------------------
-
-
-def _mat2(e11, e12, e21, e22):
-    return ((e11, e12), (e21, e22))
-
-
-def _add2(x, y):
-    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
 
 
 def verify_sum_identity(m: int, a: int, b: int, c: int, d: int):
@@ -494,19 +479,18 @@ def verify_sum_identity(m: int, a: int, b: int, c: int, d: int):
 
     Returns (equal, lhs, rhs) with both sides as 2x2 integer tuples.
     """
-    lhs = _mat2(1 + m * m * a, m * b, m * c, 1 + m * m * d)
-    rhs = _mat2(0, 0, 0, 0)
-    for t in sum_identity_terms(m, a, b, c, d):
-        rhs = _add2(rhs, t)
+    lhs = ((1 + m * m * a, m * b), (m * c, 1 + m * m * d))
+    terms = sum_identity_terms(m, a, b, c, d)
+    rhs = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*terms))
     return rhs == lhs, lhs, rhs
 
 
 def sum_identity_terms(m: int, a: int, b: int, c: int, d: int):
     """The five summands of verify_sum_identity, for term-by-term inspection."""
     return [
-        _mat2(2 * m * m - 3, 0, 0, 2 * m * m - 3),
-        _mat2(1, m * (b - 2), 0, 1),
-        _mat2(1, 0, m * (c - a - d + 4), 1),
-        _mat2(1 + m * m * (a - 2), m, m * (a - 2), 1),
-        _mat2(1, m, m * (d - 2), 1 + m * m * (d - 2)),
+        ((2 * m * m - 3, 0), (0, 2 * m * m - 3)),
+        ((1, m * (b - 2)), (0, 1)),
+        ((1, 0), (m * (c - a - d + 4), 1)),
+        ((1 + m * m * (a - 2), m), (m * (a - 2), 1)),
+        ((1, m), (m * (d - 2), 1 + m * m * (d - 2))),
     ]

@@ -185,26 +185,9 @@ def _cmd_decompose(args) -> int:
     return 0 if ok else 1
 
 
-class _Config(dict):
-    """A norm config's key=value lines; read records every key handed out."""
-
-    def __init__(self):
-        super().__init__()
-        self.read = set()
-
-    def __missing__(self, key):
-        raise CongwidthError(f"norm config tag={self.get('tag')} needs {key}=")
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-
-def _parse_config(path: str) -> _Config:
-    cfg = _Config()
+def _parse_config(path: str) -> dict[str, str]:
+    """A norm config's key=value lines; the command pops each key it reads."""
+    cfg = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -222,9 +205,9 @@ def _unit_elementaries(ring: RingSpec, n: int) -> list[SqMatrix]:
     return [elementary(ring, n, i, j, 1) for i, j in permutations(range(1, n + 1), 2)]
 
 
-def _sampler_size(cfg: _Config, key: str, default: str) -> int:
+def _sampler_size(cfg: dict[str, str], key: str, default: str) -> int:
     """A radius= or box=; 0 would sample only the identity, on which every norm passes."""
-    size = int(cfg.get(key, default))
+    size = int(cfg.pop(key, default))
     if size == 0:
         raise CongwidthError(f"norm config {key}=0 samples only the identity")
     return size
@@ -232,35 +215,40 @@ def _sampler_size(cfg: _Config, key: str, default: str) -> int:
 
 def _cmd_norm(args) -> int:
     cfg = _parse_config(args.config)
-    tag = cfg.get("tag")
-    samples = int(cfg.get("samples", "1000"))
-    seed = int(cfg.get("seed", "0"))
+    tag = cfg.pop("tag", None)
+
+    def need(key: str) -> str:
+        if key not in cfg:
+            raise CongwidthError(f"norm config tag={tag} needs {key}=")
+        return cfg.pop(key)
+
+    samples = int(cfg.pop("samples", "1000"))
+    seed = int(cfg.pop("seed", "0"))
     if tag == "dirac":
-        ring = RingSpec.parse(cfg.get("ring", "Z"))
-        n = int(cfg.get("n", "2"))
+        ring = RingSpec.parse(cfg.pop("ring", "Z"))
+        n = int(cfg.pop("n", "2"))
         norm = dirac_norm(MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), _sampler_size(cfg, "radius", "8")))
     elif tag == "filtration":
-        ring = RingSpec.parse(cfg.get("ring", "Z"))
-        n = int(cfg.get("n", "3"))
-        ideal = parse_ideal(ring, cfg["ideal"])
+        ring = RingSpec.parse(cfg.pop("ring", "Z"))
+        n = int(cfg.pop("n", "3"))
+        ideal = parse_ideal(ring, need("ideal"))
         dom = MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), _sampler_size(cfg, "radius", "8"))
-        norm = filtration_norm(FiltrationChain(dom, ideal, int(cfg.get("cap", "64"))))
+        norm = filtration_norm(FiltrationChain(dom, ideal, int(cfg.pop("cap", "64"))))
     elif tag == "z2mixed":
-        norm = z2_mixed_norm(int(cfg["p"]), _sampler_size(cfg, "box", "1000"))
+        norm = z2_mixed_norm(int(need("p")), _sampler_size(cfg, "box", "1000"))
     elif tag == "padic-sup":
-        ring = RingSpec.parse(cfg.get("ring", "Z"))
-        ideal = parse_ideal(ring, cfg["ideal"])
-        norm = padic_sup_norm(ideal, int(cfg["p"]), _sampler_size(cfg, "box", "64"))
+        ring = RingSpec.parse(cfg.pop("ring", "Z"))
+        ideal = parse_ideal(ring, need("ideal"))
+        norm = padic_sup_norm(ideal, int(need("p")), _sampler_size(cfg, "box", "64"))
     elif tag == "word":
-        n, ring = _parse_group(cfg["group"])
-        table = enumerate_sl(n, ring, budget=int(cfg.get("budget", "1000000")))
+        n, ring = _parse_group(need("group"))
+        table = enumerate_sl(n, ring, budget=int(cfg.pop("budget", "1000000")))
         seeds = [table.idx(g) for g in _unit_elementaries(ring, n)]
         norm = word_norm_eval(table, conjugation_closure(table, seeds))
     else:
         raise CongwidthError(f"unknown norm tag {tag!r}")
-    unread = sorted(cfg.keys() - cfg.read)
-    if unread:
-        raise CongwidthError(f"norm config tag={tag} has unknown keys {', '.join(k + '=' for k in unread)}")
+    if cfg:  # the keys no branch read
+        raise CongwidthError(f"norm config tag={tag} has unknown keys {', '.join(k + '=' for k in sorted(cfg))}")
     report = axiom_harness(norm, samples, seed)
     header = f"# congwidth norm tag={tag} seed={seed}\n"
     _emit(header + report.render(), args.out)

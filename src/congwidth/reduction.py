@@ -156,9 +156,8 @@ def _case1_finish(b: _Builder, tag: str) -> str:
     # sub is scalar t*I and the commuting relation forces t = u
     assert is_central(sub)
     assert sub.payload[0][0] == g.payload[0][0], "commuting case forces matching corner units"
-    j0 = next((idx for idx, e in enumerate(g.payload[0][1:]) if not k.is_zero(e)), None)
-    if j0 is None:
-        raise CentralInput("scalar matrix slipped through the central filter")
+    # g = u*I off its first row is not central, so that row has a nonzero entry past the corner
+    j0 = next(idx for idx, e in enumerate(g.payload[0][1:]) if not k.is_zero(e))
     b.record(COMM_RIGHT, [(j0 + 2, 2 if j0 != 0 else 3, q0)], tag + ".scalar")
     assert in_lower_affine(b.g) and not is_central(b.g)
     return "lower"
@@ -227,9 +226,7 @@ def _single_stage(b: _Builder):
     g = b.g
     n = g.n
     q0 = b.q.canonical
-    sup = _support(g)
-    if not sup:
-        raise CentralInput("identity reached before the single-entry stage")
+    sup = _support(g)  # never empty: every caller has excluded central input
     if all(j == n and i < n for (i, j) in sup):
         if sup == [(1, n)]:
             return

@@ -419,9 +419,10 @@ def test_closure_bfs_matches_set_bfs(sl2_z4, letters, starts):
     st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(st.integers(0, 47), min_size=k, max_size=k), min_size=1, max_size=4)),
 )
 def test_closure_bfs_stops_at_the_goal(sl2_z4, letters, starts, goal):
-    # the search stops at the largest, over goal rows, of each row's least
-    # distance in the full closure, before expanding that layer; with an
-    # unreachable row it runs to the full closure
+    # with a stop rule that every goal row holds a reached node, the search
+    # stops at the largest, over goal rows, of each row's least distance in
+    # the full closure, before expanding that layer; with an unreachable row
+    # it runs to the full closure
     mul = sl2_z4.mul
     let = np.array(sorted(letters), dtype=np.int32)
     expanded = []
@@ -432,7 +433,8 @@ def test_closure_bfs_stops_at_the_goal(sl2_z4, letters, starts, goal):
 
     full = closure_bfs(step, sorted(starts), len(mul))
     expanded.clear()
-    dist = closure_bfs(step, sorted(starts), len(mul), goal=np.array(goal))
+    rows = np.array(goal)
+    dist = closure_bfs(step, sorted(starts), len(mul), lambda d, _: d[rows].max(axis=-1).min() >= 0)
     least = [min((full[g] for g in row if full[g] >= 0), default=None) for row in goal]
     stop = full.max() if None in least else max(least)
     assert np.array_equal(dist, np.where(full <= stop, full, -1))

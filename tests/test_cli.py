@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from congwidth import cli
 from congwidth.cli import main
 from congwidth.errors import NoUnitFound
 from congwidth.matrices import SqMatrix, elementary, format_matrix
@@ -205,6 +206,14 @@ def test_sumid_cli(capsys):
     assert main(["sumid", "--tuple", "3,1,-2,5,0"]) == 0
     assert "OK" in capsys.readouterr().out
     assert main(["sumid", "--random", "50", "--seed", "9"]) == 0
+
+
+def test_sumid_reports_the_first_mismatch(monkeypatch, capsys):
+    # the first unequal tuple is printed with both sides, and no later one is checked
+    lhs, rhs = ((1, 0), (0, 1)), ((2, 0), (0, 1))
+    monkeypatch.setattr(cli, "verify_sum_identity", lambda *t: (False, lhs, rhs))
+    assert main(["sumid", "--tuple", "3,1,-2,5,0", "--random", "4"]) == 1
+    assert capsys.readouterr().out == "MISMATCH tuple=(3, 1, -2, 5, 0) lhs=((1, 0), (0, 1)) rhs=((2, 0), (0, 1))\n"
 
 
 def test_sumset_cli(tmp_path):

@@ -427,7 +427,7 @@ def _shears(m, k):
 @pytest.mark.parametrize("m, k, terms, level", [
     (8, 2, 3, 4), (8, 3, 6, 8), (8, 2, 5, 2), (9, 3, 10, 3), (16, 2, 8, 4),
     (12, 1, 4, 12), (10, 5, 6, 5), (25, 5, 12, 5), (6, 0, 3, 2), (7, 1, 3, 7),
-    (27, 3, 19, 9),
+    (27, 3, 19, 9), (8, 2, 0, 2), (8, 2, -1, 4),
 ])
 def test_sum_set_census_matches_the_reference(m, k, terms, level):
     assert sum_set_census(_shears(m, k), m, terms, level) == _reference_sum_set_census(_shears(m, k), m, terms, level)
