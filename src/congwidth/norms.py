@@ -22,6 +22,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .census import FiniteGroupTable
 from .errors import (
@@ -87,6 +88,7 @@ class FiniteGroupDomain:
 
     def __init__(self, table: FiniteGroupTable):
         self.table = table
+        self.size = len(table)
         self.products = table.mul
         self.inverses = table.inv.tolist()  # |G| ints, |G| <= 2^13 under the table cap
 
@@ -100,7 +102,7 @@ class FiniteGroupDomain:
         return a == 0
 
     def sample(self, rng: random.Random):
-        return rng.randrange(len(self.table))
+        return rng.randrange(self.size)
 
 
 class IdealPairDomain:
@@ -176,10 +178,12 @@ class QuotientDomain:
 
 @dataclass(frozen=True)
 class NormEval:
-    """A conjugation-invariant norm: a group domain and an exact value function."""
+    """A conjugation-invariant norm: a group domain and an exact value function.
+
+    Values are exact rationals: an int (a word norm's) or a Fraction."""
 
     domain: object
-    value: Callable[[object], Fraction]
+    value: Callable[[object], Rational]
 
 
 # -- constructions ----------------------------------------------------------------
@@ -229,7 +233,7 @@ def bounded_transform(norm: NormEval) -> NormEval:
 
     def fn(g):
         x = norm.value(g)
-        return x / (1 + x)
+        return Fraction(x, 1 + x)
 
     return NormEval(norm.domain, fn)
 
@@ -414,11 +418,13 @@ def word_norm_eval(table: FiniteGroupTable, generators: list[int]) -> NormEval:
     dist = table.word_distances(generators)
     if (dist < 0).any():
         raise ValueError("generator set does not generate the whole group")
-    values = [Fraction(d) for d in range(int(dist.max()) + 1)]
     dist = dist.tolist()
+    size = len(dist)
 
     def fn(g):
-        return values[dist[table.idx(g)]]
+        if type(g) is int and 0 <= g < size:
+            return dist[g]
+        return dist[table.idx(g)]
 
     return NormEval(FiniteGroupDomain(table), fn)
 

@@ -519,13 +519,14 @@ def test_sum_set_uncovered_case():
 def _not_in_sl2_f3():
     return [
         -2,
+        -1,
         24,
         elementary(RingSpec.integers_mod(5), 2, 1, 2, 1),
         SqMatrix.from_raw(RingSpec.integers_mod(3), [[2, 0], [0, 1]]),
     ]
 
 
-@pytest.mark.parametrize("bad", _not_in_sl2_f3(), ids=["index-2", "index24", "over-Z5", "det2"])
+@pytest.mark.parametrize("bad", _not_in_sl2_f3(), ids=["index-2", "index-1", "index24", "over-Z5", "det2"])
 def test_non_elements_are_rejected(sl2_f3, ring_f3, bad):
     # negative and past-the-end indices, a matrix over another ring with
     # entries that are keys of the table, and a matrix outside SL_2

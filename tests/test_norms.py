@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -496,6 +497,48 @@ def test_bounded_transform_monotone(ring_z):
         assert 0 <= fa < 1
 
 
+def _sl2_f3_word_norm(sl2_f3):
+    seeds = [sl2_f3.idx(elementary(sl2_f3.ring, 2, i, j, 1)) for i, j in ((1, 2), (2, 1))]
+    return word_norm_eval(sl2_f3, conjugation_closure(sl2_f3, seeds))
+
+
+def test_bounded_transform_of_a_word_norm_is_exact(sl2_f3):
+    # the word norm's values are ints; d / (1 + d) on an int is a float
+    word = _sl2_f3_word_norm(sl2_f3)
+    norm = bounded_transform(word)
+    for k in range(len(sl2_f3)):
+        d = word.value(k)
+        assert type(norm.value(k)) is Fraction and norm.value(k) == Fraction(d, 1 + d)
+    assert axiom_harness(norm, 300, seed=18).passed
+
+
+def test_constructions_over_an_int_valued_norm_stay_exact(sl2_f3):
+    dom = FiniteGroupDomain(sl2_f3)
+    word = _sl2_f3_word_norm(sl2_f3)
+    minus = sl2_f3.idx(SqMatrix.from_raw(sl2_f3.ring, [[2, 0], [0, 2]]))
+    centre = lambda g: g in (0, minus)
+    elems = range(len(sl2_f3))
+    reps = []
+    for g in elems:
+        if all(not centre(dom.mul(dom.inv(r), g)) for r in reps):
+            reps.append(g)
+    # every element is one letter: an int-valued norm bounded by 1
+    letters = word_norm_eval(sl2_f3, list(elems[1:]))
+    quaternion = lambda g: dom.mul(dom.mul(g, g), dom.mul(g, g)) == 0  # Q8: orders 1, 2 and 4
+    cases = [
+        (quotient_norm(word, [0, minus]), elems, lambda g: min(word.value(g), word.value(dom.mul(g, minus)))),
+        (average_norm(word, reps, len(reps), centre), elems, word.value),
+        (singular_extension(letters, dom, quaternion), elems, lambda g: letters.value(g) if quaternion(g) else 1),
+        (product_sum_norm(word, word), [(a, b) for a in elems for b in elems],
+         lambda g: word.value(g[0]) + word.value(g[1])),
+    ]
+    for norm, tuples, expected in cases:
+        for g in tuples:
+            v = norm.value(g)
+            assert type(v) in (int, Fraction) and v == expected(g)
+        assert axiom_harness(norm, 200, seed=19).passed
+
+
 # -- quotient ---------------------------------------------------------------------------
 
 
@@ -705,11 +748,18 @@ def test_word_norm_eval_needs_a_generating_set(sl2_f3):
         word_norm_eval(sl2_f3, conjugation_closure(sl2_f3, [sl2_f3.idx(minus)]))
 
 
+def test_word_norm_values_are_ints_of_the_distance_list(sl2_f5):
+    seeds = [sl2_f5.idx(elementary(sl2_f5.ring, 2, i, j, 1)) for i, j in ((1, 2), (2, 1))]
+    closure = conjugation_closure(sl2_f5, seeds)
+    norm = word_norm_eval(sl2_f5, closure)
+    dist = sl2_f5.word_distances(closure).tolist()
+    for k, g in enumerate(elements(sl2_f5)):
+        assert type(norm.value(k)) is int and norm.value(k) == dist[k]
+        assert norm.value(g) == norm.value(np.int64(k)) == norm.value(k)
+
+
 def test_word_norm_eval_harness(sl2_f3):
-    ring = sl2_f3.ring
-    seeds = [sl2_f3.idx(elementary(ring, 2, 1, 2, 1)), sl2_f3.idx(elementary(ring, 2, 2, 1, 1))]
-    norm = word_norm_eval(sl2_f3, conjugation_closure(sl2_f3, seeds))
-    assert axiom_harness(norm, 300, seed=17).passed
+    assert axiom_harness(_sl2_f3_word_norm(sl2_f3), 300, seed=17).passed
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (2, 8)])
