@@ -15,7 +15,7 @@ the full congruence subgroup and may also use an "append" step
 The invariants are written once, in the trace builder, under a per-kind
 policy: "reduce" (elementary witnesses, 9 steps, 512 letters, stage bounds),
 "sl2" (witnesses in the congruence subgroup of SL_2, 4 letters) and "partial"
-(the stage entry points: elementary witnesses only).  Every step enters the
+(stages 2-4 called alone: elementary witnesses only).  Every step enters the
 builder one way, record(kind, witness, case): the witness is the conjugator
 s itself or the elementary factors of s, whose product it forms once (I
 with their entries set when no factor's column is another's row).  It checks
@@ -30,7 +30,7 @@ commutator is one low-rank update of I: with one elementary factor a
 rank-one update, about n^2 + 3n ring products.  S' = -S whenever S^2 = 0,
 which holds for elementary factors that share a column or a row, so for
 every reduce step.  The input's cofactors, expanded once, give its determinant
-and sigma^-1 (the adjugate); a congruence conjugator is inverted only when S^2 != 0.
+and sigma^-1 (the adjugate); a witness is inverted only when S^2 != 0.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ COMM_RIGHT = "CommRight"  # g -> [g, s]
 COMM_LEFT = "CommLeft"  # g -> [s, g]
 APPEND = "Append"  # g -> g * (s sigma^e s^-1)
 
+TRACE_HEADER = "congwidth-trace v2"
 MAX_STEPS = 9
 MAX_WORD = 512
 STAGE_BOUNDS = {"affine": 4, "translate": 1, "single": 1, "relocate": 3}
@@ -167,14 +168,20 @@ class ReductionTrace:
 
     @property
     def text(self) -> str:
-        """The serialized trace, rendered once into __dict__; its matrices are SqMatrix.text."""
+        """The serialized trace (v2), rendered once into __dict__; its matrices are SqMatrix.text.
+        A witness is stated once: an elem step's as sfac factors, a congruence step's as a matrix."""
         if "text" in self.__dict__:
             return self.__dict__["text"]
         if self.kind not in ("reduce", "sl2"):
             raise ValueError("only full reduce/sl2 traces serialize")
         ids: list[SqMatrix] = [self.input]
+
+        def ref(m: SqMatrix) -> str:  # the next entry of the matrix table
+            ids.append(m)
+            return f"M{len(ids) - 1}"
+
         lines = [
-            "congwidth-trace v1",
+            TRACE_HEADER,
             f"kind {self.kind}",
             f"seed {self.seed}",
             f"ring {self.input.ring.descriptor()}",
@@ -184,19 +191,13 @@ class ReductionTrace:
             "input M0",
         ]
         for st in self.steps:
-            sid = len(ids)
-            ids.append(st.op.s)
-            rid = len(ids)
-            ids.append(st.result)
-            factors = st.op.s_factors.factors if st.op.s_factors is not None else ()
-            sfac = "|".join(f"{f.i},{f.j}:{format_element(f.a)}" for f in factors) or "-"
+            fac = st.op.s_factors
+            witness = f"s={ref(st.op.s)}" if fac is None else "sfac=" + (
+                "|".join(f"{f.i},{f.j}:{format_element(f.a)}" for f in fac.factors) or "-")
             extra = f" exp={st.op.exp}" if st.op.kind == APPEND else ""
-            lines.append(
-                f"step kind={st.op.kind} s=M{sid} result=M{rid} len={st.word_length} "
-                f"case={st.case} smem={st.op.s_member} sfac={sfac}{extra}"
-            )
-        out_id = len(ids) - 1 if self.steps else 0
-        lines.append(f"output M{out_id}")
+            lines.append(f"step kind={st.op.kind} result={ref(st.result)} len={st.word_length} "
+                         f"case={st.case} {witness}{extra}")
+        lines.append(f"output M{len(ids) - 1}")
         lines.append(f"matrices {len(ids)}")
         for k, m in enumerate(ids):
             lines += [f"M{k}", m.text.rstrip("\n")]
@@ -264,10 +265,9 @@ def _by_column(entries) -> list:
 def _witness(k, op: QOperation):
     """A checked op's witness s = I + S, s^-1 = I + S' as (S, S', flat,
     opposite), S and S' by their nonzero columns.  Opposite: S' = -S, which
-    holds when S^2 = 0; else S' comes from the inverse factors or mat_inv(s).
+    holds when S^2 = 0; else S' comes from mat_inv(s).
     Flat: no column S reads is a row it writes, so S^2 = 0 and both act in place."""
-    s, fac = op.s, op.s_factors
-    fs = () if fac is None else fac.factors
+    s, fs = op.s, op.s_factors.factors if op.s_factors is not None else ()
     if len(fs) == 1:  # S = a e_ij: every reduce commutator
         (f,) = fs
         return [(f.j - 1, [(f.i - 1, f.a.payload)])], [(f.j - 1, [(f.i - 1, k.neg(f.a.payload))])], True, True
@@ -277,9 +277,8 @@ def _witness(k, op: QOperation):
             square[r, c] = k.add(square.get((r, c), k.zero), k.mul(a, b))
     if opposite := all(map(k.is_zero, square.values())):
         inv = [(r, t, k.neg(a)) for r, t, a in entries]
-    else:
-        inv = _off_identity(mat_inv(s) if fac is None else ElemFactorization.of(
-            s.ring, s.n, tuple(ElemFactor(f.i, f.j, -f.a) for f in reversed(fs))).target)
+    else:  # s has determinant 1, so its adjugate is exact
+        inv = _off_identity(mat_inv(s))
     return _by_column(entries), _by_column(inv), not square, opposite
 
 
@@ -440,17 +439,19 @@ def replay_trace(text: str) -> ReductionTrace:
     """Rebuild a serialized trace and accept the text only if the rebuilt
     trace serializes to exactly the same bytes.
 
-    Only what a fresh builder consumes is read: the header, the input M0 and,
-    per step, its kind, case, witness tag and exponent with the witness (the
-    sfac factors of an elem step, the conjugator of a congruence step).  The
-    builder re-checks the input, every witness and the finished trace; the
-    byte comparison covers the rest, the ledger included, and a first
-    difference there is a format error naming the line.
+    Another version is refused by its first line.  Only what a fresh builder
+    consumes is read: the header, the input M0 and, per step, its kind, case
+    and exponent with its witness (the sfac factors, else the next matrix of
+    the table).  The builder re-checks the input, every witness and the
+    finished trace; the byte comparison covers the rest, the ledger included,
+    and a first difference there is a format error naming the line.
 
-    The rebuild stops with a replay mismatch at the first step whose witness
-    or result differs from the text the file records for it, so the work
-    stays bounded by the file (a repeated commutator step doubles the length
-    of the entries)."""
+    The rebuild stops with a replay mismatch at the first step whose result
+    differs from the text the file records for it, so the work stays bounded
+    by the file (a repeated commutator step doubles the length of the
+    entries); that check renders the text the byte comparison reuses."""
+    if not text.startswith(first := TRACE_HEADER + "\n"):  # another version: nothing after it is read
+        raise TraceFormatError(f"line 1: expected {first!r}")
     try:
         trace = _rebuild(text.split("\n"))
         again = serialize_trace(trace)
@@ -490,16 +491,15 @@ def _rebuild(lines: list[str]) -> ReductionTrace:
 
     sigma = matrix(0)
     b = _Builder(sigma, parse_ideal(sigma.ring, ideal), kind, int(seed))
+    m = 0  # the last matrix read: a congruence witness comes just before its result
     for k, line in enumerate(steps, start=1):
         attrs = dict(tok.partition("=")[::2] for tok in line.split()[1:])
-        if attrs.get("smem") == "elem":
-            sfac = attrs.get("sfac", "")
-            witness = [] if sfac == "-" else [_factor(sigma.ring, f) for f in sfac.split("|")]
+        if "sfac" in attrs:
+            witness = [] if attrs["sfac"] == "-" else [_factor(sigma.ring, f) for f in attrs["sfac"].split("|")]
         else:
-            witness = matrix(2 * k - 1)
+            witness = matrix(m := m + 1)
         b.record(attrs.get("kind", ""), witness, attrs.get("case", ""), int(attrs.get("exp", 1)))
-        # fills the texts serialize_trace reuses
-        if format_matrix(b.steps[-1].op.s) != recorded(2 * k - 1) or format_matrix(b.g) != recorded(2 * k):
+        if format_matrix(b.g) != recorded(m := m + 1):
             raise ReplayMismatch(f"replay mismatch at step {k}")
     return b.trace(target)
 

@@ -24,13 +24,12 @@ from .certificate import (
     ReductionTrace,
     _Builder,
     _SL2_TARGETS,
-    _check_reduce_preconditions,
     _support,
     replay_trace,
     serialize_trace,
 )
 from .errors import CentralInput, NoUnitFound, SearchExhausted, TrivialInput
-from .matrices import SqMatrix, determinant, identity, is_central, mat_inv
+from .matrices import SqMatrix, identity, is_central, mat_inv
 from .rings import Ideal, RingElement, exact_div, is_unimodular, is_unit, unit_check
 
 
@@ -280,10 +279,9 @@ def _relocate_stage(b: _Builder, target: tuple[int, int]):
 
 def reduce_to_affine(sigma: SqMatrix, q: Ideal):
     """Stage 1 as a standalone call: returns (partial trace, location)."""
-    _check_reduce_preconditions(sigma, q, determinant(sigma).payload)
-    b = _Builder(sigma, q, "partial", 0)
+    b = _Builder(sigma, q, "reduce", 0)  # its preconditions, from the builder's one cofactor expansion
     loc = _affine_stage(b)
-    return b.trace(("affine", loc)), loc
+    return ReductionTrace("partial", sigma, q, ("affine", loc), tuple(b.steps)), loc
 
 
 def strip_to_translation(g: SqMatrix, q: Ideal, loc: str) -> ReductionTrace:

@@ -24,7 +24,7 @@ def test_reduce_and_replay(tmp_path, capsys):
         "--in", str(infile), "--target", "1,2", "--out", str(out),
     ])
     assert rc == 0
-    assert out.read_text().startswith("congwidth-trace v1")
+    assert out.read_text().startswith("congwidth-trace v2")
     rc = main(["replay", "--in", str(out)])
     assert rc == 0
     assert "replay ok" in capsys.readouterr().out

@@ -135,6 +135,9 @@ def _congruence_steps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_commutator_steps(), _congruence_steps()))
+# E12(2) E23(2) = I + S with S^2 = 4 e13: S' comes from inverting s
+@example(("partial", elementary(Z, 3, 3, 1, 1), Ideal.of(Z, 2), [(COMM_RIGHT, [(1, 2, 2), (2, 3, 2)])]))
+@example(("partial", elementary(Z, 3, 3, 1, 1), Ideal.of(Z, 2), [(COMM_LEFT, [(2, 3, 2), (3, 1, 2)])]))
 def test_commutator_steps_match_dense_products(case):
     trace_kind, g, q, steps = case
     ring, n = g.ring, g.n

@@ -257,18 +257,18 @@ def _digest(outcomes):
 # table cap, and the outcomes are 49 traces and 13 NoUnitFound, never
 # BudgetExceeded (as over all 728 inputs: 1084 traces, 372 NoUnitFound).
 REFERENCE_DIGESTS = {
-    (4, 2, None, 1, ()): "a1dc1011c3bc483e0e4369899c0db25befaae6ccd24e97a36eb509a14ee6aee4",
-    (6, 2, None, 1, ()): "ba85bd99c6ea932a7d4f2e6bba55d380c9b79e44b83445c6305f67da6ca5313f",
-    (6, 3, None, 1, ()): "e7f9e00732099e962bfd83e158d9181fb66fac62ea4f65ac72b1046443995bae",
-    (8, 2, None, 1, ()): "a69de5f87e7f7c5821295f8f1debae252e0b4fb6b2d2d591bd3523b912944465",
-    (9, 3, None, 1, ()): "08774dfda38cbeafc614d76f8f6880b0e097153dcbfa8cdc0763da946d046e82",
-    (12, 2, 80, 1, ()): "a6971ed79351c64403e9b260ffb7f7283487ead1198cdc5c4ce00fb664a72602",
-    (27, 3, None, 24, ()): "f4e219bcc3393f043568b6dd8dc3917f35f95b5ba0fa9531f52497b124ed425a",
-    (5, 1, None, 1, (("pair_budget", 119),)): "1632cb6c82e71a2a5d86329000d56394bf77fe4bd8d254d1ffaa1d38f57ec247",
-    (5, 1, None, 1, (("pair_budget", 120),)): "1632cb6c82e71a2a5d86329000d56394bf77fe4bd8d254d1ffaa1d38f57ec247",
-    (5, 1, None, 1, (("pair_budget", 200),)): "e5f415a8dbe1d51b8208cd85091fe4f211d88624770a0f2dd6468a368032e31a",
-    (5, 1, None, 1, (("pair_budget", 1000),)): "2d1d1767dd5f73ea1b5b6734a4d1b522a40423c36179dc48b4bacc7d748310d1",
-    (5, 1, None, 1, (("pair_budget", 1500),)): "2d1d1767dd5f73ea1b5b6734a4d1b522a40423c36179dc48b4bacc7d748310d1",
+    (4, 2, None, 1, ()): "d10e17daf6aa38d74a422422ef2ea5158bc41d4ee0b32bcd622bd09ae3f69c60",
+    (6, 2, None, 1, ()): "4bc9a24175349aa56ad29bf18ac519d13e3c7c56ba404f6f67c657e2113582a8",
+    (6, 3, None, 1, ()): "da3c0cea69b06f045da5676ab33e3976f0a3cdd899a0ae6a1db0e7bdcab2c2b4",
+    (8, 2, None, 1, ()): "e3f78204399d5402c606f73e5080459460b71cb9d27722d49d9d152a97f84e6d",
+    (9, 3, None, 1, ()): "c555345f50cedae5502d8c77a611c2e5dc91ba07de5b8eea93e1935573c21639",
+    (12, 2, 80, 1, ()): "234574dafe3a9787ecf8c15210225dddaa13b9679b3cb7bb896ee6100df2ddc4",
+    (27, 3, None, 24, ()): "7006ddd6d68dc40f71320cec4348ce9c70b0b625c5ab91e8365710e044a7288d",
+    (5, 1, None, 1, (("pair_budget", 119),)): "8d541ffc0258da5a1fd1861684b1a05f632bbef0a0cbc2a5d83579ed85923a86",
+    (5, 1, None, 1, (("pair_budget", 120),)): "8d541ffc0258da5a1fd1861684b1a05f632bbef0a0cbc2a5d83579ed85923a86",
+    (5, 1, None, 1, (("pair_budget", 200),)): "f31f269f7cd03133800bd7542050fc38c3218dbdac2a1fa636c729d5da17dec2",
+    (5, 1, None, 1, (("pair_budget", 1000),)): "09e2902e2868ce3673e76e580ec718e1657f12367df01b52c7de14eacc42b9ec",
+    (5, 1, None, 1, (("pair_budget", 1500),)): "09e2902e2868ce3673e76e580ec718e1657f12367df01b52c7de14eacc42b9ec",
 }
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from congwidth.census import enumerate_sl
+from congwidth.cli import main
 from congwidth.errors import (
     CentralInput,
     CongwidthError,
@@ -10,6 +11,7 @@ from congwidth.errors import (
     NotCongruent,
     ReplayMismatch,
     SearchExhausted,
+    TraceFormatError,
     TrivialInput,
     UnsupportedRing,
 )
@@ -448,8 +450,8 @@ def test_replay_detects_corruption(ring_z):
     assert len(trace.steps) >= 2
     text = serialize_trace(trace)
     lines = text.splitlines()
-    # corrupt the first recorded result matrix (M2 is step 1's result)
-    idx = lines.index("M2") + 2
+    # corrupt the first recorded result matrix (M1 is step 1's result)
+    idx = lines.index("M1") + 2
     entries = lines[idx].split()
     entries[0] = str(int(entries[0]) + 1)
     lines[idx] = " ".join(entries)
@@ -660,7 +662,33 @@ def test_sl2_trace_serializes(ring_l5):
     assert serialize_trace(again) == text
 
 
-GOLDEN_TRACE = """congwidth-trace v1
+GOLDEN_TRACE = """congwidth-trace v2
+kind reduce
+seed 0
+ring Z
+n 3
+ideal 2
+target 1 2
+input M0
+step kind=CommRight result=M1 len=2 case=relocate.same-row sfac=3,2:2
+output M1
+matrices 2
+M0
+3 Z
+1 0 2
+0 1 0
+0 0 1
+M1
+3 Z
+1 4 0
+0 1 0
+0 0 1
+end
+"""
+
+# the same trace in format v1, which wrote the witness twice: as sfac
+# factors and as the matrix M1, with the tag smem naming the kind
+GOLDEN_TRACE_V1 = """congwidth-trace v1
 kind reduce
 seed 0
 ring Z
@@ -696,6 +724,19 @@ def test_trace_golden_bytes(ring_z):
     trace = reduce_full(elementary(ring_z, 3, 1, 3, 2), q, (1, 2))
     assert serialize_trace(trace) == GOLDEN_TRACE
     assert serialize_trace(replay_trace(GOLDEN_TRACE)) == GOLDEN_TRACE
+
+
+def test_a_v1_trace_is_refused_by_its_header(tmp_path, capsys):
+    # one reader: the first line names the version it reads, and nothing
+    # after it is rebuilt
+    message = "line 1: expected 'congwidth-trace v2\\n'"
+    with pytest.raises(TraceFormatError) as refusal:
+        replay_trace(GOLDEN_TRACE_V1)
+    assert str(refusal.value) == message
+    path = tmp_path / "v1.trace"
+    path.write_text(GOLDEN_TRACE_V1)
+    assert main(["replay", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unit_path_core_identity_symbolic():
@@ -773,3 +814,4 @@ def test_unit_path_closed_forms_symbolic():
     Y = sympy.Matrix([[u**-4, c * w * s * (a * u**4 - d)], [0, u**4]])
     for dense, closed in ((E_dense, E), (S_dense, S), (Y_dense, Y)):
         assert (dense - closed).applyfunc(sympy.cancel) == sympy.zeros(2, 2)
+

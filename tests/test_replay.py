@@ -4,6 +4,7 @@ Each repro below was accepted (or crashed with a traceback) before the
 trace invariants moved into the builder.
 """
 
+import itertools
 import random
 import re
 
@@ -35,13 +36,13 @@ from congwidth.certificate import (
 )
 from congwidth.matrices import SqMatrix, conjugate, elementary, identity, is_central, mat_inv
 from congwidth.reduction import reduce_full, relocate_elementary, sl2_unit_reduction
-from congwidth.rings import Ideal, RingSpec
-from test_trace_digests import CLASSES, _reduce_inputs
+from congwidth.rings import Ideal, RingSpec, format_element, parse_element
+from test_trace_digests import CLASSES, _reduce_inputs, _sl2_inputs
 
 Z = RingSpec.integers()
 L5 = RingSpec.localized_integers(5)
 
-PARTIAL_TRACE = """congwidth-trace v1
+PARTIAL_TRACE = """congwidth-trace v2
 kind partial
 seed 0
 ring Z
@@ -95,11 +96,19 @@ def test_sl2_rejects_determinant_five():
 
 
 def test_reduce_steps_need_elementary_witnesses():
+    # the golden trace with its witness E32(2) written as a congruence step's
+    # matrix block M1 in place of its factors: a well-formed file whose one
+    # fault is the kind of witness
     text = _golden_text()
-    stripped = text.replace("smem=elem sfac=3,2:2", "smem=congruence sfac=-")
-    assert stripped != text
-    with pytest.raises(ReplayMismatch, match="witnesses"):
-        replay_trace(stripped)
+    forged = (text.replace("result=M1", "result=M2").replace(" sfac=3,2:2", " s=M1")
+              .replace("output M1\nmatrices 2\n", "output M2\nmatrices 3\n")
+              .replace("M1\n3 Z\n", "M1\n3 Z\n1 0 0\n0 1 0\n0 2 1\nM2\n3 Z\n"))
+    trace = reduce_full(elementary(Z, 3, 1, 3, 2), Ideal.of(Z, 2), (1, 2))
+    (step,) = trace.steps
+    congruence = TraceStep(QOperation(step.op.kind, step.op.s), step.result, step.word_length, step.case)
+    assert serialize_trace(ReductionTrace("reduce", trace.input, trace.ideal, (1, 2), (congruence,), 0)) == forged
+    with pytest.raises(ReplayMismatch, match="^step 1: reduce steps need 'elem' witnesses$"):
+        replay_trace(forged)
 
 
 def test_sl2_conjugator_must_have_determinant_one():
@@ -253,7 +262,7 @@ def _cut_after_m0(text: str, n: int) -> str:
     [
         pytest.param(lambda t: "\n".join(t.splitlines()[:9]) + "\n", id="truncated"),
         pytest.param(lambda t: t.replace(" len=2", ""), id="missing-len"),
-        pytest.param(lambda t: t.replace("s=M1", "s=M9"), id="reference-out-of-range"),
+        pytest.param(lambda t: t.replace("result=M1", "result=M9"), id="reference-out-of-range"),
         pytest.param(lambda t: t.replace("\nn 3\n", "\nn -1\n"), id="negative-dimension"),
         # cut after M0: its rows and an empty line still read as a 3 x 3 matrix
         pytest.param(lambda t: _cut_after_m0(t, 4), id="header-n-above-input"),
@@ -292,7 +301,7 @@ def test_only_canonical_bytes_replay(old, new, error, tmp_path, capsys):
     "line, error, message",
     [
         pytest.param(17, TraceFormatError, "line 18: expected '1 0,1,1 0,1,1\\n'", id="input-entry"),
-        pytest.param(22, ReplayMismatch, "replay mismatch at step 1", id="step-entry"),
+        pytest.param(32, ReplayMismatch, "replay mismatch at step 3", id="step-entry"),
     ],
 )
 def test_f2_entry_with_a_trailing_zero_is_refused(line, error, message, tmp_path, capsys):
@@ -334,53 +343,105 @@ def test_format_error_names_the_first_differing_line():
     lines[2] = "seed +0"
     with pytest.raises(TraceFormatError, match=r"line 3: expected 'seed 0\\n'"):
         replay_trace("\n".join(lines))
-    with pytest.raises(TraceFormatError, match="line 28: expected the end of the file"):
+    with pytest.raises(TraceFormatError, match="line 23: expected the end of the file"):
         replay_trace(_golden_text() + "\n")
-    with pytest.raises(TraceFormatError, match=r"line 27: expected 'end\\n'"):
+    with pytest.raises(TraceFormatError, match=r"line 22: expected 'end\\n'"):
         replay_trace(_golden_text()[:-1])
 
 
 def _matrix_lines(text: str, n: int):
-    """The lines of a reduce trace and the line index of each matrix label Mm."""
+    """The lines of a trace and the line index of each matrix label Mm."""
     lines = text.split("\n")
     steps = sum(ln.startswith("step ") for ln in lines)
-    return lines, steps, [10 + steps + m * (n + 2) for m in range(2 * steps + 1)]
+    count = int(lines[9 + steps].split()[1])  # the line "matrices <count>"
+    return lines, steps, [10 + steps + m * (n + 2) for m in range(count)]
+
+
+def _scaled_first_factor(line: str, ring, q0) -> str:
+    """A step line whose first sfac factor (i, j, a) reads (i, j, a q0),
+    over a domain still a nonzero element of the ideal."""
+    head, _, factors = line.rpartition(" sfac=")
+    first, sep, rest = factors.partition("|")
+    ij, _, a = first.partition(":")
+    return f"{head} sfac={ij}:{format_element(parse_element(ring, a) * q0)}{sep}{rest}"
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_changed_witness_matrix_is_a_replay_mismatch_at_its_step(name):
-    """Replay parses no elementary witness matrix: a changed entry of the
-    witness M(2k - 1) of step k differs from the text of the witness the
-    rebuild forms, which reports it at step k, wherever the entry is."""
-    ring, n = CLASSES[name][:2]
-    k = ring.kernel
+    """An elementary witness is stated once, by its sfac factors.  A factor
+    of step k scaled by the ideal's generator is a witness the builder
+    accepts, and the result it gives differs from the one the file records
+    for step k, which the rebuild reports at step k.  The exception is a
+    conjugation by a witness that commutes with g: the changed file is then
+    another certificate of the same results."""
+    ring, n, q0 = CLASSES[name][:3]
+    refused = tried = 0
     for args in _reduce_inputs(name):
-        text = serialize_trace(reduce_full(*args))
-        lines, steps, labels = _matrix_lines(text, n)
+        trace = reduce_full(*args)
+        lines, steps, _ = _matrix_lines(serialize_trace(trace), n)
         for step in range(1, steps + 1):
             bad = list(lines)
-            row, col = labels[2 * step - 1] + 2 + step % n, (step + 1) % n  # one entry of M(2 step - 1)
-            entries = bad[row].split(" ")
-            entries[col] = k.format(k.add(k.parse(entries[col]), k.one))
-            bad[row] = " ".join(entries)
-            with pytest.raises(ReplayMismatch, match=f"^replay mismatch at step {step}$"):
-                replay_trace("\n".join(bad))
+            bad[7 + step] = _scaled_first_factor(lines[7 + step], ring, q0)
+            tried += 1
+            try:
+                again = replay_trace("\n".join(bad))
+            except ReplayMismatch as refusal:
+                assert str(refusal) == f"replay mismatch at step {step}"
+                refused += 1
+            else:
+                assert again.steps[step - 1].op.kind == CONJUGATE
+                assert [st.result for st in again.steps] == [st.result for st in trace.steps]
+    assert refused > 0.9 * tried
+
+
+@pytest.mark.parametrize("name", ["z", "l5"])
+def test_changed_congruence_witness_is_refused_at_its_step(name):
+    """A congruence witness is its matrix block, read as the file writes it.
+    An entry changed by the ideal's generator (the matrix stays congruent to
+    I) is refused at its step: its determinant is no longer 1, or the result
+    it gives differs from the recorded one.  The exception is a witness whose
+    change the step does not see; the file then certifies the same results."""
+    refused = tried = 0
+    for g, q in _sl2_inputs(name, 30):
+        k, q0 = q.ring.kernel, q.generators[0].payload
+        for side in ("E12", "E21"):
+            try:
+                trace = sl2_unit_reduction(g, q, side)
+            except CongwidthError:
+                continue
+            lines, steps, labels = _matrix_lines(serialize_trace(trace), 2)
+            for step in range(1, steps + 1):
+                for row, col in itertools.product(range(2), repeat=2):
+                    bad = list(lines)
+                    entries = bad[labels[2 * step - 1] + 2 + row].split(" ")
+                    entries[col] = k.format(k.add(k.parse(entries[col]), q0))
+                    bad[labels[2 * step - 1] + 2 + row] = " ".join(entries)
+                    tried += 1
+                    try:
+                        again = replay_trace("\n".join(bad))
+                    except ReplayMismatch as refusal:
+                        assert re.fullmatch(rf"(replay mismatch at step {step}|step {step}: s is not a "
+                                            r"determinant-1 matrix congruent to I mod the ideal)", str(refusal))
+                        refused += 1
+                    else:
+                        assert [st.result for st in again.steps] == [st.result for st in trace.steps]
+    assert refused > 0.7 * tried, (refused, tried)
 
 
 def test_two_changed_step_matrices_are_refused_at_the_earlier_step():
-    """The rebuild checks each step's witness text before the next step's
-    result: a changed witness of step 1 is reported at step 1, not at the
+    """The rebuild checks each step's result before it records the next
+    step: a changed witness of step 1 is reported at step 1, not at the
     changed result of a later step."""
-    ring, n = CLASSES["z3"][:2]
+    ring, n, q0 = CLASSES["z3"][:3]
     k = ring.kernel
     for args in _reduce_inputs("z3"):
         lines, steps, labels = _matrix_lines(serialize_trace(reduce_full(*args)), n)
         for later in range(2, steps + 1):
             bad = list(lines)
-            for m in (1, 2 * later):  # the witness M1 of step 1, the result of step `later`
-                entries = bad[labels[m] + 2].split(" ")
-                entries[0] = k.format(k.add(k.parse(entries[0]), k.one))
-                bad[labels[m] + 2] = " ".join(entries)
+            bad[8] = _scaled_first_factor(lines[8], ring, q0)  # the witness of step 1
+            entries = bad[labels[later] + 2].split(" ")  # the result of step `later`
+            entries[0] = k.format(k.add(k.parse(entries[0]), k.one))
+            bad[labels[later] + 2] = " ".join(entries)
             with pytest.raises(ReplayMismatch, match="^replay mismatch at step 1$"):
                 replay_trace("\n".join(bad))
 
@@ -425,36 +486,40 @@ def _sl2_text() -> str:
 
 
 @pytest.mark.parametrize(
-    "kind, old, new",
+    "kind, old, new, error",
     [
-        pytest.param("reduce", " sfac=3,2:2", " sfac=3,2:2 foo=1", id="unknown-key"),
-        pytest.param("reduce", " sfac=3,2:2", " sfac=3,2:2 exp=3", id="exp-on-commright"),
-        pytest.param("sl2", "smem=congruence sfac=-", "smem=congruence sfac=1,2:2", id="sfac-on-congruence"),
-        pytest.param("reduce", " case=", " case=bogus case=", id="repeated-key"),
+        pytest.param("reduce", " sfac=3,2:2", " sfac=3,2:2 foo=1", TraceFormatError, id="unknown-key"),
+        pytest.param("reduce", " sfac=3,2:2", " sfac=3,2:2 exp=3", TraceFormatError, id="exp-on-commright"),
+        pytest.param("reduce", " sfac=3,2:2", " sfac=3,2:2 s=M1", TraceFormatError, id="block-on-elem"),
+        # the factors are the witness read, and an sl2 step needs a matrix
+        pytest.param("sl2", " s=M1", " s=M1 sfac=1,2:2", ReplayMismatch, id="sfac-on-congruence"),
+        pytest.param("reduce", " case=", " case=bogus case=", TraceFormatError, id="repeated-key"),
     ],
 )
-def test_step_line_carries_exactly_the_serialized_keys(kind, old, new, tmp_path, capsys):
+def test_step_line_carries_exactly_the_serialized_keys(kind, old, new, error, tmp_path, capsys):
     text = _golden_text() if kind == "reduce" else _sl2_text()
     assert old in text
     bad = text.replace(old, new, 1)
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(error):
         replay_trace(bad)
     rc, err = _replay_cli(tmp_path, bad, capsys)
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
-    "kind, tag, message",
+    "kind, field, message",
     [
-        pytest.param("reduce", "smem=elem", r"^step 1: reduce steps need 'elem' witnesses$", id="reduce"),
-        pytest.param("sl2", "smem=congruence", r"^line 9: expected 'step .* smem=congruence ", id="sl2"),
+        pytest.param("reduce", " sfac=3,2:2", r"^step 1: reduce steps need 'elem' witnesses$", id="reduce"),
+        pytest.param("sl2", " s=M1", r"^line 9: expected 'step .* s=M1\\n'$", id="sl2"),
     ],
 )
-def test_unknown_witness_tag_is_refused(kind, tag, message, tmp_path, capsys):
-    # the refusal names what the trace kind needs, not a tag the file never held
+def test_unknown_witness_tag_is_refused(kind, field, message, tmp_path, capsys):
+    # the witness field replaced by format v1's tag, now an unknown key: a
+    # step without factors reads the next matrix as its witness, and the
+    # refusal names what the trace kind needs, not a tag the file never held
     text = _golden_text() if kind == "reduce" else _sl2_text()
-    assert tag in text
-    bad = text.replace(tag, "smem=foo", 1)
+    assert field in text
+    bad = text.replace(field, " smem=foo", 1)
     with pytest.raises(CongwidthError, match=message):
         replay_trace(bad)
     rc, err = _replay_cli(tmp_path, bad, capsys)

@@ -13,6 +13,7 @@ Z and Z[1/5] gate its matrix products and inversions.
 """
 
 import collections
+import contextlib
 import hashlib
 import random
 import sys
@@ -46,12 +47,12 @@ CLASSES = {
 }
 
 REDUCE_DIGESTS = {
-    "z3": "6a6ad3e2a40d2edbec50b73610f9f9b53061855bd590f3e875dbc91d0eb6b24c",
-    "z4": "d8658d1f596dc2d9a2732e19a64630d42b9380bf3129be1fa0533e63d0c7c900",
-    "p2": "d31497e86940614e6ab80d9d3e6c68b84e4c6ea8778c4e54b543e58659fecabd",
-    "l5": "fe02df0c0262ffee909124404efeeff3452a44a2ad0153154d0cb9108cf9852e",
+    "z3": "18b100ec3e399edc88a4ebb322133f48e73244a48f3c08dd8bef5874e464c530",
+    "z4": "0bb4a21953119bebc4adbf7009d269aec6f28a166ac1bbff29fac294ab642439",
+    "p2": "288a6d8a06dcc307f265984ad60a103c64e278877d535b779bf6912c44768b5b",
+    "l5": "357b3e9164bb110f3f37632f5c6f0525673f797fc463af4fbf1f95e1cfe16ebc",
 }
-SL2_F5_DIGEST = "2d1d1767dd5f73ea1b5b6734a4d1b522a40423c36179dc48b4bacc7d748310d1"
+SL2_F5_DIGEST = "09e2902e2868ce3673e76e580ec718e1657f12367df01b52c7de14eacc42b9ec"
 
 # The dimension-2 shortcut over infinite rings: name -> (ring, ideal generator,
 # units u with u = 1 mod the ideal for diagonal factors, entry coefficient sampler)
@@ -66,9 +67,9 @@ SL2_INFINITE = {
 # sha256 over both sides of 120 inputs each: serialized traces, or the
 # exception's type and message
 SL2_INFINITE_DIGESTS = {
-    "z": "6a3b73eacb719db11506a54afa61f8bcc465fd6efe17ee440ef48c79b0d82589",
-    "l5": "5b94c80ec4517280aadcce4b6975a3acd69cab2ef4efb7b521c1ee37603eaf7f",
-    "p3": "1b001278ff0e69eeaa6398d9f1ba75f3cf5d0487dc0d27cbb0e75695747d6537",
+    "z": "8af2f4299175307b487ba81a4bc58605abfec7447eafb299eee3722a432795e2",
+    "l5": "4fea8e6192db7c3a2d533ac937b42599b0937b4d325f82ef196995949fe8f490",
+    "p3": "01f8a57b2a896cdf2bf6f0c3155d4f687bcd917a6343b2a42be4db8c6689d3fb",
 }
 
 
@@ -273,6 +274,21 @@ def test_reduce_and_replay_invert_once(monkeypatch):
             assert calls == ["_cofactors"], f"replay_trace on {name} inverted by {calls}"
 
 
+def test_reduce_to_affine_expands_the_input_once(monkeypatch):
+    """The affine stage's entry point checks its input under the reduce
+    policy, through the builder's one cofactor expansion: nothing else
+    expands the input's cofactors, under either module's name."""
+    calls = []
+    for module in (matrices, certificate):
+        real = module._cofactors
+        monkeypatch.setattr(module, "_cofactors", lambda k, rows, real=real: calls.append(rows) or real(k, rows))
+    for sigma, q, _ in _reduce_inputs("z3"):
+        calls.clear()
+        trace, loc = reduction.reduce_to_affine(sigma, q)
+        assert trace.kind == "partial" and trace.target == ("affine", loc)
+        assert calls == [sigma.payload], f"reduce_to_affine expanded {len(calls)} cofactor matrices"
+
+
 def test_reduce_and_replay_expand_no_loop_determinant(monkeypatch):
     """For n <= 4 the NotSL check reads the determinant of the builder's
     cofactor kernel: the characteristic polynomial _charpoly never runs."""
@@ -419,23 +435,28 @@ def _count_renders(monkeypatch) -> list:
 
 
 def test_reduce_and_replay_format_each_matrix_once(monkeypatch):
-    """A trace of s steps records 1 + 2 s matrices: the input, and each
-    step's witness and result.  Serializing renders each once, a second
-    serialization renders none, and replay renders each result once, in the
-    step check whose text the byte comparison reuses.  The trace's own text
-    is kept too: a second serialization returns the same string."""
+    """A trace of s steps, c of them congruence steps, records 1 + s + c
+    matrices: the input, each step's result and each congruence witness (an
+    elementary witness is written as its factors alone).  Serializing
+    renders each once, a second serialization renders none, and replay
+    renders each result once, in the step check whose text the byte
+    comparison reuses.  The trace's own text is kept too: a second
+    serialization returns the same string."""
+    traces = [(name, reduce_full(*args)) for name in CLASSES for args in _reduce_inputs(name)]
+    for g, q in _sl2_inputs("l5", 20):
+        with contextlib.suppress(CongwidthError):
+            traces.append(("sl2 l5", sl2_unit_reduction(g, q, "E12")))
     rendered = _count_renders(monkeypatch)
-    for name in CLASSES:
-        for args in _reduce_inputs(name):
-            trace = reduce_full(*args)
-            steps = len(trace.steps)
-            rendered.clear()
-            text = serialize_trace(trace)
-            assert len(rendered) == 1 + 2 * steps, f"serialize_trace on {name} rendered {len(rendered)} matrices"
-            rendered.clear()
-            assert serialize_trace(trace) is text and not rendered, f"a second serialize_trace on {name} rendered"
-            replay_trace(text)
-            assert len(rendered) <= 1 + 2 * steps, f"replay_trace on {name} rendered {len(rendered)} matrices"
+    for name, trace in traces:
+        matrices = 1 + len(trace.steps) + sum(st.op.s_factors is None for st in trace.steps)
+        rendered.clear()
+        text = serialize_trace(trace)
+        assert len(rendered) == matrices, f"serialize_trace on {name} rendered {len(rendered)} matrices"
+        rendered.clear()
+        assert serialize_trace(trace) is text and not rendered, f"a second serialize_trace on {name} rendered"
+        replay_trace(text)
+        assert len(rendered) <= matrices, f"replay_trace on {name} rendered {len(rendered)} matrices"
+    assert any(st.op.s_factors is None for _, trace in traces for st in trace.steps)
 
 
 def test_flipped_result_entry_is_refused_after_serializing():
@@ -452,7 +473,7 @@ def test_flipped_result_entry_is_refused_after_serializing():
             replay_trace(text)
             for step in range(1, steps + 1):
                 lines = text.split("\n")
-                row = 10 + steps + 2 * step * (n + 2) + 2  # first row of M(2 step)
+                row = 10 + steps + step * (n + 2) + 2  # first row of M(step), the result of the step
                 entries = lines[row].split(" ")
                 entries[0] = k.format(k.add(k.parse(entries[0]), k.one))
                 lines[row] = " ".join(entries)
