@@ -73,7 +73,7 @@ COMM_RIGHT = "CommRight"  # g -> [g, s]
 COMM_LEFT = "CommLeft"  # g -> [s, g]
 APPEND = "Append"  # g -> g * (s sigma^e s^-1)
 
-TRACE_HEADER = "congwidth-trace v2"
+TRACE_HEADER = "congwidth-trace v3"
 MAX_STEPS = 9
 MAX_WORD = 512
 STAGE_BOUNDS = {"affine": 4, "translate": 1, "single": 1, "relocate": 3}
@@ -149,7 +149,6 @@ class ReductionTrace:
     ideal: Ideal
     target: object  # (i, j) for "reduce", "E12"/"E21" for "sl2"
     steps: tuple[TraceStep, ...]
-    seed: int = 0
 
     @property
     def output(self) -> SqMatrix:
@@ -168,7 +167,8 @@ class ReductionTrace:
 
     @property
     def text(self) -> str:
-        """The serialized trace (v2), rendered once into __dict__; its matrices are SqMatrix.text.
+        """The serialized trace (v3), rendered once into __dict__; its matrices are SqMatrix.text.
+        The header states the claim (kind, the ideal's canonical generator, target), M0 the ring and n.
         A witness is stated once: an elem step's as sfac factors, a congruence step's as a matrix."""
         if "text" in self.__dict__:
             return self.__dict__["text"]
@@ -183,10 +183,7 @@ class ReductionTrace:
         lines = [
             TRACE_HEADER,
             f"kind {self.kind}",
-            f"seed {self.seed}",
-            f"ring {self.input.ring.descriptor()}",
-            f"n {self.input.n}",
-            "ideal " + " ".join(format_element(g) for g in self.ideal.generators),
+            f"ideal {format_element(self.ideal.canonical)}",
             ("target " + (f"{self.target[0]} {self.target[1]}" if self.kind == "reduce" else str(self.target))),
             "input M0",
         ]
@@ -334,7 +331,7 @@ class _Builder:
     record is the one way a step enters; it alone builds a QOperation and
     its TraceStep."""
 
-    def __init__(self, sigma: SqMatrix, q: Ideal, kind: str, seed: int):
+    def __init__(self, sigma: SqMatrix, q: Ideal, kind: str):
         self.policy = _POLICIES[kind]
         det, adj = _cofactors(sigma.ring.kernel, sigma.payload)  # the one expansion of the input
         if self.policy.preconditions:
@@ -344,7 +341,6 @@ class _Builder:
         self._ginv = self.sigma_inv.payload  # g^-1, as payload rows
         self.q = q
         self.kind = kind
-        self.seed = seed
         self.wl = 1
         self.steps: list[TraceStep] = []
 
@@ -404,7 +400,7 @@ class _Builder:
         self.g, self._ginv = SqMatrix._of(ring, n, g), ginv
 
     def trace(self, target) -> ReductionTrace:
-        trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps), self.seed)
+        trace = ReductionTrace(self.kind, self.sigma, self.q, target, tuple(self.steps))
         p = self.policy
         if p.max_steps is not None and len(trace.steps) > p.max_steps:
             raise ReplayMismatch(f"{len(trace.steps)} steps exceed the budget {p.max_steps}")
@@ -440,9 +436,10 @@ def replay_trace(text: str) -> ReductionTrace:
     trace serializes to exactly the same bytes.
 
     Another version is refused by its first line.  Only what a fresh builder
-    consumes is read: the header, the input M0 and, per step, its kind, case
-    and exponent with its witness (the sfac factors, else the next matrix of
-    the table).  The builder re-checks the input, every witness and the
+    consumes is read: the kind, ideal and target lines, the input M0 (its
+    `<n> <ring>` line gives the size and the ring) and, per step, its kind,
+    case and exponent with its witness (the sfac factors, else the next matrix
+    of the table).  The builder re-checks the input, every witness and the
     finished trace; the byte comparison covers the rest, the ledger included,
     and a first difference there is a format error naming the line.
 
@@ -469,35 +466,33 @@ def replay_trace(text: str) -> ReductionTrace:
 def _rebuild(lines: list[str]) -> ReductionTrace:
     """A fresh builder fed what the serialized lines record of the input and
     the witnesses; the other lines are left to the byte comparison.  The
-    input's ring and size are the trace's: the header's n only locates the
-    recorded matrices, and each one read must be n x n."""
-    kind, seed, _, n, ideal, target = (ln.partition(" ")[2] for ln in lines[1:7])
+    ring and the size n are the input's: n, read from M0's `<n> <ring>`
+    line, locates the recorded matrices.  Every later one is n x n or
+    refused: a result is compared as n x n text, a reduce step refuses any
+    matrix, and an sl2 witness is read from n + 1 = 3 lines, and no matrix
+    is smaller than 2 x 2."""
+    kind, ideal, target = (ln.partition(" ")[2] for ln in lines[1:4])
     if kind not in ("reduce", "sl2"):
         raise TraceFormatError(f"unknown trace kind {kind!r}")
-    n = int(n)
-    steps = list(itertools.takewhile(lambda ln: ln.startswith("step "), lines[8:]))
+    steps = list(itertools.takewhile(lambda ln: ln.startswith("step "), lines[5:]))
+    top = 7 + len(steps)  # the line before M0's text: its label
+    n = int("".join(lines[top + 1:top + 2]).partition(" ")[0])  # a missing line reads as "", no integer
     target = tuple(map(int, target.split())) if kind == "reduce" else target
 
     def recorded(k: int) -> str:
         """The text of matrix Mk: the n + 1 lines after its label."""
-        start = 10 + len(steps) + k * (n + 2) + 1
+        start = top + k * (n + 2) + 1
         return "\n".join(lines[start:start + n + 1]) + "\n"
 
-    def matrix(k: int) -> SqMatrix:
-        m = parse_matrix(recorded(k))
-        if m.n != n:
-            raise TraceFormatError(f"M{k} is {m.n} x {m.n}, the header says n {n}")
-        return m
-
-    sigma = matrix(0)
-    b = _Builder(sigma, parse_ideal(sigma.ring, ideal), kind, int(seed))
+    sigma = parse_matrix(recorded(0))
+    b = _Builder(sigma, parse_ideal(sigma.ring, ideal), kind)
     m = 0  # the last matrix read: a congruence witness comes just before its result
     for k, line in enumerate(steps, start=1):
         attrs = dict(tok.partition("=")[::2] for tok in line.split()[1:])
         if "sfac" in attrs:
             witness = [] if attrs["sfac"] == "-" else [_factor(sigma.ring, f) for f in attrs["sfac"].split("|")]
         else:
-            witness = matrix(m := m + 1)
+            witness = parse_matrix(recorded(m := m + 1))
         b.record(attrs.get("kind", ""), witness, attrs.get("case", ""), int(attrs.get("exp", 1)))
         if format_matrix(b.g) != recorded(m := m + 1):
             raise ReplayMismatch(f"replay mismatch at step {k}")

@@ -2,8 +2,9 @@
 
 Subcommands: reduce, replay, decompose, norm, census, sumid, sumset.
 Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
-All randomness flows from --seed; identical invocations produce byte-identical
-output files.
+Only sumid --random (from --seed) and norm (its config's seed=) draw random
+numbers; census, decompose and sumset echo --seed into their output headers.
+Identical invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -72,14 +73,19 @@ def _parse_group(text: str) -> tuple[int, RingSpec]:
 _IDEAL_HELP = "ideal generators separated by spaces, each written as a matrix entry (F2[x]: 0,1 is x)"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v <= 0:
-        raise argparse.ArgumentTypeError("budgets and counts must be positive")
-    return v
+def _int_from(low: int):
+    """An argparse type for the integers >= low; other text is a usage error naming it."""
+
+    def convert(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if v < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {v}")
+        return v
+
+    return convert
 
 
 _HEADER_SEED = "echoed in the output header only; this command draws no random numbers"
@@ -95,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--target", type=_target_type, required=True,
                     help="i,j; in dimension 2, 1,2 or 2,1 runs the unit shortcut for E12 or E21")
-    pr.add_argument("--seed", type=int, default=0, help="echoed on the trace's seed line only; nothing is random")
     pr.add_argument("--out", default=None)
 
     pp = sub.add_parser("replay", help="verify a serialized trace")
@@ -113,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("census", help="exhaustive width census over a finite group")
     pc.add_argument("--group", type=_arg(_parse_group), required=True, help="e.g. SL3,F2 or SL2,Z/4")
     pc.add_argument("--ideal", default="1", help=_IDEAL_HELP)
-    pc.add_argument("--budget", type=_positive_int, default=10**6)
+    pc.add_argument("--budget", type=_int_from(1), default=10**6)
     pc.add_argument("--factors", action="store_true",
                     help="histogram elementary-factorization counts instead of widths")
     pc.add_argument("--seed", type=int, default=0, help=_HEADER_SEED)
@@ -121,15 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sumid", help="check the five-term sum decomposition")
     ps.add_argument("--tuple", dest="tup", default=None, help="m,a,b,c,d")
-    ps.add_argument("--random", type=int, default=0, help="check N random tuples")
+    ps.add_argument("--random", type=_int_from(0), default=0, help="check N random tuples")
     ps.add_argument("--seed", type=int, default=0)
 
     pt = sub.add_parser("sumset", help="sum-set growth of a subgroup modulo m")
     pt.add_argument("--mod", type=int, required=True)
     pt.add_argument("--gen-scale", type=int, required=True, help="k for the two shears with entry k")
-    pt.add_argument("--max-terms", type=_positive_int, required=True)
-    pt.add_argument("--target-level", type=_positive_int, required=True)
-    pt.add_argument("--budget", type=_positive_int, default=10**6)
+    pt.add_argument("--max-terms", type=_int_from(1), required=True)
+    pt.add_argument("--target-level", type=_int_from(1), required=True)
+    pt.add_argument("--budget", type=_int_from(1), default=10**6)
     pt.add_argument("--seed", type=int, default=0, help=_HEADER_SEED)
     pt.add_argument("--out", default=None)
 
@@ -158,11 +163,11 @@ def _cmd_reduce(args) -> int:
         raise CongwidthError("matrix ring does not match --ring")
     q = parse_ideal(args.ring, args.ideal)
     if sigma.n != 2:
-        trace = reduce_full(sigma, q, args.target, seed=args.seed)
+        trace = reduce_full(sigma, q, args.target)
     elif (side := _SL2_SIDES.get(args.target)) is None:
         raise CongwidthError("dimension 2 reduces to target 1,2 or 2,1, got {},{}".format(*args.target))
     else:
-        trace = sl2_unit_reduction(sigma, q, side, seed=args.seed)
+        trace = sl2_unit_reduction(sigma, q, side)
     _emit(serialize_trace(trace), args.out)
     return 0
 

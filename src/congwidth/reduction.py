@@ -186,7 +186,7 @@ def _affine_stage(b: _Builder) -> str:
     assert b.g.column(1)[: n - 1] == wit.shifted, "shift witness must match the shifted prefix"
     lam_fac = [] if an.is_zero else [(n, k + 1, -(an * dk)) for k, dk in enumerate(wit.bezout) if not dk.is_zero]
     b.record(COMM_RIGHT, tau_fac, "affine.split.comm")
-    if lam_fac:
+    if not all(_commutes(b.g, i, j) for i, j, _ in lam_fac):  # else conjugating by lam_fac leaves g as it is
         b.record(CONJUGATE, lam_fac, "affine.split.conj")
     rho = b.g
     assert not is_central(rho), "conjugated commutator must stay non-central"
@@ -273,13 +273,13 @@ def _relocate_stage(b: _Builder, target: tuple[int, int]):
 
 
 # Public per-stage entry points: each returns a partial trace (kind
-# "partial", seed 0, validated for replay and witnesses but not for output
-# support) plus stage-specific data.
+# "partial", validated for replay and witnesses but not for output support)
+# plus stage-specific data.
 
 
 def reduce_to_affine(sigma: SqMatrix, q: Ideal):
     """Stage 1 as a standalone call: returns (partial trace, location)."""
-    b = _Builder(sigma, q, "reduce", 0)  # its preconditions, from the builder's one cofactor expansion
+    b = _Builder(sigma, q, "reduce")  # its preconditions, from the builder's one cofactor expansion
     loc = _affine_stage(b)
     return ReductionTrace("partial", sigma, q, ("affine", loc), tuple(b.steps)), loc
 
@@ -288,7 +288,7 @@ def strip_to_translation(g: SqMatrix, q: Ideal, loc: str) -> ReductionTrace:
     """Stage 2 as a standalone call on a matrix in an affine copy."""
     if is_central(g):
         raise CentralInput("translation stage needs a non-central input")
-    b = _Builder(g, q, "partial", 0)
+    b = _Builder(g, q, "partial")
     _translate_stage(b, loc)
     return b.trace(("translate", loc))
 
@@ -297,26 +297,26 @@ def translation_to_elementary(g: SqMatrix, q: Ideal) -> ReductionTrace:
     """Stage 3 as a standalone call on a translation-form matrix."""
     if is_central(g):
         raise CentralInput("single-entry stage needs a non-central input")
-    b = _Builder(g, q, "partial", 0)
+    b = _Builder(g, q, "partial")
     _single_stage(b)
     return b.trace(("single",))
 
 
 def relocate_elementary(g: SqMatrix, q: Ideal, target: tuple[int, int]) -> ReductionTrace:
     """Stage 4 as a standalone call on a single-entry matrix."""
-    b = _Builder(g, q, "partial", 0)
+    b = _Builder(g, q, "partial")
     _relocate_stage(b, target)
     return b.trace(("relocate", target))
 
 
-def reduce_full(sigma: SqMatrix, q: Ideal, target: tuple[int, int], seed: int = 0) -> ReductionTrace:
+def reduce_full(sigma: SqMatrix, q: Ideal, target: tuple[int, int]) -> ReductionTrace:
     """Full pipeline: affine copy, translation form, single entry, relocation.
 
     Produces a replayable trace with at most 9 operations and certified word
     length at most 512 whose output is a nontrivial element supported exactly
     at the target position with entry in the ideal.
     """
-    b = _Builder(sigma, q, "reduce", seed)
+    b = _Builder(sigma, q, "reduce")
     i, j = target
     if not (1 <= i <= sigma.n and 1 <= j <= sigma.n and i != j):
         raise ValueError(f"bad target {target}")
@@ -549,7 +549,6 @@ def sl2_unit_reduction(
     side: str = "E12",
     *,
     pair_budget: int = 10**6,
-    seed: int = 0,
 ) -> ReductionTrace:
     """Produce a nontrivial element of E12(q) (or E21(q)) as a product of at
     most 4 conjugates of sigma^{±1} by congruence-subgroup elements.
@@ -562,7 +561,7 @@ def sl2_unit_reduction(
     most pair_budget products.  Exhaustion raises NoUnitFound.  E21 runs the
     E12 searches on theta(sigma) through a _Mirror of the one builder.
     """
-    b = _Builder(sigma, q, "sl2", seed)
+    b = _Builder(sigma, q, "sl2")
     if side not in _SL2_TARGETS:
         raise ValueError("side must be 'E12' or 'E21'")
     view = b if side == "E12" else _Mirror(b)

@@ -32,6 +32,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import zip_longest
 from math import gcd
 
 from .errors import MismatchedRings, UnsupportedRing
@@ -216,9 +217,8 @@ class _PolyKernel(_Kernel):
         self._mod_p = bytes(v % p for v in range(256))  # bytes.translate table
 
     def add(self, a, b):
-        if not a or not b:
-            return a or b
-        return self._kronecker(operator.add, a, b, 2 * (self.p - 1), max(len(a), len(b)))
+        p = self.p
+        return _trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
     def neg(self, a):
         return tuple(-c % self.p for c in a)
@@ -227,18 +227,18 @@ class _PolyKernel(_Kernel):
         if not a or not b:
             return ()
         bound = min(len(a), len(b)) * (self.p - 1) ** 2
-        return self._kronecker(operator.mul, a, b, bound, len(a) + len(b) - 1)
+        return self._kronecker(a, b, bound, len(a) + len(b) - 1)
 
-    def _kronecker(self, op, a, b, bound: int, length: int):
-        """op(a, b) with a and b packed into ints, one coefficient per k-byte slot.
+    def _kronecker(self, a, b, bound: int, length: int):
+        """a b with a and b packed into ints, one coefficient per k-byte slot.
 
-        k is the fewest bytes that hold bound, the largest slot value op can form,
-        so no slot carries; the result's length slots, mod p, are its coefficients."""
+        k is the fewest bytes that hold bound, the largest slot value of a b before
+        reduction mod p, so no slot carries; the result's length slots, mod p, are its coefficients."""
         k = (bound.bit_length() + 7) // 8
         if k == 1:
-            r = op(int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little"))
+            r = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
             return tuple(r.to_bytes(length, "little").translate(self._mod_p).rstrip(b"\0"))
-        r = op(_pack(a, k), _pack(b, k)).to_bytes(k * length, "little")
+        r = (_pack(a, k) * _pack(b, k)).to_bytes(k * length, "little")
         return _trim([int.from_bytes(r[i:i + k], "little") % self.p for i in range(0, len(r), k)])
 
     def el(self, raw):

@@ -24,7 +24,9 @@ def test_reduce_and_replay(tmp_path, capsys):
         "--in", str(infile), "--target", "1,2", "--out", str(out),
     ])
     assert rc == 0
-    assert out.read_text().startswith("congwidth-trace v2")
+    # the header states only the claim; the ring and size are M0's
+    assert out.read_text().split("\n")[:7] == [
+        "congwidth-trace v3", "kind reduce", "ideal 2", "target 1 2", "input M0", "output M0", "matrices 1"]
     rc = main(["replay", "--in", str(out)])
     assert rc == 0
     assert "replay ok" in capsys.readouterr().out
@@ -206,6 +208,10 @@ def test_sumid_cli(capsys):
     assert main(["sumid", "--tuple", "3,1,-2,5,0"]) == 0
     assert "OK" in capsys.readouterr().out
     assert main(["sumid", "--random", "50", "--seed", "9"]) == 0
+    # a count of 0 adds no random tuple, and the given one is checked
+    capsys.readouterr()
+    assert main(["sumid", "--random", "0", "--tuple", "3,1,-2,5,0"]) == 0
+    assert capsys.readouterr().out == "OK checked=1\n"
 
 
 def test_sumid_reports_the_first_mismatch(monkeypatch, capsys):
@@ -485,6 +491,11 @@ def test_norm_config_unknown_keys(tmp_path, capsys):
     (["reduce", "--ring", "Z", "--ideal", "2", "--in", "m.txt", "--target", "1-2"],
      "argument --target: target must be 'i,j', got '1-2'"),
     (["census", "--group", "SL2,F2", "--budget", "x"], "argument --budget: expected an integer, got 'x'"),
+    (["census", "--group", "SL2,F2", "--budget", "0"], "argument --budget: expected an integer >= 1, got 0"),
+    # reduce draws no random numbers and takes no seed
+    (["reduce", "--ring", "Z", "--ideal", "2", "--in", "m.txt", "--target", "1,2", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["sumid", "--random", "-5"], "argument --random: expected an integer >= 0, got -5"),
 ])
 def test_usage_errors_print_one_error_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

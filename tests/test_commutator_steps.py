@@ -141,7 +141,7 @@ def _congruence_steps(draw):
 def test_commutator_steps_match_dense_products(case):
     trace_kind, g, q, steps = case
     ring, n = g.ring, g.n
-    b = _Builder(g, q, trace_kind, 0)
+    b = _Builder(g, q, trace_kind)
     for kind, witness in steps:
         if isinstance(witness, SqMatrix):
             s = witness
@@ -185,7 +185,7 @@ def test_builder_witness_is_the_dense_product_of_its_factors(case):
     # record sets the entries of a flat factor list into I and multiplies
     # out any other; either way op.s is E_1 E_2 ... E_k
     ring, n, witness = case
-    b = _Builder(identity(ring, n), Ideal.of(ring, 1), "partial", 0)
+    b = _Builder(identity(ring, n), Ideal.of(ring, 1), "partial")
     b.record(CONJUGATE, witness, "test")
     op = b.steps[-1].op
     assert op.s == reduce(operator.mul, (elementary(ring, n, i, j, a) for i, j, a in witness))
@@ -196,7 +196,7 @@ def test_step_records_stay_frozen_and_compare_as_before():
     # the builder makes its records without their __init__; they equal and
     # hash as the ones __init__ makes, and stay frozen
     q = Ideal.of(Z, 2)
-    b = _Builder(elementary(Z, 3, 2, 3, 2), q, "partial", 0)
+    b = _Builder(elementary(Z, 3, 2, 3, 2), q, "partial")
     b.record(COMM_RIGHT, [(1, 2, 2)], "test")
     step = b.steps[-1]
     fac = ElemFactorization((ElemFactor(1, 2, Z.el(2)),), elementary(Z, 3, 1, 2, 2))

@@ -257,18 +257,18 @@ def _digest(outcomes):
 # table cap, and the outcomes are 49 traces and 13 NoUnitFound, never
 # BudgetExceeded (as over all 728 inputs: 1084 traces, 372 NoUnitFound).
 REFERENCE_DIGESTS = {
-    (4, 2, None, 1, ()): "d10e17daf6aa38d74a422422ef2ea5158bc41d4ee0b32bcd622bd09ae3f69c60",
-    (6, 2, None, 1, ()): "4bc9a24175349aa56ad29bf18ac519d13e3c7c56ba404f6f67c657e2113582a8",
-    (6, 3, None, 1, ()): "da3c0cea69b06f045da5676ab33e3976f0a3cdd899a0ae6a1db0e7bdcab2c2b4",
-    (8, 2, None, 1, ()): "e3f78204399d5402c606f73e5080459460b71cb9d27722d49d9d152a97f84e6d",
-    (9, 3, None, 1, ()): "c555345f50cedae5502d8c77a611c2e5dc91ba07de5b8eea93e1935573c21639",
-    (12, 2, 80, 1, ()): "234574dafe3a9787ecf8c15210225dddaa13b9679b3cb7bb896ee6100df2ddc4",
-    (27, 3, None, 24, ()): "7006ddd6d68dc40f71320cec4348ce9c70b0b625c5ab91e8365710e044a7288d",
-    (5, 1, None, 1, (("pair_budget", 119),)): "8d541ffc0258da5a1fd1861684b1a05f632bbef0a0cbc2a5d83579ed85923a86",
-    (5, 1, None, 1, (("pair_budget", 120),)): "8d541ffc0258da5a1fd1861684b1a05f632bbef0a0cbc2a5d83579ed85923a86",
-    (5, 1, None, 1, (("pair_budget", 200),)): "f31f269f7cd03133800bd7542050fc38c3218dbdac2a1fa636c729d5da17dec2",
-    (5, 1, None, 1, (("pair_budget", 1000),)): "09e2902e2868ce3673e76e580ec718e1657f12367df01b52c7de14eacc42b9ec",
-    (5, 1, None, 1, (("pair_budget", 1500),)): "09e2902e2868ce3673e76e580ec718e1657f12367df01b52c7de14eacc42b9ec",
+    (4, 2, None, 1, ()): "4f71ffd44c99e32db09b4be721482dbfa60a268003c1934a80eba88510a97a91",
+    (6, 2, None, 1, ()): "8bdf2b38478050883a38802c886e313e2f400df163b431527f72e7863166cdc9",
+    (6, 3, None, 1, ()): "b4fb1374cbbcd8dc66faa200d83e47ecad5656d8b875bf1d92587155ead94f84",
+    (8, 2, None, 1, ()): "ecefb7d4972757987d350a09c425e5fb7b4e824095ac37bd5f37e71a4d7ed76f",
+    (9, 3, None, 1, ()): "f2c8664149d9ebf2be9fdd7ebdb9e1ebc14b27e5dc781cb97fa6614675b86ea6",
+    (12, 2, 80, 1, ()): "cb36511ba756fa9385186491de512bc94b20bc14770559d950b44dd4b08d5392",
+    (27, 3, None, 24, ()): "078df1a76c84c3c629f6906a97033e5a90f2bd84caf81b862ca29de2bc2d7b51",
+    (5, 1, None, 1, (("pair_budget", 119),)): "271de1cef824eeba5c5944e5ca19247925b4dbf2bf624ad98d8e526eea912fa3",
+    (5, 1, None, 1, (("pair_budget", 120),)): "271de1cef824eeba5c5944e5ca19247925b4dbf2bf624ad98d8e526eea912fa3",
+    (5, 1, None, 1, (("pair_budget", 200),)): "d4c80a820331821d172c01af11f3ee019178c9f6d16f3897b14851082d65ed27",
+    (5, 1, None, 1, (("pair_budget", 1000),)): "b666052fa8c581db09c9f85ab1636708c62a42aa861e2975b987f3e6d475b99d",
+    (5, 1, None, 1, (("pair_budget", 1500),)): "b666052fa8c581db09c9f85ab1636708c62a42aa861e2975b987f3e6d475b99d",
 }
 
 

@@ -63,7 +63,7 @@ TRACE_RECORDS = ("QOperation", "TraceStep")
 OFF_THE_TRUST_PATH = {"reduction", "census", "norms", "factorization", "cli"}
 
 # executable lines of certificate.py, counted by tools/uncovered_lines.py's rule
-TRUST_PATH_CEILING = 311
+TRUST_PATH_CEILING = 302
 
 
 def _names(tree: ast.AST):

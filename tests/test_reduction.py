@@ -463,7 +463,7 @@ def test_validate_rejects_bad_witness(ring_z):
     q = Ideal.of(ring_z, 2)
     trace = relocate_elementary(elementary(ring_z, 3, 1, 3, 2), q, (1, 2))
     text = serialize_trace(
-        trace.__class__("reduce", trace.input, q, (1, 2), trace.steps, 0)
+        trace.__class__("reduce", trace.input, q, (1, 2), trace.steps)
     )
     bad = text.replace("sfac=3,2:2", "sfac=3,2:1")
     with pytest.raises(ReplayMismatch):
@@ -662,7 +662,30 @@ def test_sl2_trace_serializes(ring_l5):
     assert serialize_trace(again) == text
 
 
-GOLDEN_TRACE = """congwidth-trace v2
+GOLDEN_TRACE = """congwidth-trace v3
+kind reduce
+ideal 2
+target 1 2
+input M0
+step kind=CommRight result=M1 len=2 case=relocate.same-row sfac=3,2:2
+output M1
+matrices 2
+M0
+3 Z
+1 0 2
+0 1 0
+0 0 1
+M1
+3 Z
+1 4 0
+0 1 0
+0 0 1
+end
+"""
+
+# the same trace in format v2, whose header also stated the seed, which
+# certified nothing, and the ring and size, which M0's block states
+GOLDEN_TRACE_V2 = """congwidth-trace v2
 kind reduce
 seed 0
 ring Z
@@ -726,17 +749,25 @@ def test_trace_golden_bytes(ring_z):
     assert serialize_trace(replay_trace(GOLDEN_TRACE)) == GOLDEN_TRACE
 
 
-def test_a_v1_trace_is_refused_by_its_header(tmp_path, capsys):
+def _refused_by_its_header(text, tmp_path, capsys):
     # one reader: the first line names the version it reads, and nothing
     # after it is rebuilt
-    message = "line 1: expected 'congwidth-trace v2\\n'"
+    message = "line 1: expected 'congwidth-trace v3\\n'"
     with pytest.raises(TraceFormatError) as refusal:
-        replay_trace(GOLDEN_TRACE_V1)
+        replay_trace(text)
     assert str(refusal.value) == message
-    path = tmp_path / "v1.trace"
-    path.write_text(GOLDEN_TRACE_V1)
+    path = tmp_path / "old.trace"
+    path.write_text(text)
     assert main(["replay", "--in", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_v1_trace_is_refused_by_its_header(tmp_path, capsys):
+    _refused_by_its_header(GOLDEN_TRACE_V1, tmp_path, capsys)
+
+
+def test_a_v2_trace_is_refused_by_its_header(tmp_path, capsys):
+    _refused_by_its_header(GOLDEN_TRACE_V2, tmp_path, capsys)
 
 
 def test_unit_path_core_identity_symbolic():

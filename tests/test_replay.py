@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import congwidth.certificate as certificate
 from congwidth.cli import main
 from congwidth.errors import (
+    BadIndices,
     CongwidthError,
     NotCongruent,
     NotSL,
@@ -42,11 +43,8 @@ from test_trace_digests import CLASSES, _reduce_inputs, _sl2_inputs
 Z = RingSpec.integers()
 L5 = RingSpec.localized_integers(5)
 
-PARTIAL_TRACE = """congwidth-trace v2
+PARTIAL_TRACE = """congwidth-trace v3
 kind partial
-seed 0
-ring Z
-n 3
 ideal 2
 target 1 2
 input M0
@@ -80,7 +78,7 @@ def test_replay_rejects_noncongruent_input():
     q = Ideal.of(Z, 2)
     part = relocate_elementary(elementary(Z, 3, 1, 3, 1), q, (1, 2))
     assert [s.case for s in part.steps] == ["relocate.same-row"]
-    text = serialize_trace(ReductionTrace("reduce", part.input, q, (1, 2), part.steps, 0))
+    text = serialize_trace(ReductionTrace("reduce", part.input, q, (1, 2), part.steps))
     with pytest.raises(NotCongruent):
         replay_trace(text)
 
@@ -106,7 +104,7 @@ def test_reduce_steps_need_elementary_witnesses():
     trace = reduce_full(elementary(Z, 3, 1, 3, 2), Ideal.of(Z, 2), (1, 2))
     (step,) = trace.steps
     congruence = TraceStep(QOperation(step.op.kind, step.op.s), step.result, step.word_length, step.case)
-    assert serialize_trace(ReductionTrace("reduce", trace.input, trace.ideal, (1, 2), (congruence,), 0)) == forged
+    assert serialize_trace(ReductionTrace("reduce", trace.input, trace.ideal, (1, 2), (congruence,))) == forged
     with pytest.raises(ReplayMismatch, match="^step 1: reduce steps need 'elem' witnesses$"):
         replay_trace(forged)
 
@@ -117,7 +115,7 @@ def test_sl2_conjugator_must_have_determinant_one():
     flip = SqMatrix.from_raw(L5, [[-1, 0], [0, 1]])  # = I mod 2, det -1
     out = flip * trace.output * mat_inv(flip)
     extra = TraceStep(QOperation(CONJUGATE, flip), out, trace.word_length, "sl2.unit.conj")
-    bad = ReductionTrace("sl2", trace.input, q, "E12", trace.steps + (extra,), 0)
+    bad = ReductionTrace("sl2", trace.input, q, "E12", trace.steps + (extra,))
     replay_trace(serialize_trace(trace))
     with pytest.raises(ReplayMismatch, match="step 4"):
         replay_trace(serialize_trace(bad))
@@ -131,7 +129,7 @@ def test_sl2_appended_letter_is_sigma_to_plus_or_minus_one():
     def append(exp):
         op = QOperation(APPEND, identity(Z, 2), None, exp)
         step = TraceStep(op, sigma ** (1 + exp), 2, "sl2.square")
-        return serialize_trace(ReductionTrace("sl2", sigma, q, "E12", (step,), 0))
+        return serialize_trace(ReductionTrace("sl2", sigma, q, "E12", (step,)))
 
     assert replay_trace(append(1)).output == sigma * sigma
     with pytest.raises(ReplayMismatch, match="step 1"):
@@ -150,7 +148,7 @@ def test_reduce_witness_factor_outside_the_ideal_is_refused(tmp_path, capsys):
     fac = ElemFactorization.of(Z, 3, (ElemFactor(1, 2, Z.el(1)),))
     h = conjugate(sigma, fac.target)
     first = TraceStep(QOperation(CONJUGATE, fac.target, fac), h, 1, "affine.split.conj")
-    text = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), (first,) + reduce_full(h, q, (1, 2)).steps, 0))
+    text = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), (first,) + reduce_full(h, q, (1, 2)).steps))
     message = "step 1: witness factor entry 1 not a nonzero ideal element"
     with pytest.raises(ReplayMismatch, match=f"^{message}$"):
         replay_trace(text)
@@ -164,7 +162,7 @@ def test_sl2_appended_exponent_two_is_refused(tmp_path, capsys):
     sigma = SqMatrix.from_raw(Z, [[1, 2], [0, 1]])
     steps = tuple(TraceStep(QOperation(APPEND, identity(Z, 2), None, exp), out, wl, "sl2.square")
                   for exp, out, wl in ((1, sigma * sigma, 2), (2, sigma, 3)))
-    text = serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps, 0))
+    text = serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps))
     message = "step 2: an appended letter conjugates sigma^1 or sigma^-1, not sigma^2"
     with pytest.raises(ReplayMismatch) as refusal:
         replay_trace(text)
@@ -185,11 +183,11 @@ def test_reduce_replay_refuses_a_tenth_step():
     for _ in range(10):
         g = conjugate(g, fac.target)
         steps.append(TraceStep(QOperation(CONJUGATE, fac.target, fac), g, 1, "affine.split.conj"))
-    text = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), tuple(steps), 0))
+    text = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), tuple(steps)))
     with pytest.raises(ReplayMismatch, match=r"^10 steps exceed the budget 9$"):
         replay_trace(text)
     # nine of them pass the budget and stop at the next invariant
-    nine = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), tuple(steps[:9]), 0))
+    nine = serialize_trace(ReductionTrace("reduce", sigma, q, (1, 2), tuple(steps[:9])))
     with pytest.raises(ReplayMismatch, match="^stage affine used 9 operations$"):
         replay_trace(nine)
 
@@ -210,8 +208,8 @@ def test_sl2_replay_refuses_a_fifth_letter():
     steps = tuple(TraceStep(QOperation(APPEND, identity(Z, 2), None, 1), sigma ** (k + 1), k + 1, "sl2.square")
                   for k in range(1, 5))
     with pytest.raises(ReplayMismatch, match="^word length 5 exceeds 4$"):
-        replay_trace(serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps, 0)))
-    assert replay_trace(serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps[:3], 0))).word_length == 4
+        replay_trace(serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps)))
+    assert replay_trace(serialize_trace(ReductionTrace("sl2", sigma, q, "E12", steps[:3]))).word_length == 4
 
 
 # -- refusals of the reduction entry points ------------------------------------------------
@@ -251,23 +249,23 @@ def test_partial_kind_does_not_replay(tmp_path, capsys):
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
-def _cut_after_m0(text: str, n: int) -> str:
-    lines = text.split("\n")
-    m0 = lines.index("M0")
-    return "\n".join(lines[: m0 + 5]).replace("\nn 3\n", f"\nn {n}\n")
+def _m0_size(text: str, n: str) -> str:
+    """The text with M0's `<n> <ring>` line, the one statement of the size, reading n."""
+    assert text.count("\nM0\n3 Z\n") == 1
+    return text.replace("\nM0\n3 Z\n", f"\nM0\n{n} Z\n")
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        pytest.param(lambda t: "\n".join(t.splitlines()[:9]) + "\n", id="truncated"),
+        pytest.param(lambda t: "\n".join(t.splitlines()[:6]) + "\n", id="truncated"),
         pytest.param(lambda t: t.replace(" len=2", ""), id="missing-len"),
         pytest.param(lambda t: t.replace("result=M1", "result=M9"), id="reference-out-of-range"),
-        pytest.param(lambda t: t.replace("\nn 3\n", "\nn -1\n"), id="negative-dimension"),
-        # cut after M0: its rows and an empty line still read as a 3 x 3 matrix
-        pytest.param(lambda t: _cut_after_m0(t, 4), id="header-n-above-input"),
-        pytest.param(lambda t: _cut_after_m0(t, 100000), id="header-n-far-above-input"),
-        pytest.param(lambda t: _cut_after_m0(t, 4).replace("sfac=3,2:2", "sfac=4,1:2"), id="factor-outside-input"),
+        pytest.param(lambda t: _m0_size(t, "-1"), id="negative-dimension"),
+        # M0's block then takes the next label as a row, or runs past the file
+        pytest.param(lambda t: _m0_size(t, "4"), id="m0-n-above-input"),
+        pytest.param(lambda t: _m0_size(t, "100000"), id="m0-n-far-above-input"),
+        pytest.param(lambda t: _m0_size(t, "three"), id="m0-n-not-an-integer"),
     ],
 )
 def test_malformed_trace_is_a_format_error(mutate, tmp_path, capsys):
@@ -276,6 +274,53 @@ def test_malformed_trace_is_a_format_error(mutate, tmp_path, capsys):
         replay_trace(bad)
     rc, err = _replay_cli(tmp_path, bad, capsys)
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_factor_outside_the_input_is_refused(tmp_path, capsys):
+    # the size is M0's: a factor at (4, 1) of a 3 x 3 trace names no entry
+    bad = _golden_text().replace("sfac=3,2:2", "sfac=4,1:2")
+    message = "bad elementary position (4, 1) for n=3"
+    with pytest.raises(BadIndices, match=f"^{re.escape(message)}$"):
+        replay_trace(bad)
+    assert _replay_cli(tmp_path, bad, capsys) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        pytest.param("reduce", "step 1: reduce steps need 'elem' witnesses", id="reduce"),
+        pytest.param("sl2", "dimension must be >= 2", id="sl2"),
+    ],
+)
+def test_a_later_matrix_smaller_than_m0_is_refused(kind, message, tmp_path, capsys):
+    # a witness block whose n + 1 lines end in a blank one, so that its text
+    # reads as a smaller matrix: a reduce step refuses any matrix witness,
+    # and no sl2 witness is smaller than 2 x 2
+    if kind == "reduce":
+        bad = (_golden_text().replace("result=M1", "result=M2").replace(" sfac=3,2:2", " s=M1")
+               .replace("output M1\nmatrices 2\n", "output M2\nmatrices 3\n")
+               .replace("M1\n3 Z\n", "M1\n2 Z\n1 0\n0 1\n\nM2\n3 Z\n"))
+    else:
+        text = _sl2_text()
+        block = re.search(r"\nM1\n2 Z\[1/5\]\n[^\n]*\n[^\n]*\n", text).group(0)
+        bad = text.replace(block, "\nM1\n1 Z[1/5]\n1\n\n")
+    with pytest.raises(CongwidthError, match=f"^{re.escape(message)}$"):
+        replay_trace(bad)
+    assert _replay_cli(tmp_path, bad, capsys) == (1, f"error: {message}\n")
+
+
+def test_the_ideal_is_written_by_its_canonical_generator(tmp_path, capsys):
+    # the ideal (2, 4) = (2) is written "ideal 2", and the same ideal
+    # spelled by other generators is refused by the byte comparison
+    sigma = elementary(Z, 3, 1, 3, 2)
+    text = serialize_trace(reduce_full(sigma, Ideal.of(Z, 2, 4), (1, 2)))
+    assert text == _golden_text() and "\nideal 2\n" in text
+    bad = text.replace("\nideal 2\n", "\nideal 2 4\n")
+    message = "line 3: expected 'ideal 2\\n'"
+    with pytest.raises(TraceFormatError) as refusal:
+        replay_trace(bad)
+    assert str(refusal.value) == message
+    assert _replay_cli(tmp_path, bad, capsys) == (1, f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -300,8 +345,8 @@ def test_only_canonical_bytes_replay(old, new, error, tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, error, message",
     [
-        pytest.param(17, TraceFormatError, "line 18: expected '1 0,1,1 0,1,1\\n'", id="input-entry"),
-        pytest.param(32, ReplayMismatch, "replay mismatch at step 3", id="step-entry"),
+        pytest.param(14, TraceFormatError, "line 15: expected '1 0,1,1 0,1,1\\n'", id="input-entry"),
+        pytest.param(29, ReplayMismatch, "replay mismatch at step 3", id="step-entry"),
     ],
 )
 def test_f2_entry_with_a_trailing_zero_is_refused(line, error, message, tmp_path, capsys):
@@ -340,12 +385,12 @@ def test_input_literal_outside_the_ring_is_a_format_error(trace, entry, message,
 
 def test_format_error_names_the_first_differing_line():
     lines = _golden_text().split("\n")
-    lines[2] = "seed +0"
-    with pytest.raises(TraceFormatError, match=r"line 3: expected 'seed 0\\n'"):
+    lines[2] = "ideal +2"
+    with pytest.raises(TraceFormatError, match=r"line 3: expected 'ideal 2\\n'"):
         replay_trace("\n".join(lines))
-    with pytest.raises(TraceFormatError, match="line 23: expected the end of the file"):
+    with pytest.raises(TraceFormatError, match="line 20: expected the end of the file"):
         replay_trace(_golden_text() + "\n")
-    with pytest.raises(TraceFormatError, match=r"line 22: expected 'end\\n'"):
+    with pytest.raises(TraceFormatError, match=r"line 19: expected 'end\\n'"):
         replay_trace(_golden_text()[:-1])
 
 
@@ -353,8 +398,8 @@ def _matrix_lines(text: str, n: int):
     """The lines of a trace and the line index of each matrix label Mm."""
     lines = text.split("\n")
     steps = sum(ln.startswith("step ") for ln in lines)
-    count = int(lines[9 + steps].split()[1])  # the line "matrices <count>"
-    return lines, steps, [10 + steps + m * (n + 2) for m in range(count)]
+    count = int(lines[6 + steps].split()[1])  # the line "matrices <count>"
+    return lines, steps, [7 + steps + m * (n + 2) for m in range(count)]
 
 
 def _scaled_first_factor(line: str, ring, q0) -> str:
@@ -381,7 +426,7 @@ def test_changed_witness_matrix_is_a_replay_mismatch_at_its_step(name):
         lines, steps, _ = _matrix_lines(serialize_trace(trace), n)
         for step in range(1, steps + 1):
             bad = list(lines)
-            bad[7 + step] = _scaled_first_factor(lines[7 + step], ring, q0)
+            bad[4 + step] = _scaled_first_factor(lines[4 + step], ring, q0)
             tried += 1
             try:
                 again = replay_trace("\n".join(bad))
@@ -438,7 +483,7 @@ def test_two_changed_step_matrices_are_refused_at_the_earlier_step():
         lines, steps, labels = _matrix_lines(serialize_trace(reduce_full(*args)), n)
         for later in range(2, steps + 1):
             bad = list(lines)
-            bad[8] = _scaled_first_factor(lines[8], ring, q0)  # the witness of step 1
+            bad[5] = _scaled_first_factor(lines[5], ring, q0)  # the witness of step 1
             entries = bad[labels[later] + 2].split(" ")  # the result of step `later`
             entries[0] = k.format(k.add(k.parse(entries[0]), k.one))
             bad[labels[later] + 2] = " ".join(entries)
@@ -472,11 +517,11 @@ def test_replay_stops_at_the_first_step_whose_result_differs(monkeypatch):
 
     def record(self, kind, witness, case, exp=1):
         recorded.append(case)
-        assert len(recorded) <= k - 6, "the rebuild went past the first repeated step"
+        assert len(recorded) <= k - 3, "the rebuild went past the first repeated step"
         real(self, kind, witness, case, exp)
 
     monkeypatch.setattr(certificate._Builder, "record", record)
-    with pytest.raises(ReplayMismatch, match=f"replay mismatch at step {k - 6}$"):
+    with pytest.raises(ReplayMismatch, match=f"replay mismatch at step {k - 3}$"):
         replay_trace(bad)
 
 
@@ -510,7 +555,7 @@ def test_step_line_carries_exactly_the_serialized_keys(kind, old, new, error, tm
     "kind, field, message",
     [
         pytest.param("reduce", " sfac=3,2:2", r"^step 1: reduce steps need 'elem' witnesses$", id="reduce"),
-        pytest.param("sl2", " s=M1", r"^line 9: expected 'step .* s=M1\\n'$", id="sl2"),
+        pytest.param("sl2", " s=M1", r"^line 6: expected 'step .* s=M1\\n'$", id="sl2"),
     ],
 )
 def test_unknown_witness_tag_is_refused(kind, field, message, tmp_path, capsys):
@@ -607,12 +652,11 @@ def _value_swaps(text: str):
 
 
 def _certified(trace: ReductionTrace):
-    """What a trace certifies.  Its labels are left out: the seed, the
-    ideal's generators (the ideal is kept) and the case tags (a reduce trace
-    keeps its stage counts)."""
+    """What a trace certifies.  The only labels left out are the case tags
+    (a reduce trace keeps its stage counts); the header holds no other."""
     steps = tuple((s.op, s.result, s.word_length) for s in trace.steps)
     stages = trace.stage_counts() if trace.kind == "reduce" else None
-    return trace.kind, trace.input, trace.ideal.canonical, trace.target, steps, stages
+    return trace.kind, trace.input, trace.ideal, trace.target, steps, stages
 
 
 CERTIFIED = [_certified(replay_trace(text)) for text in CORPUS]

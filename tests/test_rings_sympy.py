@@ -280,9 +280,9 @@ def test_xgcd_matches_the_reference_loop(ring, data):
 
 # -- F_p[x] sums and products over long operands ---------------------------------
 #
-# For odd p the kernel packs each coefficient into a slot of k bytes, k set by
-# the largest value a slot can reach (min(len) * (p-1)**2 for a product,
-# 2*(p-1) for a sum).  The primes sit on both sides of each k boundary.  For
+# For odd p a sum is coefficient-wise, and a product packs each coefficient
+# into a slot of k bytes, k set by the largest value a slot can reach
+# (min(len) * (p-1)**2).  The primes sit on both sides of each k boundary.  For
 # p = 2 a sum is one XOR and a product one shift-XOR per set bit of the
 # shorter operand, at every length.  Lengths run to 300 and 320.  sympy's
 # dense GF(p) arithmetic is the oracle here: Poly products this long take
@@ -359,6 +359,19 @@ def test_extreme_coefficients_fill_every_slot_size(p):
         a, b = (p - 1,) * la, (p - 1,) * lb
         assert kernel_op(k, "mul", a, b) == schoolbook_mul(p, a, b)
         assert kernel_op(k, "add", a, b) == schoolbook_add(p, a, b)
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_sums_whose_leading_coefficients_cancel(p):
+    # equal lengths whose top coefficients sum to p: the sum is one
+    # coefficient shorter; a sum with the negation, or of zero, trims to ()
+    k = RingSpec.poly_over_fp(p).kernel
+    for length in (2, 3, 17, 300):
+        a, b = (1,) * length, (1,) * (length - 2) + (p - 2, p - 1)
+        assert kernel_op(k, "add", a, b) == schoolbook_add(p, a, b) == sympy_gf(gf_add, p, a, b)
+        assert len(kernel_op(k, "add", a, b)) == length - 1
+        assert k.add(k.el(a), k.neg(k.el(a))) == k.zero
+        assert k.add(k.el(a), k.zero) == k.add(k.zero, k.el(a)) == k.el(a)
 
 
 def test_f2_product_past_one_byte_slots():
