@@ -210,9 +210,17 @@ def _unit_elementaries(ring: RingSpec, n: int) -> list[SqMatrix]:
     return [elementary(ring, n, i, j, 1) for i, j in permutations(range(1, n + 1), 2)]
 
 
+def _config_int(cfg: dict[str, str], key: str, default: str) -> int:
+    """Pop key= from a norm config as an integer; other text is an error naming the key."""
+    try:
+        return int(text := cfg.pop(key, default))
+    except ValueError:
+        raise CongwidthError(f"norm config {key}= expects an integer, got {text!r}") from None
+
+
 def _sampler_size(cfg: dict[str, str], key: str, default: str) -> int:
     """A radius= or box=; 0 would sample only the identity, on which every norm passes."""
-    size = int(cfg.pop(key, default))
+    size = _config_int(cfg, key, default)
     if size == 0:
         raise CongwidthError(f"norm config {key}=0 samples only the identity")
     return size
@@ -227,27 +235,27 @@ def _cmd_norm(args) -> int:
             raise CongwidthError(f"norm config tag={tag} needs {key}=")
         return cfg.pop(key)
 
-    samples = int(cfg.pop("samples", "1000"))
-    seed = int(cfg.pop("seed", "0"))
+    samples = _config_int(cfg, "samples", "1000")
+    seed = _config_int(cfg, "seed", "0")
     if tag == "dirac":
         ring = RingSpec.parse(cfg.pop("ring", "Z"))
-        n = int(cfg.pop("n", "2"))
+        n = _config_int(cfg, "n", "2")
         norm = dirac_norm(MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), _sampler_size(cfg, "radius", "8")))
     elif tag == "filtration":
         ring = RingSpec.parse(cfg.pop("ring", "Z"))
-        n = int(cfg.pop("n", "3"))
+        n = _config_int(cfg, "n", "3")
         ideal = parse_ideal(ring, need("ideal"))
         dom = MatrixGroupDomain(ring, n, _unit_elementaries(ring, n), _sampler_size(cfg, "radius", "8"))
-        norm = filtration_norm(FiltrationChain(dom, ideal, int(cfg.pop("cap", "64"))))
+        norm = filtration_norm(FiltrationChain(dom, ideal, _config_int(cfg, "cap", "64")))
     elif tag == "z2mixed":
-        norm = z2_mixed_norm(int(need("p")), _sampler_size(cfg, "box", "1000"))
+        norm = z2_mixed_norm(_config_int(cfg, "p", need("p")), _sampler_size(cfg, "box", "1000"))
     elif tag == "padic-sup":
         ring = RingSpec.parse(cfg.pop("ring", "Z"))
         ideal = parse_ideal(ring, need("ideal"))
-        norm = padic_sup_norm(ideal, int(need("p")), _sampler_size(cfg, "box", "64"))
+        norm = padic_sup_norm(ideal, _config_int(cfg, "p", need("p")), _sampler_size(cfg, "box", "64"))
     elif tag == "word":
         n, ring = _parse_group(need("group"))
-        table = enumerate_sl(n, ring, budget=int(cfg.pop("budget", "1000000")))
+        table = enumerate_sl(n, ring, budget=_config_int(cfg, "budget", "1000000"))
         seeds = [table.idx(g) for g in _unit_elementaries(ring, n)]
         norm = word_norm_eval(table, conjugation_closure(table, seeds))
     else:

@@ -30,7 +30,6 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
     n = g.n
     rows = [list(r) for r in g.payload]
     ops: list[tuple[int, int, object]] = []  # row_i += a * row_j, payload multipliers
-    minus_one = k.neg(k.one)
 
     def add_row(i: int, j: int, a):
         if not k.is_zero(a):
@@ -52,7 +51,7 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
         r = live[0]
         if r != c:
             add_row(c, r, k.one)
-            add_row(r, c, minus_one)
+            add_row(r, c, k.minus_one)
 
     # Matrix is now upper triangular with unit diagonal; clear above pivots.
     for c in range(n - 1, 0, -1):
@@ -76,9 +75,9 @@ def decompose_elementary(g: SqMatrix) -> ElemFactorization:
                 (c, c + 1, uinv),
                 (c + 1, c, k.neg(u)),
                 (c, c + 1, uinv),
-                (c, c + 1, minus_one),
+                (c, c + 1, k.minus_one),
                 (c + 1, c, k.one),
-                (c, c + 1, minus_one),
+                (c, c + 1, k.minus_one),
             ]
         ):
             add_row(i, j, a)

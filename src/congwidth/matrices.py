@@ -321,18 +321,17 @@ def is_central(g: SqMatrix) -> bool:
 def _off_identity(g: SqMatrix) -> list[tuple]:
     """The nonzero entries of g - I, as (row, column, payload), 0-based."""
     k = g.ring.kernel
-    minus_one = k.neg(k.one)
     return [(i, j, e) for i, r in enumerate(g.payload) for j, x in enumerate(r)
-            if not k.is_zero(e := k.add(x, minus_one) if i == j else x)]
+            if not k.is_zero(e := k.add(x, k.minus_one) if i == j else x)]
 
 
 def in_congruence_subgroup(g: SqMatrix, ideal: Ideal) -> bool:
     """True iff g = I mod ideal: one kernel division per nonzero entry of g - I."""
     if g.ring is not ideal.ring and g.ring != ideal.ring:
         raise MismatchedRings("element outside the ideal's ring")
-    k, d = g.ring.kernel, ideal.canonical.payload
+    k, d = g.ring.kernel, ideal._divisor
     diff = _off_identity(g)
-    return not diff if k.is_zero(d) else all(k.div(e, d) is not None for _, _, e in diff)
+    return not diff if d is None else all(k.div(e, d) is not None for _, _, e in diff)
 
 
 @dataclass(frozen=True)
@@ -347,35 +346,34 @@ class CongruenceDatum:
 def congruence_level(g: SqMatrix, ideal: Ideal, cap: int = 64) -> CongruenceDatum:
     """Largest i <= cap with all entries of g - I in ideal^i.
 
-    Each nonzero entry of g - I, walked in place, is divided by d, d^2, ... (d
-    the canonical generator, each power built once, on first reach) up to the
-    lowest level seen so far; the first entry outside the ideal gives level 0.
-    A zero d^i (Z/m only) divides no nonzero entry.  A chain that stabilises
-    still runs to the cap."""
+    Each nonzero entry of g - I, walked in place, is divided by d, d^2, ...
+    (the ideal's kept powers of its canonical generator) up to the lowest level
+    seen so far; the first entry outside the ideal gives level 0.  A zero d^i
+    (Z/m only) divides no nonzero entry.  A stabilising chain runs to the cap."""
     if g.ring is not ideal.ring and g.ring != ideal.ring:
         raise MismatchedRings("element outside the ideal's ring")
-    if ideal.is_zero:
+    if (d := ideal._divisor) is None:
         raise ZeroIdeal("congruence level against the zero ideal")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     k = g.ring.kernel
-    add, is_zero, div, minus_one = k.add, k.is_zero, k.div, k.neg(k.one)
-    d, powers, level = ideal.canonical.payload, [k.one, ideal.canonical.payload], None  # powers[i] = d^i
+    add, is_zero, div, minus_one, powers, level = k.add, k.is_zero, k.div, k.minus_one, ideal._powers, None
     for i, r in enumerate(g.payload):
         for j, x in enumerate(r):
             if is_zero(e := add(x, minus_one) if i == j else x):
                 continue
             t, top = 0, cap if level is None else level
             while t < top:
-                if t + 1 == len(powers):
-                    powers.append(k.mul(powers[t], d))
-                if div(e, powers[t + 1]) is None:
+                if (p := powers.get(t + 1)) is None:  # setdefault: two threads racing here keep one d^(t+1)
+                    p = powers.setdefault(t + 1, k.mul(powers[t], d))
+                if div(e, p) is None:
                     break
                 t += 1
             if t == 0:
-                return CongruenceDatum(ideal, 0, False)
+                return _unchecked(CongruenceDatum, ideal=ideal, level=0, is_identity=False)
             level = t
-    return CongruenceDatum(ideal, None if level in (None, cap) else level, level is None)
+    return _unchecked(CongruenceDatum, ideal=ideal, level=None if level in (None, cap) else level,
+                      is_identity=level is None)
 
 
 # -- text format ----------------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     BadTransversal,
     CapAmbiguous,
     InnerUnbounded,
+    MismatchedRings,
     NoSmallVector,
     NotCentral,
     TrivialInput,
@@ -180,7 +181,7 @@ class QuotientDomain:
 class NormEval:
     """A conjugation-invariant norm: a group domain and an exact value function.
 
-    Values are exact rationals: an int (a word norm's) or a Fraction."""
+    Values are exact rationals: an int (a word norm's, a filtration norm's 0 and 1) or a Fraction."""
 
     domain: object
     value: Callable[[object], Rational]
@@ -209,21 +210,23 @@ class FiltrationChain:
     def __post_init__(self):
         if self.ideal.is_zero:
             raise ZeroIdeal("filtration chain needs a nonzero ideal")
+        if self.domain.one.ring != self.ideal.ring:
+            raise MismatchedRings("element outside the ideal's ring")
+        if self.cap < 1:
+            raise ValueError("cap must be >= 1")
 
 
 def filtration_norm(chain: FiltrationChain) -> NormEval:
-    """2^-i on the i-th congruence layer, 0 at the identity; one Fraction per layer."""
-    values = {}
+    """2^-i on the i-th congruence layer, 0 at the identity; ints at level 0 and the identity."""
+    ideal, cap, values = chain.ideal, chain.cap, {0: 1}
 
     def fn(g):
-        datum = congruence_level(g, chain.ideal, chain.cap)
+        datum = congruence_level(g, ideal, cap)
         if datum.is_identity:
-            return Fraction(0)
-        if datum.level is None:
-            raise CapAmbiguous(
-                f"non-identity element beyond level cap {chain.cap}"
-            )
-        return values.get(datum.level) or values.setdefault(datum.level, Fraction(1, 2**datum.level))
+            return 0
+        if (level := datum.level) is None:
+            raise CapAmbiguous(f"non-identity element beyond level cap {cap}")
+        return values.get(level) or values.setdefault(level, Fraction(1, 2**level))
 
     return NormEval(chain.domain, fn)
 

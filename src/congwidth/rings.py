@@ -92,6 +92,7 @@ class _Kernel:
     def __init__(self, m: int, p: int):
         self.m, self.p = m, p
         self.zero, self.one = self.el(0), self.el(1)
+        self.minus_one = self.neg(self.one)
 
     def x(self):
         raise UnsupportedRing("x only exists in polynomial rings")
@@ -632,7 +633,8 @@ class Ideal:
 
     Every supported ring is a principal ideal ring, so the canonical
     generator always exists: gcd of the generators, further gcd'd with the
-    modulus in Z/m.
+    modulus in Z/m.  _divisor is its payload d (None for the zero ideal);
+    _powers maps i to d^i, which congruence_level adds on first reach.
     """
 
     ring: RingSpec
@@ -645,10 +647,10 @@ class Ideal:
         for g in self.generators:
             if g.ring != self.ring:
                 raise MismatchedRings("generator outside the parent ring")
-        gens = [g.payload for g in self.generators]
-        canonical = RingElement(self.ring, self.ring.kernel.canonical(gens))
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "_divisor", None if canonical.is_zero else canonical.payload)
+        k = self.ring.kernel
+        d = k.canonical([g.payload for g in self.generators])
+        self.__dict__.update(canonical=RingElement(self.ring, d), _divisor=None if k.is_zero(d) else d,
+                             _powers={0: k.one, 1: d})
 
     @staticmethod
     def of(ring: RingSpec, *raw) -> "Ideal":
@@ -656,7 +658,7 @@ class Ideal:
 
     @property
     def is_zero(self) -> bool:
-        return self.canonical.is_zero
+        return self._divisor is None
 
     def contains(self, e: RingElement) -> bool:
         """Ideal membership: one division of e by the canonical generator

@@ -295,6 +295,8 @@ def test_norm_config_missing_key(tmp_path, capsys, config, key):
     ("tag=padic-sup\nideal=0\np=2\n", "ideal pair domain needs a nonzero ideal"),
     ("tag=dirac\nradius=-1\n", "radius must be >= 0, got -1"),
     ("tag=filtration\nideal=2\nradius=-3\n", "radius must be >= 0, got -3"),
+    ("tag=filtration\nideal=2\ncap=0\n", "cap must be >= 1"),
+    ("tag=filtration\nideal=2\ncap=-5\n", "cap must be >= 1"),
     ("tag=z2mixed\np=2\nbox=-1\n", "box must be >= 0, got -1"),
     ("tag=padic-sup\nideal=2\np=2\nbox=-64\n", "box must be >= 0, got -64"),
     # 0 samples only the identity, where every norm passes
@@ -309,6 +311,25 @@ def test_norm_config_bad_value(tmp_path, capsys, config, message):
     cfg.write_text(config)
     assert main(["norm", "--config", str(cfg)]) == 1
     assert _one_line_error(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("config, key, text", [
+    ("tag=filtration\nideal=2\ncap=abc\n", "cap", "abc"),
+    ("tag=z2mixed\np=2\nsamples=x\n", "samples", "x"),
+    ("tag=z2mixed\np=2\nseed=x\n", "seed", "x"),
+    ("tag=filtration\nideal=2\nradius=x\n", "radius", "x"),
+    ("tag=dirac\nn=x\n", "n", "x"),
+    ("tag=filtration\nideal=2\nn=3.0\n", "n", "3.0"),
+    ("tag=word\ngroup=SL2,F3\nbudget=x\n", "budget", "x"),
+    ("tag=z2mixed\np=2\nbox=1e3\n", "box", "1e3"),
+    ("tag=z2mixed\np=x\n", "p", "x"),
+    ("tag=padic-sup\nideal=2\np=x\n", "p", "x"),
+])
+def test_norm_config_integer_names_its_key(tmp_path, capsys, config, key, text):
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(config)
+    assert main(["norm", "--config", str(cfg)]) == 1
+    assert _one_line_error(capsys) == f"error: norm config {key}= expects an integer, got {text!r}\n"
 
 
 @pytest.mark.parametrize("group", ["SLx,F5", "GL2,F5", "SL2", "SL2,Q", "SL2,F4", "SL2,F9"])

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congwidth.errors import DimensionMismatch, MismatchedRings, NotInvertible, ZeroIdeal
+from congwidth.errors import CapAmbiguous, DimensionMismatch, MismatchedRings, NotInvertible, ZeroIdeal
 from congwidth.matrices import (
     CongruenceDatum,
     SqMatrix,
@@ -21,6 +22,7 @@ from congwidth.matrices import (
     mat_inv,
     parse_matrix,
 )
+from congwidth.norms import FiltrationChain, MatrixGroupDomain, filtration_norm
 from congwidth.rings import Ideal, RingSpec, unit_check
 from conftest import elements
 
@@ -335,6 +337,34 @@ def test_congruence_level_matches_reference(case):
     assert congruence_level(g, ideal, cap) == reference_level(g, ideal, cap)
 
 
+@pytest.mark.parametrize("ring, gen", [
+    (RingSpec.integers(), 2),
+    (RingSpec.integers_mod(12), 2),
+    (RingSpec.poly_over_fp(2), [0, 1]),
+    (RingSpec.localized_integers(5), 2),
+], ids=["Z-2", "Z12-2", "F2x-x", "Z5inv-2"])
+def test_kept_powers_give_the_reference_level_in_any_order(ring, gen):
+    """One ideal and one filtration norm see elements deep first, then
+    shallow, then deeper; each datum matches the reference on a fresh ideal,
+    and the kept powers are d^0, d^1, ... in one dict, extended in place."""
+    cap, q = 16, Ideal.of(ring, gen)
+    norm = filtration_norm(FiltrationChain(MatrixGroupDomain(ring, 3, [elementary(ring, 3, 1, 2, 1)]), q, cap))
+    powers = q._powers
+    d = [ring.one]
+    while len(d) <= cap + 1:
+        d.append(d[-1] * q.canonical)
+    for a, b in ((6, 9), (1, 3), (0, 2), (12, 14), (3, 3), (cap, cap + 1)):
+        g = elementary(ring, 3, 1, 2, d[a]) * elementary(ring, 3, 2, 3, d[b])
+        datum = congruence_level(g, q, cap)
+        assert datum == reference_level(g, Ideal.of(ring, gen), cap)
+        if datum.level is None:
+            with pytest.raises(CapAmbiguous):
+                norm.value(g)
+        else:
+            assert norm.value(g) == Fraction(1, 2**datum.level)
+    assert q._powers is powers and powers == {i: d[i].payload for i in range(len(powers))}
+
+
 @pytest.mark.parametrize("ring, gen", [c[:2] for c in LEVEL_CASES], ids=["Z-2", "Z-6", "Z8-2", "Z12-2", "F2x-x", "Z5inv-2"])
 def test_congruence_level_identity_and_cap_one(ring, gen):
     q = Ideal.of(ring, gen)
@@ -356,8 +386,8 @@ def test_congruence_level_stops_at_the_first_entry_outside_the_ideal(monkeypatch
     monkeypatch.setitem(vars(k), "is_zero", lambda a: reads.append(a) or is_zero(a))
     monkeypatch.setitem(vars(k), "div", lambda a, b: divs.append((a, b)) or div(a, b))
     assert congruence_level(g, q) == CongruenceDatum(q, 0, False)
-    # the first read is the ideal's zero check on its generator; the rest are entries of g - I
-    assert len(reads) - 1 <= 2 and divs == [(3, 2)]
+    # every read is an entry of g - I: the zero-ideal check reads the ideal's kept divisor
+    assert len(reads) <= 2 and divs == [(3, 2)]
 
 
 @pytest.mark.parametrize(

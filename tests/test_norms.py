@@ -405,10 +405,33 @@ def test_filtration_chain_refuses_the_zero_ideal(ring_z):
         FiltrationChain(sl_domain(ring_z, 3), Ideal.of(ring_z, 0))
 
 
-def test_filtration_norm_refuses_a_chain_over_another_ring(ring_z):
-    norm = filtration_norm(FiltrationChain(sl_domain(ring_z, 3), Ideal.of(RingSpec.integers_mod(8), 2)))
-    with pytest.raises(MismatchedRings, match="^element outside the ideal's ring$"):
-        norm.value(elementary(ring_z, 3, 1, 2, 4))
+def test_filtration_norm_refuses_a_chain_over_another_ring(ring_z, ring_p2):
+    # refused when the chain is built, not at its first value
+    for ideal in (Ideal.of(RingSpec.integers_mod(8), 2), Ideal(ring_p2, (ring_p2.x(),))):
+        with pytest.raises(MismatchedRings, match="^element outside the ideal's ring$"):
+            FiltrationChain(sl_domain(ring_z, 3), ideal)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_filtration_chain_refuses_a_cap_below_one(ring_z, cap):
+    with pytest.raises(ValueError, match="^cap must be >= 1$"):
+        FiltrationChain(sl_domain(ring_z, 3), Ideal.of(ring_z, 2), cap)
+
+
+def test_filtration_values_are_ints_at_level_0_and_the_identity(ring_z):
+    norm = filtration_norm(FiltrationChain(sl_domain(ring_z, 3), Ideal.of(ring_z, 2)))
+    one, level0, level2 = identity(ring_z, 3), elementary(ring_z, 3, 1, 2, 3), elementary(ring_z, 3, 2, 1, 12)
+    values = [norm.value(g) for g in (one, level0, level2)]
+    assert [type(v) for v in values] == [int, int, Fraction] and values == [0, 1, Fraction(1, 4)]
+    bounded = [bounded_transform(norm).value(g) for g in (one, level0, level2)]
+    assert all(type(v) is Fraction for v in bounded) and bounded == [0, Fraction(1, 2), Fraction(1, 5)]
+
+
+def test_filtration_norm_reads_a_deep_level_under_a_huge_cap(ring_z):
+    q = Ideal.of(ring_z, 2)
+    norm = filtration_norm(FiltrationChain(sl_domain(ring_z, 3), q, cap=10**9))
+    assert norm.value(elementary(ring_z, 3, 1, 2, 2**40)) == Fraction(1, 2**40)
+    assert len(q._powers) == 42  # d^0 to d^41: the powers reach one past the level, not the cap
 
 
 # -- singular extension ------------------------------------------------------------

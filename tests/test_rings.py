@@ -177,6 +177,13 @@ def test_zinv_add_matches_the_el_route(p, a, b, mode):
     assert k.add(a, b) == k.el((a[0] * p ** (a[1] - k0) + b[0] * p ** (b[1] - k0), k0))
 
 
+@pytest.mark.parametrize("ring", all_rings(), ids=lambda r: r.descriptor())
+def test_kernel_minus_one(ring):
+    k = ring.kernel
+    assert k.minus_one == k.neg(k.one) == ring.el(-1).payload
+    assert k.add(k.one, k.minus_one) == k.zero
+
+
 def test_unit_check_examples():
     Z = RingSpec.integers()
     assert unit_check(Z.el(-1)) == Z.el(-1)
